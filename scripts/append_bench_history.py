@@ -74,10 +74,6 @@ def perfbench_record(report: dict) -> dict:
             "geomean_invocations_per_sec": summary.get(
                 "geomean_invocations_per_sec"),
             "total_wall_seconds": summary.get("total_wall_seconds"),
-            "total_memo_hits": summary.get("total_memo_hits"),
-            "total_memo_misses": summary.get("total_memo_misses"),
-            "total_batched_invocations": summary.get(
-                "total_batched_invocations"),
         }
         for name, summary in (report.get("engines") or {}).items()
     }

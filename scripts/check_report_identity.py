@@ -1,16 +1,13 @@
 #!/usr/bin/env python3
-"""Assert two ``repro run --json`` reports are identical modulo engine-tier
-counters.
+"""Assert two ``repro run --json`` reports are identical.
 
 Usage::
 
     python scripts/check_report_identity.py reference.json candidate.json
 
-The engine tiers (``REPRO_FASTPATH``, ``REPRO_MEMO``) are implementation
-choices and must never change simulated results.  Their only sanctioned
-trace is the simulator-internal hit/miss/batch counters
-(``repro.engine.ENGINE_TIER_COUNTERS``), which this script zeroes
-wherever they appear before demanding deep equality.  Any other
+The engine tier (``REPRO_FASTPATH``), host telemetry, the replica router
+and the worker pool are implementation choices and must never change a
+report: the two files are compared whole, with nothing scrubbed.  Any
 difference — a cycle count, a stat, a report field — is a modeling
 divergence and fails the build, printing the offending paths.
 """
@@ -21,32 +18,9 @@ import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from repro.engine import ENGINE_TIER_COUNTERS  # noqa: E402
-
-#: The decisions block's engine-tier tallies carry two extra names beyond
-#: the ``PipelineStats`` counters: memo bail-out and unsupported-fallback
-#: decisions, which by design differ across engine tiers.
-SCRUBBED = frozenset(ENGINE_TIER_COUNTERS) | {
-    "memo_bailouts", "memo_unsupported",
-}
-
-
-def scrub(node):
-    """Zero engine-tier counters anywhere in the report tree."""
-    if isinstance(node, dict):
-        return {
-            key: 0 if key in SCRUBBED else scrub(value)
-            for key, value in node.items()
-        }
-    if isinstance(node, list):
-        return [scrub(item) for item in node]
-    return node
-
 
 def diff_paths(a, b, path="$", out=None) -> list[str]:
-    """Paths where the scrubbed trees differ (bounded, for the log)."""
+    """Paths where the two trees differ (bounded, for the log)."""
     if out is None:
         out = []
     if len(out) >= 20:
@@ -76,14 +50,14 @@ def main(argv: list[str] | None = None) -> int:
     reports = []
     for arg in argv:
         try:
-            reports.append(scrub(json.loads(Path(arg).read_text())))
+            reports.append(json.loads(Path(arg).read_text()))
         except (OSError, json.JSONDecodeError) as exc:
             print(f"check_report_identity: cannot read {arg}: {exc}",
                   file=sys.stderr)
             return 1
     reference, candidate = reports
     if reference == candidate:
-        print(f"identical modulo engine-tier counters: {argv[0]} == {argv[1]}")
+        print(f"identical: {argv[0]} == {argv[1]}")
         return 0
     print(f"REPORTS DIVERGE: {argv[0]} vs {argv[1]}", file=sys.stderr)
     for path in diff_paths(reference, candidate):

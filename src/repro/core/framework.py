@@ -28,7 +28,7 @@ from repro.core.multifabric import FabricPool
 from repro.core.naive_mapper import NaiveMapper
 from repro.core.offload import OffloadEngine, TRACE_SQUASH_DETECT
 from repro.core.tcache import TCache, TraceWindowBuilder
-from repro.engine import memo_enabled
+from repro.engine import fastpath_enabled
 from repro.fabric.config import FabricConfig
 from repro.isa.instructions import DynamicInstruction
 from repro.isa.opcodes import Opcode
@@ -177,6 +177,10 @@ class DynaSpAM:
         self.offloader = OffloadEngine(
             pipeline=self.pipeline, speculation=cfg.speculation, bus=self.bus
         )
+        #: Engine tier, captured once like ``make_pipeline`` does: the fast
+        #: path validates key-matched occurrences through the occurrence
+        #: probe; the interpreted reference walks every occurrence in full.
+        self._fastpath = fastpath_enabled()
 
         self._host_instructions = 0
         self._mapping_instructions = 0
@@ -185,13 +189,6 @@ class DynaSpAM:
         self.program: Program | None = None
         #: (anchor_pc, history) -> (predicted key, predictor stamp deps).
         self._predict_memo: dict[tuple[int, int], tuple] = {}
-        #: Anchor work already performed by a batched super-step that the
-        #: run loop must consume instead of redoing: ``(index, predicted
-        #: key, ccache entry | _NO_ENTRY)``.  The batch loop probes the
-        #: next anchor to decide whether to continue; when it stops, that
-        #: probe (predictor walk, config-cache lookup, their counters and
-        #: events) has already happened and must not be repeated.
-        self._pending_anchor: tuple | None = None
 
     # ------------------------------------------------------------------
     def run(self, trace: list[DynamicInstruction], program: Program) -> DynaSpAMResult:
@@ -201,7 +198,6 @@ class DynaSpAM:
         if cfg.smart_trace_selection:
             self.builder.program = program  # enables static lookahead
         self.pipeline.note_phase("host")
-        self._pending_anchor = None
         active = cfg.mode != "baseline"
         i = 0
         n = len(trace)
@@ -229,32 +225,15 @@ class DynaSpAM:
         self.ccache.tick(1)
 
     # ------------------------------------------------------------------
-    #: Sentinel: a pending anchor that carries no config-cache lookup.
-    _NO_ENTRY = object()
-
     def _at_anchor(self, trace, i) -> int | None:
         """Handle a trace anchor; returns the next index if it consumed
         instructions (offload or mapping phase), else None."""
-        pending = self._pending_anchor
-        entry = self._NO_ENTRY
-        if pending is not None:
-            self._pending_anchor = None
-            if pending[0] == i:
-                predicted, entry = pending[1], pending[2]
-            else:  # pragma: no cover - stale handoff, recompute
-                predicted = self._predict_key(trace[i].pc)
-        else:
-            predicted = self._predict_key(trace[i].pc)
+        predicted = self._predict_key(trace[i].pc)
         if predicted is None:
             return None
-        if entry is self._NO_ENTRY:
-            entry = self.ccache.lookup(predicted)
-            self.pipeline.stats.config_cache_reads += 1
-        return self._dispatch_anchor(trace, i, predicted, entry)
-
-    def _dispatch_anchor(self, trace, i, predicted, entry) -> int | None:
-        """Post-lookup anchor handling (shared with the batch loop)."""
         cfg = self.config
+        entry = self.ccache.lookup(predicted)
+        self.pipeline.stats.config_cache_reads += 1
         if entry is not None and entry.configuration is not None:
             if entry.ready and cfg.mode == "accelerate":
                 return self._attempt_offload(trace, i, entry, predicted)
@@ -272,62 +251,8 @@ class DynaSpAM:
 
     # ------------------------------------------------------------------
     def _attempt_offload(self, trace, i, entry, predicted) -> int | None:
-        consumed = self._offload_occurrence(trace, i, entry, predicted)
-        if consumed is None:
-            return None
-        i += consumed
-        if not memo_enabled():
-            return i
-        # Batched super-step (memo tier): keep offloading while the very
-        # next anchor predicts the same ready configuration.  Every
-        # per-invocation interaction with the host (predictor probe and
-        # training, config-cache lookup and tick, fabric-pool LRU, store
-        # queue, stats, events) happens exactly as in the unbatched loop;
-        # the batch only skips re-entering the run loop between
-        # occurrences, and each invocation replays the same memoized
-        # timeline whenever its dynamic-input key repeats.
         stats = self.pipeline.stats
-        n = len(trace)
-        batched = 0
-        while i < n and self.builder.at_anchor:
-            predicted_next = self._predict_key(trace[i].pc)
-            if predicted_next is None:
-                self._pending_anchor = (i, None, self._NO_ENTRY)
-                break
-            entry_next = self.ccache.lookup(predicted_next)
-            stats.config_cache_reads += 1
-            if (predicted_next != predicted
-                    or entry_next is not entry
-                    or entry_next is None
-                    or entry_next.configuration is None
-                    or not entry_next.ready):
-                # Streak over: hand the probe's results to the run loop so
-                # the general dispatch handles this anchor exactly once.
-                self._pending_anchor = (i, predicted_next, entry_next)
-                break
-            consumed = self._offload_occurrence(trace, i, entry, predicted)
-            if consumed is None:
-                # Squash or hysteresis mid-streak: the run loop would host-
-                # step this instruction next; do exactly that and stop.
-                self._emit_batch(predicted, batched)
-                self._host_step(trace[i])
-                return i + 1
-            batched += 1
-            stats.batched_invocations += 1
-            i += consumed
-        self._emit_batch(predicted, batched)
-        return i
-
-    def _emit_batch(self, key, batched: int) -> None:
-        if batched and self.bus is not None:
-            self.bus.emit("offload.batch", key=key, invocations=batched + 1)
-
-    def _offload_occurrence(self, trace, i, entry, predicted) -> int | None:
-        """One offload attempt at anchor ``i``; returns instructions
-        consumed, or None if the occurrence ran (or will run) on the
-        host.  Exactly the pre-batching ``_attempt_offload`` body."""
-        stats = self.pipeline.stats
-        segment = self._segment_fast(trace, i, entry.configuration, predicted)
+        segment = self._segment_fast(trace, i, entry.configuration)
         if segment is None:
             segment = self._actual_segment(trace, i)
             actual_key = self._segment_key(segment)
@@ -355,7 +280,8 @@ class DynaSpAM:
                         ),
                     )
                 return None
-            self._note_occurrence_probe(entry.configuration, segment)
+            if self._fastpath:
+                self._note_occurrence_probe(entry.configuration, segment)
         acquired = self.pool.acquire(
             entry.configuration,
             max(self.pipeline.next_fetch_cycle, self.pipeline.fetch_barrier),
@@ -378,7 +304,7 @@ class DynaSpAM:
         self._offloaded_keys.add(entry.key)
         self.ccache.tick(len(segment))
         self.builder.resume_after(segment)
-        return len(segment)
+        return i + len(segment)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -411,19 +337,20 @@ class DynaSpAM:
             ),
         )
 
-    def _segment_fast(self, trace, i, configuration, predicted):
+    def _segment_fast(self, trace, i, configuration):
         """Key-matched occurrence at ``i`` as a plain slice, or None.
 
         Sound because the trace key pins the whole instruction sequence:
-        with the anchor PC equal (``predicted[0]`` *is* ``trace[i].pc``)
-        and every embedded branch showing the same PC and outcome as a
-        previously key-matched occurrence, the committed stream between
-        branches is straight-line static code — the general walk would
-        reproduce the identical segment and key.  Any mismatch (including
-        a truncated trace tail) falls back to the full walk, which owns
-        squash detection.
+        with the anchor PC equal (the predicted key's anchor *is*
+        ``trace[i].pc``) and every embedded branch showing the same PC and
+        outcome as a previously key-matched occurrence, the committed
+        stream between branches is straight-line static code — the
+        general walk would reproduce the identical segment and key.  Any
+        mismatch (including a truncated trace tail) falls back to the full
+        walk, which owns squash detection.  Fast path only: the
+        interpreted reference always takes the full walk.
         """
-        if not memo_enabled():
+        if not self._fastpath:
             return None
         probe = getattr(configuration, "_occurrence_probe", None)
         if probe is None:

@@ -129,7 +129,6 @@ class OffloadEngine:
             speculative=self.speculation,
             extra_mem_wait=extra_wait,
             predicted_store_pos=predicted_store_pos,
-            stats=stats,
         )
         result = fabric.execute(configuration, ctx)
 

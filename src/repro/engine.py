@@ -1,44 +1,30 @@
-"""Engine selection: the compiled hot path, the invocation memo, and the
-interpreted model.
+"""Engine selection: the compiled hot path or the interpreted model.
 
-The repository carries three orthogonal engine tiers for its innermost
-loops:
+The repository carries two engine tiers for its innermost loops:
 
 * the *interpreted* engine — ``repro.ooo.pipeline.OOOPipeline.process``
   and the plan-free branches of ``SpatialFabric.execute`` /
   ``FunctionalFabric.execute`` — written for readability and used as the
-  reference model;
-* the *fast path* — ``repro.ooo.fastpath.FastOOOPipeline`` plus the
-  pre-lowered evaluators of ``repro.fabric.compiled`` — bit-identical by
-  construction and enforced so by the identity sweep
+  reference model; DynaSpAM re-walks every trace occurrence in full;
+* the *fast path* — ``repro.ooo.fastpath.FastOOOPipeline``, the
+  pre-lowered evaluators of ``repro.fabric.compiled``, and DynaSpAM's
+  occurrence probe (a key-matched occurrence is validated by
+  spot-checking its embedded branches instead of re-walking it) —
+  bit-identical by construction and enforced so by the identity sweep
   (``tests/engine/test_fastpath_identity.py`` and the CI
-  ``fastpath-identity`` job);
-* the *invocation memo* — ``repro.fabric.memo`` plus the batched
-  super-step of ``repro.core.framework`` — replays cached invocation
-  timelines (with cycle-offset rebasing) when a configuration is
-  re-invoked under a matching dynamic-input key, instead of re-walking
-  the fabric timing engine.
+  ``fastpath-identity`` job).
 
-Both accelerated tiers are on by default and composable:
-``REPRO_FASTPATH=0`` (or :func:`set_fastpath`) selects the interpreted
-walks, ``REPRO_MEMO=0`` (or :func:`set_memo`) disables memoization and
-batching.  ``REPRO_FASTPATH=0 REPRO_MEMO=0`` is the pure reference model
-— the A side of every identity comparison and of
-``repro perfbench --engine both``.
+The fast path is on by default; ``REPRO_FASTPATH=0`` (or
+:func:`set_fastpath`) selects the interpreted reference — the A side of
+every identity comparison and of ``repro perfbench --engine both``.
 
-Because every tier combination produces identical *simulated* results,
-engine choice is deliberately *not* part of the run-cache identity
-(``repro.harness.runner.RunKey``): a cached result serves every tier.
+Because both tiers produce identical results — every report byte, stats
+counter and traced event, with nothing scrubbed — engine choice is
+deliberately *not* part of the run-cache identity
+(``repro.harness.runner.RunKey``): a cached result serves either tier.
 Comparisons that must time or diff real executions therefore bypass the
 caches (the identity sweep simulates directly; ``perfbench`` never
 touches the run cache; the CI identity job uses disjoint cache dirs).
-
-Identity is byte-exact up to the simulator-internal observability
-counters named in :data:`ENGINE_TIER_COUNTERS` (a memo necessarily
-counts its own hits) and the event types in :data:`ENGINE_TIER_EVENTS`
-(emitted only when the corresponding tier runs).  Identity gates zero or
-filter exactly those before comparing; every architectural or
-energy-relevant number must match bit-for-bit.
 """
 
 from __future__ import annotations
@@ -52,43 +38,8 @@ def _env_default() -> bool:
     )
 
 
-def _memo_env_default() -> bool:
-    return os.environ.get("REPRO_MEMO", "1").strip().lower() not in (
-        "0", "false", "no", "off",
-    )
-
-
-#: ``PipelineStats`` fields that legitimately differ across engine tiers:
-#: simulator-internal observability counters with no energy cost and no
-#: influence on any simulated number.  Identity comparisons (the
-#: ``tests/engine`` sweep, ``scripts/check_report_identity.py``) zero
-#: these on both sides before demanding byte equality.
-ENGINE_TIER_COUNTERS = frozenset({
-    "invocation_memo_hits",
-    "invocation_memo_misses",
-    "batched_invocations",
-    "predict_memo_hits",
-    "predict_memo_misses",
-})
-
-#: Event-bus types emitted only by an accelerated tier.  Traced-stream
-#: identity comparisons filter these (and renumber ``seq``) before
-#: comparing across tier settings; within one tier setting the full
-#: stream is still byte-identical.
-ENGINE_TIER_EVENTS = frozenset({
-    "fabric.memo_hit",
-    "fabric.memo_miss",
-    "fabric.memo_bailout",
-    "fabric.memo_unsupported",
-    "offload.batch",
-})
-
-
 #: Process-wide engine switch.  Read through :func:`fastpath_enabled`.
 _FASTPATH: bool = _env_default()
-
-#: Process-wide memo-tier switch.  Read through :func:`memo_enabled`.
-_MEMO: bool = _memo_env_default()
 
 
 def fastpath_enabled() -> bool:
@@ -100,9 +51,9 @@ def set_fastpath(enabled: bool) -> bool:
     """Select the engine for subsequently constructed simulators.
 
     Returns the previous setting.  Components capture the engine at
-    construction time (``make_pipeline``) or probe it per invocation
-    (fabric evaluators); flipping the flag never changes a simulation
-    already in flight.
+    construction time (``make_pipeline``, ``DynaSpAM``) or probe it per
+    invocation (fabric evaluators); flipping the flag never changes a
+    simulation already in flight.
     """
     global _FASTPATH
     previous = _FASTPATH
@@ -123,37 +74,3 @@ class use_fastpath:
 
     def __exit__(self, *exc) -> None:
         set_fastpath(self._previous)
-
-
-def memo_enabled() -> bool:
-    """True when fabrics should memoize (and batch) invocation timing."""
-    return _MEMO
-
-
-def set_memo(enabled: bool) -> bool:
-    """Select the memo tier for subsequent invocations.
-
-    Returns the previous setting.  Like the fast path, the flag is probed
-    per invocation/anchor; flipping it mid-run simply stops (or starts)
-    consulting the memo from the next invocation on — cached entries are
-    keyed on invocation inputs only and never go stale.
-    """
-    global _MEMO
-    previous = _MEMO
-    _MEMO = bool(enabled)
-    return previous
-
-
-class use_memo:
-    """Context manager scoping the memo tier (used by tests/benchmarks)."""
-
-    def __init__(self, enabled: bool) -> None:
-        self.enabled = enabled
-        self._previous: bool | None = None
-
-    def __enter__(self) -> "use_memo":
-        self._previous = set_memo(self.enabled)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        set_memo(self._previous)

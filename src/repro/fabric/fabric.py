@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engine import fastpath_enabled, memo_enabled
+from repro.engine import fastpath_enabled
 from repro.fabric.compiled import T_ALU, T_STORE, timing_plan_of
 from repro.fabric.config import FabricConfig
 from repro.fabric.configuration import Configuration, PlacedOp
@@ -40,9 +40,6 @@ class InvocationContext:
     speculative: bool = True
     extra_mem_wait: dict[int, int] = field(default_factory=dict)
     predicted_store_pos: dict[int, int] = field(default_factory=dict)
-    #: Optional ``PipelineStats`` for the memo tier's hit/miss counters
-    #: (simulator-internal observability; no energy cost, no timing role).
-    stats: object | None = None
 
 
 @dataclass
@@ -176,20 +173,6 @@ class SpatialFabric:
         """Run one invocation of the currently loaded configuration."""
         if self.current_key != configuration.trace_key:
             raise ValueError("fabric is not configured for this trace")
-        if memo_enabled():
-            global _execute_memoized
-            if _execute_memoized is None:
-                from repro.fabric.memo import execute_memoized
-
-                _execute_memoized = execute_memoized
-            return _execute_memoized(self, configuration, ctx)
-        return self._execute_engine(configuration, ctx)
-
-    def _execute_engine(
-        self, configuration: Configuration, ctx: InvocationContext
-    ) -> InvocationResult:
-        """The engine walk proper (plan-driven or interpreted), below the
-        memo tier's dispatch."""
         if fastpath_enabled():
             return self._execute_plan(configuration, timing_plan_of(configuration), ctx)
         cfg = self.config
@@ -488,12 +471,6 @@ class SpatialFabric:
         else:
             event.finish = ready + 1 + ctx.dcache_access(event.addr)
         return violation
-
-
-#: Lazily bound ``repro.fabric.memo.execute_memoized`` (that module needs
-#: this one's ``MemEvent``/``InvocationResult``, so a top-level import in
-#: either direction would be circular).
-_execute_memoized = None
 
 
 def pe_busy(op: PlacedOp) -> int:

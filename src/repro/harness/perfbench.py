@@ -4,12 +4,11 @@
 sweep take end to end"; this module answers a different question: **how
 fast does the simulator itself execute**, in dynamic instructions per
 second and fabric invocations per second, per kernel and mode, for each
-engine.  The "fast" engine is the full production stack — the compiled
-fast path of ``repro.ooo.fastpath`` / ``repro.fabric.compiled`` *plus*
-the invocation-timing memo of ``repro.fabric.memo`` — while
-"interpreted" forces both tiers off, i.e. the pure reference model, so
-the reported speedup is the whole optimization stack against the
-reference.
+engine.  The "fast" engine is the production stack — the compiled fast
+path of ``repro.ooo.fastpath`` / ``repro.fabric.compiled`` and
+DynaSpAM's occurrence probe — while "interpreted" forces the reference
+model, so the reported speedup is the whole optimization stack against
+the reference.
 
 Methodology:
 
@@ -35,13 +34,14 @@ from __future__ import annotations
 import math
 import time
 
-from repro.engine import use_fastpath, use_memo
+from repro.engine import use_fastpath
 
 #: Version of the perfbench JSON layout (independent of the simulation
 #: report schema — throughput reports are not `repro diff` inputs).
-#: v2: memo-tier counters per cell and per engine; cells with zero
-#: invocations report ``invocations_per_sec: null`` instead of ``0.0``.
-PERFBENCH_SCHEMA_VERSION = 2
+#: v2: cells with zero invocations report ``invocations_per_sec: null``
+#: instead of ``0.0``.  v3: the invocation-memo tier is gone, and with it
+#: the memo counters per cell and per engine.
+PERFBENCH_SCHEMA_VERSION = 3
 
 #: The Figure 8 suite's execution modes.
 MODES = ("baseline", "mapping_only", "accelerate")
@@ -64,9 +64,7 @@ def _measure_cell(trace, mode: str, engine: str, repeat: int) -> dict:
     fast = engine == "fast"
     best = None
     for _ in range(max(1, repeat)):
-        # "fast" is the production stack (compiled fastpath + invocation
-        # memo); "interpreted" is the pure reference with both tiers off.
-        with use_fastpath(fast), use_memo(fast):
+        with use_fastpath(fast):
             if mode == "baseline":
                 pipeline = make_pipeline()
                 started = time.perf_counter()
@@ -99,9 +97,6 @@ def _measure_cell(trace, mode: str, engine: str, repeat: int) -> dict:
         "invocations_per_sec": (
             invocations / elapsed if invocations else None
         ),
-        "memo_hits": getattr(stats, "invocation_memo_hits", 0),
-        "memo_misses": getattr(stats, "invocation_memo_misses", 0),
-        "batched_invocations": getattr(stats, "batched_invocations", 0),
     }
 
 
@@ -142,11 +137,6 @@ def perfbench_report(
             ),
             "total_instructions": sum(c["instructions"] for c in cells),
             "total_wall_seconds": sum(c["wall_seconds"] for c in cells),
-            "total_memo_hits": sum(c["memo_hits"] for c in cells),
-            "total_memo_misses": sum(c["memo_misses"] for c in cells),
-            "total_batched_invocations": sum(
-                c["batched_invocations"] for c in cells
-            ),
         }
 
     report = {
@@ -231,15 +221,6 @@ def render_perfbench(report: dict) -> str:
     if "speedup" in report:
         lines.append(f"{'speedup':>12}: {report['speedup']:.2f}x "
                      f"(fast vs interpreted, geomean instr/s)")
-    fast = engines.get("fast")
-    if fast and "total_memo_hits" in fast:
-        probes = fast["total_memo_hits"] + fast["total_memo_misses"]
-        rate = fast["total_memo_hits"] / probes if probes else 0.0
-        lines.append(
-            f"{'memo':>12}: {fast['total_memo_hits']:,} hits / "
-            f"{fast['total_memo_misses']:,} misses ({rate:.1%}) | "
-            f"{fast['total_batched_invocations']:,} batched invocations"
-        )
     return "\n".join(lines)
 
 

@@ -7,9 +7,9 @@ checks, per program, that
 
 1. the interpreter's printed words equal the lowered ISA program's
    architectural output region, and
-2. the DynaSpAM cycle simulation consumes the lowered trace to the
-   same cycle count under all four engine tiers
-   (fastpath x memo), and
+2. the DynaSpAM simulation of the lowered trace ends on the same cycle
+   count and every ``PipelineStats`` counter under both engine
+   tiers (fast path vs interpreted reference), and
 3. (optionally) every optimization pass pipeline preserves the
    interpreter's output.
 
@@ -262,24 +262,28 @@ def generate_program(seed: int) -> str:
 # ---------------------------------------------------------------------------
 # Differential gate
 # ---------------------------------------------------------------------------
-def tier_cycles(lowered, trace) -> dict[str, int]:
-    """DynaSpAM cycle counts for the same trace under all four tiers.
+def tier_cycles(lowered, trace) -> dict[str, dict]:
+    """DynaSpAM cycles and full stats for the same trace under both tiers.
 
-    Simulates directly (engine choice is deliberately not part of the
-    run-cache identity, so going through the cache would compare a
-    result with itself).
+    Keyed ``fastpath=0`` / ``fastpath=1``; each value holds ``cycles`` and
+    ``stats`` (``stats.as_dict()``), so the fast path's occurrence probe
+    and compiled evaluators answer to the reference walk on every
+    counter, not only on the cycle total.  Simulates directly (engine
+    choice is deliberately not part of the run-cache identity, so going
+    through the cache would compare a result with itself).
     """
     from repro.core import DynaSpAM
-    from repro.engine import use_fastpath, use_memo
+    from repro.engine import use_fastpath
 
-    cycles: dict[str, int] = {}
+    tiers: dict[str, dict] = {}
     for fastpath in (False, True):
-        for memo in (False, True):
-            with use_fastpath(fastpath), use_memo(memo):
-                result = DynaSpAM().run(trace, lowered.program)
-            cycles[f"fastpath={int(fastpath)},memo={int(memo)}"] = \
-                result.cycles
-    return cycles
+        with use_fastpath(fastpath):
+            result = DynaSpAM().run(trace, lowered.program)
+        tiers[f"fastpath={int(fastpath)}"] = {
+            "cycles": result.cycles,
+            "stats": result.stats.as_dict(),
+        }
+    return tiers
 
 
 def differential_check(source: str, filename: str = "<fuzz>",
@@ -302,12 +306,17 @@ def differential_check(source: str, filename: str = "<fuzz>",
         "lowered_dynamic": result.dynamic_count,
     }
     if check_tiers:
-        cycles = tier_cycles(lowered, result.trace)
-        if len(set(cycles.values())) != 1:
+        tiers = tier_cycles(lowered, result.trace)
+        reference, fast = tiers["fastpath=0"], tiers["fastpath=1"]
+        if fast != reference:
+            differing = sorted(
+                name for name, value in reference["stats"].items()
+                if fast["stats"][name] != value)
             raise FuzzFailure(
-                f"{filename}: engine tiers disagree on cycles: {cycles}",
-                source)
-        summary["cycles"] = next(iter(cycles.values()))
+                f"{filename}: engine tiers disagree: cycles "
+                f"{reference['cycles']} vs {fast['cycles']}, stats differ "
+                f"on {differing}", source)
+        summary["cycles"] = reference["cycles"]
     if check_passes:
         for name in PASSES:
             optimized = run_passes(module, [name])
@@ -351,11 +360,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lang.fuzz",
         description="differential fuzz gate: interpreter vs lowered ISA "
-                    "program under all engine tiers")
+                    "program under both engine tiers")
     parser.add_argument("--count", type=int, default=50)
     parser.add_argument("--seed", type=int, default=20260808)
     parser.add_argument("--no-tiers", action="store_true",
-                        help="skip the 4-tier cycle comparison")
+                        help="skip the fast-vs-reference engine comparison")
     parser.add_argument("--no-passes", action="store_true",
                         help="skip per-pass output preservation")
     parser.add_argument("--verbose", action="store_true")

@@ -6,8 +6,7 @@ the builder closes produces exactly one ``tcache.window`` terminal record
 (close reason + hotness outcome), every trace identity lands in exactly
 one terminal fate (the :data:`TRACE_FATES` lattice), every invocation is
 committed, squashed (branch vs memory, with the offending branch PC or
-load/store pair), deferred, or batched, and the memo tier's bail-out and
-fallback causes are counted.  Conservation is by construction — the fold
+load/store pair), or deferred.  Conservation is by construction — the fold
 assigns fates through an exclusive precedence chain — and re-checked in
 ``as_dict()`` so a report can carry ``conserved: false`` instead of
 silently miscounting.
@@ -124,13 +123,6 @@ class DecisionSink:
         self.deferred = 0
         self.squash_branch_pcs: dict[int, int] = {}
         self.squash_memory_pairs: dict[tuple, int] = {}
-        # Engine-tier observability (legitimately differs across tiers;
-        # identity gates scrub these names — see ENGINE_TIER_COUNTERS).
-        self.invocation_memo_hits = 0
-        self.invocation_memo_misses = 0
-        self.batched_invocations = 0
-        self.memo_bailouts = 0
-        self.memo_unsupported = 0
 
     # ------------------------------------------------------------------
     def _trace(self, key: tuple) -> _TraceDecision:
@@ -187,16 +179,6 @@ class DecisionSink:
         elif etype == "offload.defer":
             self.deferred += 1
             self._trace(data["key"]).defers += 1
-        elif etype == "offload.batch":
-            self.batched_invocations += data.get("invocations", 1) - 1
-        elif etype == "fabric.memo_hit":
-            self.invocation_memo_hits += 1
-        elif etype == "fabric.memo_miss":
-            self.invocation_memo_misses += 1
-        elif etype == "fabric.memo_bailout":
-            self.memo_bailouts += 1
-        elif etype == "fabric.memo_unsupported":
-            self.memo_unsupported += 1
 
     # ------------------------------------------------------------------
     def fate_counts(self) -> dict[str, int]:
@@ -243,13 +225,6 @@ class DecisionSink:
                 "deferred": self.deferred,
                 "squash_branch_pcs": _top_pcs(self.squash_branch_pcs),
                 "squash_memory_pairs": _top_pairs(self.squash_memory_pairs),
-            },
-            "engine_tier": {
-                "invocation_memo_hits": self.invocation_memo_hits,
-                "invocation_memo_misses": self.invocation_memo_misses,
-                "batched_invocations": self.batched_invocations,
-                "memo_bailouts": self.memo_bailouts,
-                "memo_unsupported": self.memo_unsupported,
             },
         }
 

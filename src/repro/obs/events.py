@@ -62,22 +62,12 @@ EVENT_TYPES: dict[str, str] = {
     "ccache.evict": "LRU replacement evicted an entry",
     # Fabric (repro.fabric.fabric via repro.core.multifabric)
     "fabric.reconfig": "a spatial fabric was reconfigured for a trace",
-    # Engine tiers (repro.fabric.memo; filtered by cross-tier identity
-    # comparisons — see repro.engine.ENGINE_TIER_EVENTS)
-    "fabric.memo_hit": "an invocation replayed a memoized timeline",
-    "fabric.memo_miss": "an invocation timing walk populated the memo",
-    "fabric.memo_bailout": "a configuration's probe window fell below the "
-                           "hit floor; memoization permanently disabled",
-    "fabric.memo_unsupported": "an invocation context could not be keyed; "
-                               "fell back to the engine walk",
     # Offload (repro.core.offload + framework squash detection)
     "offload.dispatch": "a fat atomic invocation was dispatched",
     "offload.commit": "a fat atomic invocation committed",
     "offload.squash": "an invocation squashed (cause=branch|memory)",
     "offload.defer": "a ready trace could not acquire a fabric "
                      "(reconfiguration hysteresis); host path continued",
-    "offload.batch": "consecutive same-key invocations batched into one "
-                     "super-step (memo tier)",
     # Host pipeline (repro.ooo.pipeline)
     "pipeline.drain": "the back end drained before a mapping phase",
     "pipeline.phase": "the execution phase changed (host|mapping|offload)",

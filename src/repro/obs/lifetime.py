@@ -52,14 +52,6 @@ class TraceLifetime:
     predictions: int = 0              # fetch-stage config-cache hits
     evicted: int | None = None        # lost its config-cache entry
     reconfigurations: int = 0
-    # Engine-tier activity (present only when the memo tier ran; see
-    # repro.engine.ENGINE_TIER_EVENTS).
-    memo_hits: int = 0                # invocations replayed from the memo
-    memo_misses: int = 0              # timing walks that populated it
-    memo_bailouts: int = 0            # cold bail-outs (memo disabled)
-    memo_unsupported: int = 0         # unkeyable contexts (engine fallback)
-    batches: int = 0                  # batched super-steps
-    batched_invocations: int = 0      # extra invocations riding them
 
     @property
     def squashes(self) -> int:
@@ -192,20 +184,6 @@ def build_lifetime_report(events: Iterable[Event]) -> LifetimeReport:
                 trace.memory_squashes += 1
             else:
                 trace.branch_squashes += 1
-        elif kind == "offload.batch":
-            trace = _lifetime(report, data["key"])
-            trace.batches += 1
-            trace.batched_invocations += data.get("invocations", 1) - 1
-        elif kind == "fabric.memo_hit":
-            _lifetime(report, data["key"]).memo_hits += 1
-        elif kind == "fabric.memo_miss":
-            _lifetime(report, data["key"]).memo_misses += 1
-        elif kind == "fabric.memo_bailout":
-            _lifetime(report, data["key"]).memo_bailouts += 1
-        elif kind == "fabric.memo_unsupported":
-            key = data.get("key")
-            if key is not None:
-                _lifetime(report, key).memo_unsupported += 1
         elif kind == "pipeline.drain":
             report.drain_cycles += data.get("stall", 0)
     # A mapping interrupted by end-of-stream stays "started"; nothing to do.
@@ -247,27 +225,6 @@ def render_lifetime_report(report: LifetimeReport, top: int = 10) -> str:
             f"{trace.branch_squashes:>4}/{trace.memory_squashes:<3} "
             f"{_stamp(trace.evicted):>8}  {trace.fate}"
         )
-    # Engine-tier section: memo/batching activity per trace (only when the
-    # memo tier actually ran).  Indented so table-parsing consumers that
-    # key on the 0x prefix keep seeing exactly one row per trace above.
-    engine_rows = [
-        trace for trace in report.ranked()[: top if top else None]
-        if (trace.memo_hits or trace.memo_misses or trace.memo_bailouts
-            or trace.memo_unsupported or trace.batches)
-    ]
-    if engine_rows:
-        lines.append("")
-        lines.append(
-            f"  engine tier: {'trace':<16} {'hits':>6} {'misses':>6} "
-            f"{'bailout':>7} {'unsup':>6} {'batches':>7} {'batched':>7}"
-        )
-        for trace in engine_rows:
-            lines.append(
-                f"  {'':<13}{trace.trace_id:<16} {trace.memo_hits:>6} "
-                f"{trace.memo_misses:>6} {trace.memo_bailouts:>7} "
-                f"{trace.memo_unsupported:>6} {trace.batches:>7} "
-                f"{trace.batched_invocations:>7}"
-            )
     return "\n".join(lines)
 
 
@@ -294,16 +251,6 @@ def render_trace_detail(
         f"{target.memory_squashes} memory, "
         f"reconfigurations {target.reconfigurations}",
     ]
-    if (target.memo_hits or target.memo_misses or target.memo_bailouts
-            or target.memo_unsupported or target.batches):
-        lines.append(
-            f"  engine tier: memo {target.memo_hits} hits / "
-            f"{target.memo_misses} misses, "
-            f"{target.memo_bailouts} bail-outs, "
-            f"{target.memo_unsupported} unsupported, "
-            f"{target.batches} super-steps "
-            f"(+{target.batched_invocations} batched invocations)"
-        )
     if target.map_failed is not None:
         lines.append(f"  unmappable: {target.map_failed}")
     if target.mapping_cycles is not None:

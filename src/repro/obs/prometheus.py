@@ -27,8 +27,6 @@ Exposed families::
     repro_lifecycle_events_total{event=}  counter (simulated lifecycle)
     repro_cycle_bucket_cycles_total{bucket=}  counter (cycle accounting)
     repro_fabric_utilization{stat=...}    gauge (invocation-weighted)
-    repro_engine_memo_total{result=...}   counter (invocation memo tier)
-    repro_engine_batched_invocations_total  counter (super-step batching)
     repro_trace_fate_total{fate=,reason=} counter (terminal trace fates)
 """
 
@@ -213,20 +211,6 @@ def render_prometheus(snapshot: dict) -> str:
     for bucket in BUCKETS:
         w.sample("repro_cycle_bucket_cycles_total", buckets.get(bucket, 0),
                  {"bucket": bucket})
-
-    memo = snapshot.get("engine_memo", {})
-    w.family("repro_engine_memo_total", "counter",
-             "Invocation-timing memo probes across completed jobs "
-             "(simulator-internal; zero when REPRO_MEMO=0).")
-    w.sample("repro_engine_memo_total", memo.get("hits", 0),
-             {"result": "hit"})
-    w.sample("repro_engine_memo_total", memo.get("misses", 0),
-             {"result": "miss"})
-    w.family("repro_engine_batched_invocations_total", "counter",
-             "Invocations replayed inside a batched super-step beyond "
-             "each batch's anchor invocation.")
-    w.sample("repro_engine_batched_invocations_total",
-             memo.get("batched_invocations", 0))
 
     fates = snapshot.get("trace_fates", {})
     w.family("repro_trace_fate_total", "counter",

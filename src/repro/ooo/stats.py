@@ -93,13 +93,9 @@ class PipelineStats:
     cycles_squash_memory: int = 0   # memory-order violation squash recovery
 
     # Simulator-internal observability (no energy cost; --profile output).
-    # These are the ``repro.engine.ENGINE_TIER_COUNTERS``: identity gates
-    # zero them before comparing reports across engine tiers.
+    # Both engine tiers count these identically.
     predict_memo_hits: int = 0
     predict_memo_misses: int = 0
-    invocation_memo_hits: int = 0
-    invocation_memo_misses: int = 0
-    batched_invocations: int = 0
 
     def merge(self, other: "PipelineStats") -> None:
         """Accumulate another stats record into this one."""

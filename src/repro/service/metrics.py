@@ -184,15 +184,6 @@ class ServiceMetrics:
         self.bump("lifecycle.squashes_memory", min(memory, squashes))
         self.bump("lifecycle.squashes_branch",
                   max(0, squashes - memory))
-        # Engine-tier totals (simulator-internal, not modeled) — the
-        # counters behind ``repro_engine_memo_total`` and
-        # ``repro_engine_batched_invocations_total``.
-        self.bump("engine.memo_hits",
-                  int(stats.get("invocation_memo_hits", 0) or 0))
-        self.bump("engine.memo_misses",
-                  int(stats.get("invocation_memo_misses", 0) or 0))
-        self.bump("engine.batched_invocations",
-                  int(stats.get("batched_invocations", 0) or 0))
         # Terminal trace-fate totals (jobs submitted with decision records
         # enabled) — the counters behind ``repro_trace_fate_total``.  The
         # reason label is only populated for unmappable traces, where the
@@ -282,12 +273,6 @@ class ServiceMetrics:
                 name[len("fate."):]: value
                 for name, value in counters.items()
                 if name.startswith("fate.")
-            },
-            "engine_memo": {
-                "hits": counters.get("engine.memo_hits", 0),
-                "misses": counters.get("engine.memo_misses", 0),
-                "batched_invocations": counters.get(
-                    "engine.batched_invocations", 0),
             },
             "fabric_utilization": {
                 "invocations_observed": fabric_invocations,

@@ -204,7 +204,7 @@ def merge_snapshots(snapshots: list[dict]) -> dict:
         ),
     }
     for key in ("jobs", "lifecycle", "cycle_buckets", "trace_fates",
-                "engine_memo", "cache", "queue"):
+                "cache", "queue"):
         doc[key] = _sum_counter_maps(
             [snap.get(key, {}) for snap in snapshots]
         )

@@ -1,38 +1,22 @@
-"""Bit-identity of the optimized engine tiers against the interpreted model.
+"""Bit-identity of the compiled fast path against the interpreted model.
 
-The compiled fast path (``repro.ooo.fastpath`` + ``repro.fabric.compiled``)
-and the invocation-timing memo (``repro.fabric.memo``) are *implementation*
-choices, never modeling choices: every cycle count, statistic, report
-byte, and traced event sequence must be exactly what the interpreted
-reference model produces.  These tests sweep the full kernel suite across
-execution modes with each tier toggled independently — all four
-fastpath x memo combinations — and demand byte equality, not closeness,
-of the serialized results.
-
-The only tolerated difference is the ``ENGINE_TIER_COUNTERS`` /
-``ENGINE_TIER_EVENTS`` carve-out: tier hit/miss/batch counters and events
-are simulator-internal observability with no modeled meaning, so identity
-is asserted on reports with those counters removed and on event streams
-with those events filtered (and ``seq`` renumbered).  Within a single
-tier setting nothing is filtered: fastpath on/off must agree byte for
-byte, tier events included.
+The compiled fast path (``repro.ooo.fastpath`` + ``repro.fabric.compiled``
++ DynaSpAM's occurrence probe) is an *implementation* choice, never a
+modeling choice: every cycle count, statistic, report byte, and traced
+event sequence must be exactly what the interpreted reference model
+produces.  These tests sweep the full kernel suite across execution
+modes under both engine settings and demand byte equality, not
+closeness, of the serialized results — with nothing removed from stats
+and nothing filtered from event streams.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core import DynaSpAM, DynaSpAMConfig
-from repro.engine import (
-    ENGINE_TIER_COUNTERS,
-    ENGINE_TIER_EVENTS,
-    fastpath_enabled,
-    memo_enabled,
-    set_fastpath,
-    set_memo,
-    use_fastpath,
-    use_memo,
-)
+from repro.engine import fastpath_enabled, set_fastpath, use_fastpath
 from repro.ooo.fastpath import FastOOOPipeline, make_pipeline
 from repro.ooo.pipeline import OOOPipeline
 from repro.workloads import ALL_ABBREVS, generate_trace
@@ -40,8 +24,8 @@ from repro.workloads import ALL_ABBREVS, generate_trace
 SCALE = 0.04
 
 #: (mode, speculation) variants covering every engine code path: the
-#: plain host pipeline, all fabric execution tiers, speculation off
-#: (conservative memory context), and the mapping-only ablation.
+#: plain host pipeline, fabric execution, speculation off (conservative
+#: memory context), and the mapping-only ablation.
 VARIANTS = (
     ("baseline", True),
     ("accelerate", True),
@@ -49,28 +33,15 @@ VARIANTS = (
     ("mapping_only", True),
 )
 
-#: Every fastpath x memo combination; (False, False) is the pure
-#: interpreted reference all others must match.
-TIER_COMBOS = (
-    (False, False),
-    (True, False),
-    (False, True),
-    (True, True),
-)
 
-
-def _run_cell(
-    abbrev: str, mode: str, speculation: bool, fast: bool, memo: bool
-) -> str:
-    """One simulation with the engine tiers forced, serialized canonically.
+def _run_cell(abbrev: str, mode: str, speculation: bool, fast: bool) -> str:
+    """One simulation with the engine forced, serialized canonically.
 
     Machines are constructed directly — not through the harness run
-    caches — so every tier combination genuinely simulates.  Tier
-    hit/miss counters are removed before serializing: they are the one
-    sanctioned difference between tiers.
+    caches — so both engine settings genuinely simulate.
     """
     tr = generate_trace(abbrev, SCALE)
-    with use_fastpath(fast), use_memo(memo):
+    with use_fastpath(fast):
         if mode == "baseline":
             result = make_pipeline().run_trace(tr.trace)
         else:
@@ -78,11 +49,8 @@ def _run_cell(
                 ds_config=DynaSpAMConfig(mode=mode, speculation=speculation)
             )
             result = machine.run(tr.trace, tr.program)
-    stats = result.stats.as_dict()
-    for counter in ENGINE_TIER_COUNTERS:
-        stats.pop(counter, None)
     return json.dumps(
-        {"cycles": result.cycles, "stats": stats},
+        {"cycles": result.cycles, "stats": result.stats.as_dict()},
         sort_keys=True,
     )
 
@@ -90,63 +58,43 @@ def _run_cell(
 @pytest.mark.parametrize("abbrev", ALL_ABBREVS)
 def test_engine_bit_identity(abbrev):
     for mode, speculation in VARIANTS:
-        interpreted = _run_cell(
-            abbrev, mode, speculation, fast=False, memo=False
+        interpreted = _run_cell(abbrev, mode, speculation, fast=False)
+        fast = _run_cell(abbrev, mode, speculation, fast=True)
+        assert fast == interpreted, (
+            f"{abbrev} {mode} spec={speculation}: engines diverge"
         )
-        for fast, memo in TIER_COMBOS[1:]:
-            combo = _run_cell(abbrev, mode, speculation, fast, memo)
-            assert combo == interpreted, (
-                f"{abbrev} {mode} spec={speculation} "
-                f"fastpath={fast} memo={memo}: engines diverge"
-            )
-
-
-def _strip_tier_counters(report: dict) -> dict:
-    """Remove engine-tier counters wherever stats dicts appear."""
-    for block in ("stats", "baseline_stats"):
-        stats = report.get(block)
-        if isinstance(stats, dict):
-            for counter in ENGINE_TIER_COUNTERS:
-                stats.pop(counter, None)
-    return report
 
 
 def test_simulation_report_bit_identity(tmp_path, monkeypatch):
-    """The full ``repro run --json`` report is byte-identical per tier
-    combination, modulo the tier counters.
+    """The full ``repro run --json`` report is byte-identical across the
+    two engine settings.
 
-    Each combination gets its own disk-cache root and a cleared
-    in-memory layer, so no combination can serve another's simulation
-    back.
+    Each setting gets its own disk-cache root and a cleared in-memory
+    layer, so neither can serve the other's simulation back.
     """
     from repro.harness import diskcache
     from repro.harness.runner import clear_run_cache, simulation_report
 
     reports = {}
-    for fast, memo in TIER_COMBOS:
+    for fast in (False, True):
         clear_run_cache()
-        monkeypatch.setenv(
-            "REPRO_CACHE_DIR", str(tmp_path / f"f{int(fast)}m{int(memo)}")
-        )
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"f{int(fast)}"))
         diskcache.configure()  # drop memoized cache objects, re-read env
-        with use_fastpath(fast), use_memo(memo):
-            reports[(fast, memo)] = json.dumps(
-                _strip_tier_counters(simulation_report("NW", SCALE)),
-                sort_keys=True,
+        with use_fastpath(fast):
+            reports[fast] = json.dumps(
+                simulation_report("NW", SCALE), sort_keys=True
             )
     clear_run_cache()
     diskcache.configure()
-    reference = reports[(False, False)]
-    for combo in TIER_COMBOS[1:]:
-        assert reports[combo] == reference, f"combo {combo} diverges"
+    assert reports[True] == reports[False]
 
 
-def _event_stream(fast: bool, memo: bool):
+def _event_stream(fast: bool):
     from repro.obs import MemorySink
 
     tr = generate_trace("KM", SCALE)
     sink = MemorySink()
-    with use_fastpath(fast), use_memo(memo):
+    with use_fastpath(fast):
         machine = DynaSpAM(
             ds_config=DynaSpAMConfig(mode="accelerate"), sink=sink
         )
@@ -158,33 +106,40 @@ def _event_stream(fast: bool, memo: bool):
 
 
 def test_traced_event_streams_identical():
-    """Tracing sees the same event sequence from both fastpath settings —
-    exactly, tier events included (memo stays at its default on both)."""
-    streams = {
-        fast: _event_stream(fast, memo_enabled()) for fast in (True, False)
-    }
+    """Tracing sees the same event sequence from both engine settings —
+    exactly, ``seq`` numbering included."""
+    streams = {fast: _event_stream(fast) for fast in (True, False)}
     assert streams[True], "traced run produced no events"
     assert streams[True] == streams[False]
 
 
-def test_traced_event_streams_identical_across_memo():
-    """Memo on vs off produces the same modeled event sequence.
-
-    The memo tier emits its own ``fabric.memo_*`` / ``offload.batch``
-    events, which shift ``seq`` numbering; identity holds after
-    filtering ``ENGINE_TIER_EVENTS`` and renumbering.
-    """
-    streams = {}
-    for memo in (True, False):
-        events = _event_stream(fast=True, memo=memo)
-        streams[memo] = [
-            (index, e[1], e[2], e[3])
-            for index, e in enumerate(
-                e for e in events if e[1] not in ENGINE_TIER_EVENTS
-            )
-        ]
-    assert streams[True], "traced run produced no modeled events"
-    assert streams[True] == streams[False]
+def test_flipped_branch_occurrence_rejected_by_fast_segment():
+    """The occurrence probe must reject an occurrence whose embedded
+    branch flipped — that occurrence has a different trace key and must
+    take the general walk (which detects the squash).  The interpreted
+    reference never takes the probe."""
+    configuration = SimpleNamespace(
+        _occurrence_probe=(3, ((1, 0x44, True),))
+    )
+    matching = [
+        SimpleNamespace(pc=0x40, taken=None),
+        SimpleNamespace(pc=0x44, taken=True),
+        SimpleNamespace(pc=0x48, taken=None),
+    ]
+    flipped = [
+        SimpleNamespace(pc=0x40, taken=None),
+        SimpleNamespace(pc=0x44, taken=False),
+        SimpleNamespace(pc=0x48, taken=None),
+    ]
+    truncated = matching[:2]
+    with use_fastpath(True):
+        machine = DynaSpAM(ds_config=DynaSpAMConfig(mode="accelerate"))
+    assert machine._segment_fast(matching, 0, configuration) == matching
+    assert machine._segment_fast(flipped, 0, configuration) is None
+    assert machine._segment_fast(truncated, 0, configuration) is None
+    with use_fastpath(False):
+        reference = DynaSpAM(ds_config=DynaSpAMConfig(mode="accelerate"))
+    assert reference._segment_fast(matching, 0, configuration) is None
 
 
 def test_engine_flag_roundtrip(monkeypatch):
@@ -203,40 +158,6 @@ def test_engine_flag_roundtrip(monkeypatch):
         assert type(pipeline) is OOOPipeline
     finally:
         set_fastpath(previous)
-
-
-def test_memo_flag_roundtrip():
-    previous = set_memo(True)
-    try:
-        assert memo_enabled()
-        with use_memo(False):
-            assert not memo_enabled()
-            with use_memo(True):
-                assert memo_enabled()
-            assert not memo_enabled()
-        assert memo_enabled()
-    finally:
-        set_memo(previous)
-
-
-def test_memo_tier_engages():
-    """The default-on memo tier must actually hit, batch, and go cold
-    somewhere — guard against a silently dead tier.  KNN's dynamic inputs
-    repeat heavily (timing replays); KM's mostly don't (its configurations
-    retire via the adaptive bail-out) but its anchors arrive back-to-back
-    (super-step batching)."""
-    stats = {}
-    # KNN needs a slightly longer run than the identity scale for its
-    # dynamic inputs to settle into repetition within the probe window.
-    for abbrev, scale in (("KNN", 0.1), ("KM", SCALE)):
-        tr = generate_trace(abbrev, scale)
-        with use_fastpath(True), use_memo(True):
-            machine = DynaSpAM(ds_config=DynaSpAMConfig(mode="accelerate"))
-            stats[abbrev] = machine.run(tr.trace, tr.program).stats
-    assert stats["KNN"].invocation_memo_hits > 0
-    assert stats["KNN"].invocation_memo_misses > 0
-    assert stats["KM"].invocation_memo_misses > 0
-    assert stats["KM"].batched_invocations > 0
 
 
 def test_hot_structures_stay_bounded():

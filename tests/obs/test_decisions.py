@@ -103,7 +103,6 @@ def test_squash_offender_tallies():
         ("offload.squash", {"key": KEY_A, "cause": "memory",
                             "load_pc": 0x60, "store_pc": 0x64}),
         ("offload.defer", {"key": KEY_A}),
-        ("offload.batch", {"key": KEY_A, "invocations": 5}),
     ))
     block = sink.as_dict()
     inv = block["invocations"]
@@ -114,7 +113,9 @@ def test_squash_offender_tallies():
     assert inv["squash_memory_pairs"] == [
         {"load_pc": "0x60", "store_pc": "0x64", "count": 1}
     ]
-    assert block["engine_tier"]["batched_invocations"] == 4
+    # Host-engine work is not a decision: the block carries modeled
+    # outcomes only, identical under either engine tier.
+    assert set(block) == {"windows", "trace_fates", "mapping", "invocations"}
 
 
 def test_unknown_event_types_are_ignored():

@@ -14,12 +14,10 @@ this test forces each addition to arrive with a scenario exercising it.
 import dataclasses
 
 from repro.core import DynaSpAM, DynaSpAMConfig
-from repro.engine import use_fastpath, use_memo
 from repro.harness.runner import run_dynaspam
 from repro.isa.builder import ProgramBuilder
 from repro.isa.executor import FunctionalExecutor
-from repro.isa.opcodes import OpClass, Opcode
-from repro.obs import EVENT_TYPES, AggregateSink, EventBus
+from repro.obs import EVENT_TYPES, AggregateSink
 from repro.ooo.stats import PipelineStats
 from repro.workloads import ALL_ABBREVS
 
@@ -43,39 +41,6 @@ def _int_div_run(sink):
         sink=sink,
     )
     return machine.run(trace, program)
-
-
-def _memo_unsupported_fire(sink):
-    """A hand-made invocation context missing its memory address: the memo
-    tier cannot build a key (``fabric.memo_unsupported``), falls back for
-    good, and the engine walk reproduces the context's own error.  No suite
-    kernel can reach this — the framework always populates ``mem_addrs``.
-    """
-    import repro.fabric.memo as memo_mod
-    from repro.fabric.fabric import InvocationContext, SpatialFabric
-    from tests.fabric.test_execution import (
-        configure, livein, make_config, placed,
-    )
-
-    cfg = make_config([
-        placed(0, Opcode.LW, OpClass.LOAD, 0, [livein("r1")],
-               roles=["base"], pool="ldst", dest="r2", mem_index=0,
-               pc=0x40),
-    ], live_ins=["r1"], live_outs={"r2": 0}, mem=[(0x40, "load")])
-    cfg._memo_probes = memo_mod.MEMO_PROBE_WARMUP  # skip the warm-up bypass
-    fabric = configure(SpatialFabric(bus=EventBus(sink)), cfg)
-    broken = InvocationContext(
-        start_lower_bound=0,
-        live_in_ready={},
-        mem_addrs={},               # the load's address is missing
-        dcache_access=lambda addr: 2,
-        speculative=True,
-    )
-    with use_fastpath(False), use_memo(True):
-        try:
-            fabric.execute(cfg, broken)
-        except KeyError:
-            pass
 
 
 def test_every_stat_and_event_fires_across_the_suite():
@@ -117,10 +82,6 @@ def test_every_stat_and_event_fires_across_the_suite():
     # Integer division (synthetic; see _int_div_run).
     sink = AggregateSink()
     absorb(_int_div_run(sink), sink)
-    # Unkeyable invocation context (synthetic; see _memo_unsupported_fire).
-    sink = AggregateSink()
-    _memo_unsupported_fire(sink)
-    fired.update(sink.counts)
 
     dead_stats = field_names - ticked
     assert not dead_stats, f"stats fields never ticked: {sorted(dead_stats)}"
