@@ -89,14 +89,17 @@ def test_simulation_report_bit_identity(tmp_path, monkeypatch):
     assert reports[True] == reports[False]
 
 
-def _event_stream(fast: bool):
+def _event_stream(fast: bool, predict_memo: bool = True):
     from repro.obs import MemorySink
 
     tr = generate_trace("KM", SCALE)
     sink = MemorySink()
     with use_fastpath(fast):
         machine = DynaSpAM(
-            ds_config=DynaSpAMConfig(mode="accelerate"), sink=sink
+            ds_config=DynaSpAMConfig(
+                mode="accelerate", predict_memo=predict_memo
+            ),
+            sink=sink,
         )
         machine.run(tr.trace, tr.program)
     return [
@@ -109,6 +112,18 @@ def test_traced_event_streams_identical():
     """Tracing sees the same event sequence from both engine settings —
     exactly, ``seq`` numbering included."""
     streams = {fast: _event_stream(fast) for fast in (True, False)}
+    assert streams[True], "traced run produced no events"
+    assert streams[True] == streams[False]
+
+
+def test_traced_event_streams_identical_across_memo():
+    """The predicted-trace-key memo (``DynaSpAMConfig.predict_memo``) is
+    an implementation choice too: tracing sees the same event sequence
+    with it on or off, ``seq`` numbering included and nothing filtered."""
+    streams = {
+        memo: _event_stream(fast=True, predict_memo=memo)
+        for memo in (True, False)
+    }
     assert streams[True], "traced run produced no events"
     assert streams[True] == streams[False]
 
