@@ -50,6 +50,11 @@ class ConfigCache:
     unmappable_keys: set = field(default_factory=set)
     #: Optional ``repro.obs.EventBus`` (None = tracing disabled).
     bus: object | None = field(default=None, repr=False, compare=False)
+    #: Engine tier, captured once like ``make_pipeline`` does.
+    _fastpath: bool = field(
+        default_factory=fastpath_enabled, init=False, repr=False,
+        compare=False,
+    )
 
     def lookup(self, key: tuple) -> ConfigEntry | None:
         """Probe the cache (a fetch-stage read).  Hits refresh LRU order."""
@@ -94,7 +99,7 @@ class ConfigCache:
             # plan (repro.fabric.compiled); insert is off the hot path.
             # The placements guard keeps stub configurations (tests,
             # external callers) insertable without being compilable.
-            if fastpath_enabled() and hasattr(configuration, "placements"):
+            if self._fastpath and hasattr(configuration, "placements"):
                 compile_timing_plan(configuration)
         self._store[key] = entry
         if self.bus is not None:

@@ -45,6 +45,10 @@ class OffloadEngine:
     siderob: SideROB = field(default_factory=SideROB)
     #: Optional ``repro.obs.EventBus`` (None = tracing disabled).
     bus: object | None = None
+    #: Engine tier, captured once like ``make_pipeline`` does.
+    _fastpath: bool = field(
+        default_factory=fastpath_enabled, init=False, repr=False
+    )
 
     def offload(
         self,
@@ -54,24 +58,17 @@ class OffloadEngine:
         fabric_ready: int,
     ) -> OffloadOutcome:
         """Execute ``segment`` (one trace occurrence) on ``fabric``."""
+        if self._fastpath:
+            return self._offload_plan(
+                fabric, configuration, segment, fabric_ready
+            )
         pipeline = self.pipeline
         stats = pipeline.stats
-        # Per-configuration constants (store positions, placed loads, pool
-        # counts) lowered once and reused across invocations.
-        plan = offload_plan_of(configuration) if fastpath_enabled() else None
 
         seq, dispatch = pipeline.macro_dispatch()
         entry = self.siderob.allocate(seq, configuration.trace_key)
         if self.bus is not None:
-            self.bus.emit(
-                "offload.dispatch",
-                cycle=dispatch,
-                seq=seq,
-                key=configuration.trace_key,
-                instructions=len(segment),
-                live_ins=len(configuration.live_ins),
-                siderob_occupancy=self.siderob.occupancy,
-            )
+            self._emit_dispatch(seq, dispatch, configuration, segment)
 
         live_in_ready = {
             reg: pipeline.regs.ready_cycle(reg)
@@ -85,27 +82,14 @@ class OffloadEngine:
 
         # Memory context: addresses of this occurrence, intra-trace
         # Store-Sets predictions, and waits against in-flight host stores.
-        # Offload only runs when the occurrence's key matched the
-        # configuration's, so the segment's *static* layout (which
-        # positions are memory ops / branches) is a per-configuration
-        # constant — memoized on the first occurrence.
-        branch_positions = None
-        if plan is not None:
-            mem_positions, branch_positions = self._segment_layout(
-                configuration, segment
-            )
-            mem_addrs = {
-                m: segment[i].addr for m, i in enumerate(mem_positions)
-            }
-        else:
-            mem_addrs: dict[int, int] = {}
-            index = 0
-            for dyn in segment:
-                if dyn.is_memory:
-                    mem_addrs[index] = dyn.addr
-                    index += 1
+        mem_addrs: dict[int, int] = {}
+        index = 0
+        for dyn in segment:
+            if dyn.is_memory:
+                mem_addrs[index] = dyn.addr
+                index += 1
         predicted_store_pos, extra_wait, host_alias = self._memory_context(
-            configuration, mem_addrs, seq, dispatch, plan
+            configuration, mem_addrs, seq
         )
 
         l2 = pipeline.l2
@@ -137,31 +121,7 @@ class OffloadEngine:
             configuration, result, host_alias
         )
         if violation is not None:
-            load_pc, store_pc, detect = violation
-            stats.memory_violations += 1
-            stats.fabric_squashes += 1
-            if self.speculation:
-                pipeline.storesets.train_violation(load_pc, store_pc)
-            self.siderob.squash(entry, detect)
-            pipeline.stall_fetch_until(
-                detect + pipeline.config.violation_squash_penalty,
-                cause="squash_memory",
-            )
-            if self.bus is not None:
-                self.bus.emit(
-                    "offload.squash",
-                    cycle=detect,
-                    seq=seq,
-                    key=configuration.trace_key,
-                    cause="memory",
-                    load_pc=load_pc,
-                    store_pc=store_pc,
-                )
-            return OffloadOutcome(
-                success=False,
-                violation=(load_pc, store_pc),
-                squash_reason="memory",
-            )
+            return self._squash_memory(entry, seq, configuration, violation)
 
         # ---- success: commit the fat instruction ---------------------
         commit = pipeline.macro_commit(result.complete)
@@ -198,17 +158,10 @@ class OffloadEngine:
 
         # ROB' verified the embedded branch outcomes; train the host
         # predictor with them so global history stays coherent.
-        if branch_positions is not None:
-            predict = pipeline.bpred.predict_and_update
-            for i in branch_positions:
-                dyn = segment[i]
-                predict(dyn.pc, bool(dyn.taken))
-            stats.predictor_lookups += len(branch_positions)
-        else:
-            for dyn in segment:
-                if dyn.is_branch:
-                    stats.predictor_lookups += 1
-                    pipeline.bpred.predict_and_update(dyn.pc, bool(dyn.taken))
+        for dyn in segment:
+            if dyn.is_branch:
+                stats.predictor_lookups += 1
+                pipeline.bpred.predict_and_update(dyn.pc, bool(dyn.taken))
 
         stats.offloaded_instructions += len(segment)
         stats.fabric_invocations += 1
@@ -218,47 +171,249 @@ class OffloadEngine:
         stats.fabric_active_pe_cycles += (
             len(configuration.placements) * result.occupancy_cycles
         )
-        if plan is not None:
-            for counter, count in plan.pool_counters:
-                setattr(stats, counter, getattr(stats, counter) + count)
-        else:
-            for op in configuration.placements:
-                counter = f"fabric_{op.pool}_ops"
-                setattr(stats, counter, getattr(stats, counter) + 1)
+        for op in configuration.placements:
+            counter = f"fabric_{op.pool}_ops"
+            setattr(stats, counter, getattr(stats, counter) + 1)
         stats.instructions += len(segment)
 
         if self.bus is not None:
-            self.bus.emit(
-                "offload.commit",
-                cycle=commit,
-                seq=seq,
-                key=configuration.trace_key,
-                instructions=len(segment),
-                complete=result.complete,
-            )
+            self._emit_commit(seq, commit, configuration, segment, result)
         return OffloadOutcome(
             success=True, consumed=len(segment), complete=result.complete
         )
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _segment_layout(configuration, segment):
-        """(memory positions, branch positions) of this configuration's
-        segments.  Valid for every occurrence: the trace key (start PC +
-        embedded branch outcomes + length) pins the static instruction
-        sequence, and offload only runs on key-matching occurrences."""
-        layout = getattr(configuration, "_segment_layout", None)
-        if layout is None:
-            layout = (
-                tuple(i for i, dyn in enumerate(segment) if dyn.is_memory),
-                tuple(i for i, dyn in enumerate(segment) if dyn.is_branch),
-            )
-            configuration._segment_layout = layout
-        return layout
+    def _offload_plan(
+        self,
+        fabric: SpatialFabric,
+        configuration: Configuration,
+        segment,
+        fabric_ready: int,
+    ) -> OffloadOutcome:
+        """Plan-driven twin of :meth:`offload` (see repro.fabric.compiled).
+
+        Per invocation it does only the work that varies between
+        invocations of one configuration: addresses, live-in cycles,
+        in-flight host stores and cache state.  Everything else comes
+        from the configuration's :class:`OffloadPlan`.  The scoreboard
+        and the store queue's address index are read and written
+        directly, and the D-cache counters are charged from the L1/L2
+        counter deltas across the invocation: nothing but this
+        invocation's loads and store drains touches the data caches
+        while it runs, and an L1 miss always costs more than the L1
+        latency (``CoreConfig`` requires a positive L2 latency).
+        """
+        plan = offload_plan_of(configuration, segment)
+        pipeline = self.pipeline
+        stats = pipeline.stats
+        siderob = self.siderob
+
+        seq, dispatch = pipeline.macro_dispatch()
+        entry = siderob.allocate(seq, configuration.trace_key)
+        if self.bus is not None:
+            self._emit_dispatch(seq, dispatch, configuration, segment)
+
+        regs = pipeline.regs
+        ready = regs._ready
+        live_ins = configuration.live_ins
+        live_in_ready = {reg: ready.get(reg, 0) for reg in live_ins}
+        stats.renames += plan.renames
+        stats.regfile_reads += len(live_ins)
+
+        # ---- memory context (see _memory_context) ---------------------
+        mem_addrs = [segment[i].addr for i in plan.mem_positions]
+        sq = pipeline.sq
+        by_addr = sq._by_addr
+        storesets = pipeline.storesets
+        speculative = self.speculation
+        extra_wait: dict[int, int] = {}
+        host_alias: dict[int, StoreRecord] = {}
+        if speculative:
+            # Intra-trace predictions change only when violation training
+            # changes the learned sets.
+            cached = getattr(configuration, "_predicted_store_cache", None)
+            if (cached is not None and cached[0] is storesets
+                    and cached[1] == storesets.generation):
+                predicted_store_pos = cached[2]
+            else:
+                predicted_store_pos = _predicted_stores(
+                    storesets, configuration.placements
+                )
+                configuration._predicted_store_cache = (
+                    storesets, storesets.generation, predicted_store_pos
+                )
+        else:
+            predicted_store_pos = {}
+        for m, pc in plan.loads:
+            addr = mem_addrs[m]
+            alias = by_addr.get(addr)
+            if alias is not None and alias.seq >= seq:
+                alias = sq.youngest_alias(addr, seq)
+            if alias is None:
+                continue
+            if speculative:
+                host_alias[m] = alias
+                if not storesets.same_set(pc, alias.pc):
+                    continue
+            extra_wait[m] = max(extra_wait.get(m, 0), alias.data_ready)
+        if not speculative:
+            older = sq.youngest_older(seq)
+            if older is not None:
+                for m, _pos, _pc in plan.store_positions:
+                    extra_wait[m] = max(
+                        extra_wait.get(m, 0), older.addr_ready
+                    )
+
+        dcache = pipeline.dcache
+        before = self._dcache_counts()
+        start_lower_bound = dispatch + 1
+        if fabric_ready > start_lower_bound:
+            start_lower_bound = fabric_ready
+        result = fabric.execute(
+            configuration,
+            InvocationContext(
+                start_lower_bound, live_in_ready, mem_addrs, dcache.access,
+                speculative, extra_wait, predicted_store_pos,
+            ),
+        )
+
+        if result.violations or host_alias:
+            violation = self._find_violation(configuration, result, host_alias)
+            if violation is not None:
+                self._charge_dcache(before)
+                return self._squash_memory(
+                    entry, seq, configuration, violation
+                )
+
+        # ---- success: commit the fat instruction ---------------------
+        complete = result.complete
+        commit = pipeline.macro_commit(complete)
+        liveout_ready = result.liveout_ready
+        mem_events = result.mem_events
+        store_events = [e for e in mem_events if e.kind == "store"]
+        siderob.mark_complete(
+            entry,
+            complete,
+            liveout_ready,
+            configuration.branch_outcomes,
+            [(e.addr, None) for e in store_events],
+        )
+        siderob.commit(entry, commit)
+
+        producer = regs._producer
+        for reg, cycle in liveout_ready.items():
+            if reg != "r0":
+                ready[reg] = cycle
+                producer[reg] = seq
+        regs.renames += plan.liveout_renames
+        stats.regfile_writes += len(liveout_ready)
+
+        if store_events:
+            push = sq.push
+            access = dcache.access
+            pcs = configuration.mem_op_pcs
+            for event in store_events:
+                push(StoreRecord(seq, pcs[event.mem_index], event.addr,
+                                 event.addr_known, event.finish, commit))
+                access(event.addr)
+        self._charge_dcache(before)
+        stats.stores += len(store_events)
+        stats.loads += len(mem_events) - len(store_events)
+
+        predict = pipeline.bpred.predict_and_update
+        for i in plan.branch_positions:
+            dyn = segment[i]
+            predict(dyn.pc, bool(dyn.taken))
+        stats.predictor_lookups += len(plan.branch_positions)
+
+        consumed = len(segment)
+        stats.offloaded_instructions += consumed
+        stats.fabric_invocations += 1
+        stats.fabric_fu_ops += result.fu_ops
+        stats.fabric_datapath_transfers += result.datapath_transfers
+        stats.fabric_fifo_ops += result.fifo_ops
+        stats.fabric_active_pe_cycles += (
+            len(configuration.placements) * result.occupancy_cycles
+        )
+        for counter, count in plan.pool_counters:
+            setattr(stats, counter, getattr(stats, counter) + count)
+        stats.instructions += consumed
+
+        if self.bus is not None:
+            self._emit_commit(seq, commit, configuration, segment, result)
+        return OffloadOutcome(success=True, consumed=consumed,
+                              complete=complete)
 
     # ------------------------------------------------------------------
-    def _memory_context(self, configuration, mem_addrs, seq, dispatch,
-                        plan=None):
+    def _dcache_counts(self) -> tuple[int, int, int]:
+        """(L1D accesses, L1D misses, L2 accesses) so far."""
+        l1 = self.pipeline.dcache.l1
+        l2 = self.pipeline.l2
+        return l1.hits + l1.misses, l1.misses, l2.hits + l2.misses
+
+    def _charge_dcache(self, before: tuple[int, int, int]) -> None:
+        """Charge the D-cache statistics for every access since ``before``."""
+        accesses, misses, l2_accesses = self._dcache_counts()
+        stats = self.pipeline.stats
+        stats.dcache_accesses += accesses - before[0]
+        stats.dcache_misses += misses - before[1]
+        stats.l2_accesses += l2_accesses - before[2]
+
+    def _emit_dispatch(self, seq, dispatch, configuration, segment) -> None:
+        self.bus.emit(
+            "offload.dispatch",
+            cycle=dispatch,
+            seq=seq,
+            key=configuration.trace_key,
+            instructions=len(segment),
+            live_ins=len(configuration.live_ins),
+            siderob_occupancy=self.siderob.occupancy,
+        )
+
+    def _emit_commit(self, seq, commit, configuration, segment,
+                     result) -> None:
+        self.bus.emit(
+            "offload.commit",
+            cycle=commit,
+            seq=seq,
+            key=configuration.trace_key,
+            instructions=len(segment),
+            complete=result.complete,
+        )
+
+    def _squash_memory(self, entry, seq, configuration,
+                       violation) -> OffloadOutcome:
+        """Squash the invocation on a memory-order violation."""
+        pipeline = self.pipeline
+        stats = pipeline.stats
+        load_pc, store_pc, detect = violation
+        stats.memory_violations += 1
+        stats.fabric_squashes += 1
+        if self.speculation:
+            pipeline.storesets.train_violation(load_pc, store_pc)
+        self.siderob.squash(entry, detect)
+        pipeline.stall_fetch_until(
+            detect + pipeline.config.violation_squash_penalty,
+            cause="squash_memory",
+        )
+        if self.bus is not None:
+            self.bus.emit(
+                "offload.squash",
+                cycle=detect,
+                seq=seq,
+                key=configuration.trace_key,
+                cause="memory",
+                load_pc=load_pc,
+                store_pc=store_pc,
+            )
+        return OffloadOutcome(
+            success=False,
+            violation=(load_pc, store_pc),
+            squash_reason="memory",
+        )
+
+    # ------------------------------------------------------------------
+    def _memory_context(self, configuration, mem_addrs, seq):
         """Build Store-Sets predictions and host-store waits per mem op."""
         storesets = self.pipeline.storesets
         sq = self.pipeline.sq
@@ -266,38 +421,16 @@ class OffloadEngine:
         extra_wait: dict[int, int] = {}
         host_alias: dict[int, StoreRecord] = {}
 
-        if plan is not None:
-            store_positions = plan.store_positions  # (mem_index, pos, pc)
-            loads = plan.loads
-        else:
-            store_positions = []
-            for op in configuration.placements:
-                if op.is_store:
-                    store_positions.append((op.mem_index, op.pos, op.pc))
-            loads = [op for op in configuration.placements if op.is_load]
+        store_positions = []
+        for op in configuration.placements:
+            if op.is_store:
+                store_positions.append((op.mem_index, op.pos, op.pc))
+        loads = [op for op in configuration.placements if op.is_load]
 
         if self.speculation:
-            # Intra-trace predictions depend only on the configuration's
-            # static layout and the predictor's *learned* sets, which only
-            # change on violation training — cached per configuration and
-            # validated against the predictor's generation stamp.
-            cached = getattr(configuration, "_predicted_store_cache", None)
-            if cached is not None and cached[0] == storesets.generation:
-                predicted_store_pos = cached[1]
-            else:
-                for op in loads:
-                    # Wait for the latest older store whose PC shares this
-                    # load's store set.
-                    best_pos = None
-                    for (sm, pos, pc) in store_positions:
-                        if pos < op.pos and storesets.same_set(op.pc, pc):
-                            if best_pos is None or pos > best_pos:
-                                best_pos = pos
-                    if best_pos is not None:
-                        predicted_store_pos[op.mem_index] = best_pos
-                configuration._predicted_store_cache = (
-                    storesets.generation, predicted_store_pos
-                )
+            predicted_store_pos = _predicted_stores(
+                storesets, configuration.placements
+            )
             for op in loads:
                 m = op.mem_index
                 # Host-store interaction: aliasing in-flight store.
@@ -359,3 +492,21 @@ class OffloadEngine:
                 load_pc = configuration.mem_op_pcs[event.mem_index]
                 return load_pc, alias.pc, alias.addr_ready
         return None
+
+
+def _predicted_stores(storesets, placements) -> dict[int, int]:
+    """Intra-trace Store-Sets predictions: each load's ``mem_index`` ->
+    position of the latest older store whose PC shares its store set."""
+    predicted: dict[int, int] = {}
+    stores = [op for op in placements if op.is_store]
+    for op in placements:
+        if not op.is_load:
+            continue
+        best_pos = None
+        for store in stores:
+            if store.pos < op.pos and storesets.same_set(op.pc, store.pc):
+                if best_pos is None or store.pos > best_pos:
+                    best_pos = store.pos
+        if best_pos is not None:
+            predicted[op.mem_index] = best_pos
+    return predicted

@@ -4,15 +4,16 @@ The repository carries two engine tiers for its innermost loops:
 
 * the *interpreted* engine — ``repro.ooo.pipeline.OOOPipeline.process``
   and the plan-free branches of ``SpatialFabric.execute`` /
-  ``FunctionalFabric.execute`` — written for readability and used as the
-  reference model; DynaSpAM re-walks every trace occurrence in full;
+  ``FunctionalFabric.execute`` / ``OffloadEngine.offload`` — written for
+  readability and used as the reference model; DynaSpAM re-walks every
+  trace occurrence in full;
 * the *fast path* — ``repro.ooo.fastpath.FastOOOPipeline``, the
-  pre-lowered evaluators of ``repro.fabric.compiled``, and DynaSpAM's
-  occurrence probe (a key-matched occurrence is validated by
-  spot-checking its embedded branches instead of re-walking it) —
-  bit-identical by construction and enforced so by the identity sweep
-  (``tests/engine/test_fastpath_identity.py`` and the CI
-  ``fastpath-identity`` job).
+  plan-driven evaluators and offload twin over the plans of
+  ``repro.fabric.compiled``, and DynaSpAM's occurrence probe (a
+  key-matched occurrence is validated by spot-checking its embedded
+  branches instead of re-walking it) — bit-identical by construction and
+  enforced so by the identity tests in ``tests/engine`` and the CI
+  ``fastpath-identity`` job.
 
 The fast path is on by default; ``REPRO_FASTPATH=0`` (or
 :func:`set_fastpath`) selects the interpreted reference — the A side of
@@ -43,17 +44,18 @@ _FASTPATH: bool = _env_default()
 
 
 def fastpath_enabled() -> bool:
-    """True when new pipelines/fabrics should use the compiled hot path."""
+    """True when newly constructed components should use the fast path."""
     return _FASTPATH
 
 
 def set_fastpath(enabled: bool) -> bool:
     """Select the engine for subsequently constructed simulators.
 
-    Returns the previous setting.  Components capture the engine at
-    construction time (``make_pipeline``, ``DynaSpAM``) or probe it per
-    invocation (fabric evaluators); flipping the flag never changes a
-    simulation already in flight.
+    Returns the previous setting.  Every component captures the engine
+    once, at construction (``make_pipeline``, ``DynaSpAM``,
+    ``SpatialFabric``, ``FunctionalFabric``, ``OffloadEngine``,
+    ``ConfigCache``); flipping the flag never changes a simulation
+    already in flight.
     """
     global _FASTPATH
     previous = _FASTPATH

@@ -5,12 +5,15 @@ interpreted evaluators re-derive the same facts on every invocation:
 ``SpatialFabric.execute`` recomputes the structural initiation interval,
 re-walks each op's operand sources (re-reading roles, re-counting hops),
 and re-extracts live-outs; ``FunctionalFabric.execute`` re-classifies
-every opcode through a chain of dict-membership tests.  Steady state runs
-millions of invocations over a handful of configurations — the same
-insight DynaSpAM itself applies to instruction schedules applies here:
-lower the reused structure once, then execute the lowered form.
+every opcode through a chain of dict-membership tests;
+``OffloadEngine.offload`` re-scans the placements and the segment.
+Steady state runs millions of invocations over a handful of
+configurations — the same insight DynaSpAM itself applies to instruction
+schedules applies here: lower the reused structure once, then execute
+the lowered form.
 
-Two plans, both cached on the configuration object and keyed by identity:
+Three plans, all cached on the configuration object and keyed by
+identity:
 
 * :class:`TimingPlan` — for the cycle engine: topological op steps with
   pre-split producer/live-in gather lists, per-op latency and mem kind,
@@ -19,13 +22,19 @@ Two plans, both cached on the configuration object and keyed by identity:
 * :class:`FunctionalPlan` — for the value engine: per-op gather indices
   and a resolved evaluator kind (immediate / load / store / branch /
   unary / binop) with its operator function.
+* :class:`OffloadPlan` — for the offload bookkeeping: the rename counts,
+  the loads' ``(mem_index, pc)`` pairs and the stores'
+  ``(mem_index, pos, pc)``, the segment's memory and branch positions,
+  and the per-pool op counts.  It needs one offloaded occurrence to
+  lower: the positions come from the segment.
 
 ``ConfigCache.insert`` pre-compiles the timing plan so offloading starts
-hot; both evaluators also compile lazily on first use.  Plan use is gated
-on :func:`repro.engine.fastpath_enabled` — with the fast path off, the
-interpreted loops in ``repro.fabric.fabric`` / ``repro.fabric.functional``
-remain the reference semantics, and the identity sweep holds the two
-bit-identical.
+hot; every plan also compiles lazily on first use.  Plan use is the fast
+engine tier (:mod:`repro.engine`), which each component captures at
+construction — on the reference tier the interpreted loops in
+``repro.fabric.fabric``, ``repro.fabric.functional`` and
+``repro.core.offload`` remain the spec, and ``tests/engine`` holds the
+two bit-identical.
 """
 
 from __future__ import annotations
@@ -55,9 +64,11 @@ class TimingPlan:
 
     structural_ii: int
     #: Per placed op, in topological (position) order:
-    #: ``(pos, kind, latency, mem_index, op, inst_srcs, live_srcs)`` with
+    #: ``(pos, kind, latency, mem_index, inst_srcs, live_srcs)``.  Only a
+    #: store's address resolves on its base operand alone, so stores carry
     #: ``inst_srcs = ((producer_pos, arrival_add, is_base), ...)`` and
-    #: ``live_srcs = ((reg, is_base), ...)``.
+    #: ``live_srcs = ((reg, is_base), ...)``; every other op carries
+    #: ``((producer_pos, arrival_add), ...)`` and ``(reg, ...)``.
     steps: tuple
     datapath_transfers: int   # sum of hops over all producer routes
     fifo_ops: int             # live-in gathers + live-out drains
@@ -95,22 +106,21 @@ def compile_timing_plan(configuration: Configuration) -> TimingPlan:
         live_srcs = []
         roles = op.source_roles or ("src",) * len(op.sources)
         for src, role in zip(op.sources, roles):
-            is_base = role == "base"
             if src.kind == "inst":
                 add = src.hops - 1 if src.hops > 1 else 0
-                inst_srcs.append((src.producer_pos, add, is_base))
+                inst_srcs.append((src.producer_pos, add, role == "base"))
                 datapath_transfers += src.hops
             else:
-                live_srcs.append((src.reg, is_base))
+                live_srcs.append((src.reg, role == "base"))
                 gather_fifo_ops += 1
-        if op.is_load:
-            kind = T_LOAD
-        elif op.is_store:
+        if op.is_store:
             kind = T_STORE
         else:
-            kind = T_ALU
+            kind = T_LOAD if op.is_load else T_ALU
+            inst_srcs = [(producer, add) for producer, add, _ in inst_srcs]
+            live_srcs = [reg for reg, _ in live_srcs]
         steps.append((op.pos, kind, latency_of(op.opcode), op.mem_index,
-                      op, tuple(inst_srcs), tuple(live_srcs)))
+                      tuple(inst_srcs), tuple(live_srcs)))
     liveouts = tuple(configuration.live_outs.items())
     plan = TimingPlan(
         structural_ii=structural_ii,
@@ -209,36 +219,54 @@ def functional_plan_of(configuration: Configuration) -> FunctionalPlan | None:
 
 @dataclass(frozen=True)
 class OffloadPlan:
-    """Per-configuration constants for ``repro.core.offload``."""
+    """Everything ``OffloadEngine``'s plan-driven twin needs per
+    invocation that never changes."""
 
+    #: Registers the rename stage renames per invocation (live-ins plus
+    #: live-outs).
+    renames: int
+    #: Live-out registers that rename a scoreboard entry (all but ``r0``).
+    liveout_renames: int
+    #: ``(mem_index, pc)`` of every placed load, in position order.
+    loads: tuple
     #: ``(mem_index, pos, pc)`` of every placed store, in position order.
     store_positions: tuple
-    #: Placed load ops, in position order.
-    loads: tuple
-    #: ``mem_index`` of every placed store.
-    store_mem_indices: tuple
-    #: ``(PipelineStats attr name, count)`` per pool with placed ops —
-    #: replaces the per-op f-string/getattr/setattr loop at commit.
+    #: Segment index of every memory op, in ``mem_index`` order.
+    mem_positions: tuple
+    #: Segment index of every embedded branch, in trace order.
+    branch_positions: tuple
+    #: ``(PipelineStats attr name, count)`` per pool with placed ops.
     pool_counters: tuple
 
 
-def compile_offload_plan(configuration: Configuration) -> OffloadPlan:
-    """Lower the offload engine's per-configuration loops and cache it."""
-    store_positions = []
+def compile_offload_plan(configuration: Configuration,
+                         segment) -> OffloadPlan:
+    """Lower the offload engine's per-configuration work and cache it.
+
+    ``segment`` is any occurrence offloaded on ``configuration``: the
+    trace key (anchor PC, embedded branch outcomes, length) pins the
+    static instruction sequence, and offload only runs on key-matching
+    occurrences, so the memory and branch positions hold for all of them.
+    """
     loads = []
-    store_mem_indices = []
+    store_positions = []
     pool_counts: dict[str, int] = {}
     for op in configuration.placements:
         if op.is_store:
             store_positions.append((op.mem_index, op.pos, op.pc))
-            store_mem_indices.append(op.mem_index)
         elif op.is_load:
-            loads.append(op)
+            loads.append((op.mem_index, op.pc))
         pool_counts[op.pool] = pool_counts.get(op.pool, 0) + 1
     plan = OffloadPlan(
-        store_positions=tuple(store_positions),
+        renames=len(configuration.live_ins) + len(configuration.live_outs),
+        liveout_renames=sum(
+            1 for reg in configuration.live_outs if reg != "r0"),
         loads=tuple(loads),
-        store_mem_indices=tuple(store_mem_indices),
+        store_positions=tuple(store_positions),
+        mem_positions=tuple(
+            i for i, dyn in enumerate(segment) if dyn.is_memory),
+        branch_positions=tuple(
+            i for i, dyn in enumerate(segment) if dyn.is_branch),
         pool_counters=tuple(
             (f"fabric_{pool}_ops", count)
             for pool, count in pool_counts.items()
@@ -248,9 +276,9 @@ def compile_offload_plan(configuration: Configuration) -> OffloadPlan:
     return plan
 
 
-def offload_plan_of(configuration: Configuration) -> OffloadPlan:
+def offload_plan_of(configuration: Configuration, segment) -> OffloadPlan:
     """The configuration's offload plan, compiling on first use."""
     plan = getattr(configuration, "_offload_plan", None)
     if plan is None:
-        plan = compile_offload_plan(configuration)
+        plan = compile_offload_plan(configuration, segment)
     return plan

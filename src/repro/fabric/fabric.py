@@ -26,23 +26,24 @@ class InvocationContext:
     """Everything one invocation needs from the outside world.
 
     ``mem_addrs`` maps a placed op's ``mem_index`` to its effective address
-    for *this* invocation.  ``dcache_access`` is a callable returning the
-    load-to-use latency for an address.  ``extra_mem_wait`` provides
-    lower bounds (e.g. waits on host-pipeline stores predicted by the
-    Store-Sets unit); ``speculative`` selects speculative vs conservative
-    intra-trace memory ordering.
+    for *this* invocation (a dict, or a list indexed by ``mem_index``).
+    ``dcache_access`` is a callable returning the load-to-use latency for
+    an address.  ``extra_mem_wait`` provides lower bounds (e.g. waits on
+    host-pipeline stores predicted by the Store-Sets unit);
+    ``speculative`` selects speculative vs conservative intra-trace
+    memory ordering.
     """
 
     start_lower_bound: int
     live_in_ready: dict[str, int]
-    mem_addrs: dict[int, int]
+    mem_addrs: dict[int, int] | list[int]
     dcache_access: callable
     speculative: bool = True
     extra_mem_wait: dict[int, int] = field(default_factory=dict)
     predicted_store_pos: dict[int, int] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class MemEvent:
     """Timing of one memory operation inside an invocation.
 
@@ -60,7 +61,7 @@ class MemEvent:
     finish: int = 0      # data available (stores) / value returned (loads)
 
 
-@dataclass
+@dataclass(slots=True)
 class InvocationResult:
     """Timing outcome of one invocation."""
 
@@ -93,6 +94,8 @@ class SpatialFabric:
         self.fabric_id = fabric_id
         #: Optional ``repro.obs.EventBus`` (None = tracing disabled).
         self.bus = bus
+        #: Engine tier, captured once like ``make_pipeline`` does.
+        self._fastpath = fastpath_enabled()
         self.stripes: list[Stripe] = build_stripes(self.config)
         self.fifo = FifoModel(self.config.fifo_depth)
 
@@ -100,7 +103,6 @@ class SpatialFabric:
         self.current_key: tuple | None = None
         self.configured_at: int = 0
         self.last_invocation_start: int = 0
-        self.last_liveout_times: dict[str, int] = {}
         self.invocations_on_current: int = 0
 
         # Lifetime statistics (Table 5).
@@ -111,9 +113,10 @@ class SpatialFabric:
         # Power-gating accounting: (active PEs, total PEs) per configuration.
         self.active_pes: int = 0
 
-        # Occupancy statistics (repro.obs.accounting): per-stripe placed-op
-        # counts of the current configuration, accumulated per invocation.
-        self._current_stripe_placed: list[int] = [0] * self.config.num_stripes
+        # Occupancy statistics (repro.obs.accounting): ``(stripe, placed
+        # ops)`` for every stripe the current configuration touches,
+        # accumulated per invocation.
+        self._stripe_increments: tuple[tuple[int, int], ...] = ()
         #: stripe -> sum over invocations of ops placed on that stripe.
         self.stripe_placed_invocations: list[int] = (
             [0] * self.config.num_stripes)
@@ -150,8 +153,9 @@ class SpatialFabric:
         placed = [0] * self.config.num_stripes
         for op in configuration.placements:
             placed[op.stripe] += 1
-        self._current_stripe_placed = placed
-        self.last_liveout_times = {}
+        self._stripe_increments = tuple(
+            (stripe, count) for stripe, count in enumerate(placed) if count
+        )
         self.last_invocation_start = cycle
         self.fifo = FifoModel(self.config.fifo_depth)
         self.configured_at = cycle
@@ -173,8 +177,10 @@ class SpatialFabric:
         """Run one invocation of the currently loaded configuration."""
         if self.current_key != configuration.trace_key:
             raise ValueError("fabric is not configured for this trace")
-        if fastpath_enabled():
-            return self._execute_plan(configuration, timing_plan_of(configuration), ctx)
+        if self._fastpath:
+            return self._execute_plan(
+                configuration, timing_plan_of(configuration), ctx
+            )
         cfg = self.config
         bus = cfg.global_bus_latency
 
@@ -248,17 +254,7 @@ class SpatialFabric:
         # Branch results and live-outs drain through the output FIFOs.
         complete += bus
 
-        self.fifo.push(complete)
-        self.last_invocation_start = start
-        self.last_liveout_times = dict(liveout_ready)
-        self.invocations_on_current += 1
-        self.total_invocations += 1
-        for stripe, placed in enumerate(self._current_stripe_placed):
-            if placed:
-                self.stripe_placed_invocations[stripe] += placed
-                self.stripe_invocations[stripe] += 1
-                self.filled_stripe_invocations += 1
-        self.placed_pe_invocations += len(configuration.placements)
+        self._retire(start, complete, len(configuration.placements))
 
         if occupancy is None:
             occupancy = complete - start
@@ -284,11 +280,17 @@ class SpatialFabric:
     ) -> InvocationResult:
         """Plan-driven twin of :meth:`execute` (see repro.fabric.compiled).
 
-        Bit-identical by construction: the per-op arrival computation is an
-        order-independent max over the same source set, the FIFO/datapath
-        totals are per-configuration constants, and the memory-op timing
-        delegates to the same ``_time_store``/``_time_load``.  The identity
-        sweep in ``tests/engine`` holds the two paths equal.
+        Bit-identical by construction.  The per-op arrival computation is
+        an order-independent max over the same source set, and the
+        FIFO/datapath totals are per-configuration constants.  Memory ops
+        inline ``_time_store``/``_time_load`` without rescanning older
+        stores, relying on one invariant: a store's address cycle is at
+        least every older store's (``_time_store`` orders it behind them),
+        and without speculation so is its finish (plus one).  The youngest
+        store walked so far therefore carries the running maximum of both,
+        and the scans reduce to two running values.  The youngest
+        same-address older store and the Store-Sets-predicted store are
+        dict lookups.  ``tests/engine`` holds the two paths equal.
         """
         bus = self.config.global_bus_latency
         structural_ii = plan.structural_ii
@@ -308,52 +310,93 @@ class SpatialFabric:
         finish: dict[int, int] = {}
         mem_events: list[MemEvent] = []
         violations: list[tuple[int, int]] = []
-        older_stores: list[MemEvent] = []
         live_in_ready = ctx.live_in_ready
         mem_addrs = ctx.mem_addrs
         extra_mem_wait = ctx.extra_mem_wait
         speculative = ctx.speculative
-        time_store = self._time_store
-        time_load = self._time_load
+        predicted_store_pos = ctx.predicted_store_pos
+        dcache_access = ctx.dcache_access
+        # Youngest older store's address cycle and finish: the running
+        # maxima over every older store (``start`` is below both bounds
+        # they feed, so it stands in before the first store).
+        store_addr_known = start
+        store_finish = start
+        store_at_addr: dict[int, MemEvent] = {}   # youngest per address
+        store_at_pos: dict[int, MemEvent] = {}
 
-        for pos, kind, latency, mem_index, op, inst_srcs, live_srcs in plan.steps:
+        for pos, kind, latency, mem_index, inst_srcs, live_srcs in plan.steps:
             ready = start
-            base_arrival = start
-            for producer_pos, add, is_base in inst_srcs:
-                arrival = finish[producer_pos] + add
-                if arrival > ready:
-                    ready = arrival
-                if is_base and arrival > base_arrival:
-                    base_arrival = arrival
-            for reg, is_base in live_srcs:
-                arrival = live_in_ready.get(reg, start) + bus
-                if arrival > ready:
-                    ready = arrival
-                if is_base and arrival > base_arrival:
-                    base_arrival = arrival
-
-            if kind == T_ALU:
-                finish[pos] = ready + latency
-            else:
-                event = MemEvent(
-                    pos=pos,
-                    mem_index=mem_index,
-                    addr=mem_addrs[mem_index],
-                    kind="store" if kind == T_STORE else "load",
-                )
+            if kind != T_STORE:
+                for producer_pos, add in inst_srcs:
+                    arrival = finish[producer_pos] + add
+                    if arrival > ready:
+                        ready = arrival
+                for reg in live_srcs:
+                    arrival = live_in_ready.get(reg, start) + bus
+                    if arrival > ready:
+                        ready = arrival
+                if kind == T_ALU:
+                    finish[pos] = ready + latency
+                    continue
+                # Load.
                 extra = extra_mem_wait.get(mem_index, start)
-                if kind == T_STORE:
-                    time_store(event, base_arrival, ready, extra,
-                               older_stores, speculative)
-                    older_stores.append(event)
+                if extra > ready:
+                    ready = extra
+                if not speculative:
+                    if store_finish > ready:
+                        ready = store_finish
+                elif predicted_store_pos:
+                    predicted = store_at_pos.get(
+                        predicted_store_pos.get(mem_index))
+                    if predicted is not None and predicted.finish > ready:
+                        ready = predicted.finish
+                addr = mem_addrs[mem_index]
+                alias = store_at_addr.get(addr)
+                if alias is None:
+                    done = ready + 1 + dcache_access(addr)
+                elif speculative and alias.addr_known > ready:
+                    violations.append((pos, alias.pos))
+                    done = alias.finish + 1
+                elif alias.finish > ready:
+                    done = alias.finish + 1   # in-flight forward
                 else:
-                    violation = time_load(
-                        op, event, ready, extra, older_stores, ctx
-                    )
-                    if violation is not None:
-                        violations.append((pos, violation))
+                    done = ready + 1          # buffered forward
+                mem_events.append(
+                    MemEvent(pos, mem_index, addr, "load", ready, ready, done)
+                )
+                finish[pos] = done
+            else:
+                base_arrival = start
+                for producer_pos, add, is_base in inst_srcs:
+                    arrival = finish[producer_pos] + add
+                    if arrival > ready:
+                        ready = arrival
+                    if is_base and arrival > base_arrival:
+                        base_arrival = arrival
+                for reg, is_base in live_srcs:
+                    arrival = live_in_ready.get(reg, start) + bus
+                    if arrival > ready:
+                        ready = arrival
+                    if is_base and arrival > base_arrival:
+                        base_arrival = arrival
+                addr_known = extra_mem_wait.get(mem_index, start)
+                if base_arrival > addr_known:
+                    addr_known = base_arrival
+                if store_addr_known > addr_known:
+                    addr_known = store_addr_known
+                done = (addr_known if addr_known > ready else ready) + 1
+                if not speculative and store_finish + 1 > done:
+                    done = store_finish + 1
+                addr = mem_addrs[mem_index]
+                event = MemEvent(
+                    pos, mem_index, addr, "store", addr_known, addr_known, done
+                )
+                store_addr_known = addr_known
+                store_finish = done
+                store_at_addr[addr] = event
+                store_at_pos[pos] = event
                 mem_events.append(event)
-                finish[pos] = event.finish
+                finish[pos] = done
 
         liveout_ready = {}
         for reg, pos in plan.liveouts:
@@ -364,18 +407,7 @@ class SpatialFabric:
             complete = max(finish.values())
         complete += bus
 
-        self.fifo.push(complete)
-        self.last_invocation_start = start
-        self.last_liveout_times = dict(liveout_ready)
-        self.invocations_on_current += 1
-        self.total_invocations += 1
-        for stripe, placed in enumerate(self._current_stripe_placed):
-            if placed:
-                self.stripe_placed_invocations[stripe] += placed
-                self.stripe_invocations[stripe] += 1
-                self.filled_stripe_invocations += 1
-        self.placed_pe_invocations += len(plan.steps)
-
+        self._retire(start, complete, len(plan.steps))
         if occupancy is None:
             occupancy = complete - start
         return InvocationResult(
@@ -391,6 +423,20 @@ class SpatialFabric:
             fifo_ops=plan.fifo_ops,
             occupancy_cycles=max(1, occupancy),
         )
+
+    def _retire(self, start: int, complete: int, ops: int) -> None:
+        """Book one invocation: FIFO slot, pipelining and occupancy state."""
+        self.fifo.push(complete)
+        self.last_invocation_start = start
+        self.invocations_on_current += 1
+        self.total_invocations += 1
+        stripe_placed = self.stripe_placed_invocations
+        stripe_invocations = self.stripe_invocations
+        for stripe, placed in self._stripe_increments:
+            stripe_placed[stripe] += placed
+            stripe_invocations[stripe] += 1
+        self.filled_stripe_invocations += len(self._stripe_increments)
+        self.placed_pe_invocations += ops
 
     @staticmethod
     def _time_store(

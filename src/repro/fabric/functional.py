@@ -91,6 +91,10 @@ _BRANCH = {
 class FunctionalFabric:
     """Evaluate configurations over values (not cycles)."""
 
+    def __init__(self) -> None:
+        #: Engine tier, captured once like ``make_pipeline`` does.
+        self._fastpath = fastpath_enabled()
+
     def execute(
         self,
         configuration: Configuration,
@@ -109,7 +113,7 @@ class FunctionalFabric:
         invocation's own earlier stores through the buffer, preserving
         intra-trace memory semantics.
         """
-        if fastpath_enabled():
+        if self._fastpath:
             plan = functional_plan_of(configuration)
             if plan is not None:
                 return self._execute_plan(

@@ -74,9 +74,30 @@ class CacheHierarchy:
         self.memory_latency = memory_latency
 
     def access(self, addr: int) -> int:
-        """Access ``addr``; return the total load-to-use latency."""
-        if self.l1.lookup(addr):
-            return self.l1.latency
+        """Access ``addr``; return the total load-to-use latency.
+
+        Equivalent to ``l1.lookup(addr)`` falling through to
+        ``l2.lookup(addr)``, with the L1 probe inlined: every host and
+        fabric data access lands here, and an MRU hit returns before the
+        set's LRU list is touched (moving the head to the head is a no-op).
+        """
+        l1 = self.l1
+        block = addr // l1.block_bytes
+        num_sets = l1.num_sets
+        ways = l1._sets[block % num_sets]
+        tag = block // num_sets
+        if ways and ways[0] == tag:
+            l1.hits += 1
+            return l1.latency
+        if tag in ways:
+            l1.hits += 1
+            ways.remove(tag)
+            ways.insert(0, tag)
+            return l1.latency
+        l1.misses += 1
+        ways.insert(0, tag)
+        if len(ways) > l1.assoc:
+            ways.pop()
         if self.l2.lookup(addr):
-            return self.l1.latency + self.l2.latency
-        return self.l1.latency + self.l2.latency + self.memory_latency
+            return l1.latency + self.l2.latency
+        return l1.latency + self.l2.latency + self.memory_latency

@@ -72,3 +72,6 @@ class CoreConfig:
             raise ValueError("pipeline widths must be positive")
         if self.rob_entries < self.issue_width:
             raise ValueError("ROB must hold at least one issue group")
+        if self.l2_latency < 1:
+            # Miss accounting counts any latency above an L1's as a miss.
+            raise ValueError("L2 latency must be positive")

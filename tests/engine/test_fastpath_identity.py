@@ -11,12 +11,15 @@ and nothing filtered from event streams.
 """
 
 import json
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
 from repro.core import DynaSpAM, DynaSpAMConfig
+from repro.core.offload import OffloadEngine
 from repro.engine import fastpath_enabled, set_fastpath, use_fastpath
+from repro.fabric.fabric import SpatialFabric
 from repro.ooo.fastpath import FastOOOPipeline, make_pipeline
 from repro.ooo.pipeline import OOOPipeline
 from repro.workloads import ALL_ABBREVS, generate_trace
@@ -155,6 +158,59 @@ def test_flipped_branch_occurrence_rejected_by_fast_segment():
     with use_fastpath(False):
         reference = DynaSpAM(ds_config=DynaSpAMConfig(mode="accelerate"))
     assert reference._segment_fast(matching, 0, configuration) is None
+
+
+def _spy(monkeypatch, owner, name, calls):
+    original = getattr(owner, name)
+
+    def spy(self, *args, **kwargs):
+        calls[name] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+
+
+def test_engine_captured_at_construction(monkeypatch):
+    """A machine keeps the tier it was built on: flipping the switch
+    before it runs changes nothing, down to the fabric timing walk and
+    the offload bookkeeping."""
+    tr = generate_trace("KM", SCALE)
+    with use_fastpath(True):
+        machine = DynaSpAM(ds_config=DynaSpAMConfig(mode="accelerate"))
+    calls = Counter()
+    _spy(monkeypatch, SpatialFabric, "_execute_plan", calls)
+    _spy(monkeypatch, OffloadEngine, "_offload_plan", calls)
+    with use_fastpath(False):
+        result = machine.run(tr.trace, tr.program)
+    assert result.stats.fabric_invocations > 0
+    assert calls["_offload_plan"] >= result.stats.fabric_invocations
+    assert calls["_execute_plan"] == calls["_offload_plan"]
+
+
+def test_value_engine_and_config_cache_capture_the_tier(monkeypatch):
+    """The functional fabric and the configuration cache read the switch
+    at construction too."""
+    from repro.core.config_cache import ConfigCache
+    from repro.core.mapper import ResourceAwareMapper
+    from repro.fabric.functional import FunctionalFabric
+    from repro.isa.executor import Memory
+
+    tr = generate_trace("KM", SCALE)
+    segment = tr.trace[:8]
+    key = (segment[0].pc, tuple(bool(d.taken) for d in segment
+                                if d.is_branch), len(segment))
+    configuration = ResourceAwareMapper().map_trace(segment, key)
+    assert configuration is not None
+    with use_fastpath(True):
+        cache = ConfigCache()
+        fabric = FunctionalFabric()
+    calls = Counter()
+    _spy(monkeypatch, FunctionalFabric, "_execute_plan", calls)
+    with use_fastpath(False):
+        cache.insert(key, configuration)
+        fabric.execute(configuration, {}, Memory(), segment)
+    assert hasattr(configuration, "_timing_plan")
+    assert calls["_execute_plan"] == 1
 
 
 def test_engine_flag_roundtrip(monkeypatch):

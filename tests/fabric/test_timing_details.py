@@ -72,7 +72,7 @@ def test_reconfiguration_resets_pipelining_state():
     result = fabric.execute(cfg_b, ctx(start=ready))
     # No initiation-interval carryover from the old configuration.
     assert result.start == ready
-    assert fabric.last_liveout_times.keys() == {"r2"}
+    assert result.liveout_ready.keys() == {"r2"}
 
 
 def test_store_store_order_preserved_without_speculation():

@@ -1,6 +1,10 @@
 """Unit tests for the cache hierarchy."""
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro.ooo.caches import Cache, CacheHierarchy
+from repro.ooo.config import CoreConfig
 
 
 def make_l1():
@@ -63,3 +67,37 @@ def test_working_set_larger_than_cache_thrashes():
         for i in range(blocks):
             c.lookup(i * 64)
     assert c.miss_rate > 0.9
+
+
+@given(addrs=st.lists(st.integers(0, 63).map(lambda word: word * 28),
+                      max_size=200))
+@settings(max_examples=60, deadline=None)
+def test_hierarchy_access_matches_composed_lookups(addrs):
+    """``CacheHierarchy.access`` inlines the L1 probe; it must behave
+    exactly as ``l1.lookup`` falling through to ``l2.lookup``."""
+    def caches():
+        return Cache("L1", 1, 2, 64, latency=2), Cache("L2", 2, 2, 64, 9)
+
+    l1, l2 = caches()
+    hierarchy = CacheHierarchy(l1, l2, memory_latency=50)
+    ref_l1, ref_l2 = caches()
+
+    def composed(addr):
+        if ref_l1.lookup(addr):
+            return ref_l1.latency
+        if ref_l2.lookup(addr):
+            return ref_l1.latency + ref_l2.latency
+        return ref_l1.latency + ref_l2.latency + 50
+
+    for addr in addrs:
+        assert hierarchy.access(addr) == composed(addr)
+    for cache, ref in ((l1, ref_l1), (l2, ref_l2)):
+        assert (cache.hits, cache.misses) == (ref.hits, ref.misses)
+        assert cache._sets == ref._sets
+
+
+def test_core_config_rejects_a_free_l2():
+    """Miss accounting counts any latency above the L1's as an L1 miss,
+    which a zero-cycle L2 hit would break."""
+    with pytest.raises(ValueError):
+        CoreConfig(l2_latency=0)
