@@ -8,10 +8,20 @@ produces.  These tests sweep the full kernel suite across execution
 modes under both engine settings and demand byte equality, not
 closeness, of the serialized results — with nothing removed from stats
 and nothing filtered from event streams.
+
+Tier against tier cannot catch a regression in the framework code both
+tiers share, so the same runs are also checked against committed
+sha256 digests in ``golden_runs.json``.  Regenerate that file only for
+an intended change of results::
+
+    PYTHONPATH=src python -m tests.engine.test_fastpath_identity
 """
 
+import functools
+import hashlib
 import json
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -35,6 +45,21 @@ VARIANTS = (
     ("accelerate", False),
     ("mapping_only", True),
 )
+
+GOLDEN_PATH = Path(__file__).with_name("golden_runs.json")
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _variant_name(mode: str, speculation: bool) -> str:
+    return f"{mode}/{'spec' if speculation else 'nospec'}"
+
+
+@functools.lru_cache(maxsize=None)
+def _golden() -> dict:
+    return json.loads(GOLDEN_PATH.read_text())
 
 
 def _run_cell(abbrev: str, mode: str, speculation: bool, fast: bool) -> str:
@@ -60,11 +85,15 @@ def _run_cell(abbrev: str, mode: str, speculation: bool, fast: bool) -> str:
 
 @pytest.mark.parametrize("abbrev", ALL_ABBREVS)
 def test_engine_bit_identity(abbrev):
+    golden = _golden()["runs"][abbrev]
     for mode, speculation in VARIANTS:
         interpreted = _run_cell(abbrev, mode, speculation, fast=False)
         fast = _run_cell(abbrev, mode, speculation, fast=True)
         assert fast == interpreted, (
             f"{abbrev} {mode} spec={speculation}: engines diverge"
+        )
+        assert _digest(fast) == golden[_variant_name(mode, speculation)], (
+            f"{abbrev} {mode} spec={speculation}: differs from the golden run"
         )
 
 
@@ -117,6 +146,8 @@ def test_traced_event_streams_identical():
     streams = {fast: _event_stream(fast) for fast in (True, False)}
     assert streams[True], "traced run produced no events"
     assert streams[True] == streams[False]
+    assert (_digest(json.dumps(streams[True]))
+            == _golden()["km_event_stream"]), "differs from the golden stream"
 
 
 def test_traced_event_streams_identical_across_memo():
@@ -251,3 +282,24 @@ def test_hot_structures_stay_bounded():
     assert len(pipeline.sq._window) <= entries
     assert len(pipeline.sq._by_addr) <= entries
     assert len(pipeline._store_by_seq) <= 2 * entries + 1
+
+
+def _make_golden() -> dict:
+    """Digests of every golden run, from both tiers (which must agree)."""
+    runs = {}
+    for abbrev in ALL_ABBREVS:
+        runs[abbrev] = {}
+        for mode, speculation in VARIANTS:
+            cells = {_run_cell(abbrev, mode, speculation, fast)
+                     for fast in (False, True)}
+            assert len(cells) == 1, f"{abbrev} {mode}: engines diverge"
+            runs[abbrev][_variant_name(mode, speculation)] = _digest(
+                cells.pop())
+    streams = [json.dumps(_event_stream(fast)) for fast in (False, True)]
+    assert streams[0] == streams[1], "traced event streams diverge"
+    return {"scale": SCALE, "runs": runs,
+            "km_event_stream": _digest(streams[0])}
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.write_text(json.dumps(_make_golden(), indent=1) + "\n")
