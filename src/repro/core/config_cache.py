@@ -56,6 +56,10 @@ class ConfigCache:
         compare=False,
     )
 
+    def __post_init__(self) -> None:
+        if self.clear_interval < 1:
+            raise ValueError("config cache clear interval must be positive")
+
     def lookup(self, key: tuple) -> ConfigEntry | None:
         """Probe the cache (a fetch-stage read).  Hits refresh LRU order."""
         self.reads += 1
@@ -127,10 +131,20 @@ class ConfigCache:
         return entry.ready
 
     def tick(self, instructions: int = 1) -> None:
-        """Advance the periodic counter-clearing clock."""
+        """Advance the periodic counter-clearing clock; crossing the
+        interval restarts it at zero."""
         self._since_clear += instructions
         if self._since_clear >= self.clear_interval:
             self._since_clear = 0
+            for entry in self._store.values():
+                entry.counter = 0
+
+    def advance(self, instructions: int) -> None:
+        """Advance the clock exactly as ``instructions`` calls of
+        ``tick(1)`` would: one batched step for a host span."""
+        since = self._since_clear + instructions
+        self._since_clear = since % self.clear_interval
+        if since >= self.clear_interval:
             for entry in self._store.values():
                 entry.counter = 0
 

@@ -69,6 +69,10 @@ class DynaSpAMConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mapper not in ("resource_aware", "naive"):
             raise ValueError(f"unknown mapper {self.mapper!r}")
+        for name in ("trace_length", "max_branches", "tcache_clear_interval",
+                     "config_clear_interval"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass
@@ -199,30 +203,36 @@ class DynaSpAM:
             self.builder.program = program  # enables static lookahead
         self.pipeline.note_phase("host")
         active = cfg.mode != "baseline"
+        builder = self.builder
         i = 0
         n = len(trace)
         while i < n:
-            if active and self.builder.at_anchor:
+            if active and builder.at_anchor:
                 advanced = self._at_anchor(trace, i)
                 if advanced is not None:
                     i = advanced
                     continue
-            self._host_step(trace[i])
-            i += 1
+            stop = self._host_span(trace, i, n)
+            self._host_instructions += stop - i
+            i = stop
         return self._finish()
 
     # ------------------------------------------------------------------
-    def _host_step(self, dyn: DynamicInstruction, mapping_phase: bool = False) -> None:
-        self.pipeline.process(dyn)
-        if mapping_phase:
-            self._mapping_instructions += 1
-            self.pipeline.stats.mapping_instructions += 1
-        else:
-            self._host_instructions += 1
-        window = self.builder.feed(dyn)
+    def _host_span(self, trace, start: int, limit: int) -> int:
+        """Run one host span from ``start`` and return its stop index.
+
+        The window builder picks the span: it ends at the instruction
+        that closes a window, ends an awaiting-branch stretch or is a
+        HALT, or at ``limit``.  The pipeline runs the span, which emits
+        no events, so a closed window reaches the T-Cache at the same
+        front-end clock as when each instruction was stepped alone.
+        """
+        stop, window = self.builder.feed_span(trace, start, limit)
+        self.pipeline.process_span(trace, start, stop)
         if window is not None:
             self.tcache.observe(window)
-        self.ccache.tick(1)
+        self.ccache.advance(stop - start)
+        return stop
 
     # ------------------------------------------------------------------
     def _at_anchor(self, trace, i) -> int | None:
@@ -386,10 +396,16 @@ class DynaSpAM:
             self.pipeline.stall_fetch_until(
                 drained + configuration.mapping_cycles, cause="mapping"
             )
-        for dyn in segment:
-            self._host_step(dyn, mapping_phase=True)
+        # The trace instructions execute on the host: ``segment`` is
+        # ``trace[i:end]``.
+        end = i + len(segment)
+        j = i
+        while j < end:
+            j = self._host_span(trace, j, end)
+        self._mapping_instructions += len(segment)
+        stats.mapping_instructions += len(segment)
         self.pipeline.note_phase("host")
-        return i + len(segment)
+        return end
 
     # ------------------------------------------------------------------
     #: Memo entries kept before a wholesale clear bounds memory on long

@@ -75,6 +75,8 @@ class TraceWindowBuilder:
     ) -> None:
         if max_length < 1:
             raise ValueError("trace length cap must be positive")
+        if max_branches < 1:
+            raise ValueError("trace branch budget must be positive")
         self.max_length = max_length
         self.max_branches = max_branches
         #: The paper's future-work "more intelligent instruction
@@ -109,35 +111,60 @@ class TraceWindowBuilder:
 
     def feed(self, dyn: DynamicInstruction) -> TraceWindow | None:
         """Add one committed instruction; return a window if one closed."""
-        if dyn.opcode is Opcode.HALT:
-            # HALT never belongs to a hot trace; discard the open window.
-            self._window = None
-            self._awaiting_branch = False
-            return None
+        return self.feed_span((dyn,), 0, 1)[1]
+
+    def feed_span(self, trace, start: int,
+                  limit: int) -> tuple[int, TraceWindow | None]:
+        """Feed ``trace[start:limit]`` up to and including the first
+        instruction that closes a window, ends an awaiting-branch stretch
+        or is a HALT.  Returns ``(stop, window)``: ``trace[start:stop]``
+        was consumed and ``window`` is the window that closed, or None."""
+        index = start
         if self._awaiting_branch:
-            if dyn.is_branch:
-                self._awaiting_branch = False
-            return None
-        if self._window is None:
-            self._window = TraceWindow(anchor_pc=dyn.pc, start_seq=dyn.seq)
+            while index < limit:
+                dyn = trace[index]
+                index += 1
+                if dyn.is_branch or dyn.opcode is Opcode.HALT:
+                    self._awaiting_branch = False
+                    self._window = None
+                    break
+            return index, None
         window = self._window
-        window.instructions.append(dyn)
-        if dyn.is_branch:
-            window.branches += 1
-        if window.branches >= self.max_branches:
+        max_length = self.max_length
+        max_branches = self.max_branches
+        smart = self.program is not None
+        while index < limit:
+            dyn = trace[index]
+            index += 1
+            if dyn.opcode is Opcode.HALT:
+                # HALT never belongs to a hot trace; discard the open window.
+                self._window = None
+                return index, None
+            if window is None:
+                window = self._window = TraceWindow(anchor_pc=dyn.pc,
+                                                    start_seq=dyn.seq)
+            instructions = window.instructions
+            instructions.append(dyn)
+            if dyn.is_branch:
+                window.branches += 1
+                if window.branches >= max_branches:
+                    reason = "branch_limit"
+                elif smart and self._should_close_at_branch(window,
+                                                            dyn.next_pc):
+                    reason = "smart_close"
+                elif len(instructions) >= max_length:
+                    reason = "length_cap"
+                else:
+                    continue
+            elif len(instructions) >= max_length:
+                reason = "length_cap"
+                self._awaiting_branch = True
+            else:
+                continue
             self._window = None
-            window.close_reason = "branch_limit"
-            return window
-        if dyn.is_branch and self._should_close_at_branch(window, dyn.next_pc):
-            self._window = None
-            window.close_reason = "smart_close"
-            return window
-        if window.length >= self.max_length:
-            self._window = None
-            self._awaiting_branch = not dyn.is_branch
-            window.close_reason = "length_cap"
-            return window
-        return None
+            window.close_reason = reason
+            return index, window
+        return index, None
 
     def resume_after(self, segment: list[DynamicInstruction]) -> None:
         """Realign anchor state after a segment was consumed externally
@@ -161,6 +188,8 @@ class TCache:
         clear_interval: int = 100_000,
         bus=None,
     ) -> None:
+        if clear_interval < 1:
+            raise ValueError("T-Cache clear interval must be positive")
         self.entries = entries
         self.counter_max = (1 << counter_bits) - 1
         self.hot_threshold = hot_threshold

@@ -11,10 +11,11 @@ the interpreter:
   instruction instead of per dynamic instance — eliminating the
   ``_EXEC_COUNTER`` dict lookup, ``getattr``/``setattr`` pair, enum
   hashing, and ``latency_of`` call on every instruction;
-* ``process()`` is one flat, specialized function: branch/jump/load/
-  store/ALU paths branch on a precomputed small-int kind, slot
-  allocation and the ring-buffer capacity models are inlined, and
-  monotone cursors live in locals for the duration of the call;
+* ``process_span()`` is one flat, specialized loop over a run of the
+  trace: branch/jump/load/store/ALU paths branch on a precomputed
+  small-int kind, slot allocation and the ring-buffer capacity models
+  are inlined, and the cursors, ring heads and counts live in locals for
+  the whole span (``process()`` is a span of one);
 * **batched statistics**: hot counters accumulate in a plain int list
   indexed by module constants and flush additively into
   ``PipelineStats`` in ``finish()`` (cold counters — fabric, mapping,
@@ -87,8 +88,9 @@ _EXEC_SLOT: dict[OpClass, int] = {
 }
 
 #: Slots incremented exactly once per instruction, no matter its kind.
-#: ``process`` counts instructions in one scalar and ``finish`` fans the
-#: total out to these slots, saving six list increments per instruction.
+#: ``process_span`` counts instructions in one scalar and ``finish`` fans
+#: the total out to these slots, saving six list increments per
+#: instruction.
 _UNIFORM_SLOTS: tuple[int, ...] = (
     F_FETCHES, F_RENAMES, F_DISPATCHES, F_SELECTIONS,
     F_COMMITS, F_ROB_WRITES, F_INSTRUCTIONS,
@@ -225,366 +227,455 @@ class FastOOOPipeline(OOOPipeline):
         stats.cycles_host += gap
 
     # ------------------------------------------------------------------
-    # The compiled per-instruction path
+    # The compiled host path
     # ------------------------------------------------------------------
     def process(self, dyn: DynamicInstruction) -> InstrTiming:
-        """Assign cycles to one dynamic instruction (fast engine)."""
-        static = dyn.static
-        key = id(static)
-        rec = self._decode.get(key)
-        if rec is None or rec[0] is not static:
-            rec = self._decode_static(static, key)
-        kind = rec[1]
-        latency = rec[2]
-        srcs = rec[3]
-        nsrcs = rec[4]
+        """Assign cycles to one dynamic instruction: a one-instruction
+        span."""
+        return self.process_span((dyn,), 0, 1)
 
+    def process_span(self, trace, start: int, stop: int) -> InstrTiming | None:
+        """Assign cycles to ``trace[start:stop]`` (fast engine).
+
+        The pipeline cursors, the ROB/RS/LQ/SQ ring heads and counts, the
+        FU high-water mark and the rename count live in locals for the
+        whole span.  They are written back once at the end, and before
+        each slot-window prune the span crosses; the span is cut into
+        chunks at those prunes, so the inner loop never tests for one.
+        Returns the timing of the span's last instruction (None if the
+        span is empty); no other ``InstrTiming`` is built.
+        """
+        if start >= stop:
+            return None
+        decode = self._decode
+        decode_static = self._decode_static
         sb = self._sb
-        seq = self.seq
-        self.seq = seq + 1
-        pc = dyn.pc
-        next_fetch = self.next_fetch_cycle
-        barrier = self.fetch_barrier
-
-        # ---- fetch & branch prediction -------------------------------
+        stall_credit = self._stall_credit
         fetch_counts = self._fetch_counts
+        issue_counts = self._issue_counts
+        commit_counts = self._commit_counts
         fetch_width = self._fetch_width
-        cycle = next_fetch if next_fetch >= barrier else barrier
-        count = fetch_counts.get(cycle, 0)
-        while count >= fetch_width:
-            cycle += 1
-            count = fetch_counts.get(cycle, 0)
-        if rec[10] != self._last_fetch_block:
-            sb[F_IC_ACC] += 1
-            lat_i = self._icache_access(pc)
-            extra = lat_i - self._l1i_latency
-            if extra > 0:
-                sb[F_IC_MISS] += 1
-                cycle += extra
-                count = fetch_counts.get(cycle, 0)
-                self._stall_credit["frontend"] += extra
-                self._credit_total += extra
-            self._last_fetch_block = rec[10]
-        fetch_counts[cycle] = count + 1
-        next_fetch = cycle
-        fetch = cycle
-
-        mispredicted = False
-        if kind == _KIND_BRANCH:
-            sb[F_PRED] += 1
-            taken = bool(dyn.taken)
-            prediction = self._bpred_update(pc, taken)
-            if prediction != taken:
-                mispredicted = True
-                sb[F_MISP] += 1
-            if prediction:
-                if not self._btb_lookup(pc):
-                    sb[F_BTB] += 1
-                    penalty = self._btb_miss_penalty
-                    next_fetch = fetch + 1 + penalty
-                    if penalty > 0:
-                        self._stall_credit["frontend"] += penalty
-                        self._credit_total += penalty
-                else:
-                    # Correctly predicted taken branch ends the fetch group.
-                    next_fetch = fetch + 1
-        elif kind == _KIND_JUMP:
-            if not self._btb_lookup(pc):
-                sb[F_BTB] += 1
-                penalty = self._btb_miss_penalty
-                next_fetch = fetch + 1 + penalty
-                if penalty > 0:
-                    self._stall_credit["frontend"] += penalty
-                    self._credit_total += penalty
-            else:
-                next_fetch = fetch + 1
-
-        # ---- rename / dispatch (in order) ----------------------------
+        issue_width = self._issue_width
+        commit_width = self._commit_width
+        frontend_depth = self._frontend_depth
+        l1i_latency = self._l1i_latency
+        l1d_latency = self._l1d_latency
+        btb_miss_penalty = self._btb_miss_penalty
+        mispredict_redirect = self._mispredict_redirect
+        forward_latency = self._store_forward_latency
+        squash_penalty = self._violation_squash_penalty
+        wrongpath_cap = self._rob_entries
+        storesets_enabled = self._storesets_enabled
+        conservative = self.conservative_memory
+        store_fifo_cap = self._store_fifo_cap
+        icache_access = self._icache_access
+        dcache_access = self._dcache_access
+        bpred_update = self._bpred_update
+        btb_lookup = self._btb_lookup
+        ss_load_dispatched = self._ss_load_dispatched
+        ss_store_dispatched = self._ss_store_dispatched
+        ss_train = self._ss_train
+        regs_ready = self._regs_ready
+        regs_producer = self._regs_producer
+        sq_window = self._sq_window
+        sq_by_addr = self._sq_by_addr
+        store_by_seq = self._store_by_seq
+        store_fifo = self._store_seq_fifo
+        l2 = self.l2
         rob = self.rob
         rs = self.rs
-        dispatch = fetch + self._frontend_depth
-        other = self.prev_dispatch_cycle
-        if other > dispatch:
-            dispatch = other
-        if rob._count >= rob.entries:
-            other = rob._commit_ring[rob._head] + 1
-            if other > dispatch:
-                dispatch = other
-        if rs._count >= rs.entries:
-            other = rs._issue_ring[rs._head] + 1
-            if other > dispatch:
-                dispatch = other
-        if kind == _KIND_LOAD:
-            lq = self.lq
-            if lq._count >= lq.entries:
-                other = lq._complete_ring[lq._head] + 1
-                if other > dispatch:
-                    dispatch = other
-        elif kind == _KIND_STORE:
-            sq = self.sq
-            if sq._count >= sq.entries:
-                other = sq._commit_ring[sq._head] + 1
-                if other > dispatch:
-                    dispatch = other
-        self.prev_dispatch_cycle = dispatch
-
-        # ---- operand readiness ---------------------------------------
-        regs_ready = self._regs_ready
-        ready = dispatch + 1
-        for src in srcs:
-            other = regs_ready.get(src, 0)
-            if other > ready:
-                ready = other
-        sb[F_WAKEUPS] += nsrcs
-
-        violated = False
-        if kind == _KIND_LOAD:
-            sb[F_LOADS] += 1
-            if self.conservative_memory:
-                older = self.sq.youngest_older(seq)
-                if older is not None and older.data_ready > ready:
-                    ready = older.data_ready
-            elif self._storesets_enabled:
-                wait_seq = self._ss_load_dispatched(pc)
-                if wait_seq is not None:
-                    predicted = self._store_by_seq.get(wait_seq)
-                    if predicted is not None and predicted.data_ready > ready:
-                        ready = predicted.data_ready
-        elif kind == _KIND_STORE:
-            sb[F_STORES] += 1
-            if self._storesets_enabled and not self.conservative_memory:
-                prev_seq = self._ss_store_dispatched(pc, seq)
-                if prev_seq is not None:
-                    prev = self._store_by_seq.get(prev_seq)
-                    if prev is not None and prev.data_ready > ready:
-                        ready = prev.data_ready
-
-        # ---- issue / execute -----------------------------------------
-        # Inlined _alloc_issue: find the earliest cycle with both a free
-        # unit for the op's full occupancy span and a free issue slot.
-        busy = rec[7]
-        pool_size = rec[8]
-        span = rec[9]
-        issue_counts = self._issue_counts
-        issue_width = self._issue_width
-        cycle = ready
-        if span == 1:
-            while True:
-                occupancy = busy.get(cycle, 0)
-                if occupancy < pool_size:
-                    slots = issue_counts.get(cycle, 0)
-                    if slots < issue_width:
-                        break
-                cycle += 1
-            busy[cycle] = occupancy + 1
-            end = cycle + 1
-        else:
-            while True:
-                free = True
-                for k in range(span):
-                    if busy.get(cycle + k, 0) >= pool_size:
-                        free = False
-                        break
-                if free:
-                    slots = issue_counts.get(cycle, 0)
-                    if slots < issue_width:
-                        break
-                cycle += 1
-            for k in range(span):
-                claim = cycle + k
-                busy[claim] = busy.get(claim, 0) + 1
-            end = cycle + span
+        lq = self.lq
+        sq = self.sq
         fus = self.fus
-        if end > fus._max_claimed:
-            fus._max_claimed = end
-        issue_counts[cycle] = slots + 1
-        issue = cycle
-        sb[rec[6]] += 1
+        regs = self.regs
+        rob_ring = rob._commit_ring
+        rob_entries = rob.entries
+        rs_ring = rs._issue_ring
+        rs_entries = rs.entries
+        lq_ring = lq._complete_ring
+        lq_entries = lq.entries
+        sq_ring = sq._commit_ring
+        sq_entries = sq.entries
+        prune_interval = self.PRUNE_INTERVAL
 
-        if kind == _KIND_LOAD:
-            addr = dyn.addr
-            # The by-addr index holds the youngest windowed store per
-            # address; host seqs are monotone, so the seq guard only
-            # falls back on the (never-hit) non-monotone probe case.
-            alias = self._sq_by_addr.get(addr)
-            if alias is not None and alias.seq >= seq:
-                alias = None
-                for record in reversed(self._sq_window):
-                    if record.seq < seq and record.addr == addr:
-                        alias = record
-                        break
-            if alias is not None and issue < alias.addr_ready:
-                # The load issued before the aliasing store executed: a
-                # memory-order violation, detected when the store runs.
-                violated = True
-                sb[F_VIOLATIONS] += 1
-                if self._storesets_enabled:
-                    self._ss_train(pc, alias.pc)
-                complete = alias.data_ready + self._store_forward_latency
-                front = next_fetch if next_fetch >= barrier else barrier
-                redirect = alias.addr_ready + self._violation_squash_penalty
-                if redirect > front:
-                    self._stall_credit["squash_memory"] += redirect - front
-                    self._credit_total += redirect - front
-                if redirect > barrier:
-                    barrier = redirect
-            elif alias is not None:
-                # Store-to-load forwarding from the store queue.
-                sb[F_FORWARDS] += 1
-                complete = issue + self._store_forward_latency
-                other = alias.data_ready + self._store_forward_latency
-                if other > complete:
-                    complete = other
-            else:
-                sb[F_DC_ACC] += 1
-                l2 = self.l2
-                before_l2 = l2.hits + l2.misses
-                lat_d = self._dcache_access(addr)
-                if lat_d > self._l1d_latency:
-                    sb[F_DC_MISS] += 1
-                sb[F_L2_ACC] += l2.hits + l2.misses - before_l2
-                complete = issue + 1 + lat_d
-            lq = self.lq
-            lq._complete_ring[lq._head] = complete
-            lq._head = (lq._head + 1) % lq.entries
-            if lq._count < lq.entries:
-                lq._count += 1
-        elif kind == _KIND_STORE:
-            complete = issue + 1
-        else:
-            complete = issue + latency
-
-        # ---- misprediction redirect ----------------------------------
-        if mispredicted:
-            front = next_fetch if next_fetch >= barrier else barrier
-            redirect = complete + self._mispredict_redirect
-            if redirect > front:
-                self._stall_credit["squash_branch"] += redirect - front
-                self._credit_total += redirect - front
-            if redirect > barrier:
-                barrier = redirect
-            # Wrong-path work is not simulated, but its front-end energy
-            # is real: half-rate fetching until the branch resolves,
-            # capped at the ROB window.
-            wrong = (complete - fetch) * fetch_width // 2
-            if wrong > self._rob_entries:
-                wrong = self._rob_entries
-            if wrong > 0:
-                sb[F_WRONGPATH] += wrong
-
-        # ---- commit ----------------------------------------------------
-        # Inlined _alloc_commit (bucket=None): when no stall credit is
-        # pending the whole gap is healthy host time.
-        commit_counts = self._commit_counts
-        commit_width = self._commit_width
+        # Hoisted state: written back at every chunk end below.
+        seq = self.seq
+        next_fetch = self.next_fetch_cycle
+        barrier = self.fetch_barrier
+        prev_dispatch = self.prev_dispatch_cycle
         prev_commit = self.prev_commit_cycle
-        cycle = complete + 1
-        if prev_commit > cycle:
-            cycle = prev_commit
-        gap = cycle - prev_commit
-        if gap:
-            if self._credit_total:
-                self._charge_commit_gap(gap, None)
+        last_commit = self.last_commit_cycle
+        last_block = self._last_fetch_block
+        ops = self._ops_since_prune
+        rob_head = rob._head
+        rob_count = rob._count
+        rob_last = rob.last_commit_cycle
+        rs_head = rs._head
+        rs_count = rs._count
+        lq_head = lq._head
+        lq_count = lq._count
+        sq_head = sq._head
+        sq_count = sq._count
+        max_claimed = fus._max_claimed
+        renames = regs.renames
+
+        index = start
+        while True:
+            # The chunk ends where the reference model would prune.
+            chunk_end = min(stop, index + max(prune_interval - ops, 1))
+            for dyn in trace[index:chunk_end]:
+                static = dyn.static
+                rec = decode.get(id(static))
+                if rec is None or rec[0] is not static:
+                    rec = decode_static(static, id(static))
+                (_, kind, latency, srcs, nsrcs, dest, exec_slot,
+                 busy, pool_size, span, block) = rec
+                pc = dyn.pc
+
+                # ---- fetch & branch prediction -----------------------
+                cycle = next_fetch if next_fetch >= barrier else barrier
+                count = fetch_counts.get(cycle, 0)
+                while count >= fetch_width:
+                    cycle += 1
+                    count = fetch_counts.get(cycle, 0)
+                if block != last_block:
+                    sb[F_IC_ACC] += 1
+                    extra = icache_access(pc) - l1i_latency
+                    if extra > 0:
+                        sb[F_IC_MISS] += 1
+                        cycle += extra
+                        count = fetch_counts.get(cycle, 0)
+                        stall_credit["frontend"] += extra
+                        self._credit_total += extra
+                    last_block = block
+                fetch_counts[cycle] = count + 1
+                next_fetch = fetch = cycle
+
+                mispredicted = False
+                if kind == _KIND_BRANCH:
+                    sb[F_PRED] += 1
+                    taken = bool(dyn.taken)
+                    prediction = bpred_update(pc, taken)
+                    if prediction != taken:
+                        mispredicted = True
+                        sb[F_MISP] += 1
+                    if prediction:
+                        if not btb_lookup(pc):
+                            sb[F_BTB] += 1
+                            next_fetch = fetch + 1 + btb_miss_penalty
+                            if btb_miss_penalty > 0:
+                                stall_credit["frontend"] += btb_miss_penalty
+                                self._credit_total += btb_miss_penalty
+                        else:
+                            # A correctly predicted taken branch ends the
+                            # fetch group.
+                            next_fetch = fetch + 1
+                elif kind == _KIND_JUMP:
+                    if not btb_lookup(pc):
+                        sb[F_BTB] += 1
+                        next_fetch = fetch + 1 + btb_miss_penalty
+                        if btb_miss_penalty > 0:
+                            stall_credit["frontend"] += btb_miss_penalty
+                            self._credit_total += btb_miss_penalty
+                    else:
+                        next_fetch = fetch + 1
+
+                # ---- rename / dispatch (in order) --------------------
+                dispatch = fetch + frontend_depth
+                if prev_dispatch > dispatch:
+                    dispatch = prev_dispatch
+                if rob_count >= rob_entries:
+                    other = rob_ring[rob_head] + 1
+                    if other > dispatch:
+                        dispatch = other
+                if rs_count >= rs_entries:
+                    other = rs_ring[rs_head] + 1
+                    if other > dispatch:
+                        dispatch = other
+                if kind == _KIND_LOAD:
+                    if lq_count >= lq_entries:
+                        other = lq_ring[lq_head] + 1
+                        if other > dispatch:
+                            dispatch = other
+                elif kind == _KIND_STORE:
+                    if sq_count >= sq_entries:
+                        other = sq_ring[sq_head] + 1
+                        if other > dispatch:
+                            dispatch = other
+                prev_dispatch = dispatch
+
+                # ---- operand readiness -------------------------------
+                ready = dispatch + 1
+                for src in srcs:
+                    other = regs_ready.get(src, 0)
+                    if other > ready:
+                        ready = other
+                sb[F_WAKEUPS] += nsrcs
+
+                violated = False
+                if kind == _KIND_LOAD:
+                    sb[F_LOADS] += 1
+                    if conservative:
+                        older = sq.youngest_older(seq)
+                        if older is not None and older.data_ready > ready:
+                            ready = older.data_ready
+                    elif storesets_enabled:
+                        wait_seq = ss_load_dispatched(pc)
+                        if wait_seq is not None:
+                            predicted = store_by_seq.get(wait_seq)
+                            if (predicted is not None
+                                    and predicted.data_ready > ready):
+                                ready = predicted.data_ready
+                elif kind == _KIND_STORE:
+                    sb[F_STORES] += 1
+                    if storesets_enabled and not conservative:
+                        prev_seq = ss_store_dispatched(pc, seq)
+                        if prev_seq is not None:
+                            prev = store_by_seq.get(prev_seq)
+                            if prev is not None and prev.data_ready > ready:
+                                ready = prev.data_ready
+
+                # ---- issue / execute ---------------------------------
+                # Inlined _alloc_issue: the earliest cycle with both a
+                # free unit for the op's full occupancy span and a free
+                # issue slot.
+                cycle = ready
+                if span == 1:
+                    while True:
+                        occupancy = busy.get(cycle, 0)
+                        if occupancy < pool_size:
+                            slots = issue_counts.get(cycle, 0)
+                            if slots < issue_width:
+                                break
+                        cycle += 1
+                    busy[cycle] = occupancy + 1
+                    end = cycle + 1
+                else:
+                    while True:
+                        free = True
+                        for k in range(span):
+                            if busy.get(cycle + k, 0) >= pool_size:
+                                free = False
+                                break
+                        if free:
+                            slots = issue_counts.get(cycle, 0)
+                            if slots < issue_width:
+                                break
+                        cycle += 1
+                    for k in range(span):
+                        claim = cycle + k
+                        busy[claim] = busy.get(claim, 0) + 1
+                    end = cycle + span
+                if end > max_claimed:
+                    max_claimed = end
+                issue_counts[cycle] = slots + 1
+                issue = cycle
+                sb[exec_slot] += 1
+
+                if kind == _KIND_LOAD:
+                    addr = dyn.addr
+                    # The by-addr index holds the youngest windowed store
+                    # per address; host seqs are monotone, so the seq
+                    # guard only falls back on the (never-hit)
+                    # non-monotone probe case.
+                    alias = sq_by_addr.get(addr)
+                    if alias is not None and alias.seq >= seq:
+                        alias = None
+                        for record in reversed(sq_window):
+                            if record.seq < seq and record.addr == addr:
+                                alias = record
+                                break
+                    if alias is not None and issue < alias.addr_ready:
+                        # The load issued before the aliasing store
+                        # executed: a memory-order violation, detected
+                        # when the store runs.
+                        violated = True
+                        sb[F_VIOLATIONS] += 1
+                        if storesets_enabled:
+                            ss_train(pc, alias.pc)
+                        complete = alias.data_ready + forward_latency
+                        front = next_fetch if next_fetch >= barrier else barrier
+                        redirect = alias.addr_ready + squash_penalty
+                        if redirect > front:
+                            stall_credit["squash_memory"] += redirect - front
+                            self._credit_total += redirect - front
+                        if redirect > barrier:
+                            barrier = redirect
+                    elif alias is not None:
+                        # Store-to-load forwarding from the store queue.
+                        sb[F_FORWARDS] += 1
+                        complete = issue + forward_latency
+                        other = alias.data_ready + forward_latency
+                        if other > complete:
+                            complete = other
+                    else:
+                        sb[F_DC_ACC] += 1
+                        before_l2 = l2.hits + l2.misses
+                        lat_d = dcache_access(addr)
+                        if lat_d > l1d_latency:
+                            sb[F_DC_MISS] += 1
+                        sb[F_L2_ACC] += l2.hits + l2.misses - before_l2
+                        complete = issue + 1 + lat_d
+                    lq_ring[lq_head] = complete
+                    lq_head += 1
+                    if lq_head == lq_entries:
+                        lq_head = 0
+                    if lq_count < lq_entries:
+                        lq_count += 1
+                elif kind == _KIND_STORE:
+                    complete = issue + 1
+                else:
+                    complete = issue + latency
+
+                # ---- misprediction redirect --------------------------
+                if mispredicted:
+                    front = next_fetch if next_fetch >= barrier else barrier
+                    redirect = complete + mispredict_redirect
+                    if redirect > front:
+                        stall_credit["squash_branch"] += redirect - front
+                        self._credit_total += redirect - front
+                    if redirect > barrier:
+                        barrier = redirect
+                    # Wrong-path work is not simulated, but its front-end
+                    # energy is real: half-rate fetching until the branch
+                    # resolves, capped at the ROB window.
+                    wrong = (complete - fetch) * fetch_width // 2
+                    if wrong > wrongpath_cap:
+                        wrong = wrongpath_cap
+                    if wrong > 0:
+                        sb[F_WRONGPATH] += wrong
+
+                # ---- commit ------------------------------------------
+                # Inlined _alloc_commit (bucket=None): when no stall
+                # credit is pending the whole gap is healthy host time.
+                cycle = complete + 1
+                if prev_commit > cycle:
+                    cycle = prev_commit
+                gap = cycle - prev_commit
+                if gap:
+                    if self._credit_total:
+                        self._charge_commit_gap(gap, None)
+                    else:
+                        sb[F_CYCLES_HOST] += gap
+                count = commit_counts.get(cycle, 0)
+                while count >= commit_width:
+                    cycle += 1
+                    # Commit-width contention is healthy throughput, not
+                    # a stall.
+                    sb[F_CYCLES_HOST] += 1
+                    count = commit_counts.get(cycle, 0)
+                commit_counts[cycle] = count + 1
+                prev_commit = commit = cycle
+                if commit > last_commit:
+                    last_commit = commit
+
+                rob_ring[rob_head] = commit
+                rob_head += 1
+                if rob_head == rob_entries:
+                    rob_head = 0
+                if rob_count < rob_entries:
+                    rob_count += 1
+                if commit > rob_last:
+                    rob_last = commit
+                rs_ring[rs_head] = issue
+                rs_head += 1
+                if rs_head == rs_entries:
+                    rs_head = 0
+                if rs_count < rs_entries:
+                    rs_count += 1
+
+                if kind == _KIND_STORE:
+                    # The address resolves once the base register is
+                    # ready (AGU cycle), typically well before the store's
+                    # data arrives.
+                    base_ready = dispatch + 1
+                    if nsrcs:
+                        other = regs_ready.get(srcs[0], 0)
+                        if other > base_ready:
+                            base_ready = other
+                    addr_ready = base_ready + 1
+                    if issue < addr_ready:
+                        addr_ready = issue
+                    addr = dyn.addr
+                    record = StoreRecord(
+                        seq=seq,
+                        pc=pc,
+                        addr=addr,
+                        addr_ready=addr_ready,
+                        data_ready=complete,
+                        commit=commit,
+                    )
+                    if len(sq_window) == sq_entries:
+                        evicted = sq_window[0]
+                        if sq_by_addr.get(evicted.addr) is evicted:
+                            del sq_by_addr[evicted.addr]
+                    sq_window.append(record)
+                    sq_by_addr[addr] = record
+                    sq_ring[sq_head] = commit
+                    sq_head += 1
+                    if sq_head == sq_entries:
+                        sq_head = 0
+                    if sq_count < sq_entries:
+                        sq_count += 1
+                    store_by_seq[seq] = record
+                    store_fifo.append(seq)
+                    if len(store_fifo) > store_fifo_cap:
+                        store_by_seq.pop(store_fifo.popleft(), None)
+                    # The store writes the cache when it commits.
+                    sb[F_DC_ACC] += 1
+                    before_l2 = l2.hits + l2.misses
+                    lat_d = dcache_access(addr)
+                    if lat_d > l1d_latency:
+                        sb[F_DC_MISS] += 1
+                    sb[F_L2_ACC] += l2.hits + l2.misses - before_l2
+
+                # ---- writeback / scoreboard --------------------------
+                if dest is not None:
+                    if dest != "r0":
+                        renames += 1
+                        regs_ready[dest] = complete
+                        regs_producer[dest] = seq
+                    sb[F_RF_WRITES] += 1
+                # Readiness is re-read *after* the define so a dest that
+                # is also a source sees its new value — matching the
+                # interpreted model.
+                for src in srcs:
+                    if issue - regs_ready.get(src, 0) <= 2:
+                        sb[F_BYPASS] += 1
+                    else:
+                        sb[F_RF_READS] += 1
+                seq += 1
+
+            ops += chunk_end - index
+            index = chunk_end
+            self.seq = seq
+            self.next_fetch_cycle = next_fetch
+            self.fetch_barrier = barrier
+            self.prev_dispatch_cycle = prev_dispatch
+            self.prev_commit_cycle = prev_commit
+            self.last_commit_cycle = last_commit
+            self._last_fetch_block = last_block
+            rob._head = rob_head
+            rob._count = rob_count
+            rob.last_commit_cycle = rob_last
+            rs._head = rs_head
+            rs._count = rs_count
+            lq._head = lq_head
+            lq._count = lq_count
+            sq._head = sq_head
+            sq._count = sq_count
+            fus._max_claimed = max_claimed
+            regs.renames = renames
+            if ops >= prune_interval:
+                ops = 0
+                self._ops_since_prune = 0
+                self._prune_slot_windows()
             else:
-                sb[F_CYCLES_HOST] += gap
-        count = commit_counts.get(cycle, 0)
-        while count >= commit_width:
-            cycle += 1
-            # Commit-width contention is healthy throughput, not a stall.
-            sb[F_CYCLES_HOST] += 1
-            count = commit_counts.get(cycle, 0)
-        commit_counts[cycle] = count + 1
-        self.prev_commit_cycle = cycle
-        if cycle > self.last_commit_cycle:
-            self.last_commit_cycle = cycle
-        commit = cycle
-
-        rob._commit_ring[rob._head] = commit
-        rob._head = (rob._head + 1) % rob.entries
-        if rob._count < rob.entries:
-            rob._count += 1
-        if commit > rob.last_commit_cycle:
-            rob.last_commit_cycle = commit
-        rs._issue_ring[rs._head] = issue
-        rs._head = (rs._head + 1) % rs.entries
-        if rs._count < rs.entries:
-            rs._count += 1
-
-        if kind == _KIND_STORE:
-            # The address resolves once the base register is ready (AGU
-            # cycle), typically well before the store's data arrives.
-            base_ready = dispatch + 1
-            if nsrcs:
-                other = regs_ready.get(srcs[0], 0)
-                if other > base_ready:
-                    base_ready = other
-            addr_ready = base_ready + 1
-            if issue < addr_ready:
-                addr_ready = issue
-            addr = dyn.addr
-            record = StoreRecord(
-                seq=seq,
-                pc=pc,
-                addr=addr,
-                addr_ready=addr_ready,
-                data_ready=complete,
-                commit=commit,
-            )
-            sq = self.sq
-            window = self._sq_window
-            by_addr = self._sq_by_addr
-            if len(window) == sq.entries:
-                evicted = window[0]
-                if by_addr.get(evicted.addr) is evicted:
-                    del by_addr[evicted.addr]
-            window.append(record)
-            by_addr[addr] = record
-            sq._commit_ring[sq._head] = commit
-            sq._head = (sq._head + 1) % sq.entries
-            if sq._count < sq.entries:
-                sq._count += 1
-            store_by_seq = self._store_by_seq
-            store_by_seq[seq] = record
-            fifo = self._store_seq_fifo
-            fifo.append(seq)
-            if len(fifo) > self._store_fifo_cap:
-                store_by_seq.pop(fifo.popleft(), None)
-            # The store writes the cache when it commits.
-            sb[F_DC_ACC] += 1
-            l2 = self.l2
-            before_l2 = l2.hits + l2.misses
-            lat_d = self._dcache_access(addr)
-            if lat_d > self._l1d_latency:
-                sb[F_DC_MISS] += 1
-            sb[F_L2_ACC] += l2.hits + l2.misses - before_l2
-
-        # ---- writeback / scoreboard ----------------------------------
-        dest = rec[5]
-        if dest is not None:
-            if dest != "r0":
-                regs = self.regs
-                regs.renames += 1
-                regs_ready[dest] = complete
-                self._regs_producer[dest] = seq
-            sb[F_RF_WRITES] += 1
-        # Readiness is re-read *after* the define so a dest that is also
-        # a source sees its new value — matching the interpreted model.
-        for src in srcs:
-            if issue - regs_ready.get(src, 0) <= 2:
-                sb[F_BYPASS] += 1
-            else:
-                sb[F_RF_READS] += 1
-
-        self._uniform_count += 1
-        self.next_fetch_cycle = next_fetch
-        self.fetch_barrier = barrier
-        ops = self._ops_since_prune + 1
-        if ops >= self.PRUNE_INTERVAL:
-            self._ops_since_prune = 0
-            self._prune_slot_windows()
-        else:
-            self._ops_since_prune = ops
-        return InstrTiming(seq, fetch, dispatch, issue, complete, commit,
+                self._ops_since_prune = ops
+            if index >= stop:
+                break
+        self._uniform_count += stop - start
+        return InstrTiming(seq - 1, fetch, dispatch, issue, complete, commit,
                            mispredicted, violated)
 
     # ------------------------------------------------------------------
@@ -605,12 +696,6 @@ class FastOOOPipeline(OOOPipeline):
                 setattr(stats, name, getattr(stats, name) + value)
                 sb[index] = 0
         return super().finish()
-
-    def run_trace(self, trace) -> PipelineResult:
-        process = self.process
-        for dyn in trace:
-            process(dyn)
-        return self.finish()
 
 
 def make_pipeline(

@@ -482,6 +482,15 @@ class OOOPipeline:
         return InstrTiming(seq, fetch, dispatch, issue, complete, commit,
                            mispredicted, violated)
 
+    def process_span(self, trace, start: int, stop: int) -> InstrTiming | None:
+        """Process ``trace[start:stop]`` in order — the host entry the
+        framework calls.  Returns the last instruction's timing, or None
+        for an empty span."""
+        timing = None
+        for index in range(start, stop):
+            timing = self.process(trace[index])
+        return timing
+
     # ------------------------------------------------------------------
     # Primitives for the DynaSpAM framework
     # ------------------------------------------------------------------
@@ -580,6 +589,5 @@ class OOOPipeline:
 
     def run_trace(self, trace) -> PipelineResult:
         """Convenience: process a full dynamic trace on the host pipeline."""
-        for dyn in trace:
-            self.process(dyn)
+        self.process_span(trace, 0, len(trace))
         return self.finish()

@@ -1,5 +1,7 @@
 """Unit tests for the configuration cache."""
 
+import pytest
+
 from repro.core.config_cache import ConfigCache
 
 
@@ -82,3 +84,10 @@ def test_reads_and_writes_counted():
     cache.lookup(("a",))
     assert cache.reads == 2
     assert cache.writes == 1
+
+
+def test_non_positive_clear_interval_rejected():
+    for interval in (0, -5):
+        with pytest.raises(ValueError):
+            ConfigCache(clear_interval=interval)
+    ConfigCache(clear_interval=1)

@@ -157,6 +157,18 @@ def test_invalid_configs_rejected():
         DynaSpAMConfig(mapper="bogus")
 
 
+@pytest.mark.parametrize("field", [
+    "trace_length", "max_branches", "tcache_clear_interval",
+    "config_clear_interval",
+])
+def test_non_positive_loop_bounds_rejected(field):
+    with pytest.raises(ValueError, match=field):
+        DynaSpAMConfig(**{field: 0})
+    with pytest.raises(ValueError, match=field):
+        DynaSpAMConfig(**{field: -1})
+    DynaSpAMConfig(**{field: 1})
+
+
 def test_speculation_off_is_no_faster():
     result = run_program(hot_loop(), make_memory())
     fast = dyna(speculation=True).run(result.trace, result.program)

@@ -1,5 +1,7 @@
 """Unit tests for trace window building and the T-Cache."""
 
+import pytest
+
 from repro.core.tcache import TCache, TraceWindowBuilder
 from repro.isa.builder import ProgramBuilder
 from repro.isa.executor import FunctionalExecutor
@@ -164,3 +166,12 @@ def test_capacity_eviction():
         w.anchor_pc = anchor
         tcache.observe(w)
     assert len(tcache._counters) <= 2
+
+
+def test_non_positive_bounds_rejected():
+    with pytest.raises(ValueError):
+        TCache(clear_interval=0)
+    with pytest.raises(ValueError):
+        TraceWindowBuilder(max_length=0)
+    with pytest.raises(ValueError):
+        TraceWindowBuilder(max_branches=0)
