@@ -32,7 +32,7 @@ def add_cache_arguments(parser: argparse.ArgumentParser) -> None:
              "(default: cpu count, clamped to 8 under CI; "
              "REPRO_MAX_JOBS caps both)")
     parser.add_argument("--no-cache", action="store_true",
-                        help="disable the on-disk trace/result cache")
+                        help="disable the on-disk run cache")
     parser.add_argument("--profile", action="store_true",
                         help="print per-phase wall clock and cache counters")
 

@@ -1,4 +1,4 @@
-"""Content-addressed on-disk cache for traces and completed runs.
+"""Content-addressed on-disk cache for completed runs.
 
 Entries are pickled values addressed by the SHA-256 of a canonical key
 string built from ``(namespace, cache format version, code fingerprint,
@@ -9,6 +9,9 @@ whole cache rather than ever serving stale simulation results.
 Writes are atomic (temp file + ``os.replace``); loads tolerate corruption
 (any unpickle error counts as a miss and removes the bad file, so the
 caller falls back to re-simulation).
+
+Dynamic traces are not cached here: ``repro.workloads.generate_trace``
+regenerates one for about what loading it would cost.
 
 The cache root defaults to ``.repro_cache`` under the current directory
 and can be overridden with the ``REPRO_CACHE_DIR`` environment variable or
@@ -160,7 +163,7 @@ class DiskCache:
 
 
 # ---------------------------------------------------------------------------
-# Process-wide shared caches (the runner and trace generator use these).
+# Process-wide shared caches (the runner uses these).
 # ---------------------------------------------------------------------------
 _state: dict = {"enabled": None, "root": None, "caches": {}}
 

@@ -2,10 +2,12 @@
 
 Every experiment sweep is embarrassingly parallel across ``RunSpec``s.
 ``execute_runs`` resolves what it can from the local caches, groups the
-remaining work by ``(benchmark, scale)`` so each worker generates (or
-disk-loads) a trace once, fans the groups out over a ``ProcessPoolExecutor``,
-and merges worker results back into the parent's in-memory and on-disk
-caches.  Serial and parallel execution produce bit-identical results: a
+remaining work by ``(benchmark, scale)`` so each worker generates a trace
+once, fans the groups out over a ``ProcessPoolExecutor``, and merges
+worker results back into the parent's in-memory and on-disk run caches.
+Traces never cross the process boundary: trace generation is
+deterministic, so a worker regenerates exactly the trace the parent
+would.  Serial and parallel execution produce bit-identical results: a
 run never depends on any other run.
 """
 

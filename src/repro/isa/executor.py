@@ -5,17 +5,28 @@ trace-driven: they consume the correct-path dynamic instruction stream this
 executor produces.  Each ``DynamicInstruction`` carries the resolved branch
 outcome and effective memory address, which is everything a timing model
 needs; values stay inside the executor.
+
+``FunctionalExecutor.run`` predecodes: the first execution of a PC turns
+its static instruction into a handler with the operation, the source
+register dicts, the immediate, the successor PCs and the destination write
+bound, so each later execution costs one dict probe and one call.
+``FunctionalExecutor._step`` stays the per-instruction reference semantics:
+``repro.fabric.functional.CoSimulator`` steps with it, and the handlers
+reproduce it exactly, down to value types and errors
+(``tests/isa/test_executor_decode.py`` checks the two against each other).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.isa.instructions import DynamicInstruction, Instruction, WORD_SIZE
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
-from repro.isa.registers import ArchRegisterFile
+from repro.isa.registers import ALL_REGS, ZERO_REG, ArchRegisterFile
 
 
 class ExecutionLimitExceeded(Exception):
@@ -81,36 +92,36 @@ class FunctionalExecutor:
         self.max_instructions = max_instructions
 
     def run(
-        self,
-        program: Program,
-        memory: Memory | None = None,
-        registers: ArchRegisterFile | None = None,
-        collect_trace: bool = True,
+        self, program: Program, memory: Memory | None = None
     ) -> ExecutionResult:
-        """Execute ``program`` to completion and return its dynamic trace."""
+        """Execute ``program`` to completion and return its dynamic trace,
+        decoding each PC into a handler on its first execution."""
         memory = memory if memory is not None else Memory()
-        regs = registers if registers is not None else ArchRegisterFile()
+        regs = ArchRegisterFile()
         trace: list[DynamicInstruction] = []
-        pc = program.entry_pc
-        seq = 0
+        handlers: dict[int, Callable[[int], int | None]] = {}
+        handler_at = handlers.get
         by_pc = program.by_pc
+        pc = program.entry_pc
 
-        while True:
-            if seq >= self.max_instructions:
-                raise ExecutionLimitExceeded(
-                    f"{program.name}: exceeded {self.max_instructions} dynamic instructions"
+        for seq in range(self.max_instructions):
+            handler = handler_at(pc)
+            if handler is None:
+                inst = by_pc.get(pc)
+                if inst is None:
+                    raise RuntimeError(
+                        f"{program.name}: fell off program at pc=0x{pc:x}"
+                    )
+                handler = handlers[pc] = _decode(
+                    self, program, inst, pc, regs, memory, trace.append
                 )
-            inst = by_pc.get(pc)
-            if inst is None:
-                raise RuntimeError(f"{program.name}: fell off program at pc=0x{pc:x}")
-
-            addr, taken, next_pc, halted = self._step(program, inst, regs, memory, pc)
-            if collect_trace:
-                trace.append(DynamicInstruction(seq, inst, addr, taken, next_pc))
-            seq += 1
-            if halted:
+            pc = handler(seq)
+            if pc is None:
                 break
-            pc = next_pc
+        else:
+            raise ExecutionLimitExceeded(
+                f"{program.name}: exceeded {self.max_instructions} dynamic instructions"
+            )
 
         return ExecutionResult(program, trace, regs, memory)
 
@@ -233,3 +244,225 @@ class FunctionalExecutor:
             next_pc = program.target_pc(inst) if taken else fallthrough
 
         return addr, taken, next_pc, halted
+
+
+# ---------------------------------------------------------------------------
+# Predecoding
+# ---------------------------------------------------------------------------
+def _identity(value):
+    """MOV's operation, and the coercion of an ``r0`` write (whose value
+    lands in a throwaway dict: computed, then dropped)."""
+    return value
+
+
+def _rem(a, b):
+    divisor = int(b)
+    return 0 if divisor == 0 else a % divisor
+
+
+#: ``dest <- op(src0, second operand)``, each exactly as ``_step`` computes
+#: it (the second operand is ``srcs[1]`` when present, else ``imm``).
+_BINARY = {
+    Opcode.ADD: operator.add,
+    Opcode.SUB: operator.sub,
+    Opcode.AND: lambda a, b: a & int(b),
+    Opcode.OR: lambda a, b: a | int(b),
+    Opcode.XOR: lambda a, b: a ^ int(b),
+    Opcode.SHL: lambda a, b: a << int(b),
+    Opcode.SHR: lambda a, b: a >> int(b),
+    Opcode.SLT: lambda a, b: 1 if a < b else 0,
+    Opcode.SLE: lambda a, b: 1 if a <= b else 0,
+    Opcode.SEQ: lambda a, b: 1 if a == b else 0,
+    Opcode.MIN: min,
+    Opcode.MAX: max,
+    Opcode.MUL: operator.mul,
+    Opcode.DIV: lambda a, b: 0 if b == 0 else int(a / b),
+    Opcode.REM: _rem,
+    Opcode.FADD: operator.add,
+    Opcode.FSUB: operator.sub,
+    Opcode.FMUL: operator.mul,
+    Opcode.FDIV: lambda a, b: 0.0 if b == 0 else a / b,
+    Opcode.FMIN: min,
+    Opcode.FMAX: max,
+    Opcode.FSLT: lambda a, b: 1 if a < b else 0,
+    Opcode.FSLE: lambda a, b: 1 if a <= b else 0,
+}
+
+#: ``dest <- op(src0)``.
+_UNARY = {
+    Opcode.ABS: abs,
+    Opcode.MOV: _identity,
+    Opcode.FMOV: _identity,
+    Opcode.FSQRT: lambda v: math.sqrt(v) if v > 0 else 0.0,
+    Opcode.FABS: abs,
+    Opcode.FNEG: operator.neg,
+    Opcode.CVTIF: float,
+    Opcode.CVTFI: int,
+}
+
+_BRANCH = {
+    Opcode.BEQ: operator.eq,
+    Opcode.BNE: operator.ne,
+    Opcode.BLT: operator.lt,
+    Opcode.BGE: operator.ge,
+}
+
+
+def _decode(executor, program, inst, pc, regs, memory, emit):
+    """The handler for ``inst`` at ``pc``.
+
+    ``handler(seq)`` executes the instruction, emits its
+    ``DynamicInstruction`` and returns the next PC, or ``None`` after HALT.
+    Register operands bind to the dict that holds them, and the destination
+    write binds to its coercion: ``int`` or ``float`` by register class,
+    dropped for ``r0``.  An instruction no template expresses exactly (an
+    unknown register, a missing operand or target, an immediate that does
+    not coerce) runs through ``executor._step`` instead, so it behaves, and
+    fails, exactly as the reference does.
+    """
+    op = inst.opcode
+    fall = pc + WORD_SIZE
+    DI = DynamicInstruction
+
+    def reference(seq):
+        addr, taken, next_pc, halted = executor._step(
+            program, inst, regs, memory, pc
+        )
+        emit(DI(seq, inst, addr, taken, next_pc))
+        return None if halted else next_pc
+
+    srcs, dest = inst.srcs, inst.dest
+    if not ALL_REGS.issuperset(srcs) or (
+            dest is not None and dest not in ALL_REGS):
+        return reference
+    ints, fps = regs._int, regs._fp
+    banks = [ints if name in ints else fps for name in srcs]
+    if srcs:
+        a, ra = srcs[0], banks[0]
+    if len(srcs) >= 2:
+        b, rb = srcs[1], banks[1]
+    check = memory._check
+
+    if op is Opcode.HALT:
+        def halt(seq):
+            emit(DI(seq, inst, None, None, fall))
+        return halt
+
+    if op is Opcode.NOP:
+        def nop(seq):
+            emit(DI(seq, inst, None, None, fall))
+            return fall
+        return nop
+
+    target = program.label_pc.get(inst.target)
+    if op is Opcode.JMP:
+        if target is None:
+            return reference
+
+        def jump(seq):
+            emit(DI(seq, inst, None, None, target))
+            return target
+        return jump
+
+    if op in _BRANCH:
+        if len(srcs) < 2 or target is None:
+            return reference
+        compare = _BRANCH[op]
+
+        def branch(seq):
+            taken = compare(ra[a], rb[b])
+            next_pc = target if taken else fall
+            emit(DI(seq, inst, None, taken, next_pc))
+            return next_pc
+        return branch
+
+    if op is Opcode.SW or op is Opcode.FSW:
+        offset = _coerced(int, inst.imm or 0)
+        if len(srcs) < 2 or offset is None:
+            return reference
+        words = memory._words
+
+        def store(seq):
+            addr = int(ra[a]) + offset
+            value = rb[b]
+            if addr < 0 or addr % WORD_SIZE:
+                check(addr)
+            words[addr] = value
+            emit(DI(seq, inst, addr, None, fall))
+            return fall
+        return store
+
+    # Every remaining operation writes ``dest``.
+    if dest is None:
+        return reference
+    if dest == ZERO_REG:
+        dst, coerce = {}, _identity
+    elif dest in ints:
+        dst, coerce = ints, int
+    else:
+        dst, coerce = fps, float
+
+    if op is Opcode.LI or op is Opcode.FLI:
+        value = _coerced(coerce, inst.imm)
+        if value is None:
+            return reference
+
+        def load_immediate(seq):
+            dst[dest] = value
+            emit(DI(seq, inst, None, None, fall))
+            return fall
+        return load_immediate
+
+    if not srcs:
+        return reference
+
+    if op is Opcode.LW or op is Opcode.FLW:
+        offset = _coerced(int, inst.imm or 0)
+        if offset is None:
+            return reference
+        word_at = memory._words.get
+
+        def load(seq):
+            addr = int(ra[a]) + offset
+            if addr < 0 or addr % WORD_SIZE:
+                check(addr)
+            dst[dest] = coerce(word_at(addr, 0))
+            emit(DI(seq, inst, addr, None, fall))
+            return fall
+        return load
+
+    if op in _UNARY:
+        fn = _UNARY[op]
+
+        def unary(seq):
+            dst[dest] = coerce(fn(ra[a]))
+            emit(DI(seq, inst, None, None, fall))
+            return fall
+        return unary
+
+    if op in _BINARY:
+        fn = _BINARY[op]
+        if len(srcs) >= 2:
+            def binary(seq):
+                dst[dest] = coerce(fn(ra[a], rb[b]))
+                emit(DI(seq, inst, None, None, fall))
+                return fall
+            return binary
+        imm = inst.imm
+
+        def binary_imm(seq):
+            dst[dest] = coerce(fn(ra[a], imm))
+            emit(DI(seq, inst, None, None, fall))
+            return fall
+        return binary_imm
+
+    return reference
+
+
+def _coerced(coerce, value):
+    """``coerce(value)`` folded at decode time, or ``None`` when it raises
+    (the instruction then runs through the reference step)."""
+    try:
+        return coerce(value)
+    except (TypeError, ValueError, OverflowError):
+        return None

@@ -1,8 +1,11 @@
 """Benchmark registry and trace generation.
 
 ``BENCHMARKS`` maps the paper's Table 3 abbreviations to ``Benchmark``
-records; ``generate_trace`` runs a kernel functionally and caches the
-resulting dynamic trace (trace generation dominates test runtime otherwise).
+records; ``generate_trace`` runs a kernel functionally and keeps the
+resulting dynamic trace in an in-process cache.  Traces are not persisted:
+regenerating one with the predecoded executor costs about what loading it
+from disk would (docs/internals.md section 7), and writing it would cost
+every cold run more.
 """
 
 from __future__ import annotations
@@ -80,26 +83,20 @@ def get_benchmark(abbrev: str) -> Benchmark:
 def generate_trace(abbrev: str, scale: float = 1.0) -> ExecutionResult:
     """Functionally execute a benchmark and return its (cached) trace.
 
-    Traces resolve through the in-process cache, then the on-disk cache
-    (parallel sweep workers share generated traces this way), and are
-    regenerated only when both miss.
+    Traces resolve through the in-process cache and are regenerated on a
+    miss, never loaded from disk.  A kernel's trace is a pure function of
+    ``(abbrev, scale)``, so every process (a parallel sweep's workers
+    included) regenerates the same one.
     """
     key = (abbrev, scale)
-    if key not in _TRACE_CACHE:
-        # Imported lazily: workloads sit below the harness layer.
-        import repro.harness.diskcache as diskcache
-
-        disk = diskcache.shared_cache("traces")
-        result = disk.get(("trace", abbrev, scale)) if disk else None
-        if result is None:
-            program, memory = get_benchmark(abbrev).build(scale)
-            result = FunctionalExecutor(max_instructions=20_000_000).run(
-                program, memory
-            )
-            if disk is not None:
-                disk.put(("trace", abbrev, scale), result)
+    result = _TRACE_CACHE.get(key)
+    if result is None:
+        program, memory = get_benchmark(abbrev).build(scale)
+        result = FunctionalExecutor(max_instructions=20_000_000).run(
+            program, memory
+        )
         _TRACE_CACHE[key] = result
-    return _TRACE_CACHE[key]
+    return result
 
 
 def clear_trace_cache() -> None:

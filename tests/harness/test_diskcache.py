@@ -1,6 +1,12 @@
 """Tests for the content-addressed on-disk cache and its runner wiring."""
 
+import hashlib
+import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,8 +20,11 @@ from repro.harness.runner import (
     run_dynaspam,
 )
 from repro.ooo.config import CoreConfig
+from repro.workloads import ALL_ABBREVS, generate_trace
+from repro.workloads.suite import clear_trace_cache
 
 SCALE = 0.05
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture
@@ -157,3 +166,46 @@ def test_run_keys_pickle_and_repr_stably():
     clone = pickle.loads(pickle.dumps(key))
     assert clone == key
     assert repr(clone) == repr(key)
+
+
+def test_cold_run_persists_runs_only(isolated_disk):
+    clear_run_cache()
+    clear_trace_cache()
+    generate_trace("KM", SCALE)
+    run_dynaspam("KM", SCALE)
+    clear_run_cache()
+    assert [p.name for p in isolated_disk.iterdir()] == ["runs"]
+
+
+def trace_digests() -> dict[str, str]:
+    """Per-kernel digest of a freshly generated trace at ``SCALE``: every
+    dynamic instruction, the final registers and the memory image."""
+    clear_trace_cache()
+    digests = {}
+    for abbrev in ALL_ABBREVS:
+        run = generate_trace(abbrev, SCALE)
+        digest = hashlib.sha256()
+        for dyn in run.trace:
+            digest.update(repr((dyn.seq, dyn.pc, dyn.opcode.value, dyn.addr,
+                                dyn.taken, dyn.next_pc)).encode())
+        digest.update(repr(run.registers.snapshot()).encode())
+        digest.update(repr(sorted(run.memory._words.items())).encode())
+        digests[abbrev] = digest.hexdigest()
+    return digests
+
+
+def test_traces_are_identical_across_hash_seeds():
+    """Each process regenerates traces instead of sharing a trace file, so
+    generation must not depend on string hashing."""
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=str(REPO_ROOT / "src"), REPRO_DISK_CACHE="0")
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import json\n"
+         "from tests.harness.test_diskcache import trace_digests\n"
+         "print(json.dumps(trace_digests()))"],
+        capture_output=True, text=True, env=env, cwd=REPO_ROOT, timeout=300,
+        check=True,
+    )
+    assert json.loads(child.stdout) == trace_digests()
