@@ -36,6 +36,7 @@ from repro.core.priority import (
 from repro.core.tables import MappingTables, livein_token, pos_token, Token
 from repro.fabric.config import FabricConfig
 from repro.fabric.configuration import Configuration, OperandSource, PlacedOp
+from repro.fabric.stripe import build_stripes
 from repro.isa.instructions import DynamicInstruction
 from repro.isa.opcodes import FU_PIPELINED, OpClass, latency_of
 from repro.ooo.config import CoreConfig
@@ -149,6 +150,10 @@ class ResourceAwareMapper:
     ) -> None:
         self.fabric_config = fabric_config or FabricConfig()
         self.core_config = core_config or CoreConfig()
+        #: Built once: mapping only reads the stripes (PEs are frozen),
+        #: and ``MappingTables`` copies the channel capacities.
+        self._stripes = build_stripes(self.fabric_config)
+        self._stripe_channels = [s.pass_registers for s in self._stripes]
         self.encoder = PriorityEncoder()
         #: Ablation knob: with False, selection keeps the feasibility check
         #: but ignores the Table 2 routing preferences (pure host
@@ -208,13 +213,8 @@ class ResourceAwareMapper:
                 f"{len(last_def)} live-outs > {fcfg.liveout_fifos} FIFOs",
             )
 
-        from repro.fabric.stripe import build_stripes
-
-        stripes = build_stripes(fcfg)
-        tables = MappingTables(
-            fcfg.num_stripes,
-            [fcfg.channels_in_stripe(s) for s in range(fcfg.num_stripes)],
-        )
+        stripes = self._stripes
+        tables = MappingTables(fcfg.num_stripes, self._stripe_channels)
         placed: dict[int, PlacedOp] = {}
         unplaced = {op.pos: op for op in ops}
         consumers: dict[int, list[int]] = {}

@@ -26,6 +26,10 @@ class NaiveMapper:
         self, fabric_config: FabricConfig | None = None, bus=None
     ) -> None:
         self.fabric_config = fabric_config or FabricConfig()
+        #: Built once: mapping only reads the stripes (PEs are frozen),
+        #: and ``MappingTables`` copies the channel capacities.
+        self._stripes = build_stripes(self.fabric_config)
+        self._stripe_channels = [s.pass_registers for s in self._stripes]
         self.attempts = 0
         self.failures = 0
         #: Optional ``repro.obs.EventBus`` (None = tracing disabled).
@@ -76,11 +80,8 @@ class NaiveMapper:
                 f"{len(last_def)} live-outs > {fcfg.liveout_fifos} FIFOs",
             )
 
-        stripes = build_stripes(fcfg)
-        tables = MappingTables(
-            fcfg.num_stripes,
-            [fcfg.channels_in_stripe(s) for s in range(fcfg.num_stripes)],
-        )
+        stripes = self._stripes
+        tables = MappingTables(fcfg.num_stripes, self._stripe_channels)
         placed: dict[int, PlacedOp] = {}
         free_pes = {
             (s.index, pe.index): pe for s in stripes for pe in s.pes

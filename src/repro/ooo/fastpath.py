@@ -6,32 +6,38 @@ running several times faster.  It is the same model, re-expressed for
 the interpreter:
 
 * a per-``Instruction`` **decode cache**: opclass-derived facts (path
-  kind, latency, functional-unit pool dict/size/occupancy span, the
-  stats-counter slot, the fetch block) are resolved once per static
-  instruction instead of per dynamic instance — eliminating the
-  ``_EXEC_COUNTER`` dict lookup, ``getattr``/``setattr`` pair, enum
-  hashing, and ``latency_of`` call on every instruction;
+  kind, latency, source registers, renamed destination, functional-unit
+  pool dict/size/occupancy span, the fetch block, the predictor-table
+  index or SSIT slot) are resolved once per static instruction instead
+  of per dynamic instance;
 * ``process_span()`` is one flat, specialized loop over a run of the
   trace: branch/jump/load/store/ALU paths branch on a precomputed
-  small-int kind, slot allocation and the ring-buffer capacity models
-  are inlined, and the cursors, ring heads and counts live in locals for
-  the whole span (``process()`` is a span of one);
-* **batched statistics**: hot counters accumulate in a plain int list
-  indexed by module constants and flush additively into
+  small-int kind; slot allocation, the ring-buffer capacity models, the
+  branch predictor update, the BTB probe, the Store-Sets dispatch probes
+  and the commit-gap credit charge are inlined; each source register's
+  readiness is read once; the cursors, ring heads and counts live in
+  locals for the whole span (``process()`` is a span of one);
+* **batched statistics**: every counter that depends only on the static
+  instruction is one count per decoded static, fanned out in
+  ``finish()``; the other hot counters accumulate in a plain int list
+  indexed by module constants.  Both flush additively into
   ``PipelineStats`` in ``finish()`` (cold counters — fabric, mapping,
   drain, offload buckets — are still written directly by the framework,
   which is why the flush adds rather than assigns);
 * stall credits keep a running total so the common commit-gap case
   (no credits pending) skips the per-cause scan.
 
-Invariants the fast path relies on (and the base model now guarantees):
-the slot-count and FU-occupancy dicts are pruned *in place* (cached
-references stay valid), the store window is a bounded deque, and the
-``macro_*`` primitives used by the DynaSpAM framework mutate the same
-shared structures, so host and offload execution interleave freely.
+Invariants the fast path relies on (and the base model guarantees): the
+issue-slot and FU-occupancy dicts are pruned *in place* (cached
+references stay valid), the store window is a bounded deque, the fetch
+and commit fronts never move back (so each slot is one ``(cycle,
+count)`` pair), and the ``macro_*`` primitives used by the DynaSpAM
+framework mutate the same shared structures, so host and offload
+execution interleave freely.
 
 Bit-identity against the interpreted model is enforced by
-``tests/engine/test_fastpath_identity.py`` and CI's fastpath-identity
+``tests/engine/test_fastpath_identity.py``,
+``tests/engine/test_host_span_identity.py`` and CI's fastpath-identity
 job; ``repro perfbench`` measures the speedup.
 """
 
@@ -45,8 +51,8 @@ from repro.ooo.lsq import StoreRecord
 from repro.ooo.pipeline import InstrTiming, OOOPipeline, PipelineResult
 
 #: PipelineStats fields mirrored by the batched-counter list, in slot
-#: order.  Only counters touched by the per-instruction hot path belong
-#: here; everything else keeps writing ``stats`` directly.
+#: order.  Only counters the host span charges belong here; everything
+#: else keeps writing ``stats`` directly.
 _SB_FIELDS: tuple[str, ...] = (
     "fetches", "wrongpath_fetches", "icache_accesses", "icache_misses",
     "predictor_lookups", "branch_mispredicts", "btb_misses",
@@ -57,6 +63,8 @@ _SB_FIELDS: tuple[str, ...] = (
     "loads", "stores", "dcache_accesses", "dcache_misses", "l2_accesses",
     "store_forwards", "memory_violations",
     "commits", "rob_writes", "instructions", "cycles_host",
+    "cycles_squash_memory", "cycles_squash_branch", "cycles_drain",
+    "cycles_mapping", "cycles_frontend",
 )
 
 (F_FETCHES, F_WRONGPATH, F_IC_ACC, F_IC_MISS,
@@ -68,6 +76,7 @@ _SB_FIELDS: tuple[str, ...] = (
  F_LOADS, F_STORES, F_DC_ACC, F_DC_MISS, F_L2_ACC,
  F_FORWARDS, F_VIOLATIONS,
  F_COMMITS, F_ROB_WRITES, F_INSTRUCTIONS, F_CYCLES_HOST,
+ *_,
  ) = range(len(_SB_FIELDS))
 
 #: Stats slot charged for one execution of each opclass — the decode-time
@@ -88,9 +97,6 @@ _EXEC_SLOT: dict[OpClass, int] = {
 }
 
 #: Slots incremented exactly once per instruction, no matter its kind.
-#: ``process_span`` counts instructions in one scalar and ``finish`` fans
-#: the total out to these slots, saving six list increments per
-#: instruction.
 _UNIFORM_SLOTS: tuple[int, ...] = (
     F_FETCHES, F_RENAMES, F_DISPATCHES, F_SELECTIONS,
     F_COMMITS, F_ROB_WRITES, F_INSTRUCTIONS,
@@ -108,10 +114,10 @@ class FastOOOPipeline(OOOPipeline):
     """Decode-cached, inlined implementation of the timing model.
 
     Every structural model (ROB/RS/LQ/SQ rings, scoreboard dicts, FU
-    occupancy dicts, slot windows) is the *same object* the base class
-    owns; only the per-instruction control flow is re-expressed.  The
-    framework's ``macro_dispatch``/``macro_commit``/``drain`` therefore
-    work unchanged against a fast pipeline.
+    occupancy dicts, slot counts, predictor tables) is the *same object*
+    the base class owns; only the per-instruction control flow is
+    re-expressed.  The framework's ``macro_dispatch``/``macro_commit``/
+    ``drain`` therefore work unchanged against a fast pipeline.
     """
 
     def __init__(
@@ -121,47 +127,28 @@ class FastOOOPipeline(OOOPipeline):
         bus=None,
     ) -> None:
         super().__init__(config, conservative_memory, bus=bus)
-        cfg = self.config
-        self._fetch_width = cfg.fetch_width
-        self._issue_width = cfg.issue_width
-        self._commit_width = cfg.commit_width
-        self._frontend_depth = cfg.frontend_depth
-        self._block_bytes = cfg.block_bytes
-        self._l1i_latency = cfg.l1i_latency
-        self._l1d_latency = cfg.l1d_latency
-        self._btb_miss_penalty = cfg.btb_miss_penalty
-        self._mispredict_redirect = cfg.mispredict_redirect
-        self._store_forward_latency = cfg.store_forward_latency
-        self._violation_squash_penalty = cfg.violation_squash_penalty
-        self._rob_entries = cfg.rob_entries
-        self._storesets_enabled = cfg.storesets_enabled
-        self._store_fifo_cap = cfg.store_queue * 2
-        # Bound methods and interior structures of the shared models.
-        # All of these are identity-stable for the life of the pipeline
-        # (the base model prunes its dicts in place, never rebuilds).
-        self._icache_access = self.icache.access
-        self._dcache_access = self.dcache.access
-        self._bpred_update = self.bpred.predict_and_update
-        self._btb_lookup = self.bpred.btb_lookup
-        self._ss_load_dispatched = self.storesets.load_dispatched
-        self._ss_store_dispatched = self.storesets.store_dispatched
-        self._ss_train = self.storesets.train_violation
-        self._regs_ready = self.regs._ready
-        self._regs_producer = self.regs._producer
-        self._sq_window = self.sq._window
-        self._sq_by_addr = self.sq._by_addr
         #: id(static) -> decode record.  The record pins the static
         #: instruction (slot 0) so a recycled id can never alias a dead
         #: object's cache entry.
         self._decode: dict[int, tuple] = {}
+        #: Executions of each decoded static instruction since the last
+        #: ``finish``, indexed by its record's count slot, and the
+        #: batched counters one execution bumps whatever its timing —
+        #: ``(stats slot, increment)`` pairs that ``finish`` fans the
+        #: counts out to.
+        self._static_counts: list[int] = []
+        self._fanout: list[tuple[tuple[int, int], ...]] = []
         self._sb: list[int] = [0] * len(_SB_FIELDS)
-        #: Instructions processed since the last ``finish`` — fanned out
-        #: to the ``_UNIFORM_SLOTS`` counters at flush time.
-        self._uniform_count = 0
-        #: Sum of ``_stall_credit`` values, maintained by the overridden
-        #: credit hooks so the commit hot path can skip the per-cause
-        #: scan whenever no credit is pending (the common case).
+        #: Sum of ``_stall_credit`` values, kept coherent by
+        #: ``_credit_stall`` and the span, so a commit gap skips the
+        #: per-cause scan whenever no credit is pending (the common case).
         self._credit_total = 0
+        #: ``(cause, stats slot)`` in the order ``_charge_commit_gap``
+        #: consumes credits: severest cause first.
+        self._credit_slots = tuple(
+            (cause, _SB_FIELDS.index(name))
+            for cause, name in self._credit_fields.items()
+        )
 
     # ------------------------------------------------------------------
     # Decode cache
@@ -181,50 +168,59 @@ class FastOOOPipeline(OOOPipeline):
         latency = static.latency
         pool = POOL_OF[opclass]
         srcs = static.srcs
+        nsrcs = len(srcs)
+        dest = static.dest
+        renamed = None if dest == "r0" else dest   # r0 is never renamed
+        if kind == _KIND_BRANCH:
+            index = (static.pc >> 2) & self.bpred.mask
+        elif kind == _KIND_LOAD or kind == _KIND_STORE:
+            index = (static.pc >> 2) % self.storesets.ssit_entries
+        else:
+            index = 0
+
+        fanout = [(field, 1) for field in _UNIFORM_SLOTS]
+        fanout.append((_EXEC_SLOT[opclass], 1))
+        if nsrcs:
+            fanout.append((F_WAKEUPS, nsrcs))
+        if dest is not None:
+            fanout.append((F_RF_WRITES, 1))
+        if kind == _KIND_BRANCH:
+            fanout.append((F_PRED, 1))
+        elif kind == _KIND_LOAD:
+            fanout.append((F_LOADS, 1))
+        elif kind == _KIND_STORE:
+            # The store writes the D-cache when it commits.
+            fanout += [(F_STORES, 1), (F_DC_ACC, 1)]
+        slot = len(self._fanout)
+        self._fanout.append(tuple(fanout))
+        self._static_counts.append(0)
+
+        src_a = srcs[0] if nsrcs else None
+        src_b = srcs[1] if nsrcs > 1 else None
         rec = (
             static,                          # 0: pin against id reuse
             kind,                            # 1
             latency,                         # 2
-            srcs,                            # 3
-            len(srcs),                       # 4
-            static.dest,                     # 5
-            _EXEC_SLOT[opclass],             # 6
-            self.fus._busy[pool],            # 7: pool occupancy dict
-            self.fus._sizes[pool],           # 8
-            1 if FU_PIPELINED[opclass] else (latency if latency > 1 else 1),  # 9
-            static.pc // self._block_bytes,  # 10: fetch block
+            nsrcs,                           # 3
+            src_a,                           # 4
+            src_b,                           # 5
+            renamed is not None and src_a == renamed,   # 6
+            renamed is not None and src_b == renamed,   # 7
+            renamed,                         # 8
+            self.fus._busy[pool],            # 9: pool occupancy dict
+            self.fus._sizes[pool],           # 10
+            1 if FU_PIPELINED[opclass] else (latency if latency > 1 else 1),  # 11
+            static.pc // self.config.block_bytes,  # 12: fetch block
+            index,                           # 13: predictor index / SSIT slot
+            slot,                            # 14: count slot
         )
         self._decode[key] = rec
         return rec
 
-    # ------------------------------------------------------------------
-    # Stall-credit hooks (keep _credit_total coherent with the dict;
-    # also used by the base-class drain/stall_fetch_until/macro paths)
-    # ------------------------------------------------------------------
     def _credit_stall(self, cause: str, cycles: int) -> None:
         if cycles > 0:
             self._stall_credit[cause] += cycles
             self._credit_total += cycles
-
-    def _charge_commit_gap(self, gap: int, bucket: str | None) -> None:
-        stats = self.stats
-        if bucket == "offload":
-            stats.cycles_offload += gap
-            return
-        if self._credit_total:
-            credit = self._stall_credit
-            for cause, field_name in self._credit_fields.items():
-                if not gap:
-                    break
-                available = credit[cause]
-                if available:
-                    take = available if available < gap else gap
-                    credit[cause] = available - take
-                    self._credit_total -= take
-                    setattr(stats, field_name,
-                            getattr(stats, field_name) + take)
-                    gap -= take
-        stats.cycles_host += gap
 
     # ------------------------------------------------------------------
     # The compiled host path
@@ -237,57 +233,69 @@ class FastOOOPipeline(OOOPipeline):
     def process_span(self, trace, start: int, stop: int) -> InstrTiming | None:
         """Assign cycles to ``trace[start:stop]`` (fast engine).
 
-        The pipeline cursors, the ROB/RS/LQ/SQ ring heads and counts, the
-        FU high-water mark and the rename count live in locals for the
-        whole span.  They are written back once at the end, and before
-        each slot-window prune the span crosses; the span is cut into
-        chunks at those prunes, so the inner loop never tests for one.
+        The pipeline cursors, fetch and commit slots, ROB/RS/LQ/SQ ring
+        heads and counts, the FU high-water mark, the rename count, the
+        branch history and the pending stall-credit total live in locals
+        for the whole span.  They are written back once at the end, and
+        before each slot-window prune the span crosses; the span is cut
+        into chunks at those prunes, so the inner loop never tests for
+        one.  The branch predictor, BTB and Store-Sets dispatch probes
+        are inlined; their tables are the predictors' own objects.
         Returns the timing of the span's last instruction (None if the
         span is empty); no other ``InstrTiming`` is built.
         """
         if start >= stop:
             return None
+        cfg = self.config
         decode = self._decode
         decode_static = self._decode_static
+        static_counts = self._static_counts
         sb = self._sb
         stall_credit = self._stall_credit
-        fetch_counts = self._fetch_counts
+        credit_slots = self._credit_slots
         issue_counts = self._issue_counts
-        commit_counts = self._commit_counts
-        fetch_width = self._fetch_width
-        issue_width = self._issue_width
-        commit_width = self._commit_width
-        frontend_depth = self._frontend_depth
-        l1i_latency = self._l1i_latency
-        l1d_latency = self._l1d_latency
-        btb_miss_penalty = self._btb_miss_penalty
-        mispredict_redirect = self._mispredict_redirect
-        forward_latency = self._store_forward_latency
-        squash_penalty = self._violation_squash_penalty
-        wrongpath_cap = self._rob_entries
-        storesets_enabled = self._storesets_enabled
+        fetch_width = cfg.fetch_width
+        issue_width = cfg.issue_width
+        commit_width = cfg.commit_width
+        frontend_depth = cfg.frontend_depth
+        l1i_latency = cfg.l1i_latency
+        l1d_latency = cfg.l1d_latency
+        btb_miss_penalty = cfg.btb_miss_penalty
+        mispredict_redirect = cfg.mispredict_redirect
+        forward_latency = cfg.store_forward_latency
+        squash_penalty = cfg.violation_squash_penalty
+        wrongpath_cap = cfg.rob_entries
+        storesets_enabled = cfg.storesets_enabled
         conservative = self.conservative_memory
-        store_fifo_cap = self._store_fifo_cap
-        icache_access = self._icache_access
-        dcache_access = self._dcache_access
-        bpred_update = self._bpred_update
-        btb_lookup = self._btb_lookup
-        ss_load_dispatched = self._ss_load_dispatched
-        ss_store_dispatched = self._ss_store_dispatched
-        ss_train = self._ss_train
-        regs_ready = self._regs_ready
-        regs_producer = self._regs_producer
-        sq_window = self._sq_window
-        sq_by_addr = self._sq_by_addr
+        store_sets = storesets_enabled and not conservative
+        store_fifo_cap = cfg.store_queue * 2
+        icache_access = self.icache.access
+        dcache_access = self.dcache.access
+        bpred = self.bpred
+        bimodal = bpred.bimodal
+        gshare = bpred.gshare
+        chooser = bpred.chooser
+        stamps = bpred.update_stamp
+        mask = bpred.mask
+        tournament = bpred.kind == "tournament"
+        gshare_only = bpred.kind == "gshare"
+        btb = bpred.btb
+        btb_entries = bpred.btb_entries
+        storesets = self.storesets
+        ssit = storesets._ssit
+        lfst = storesets._lfst
+        regs = self.regs
+        regs_ready = regs._ready
+        regs_producer = regs._producer
         store_by_seq = self._store_by_seq
         store_fifo = self._store_seq_fifo
-        l2 = self.l2
         rob = self.rob
         rs = self.rs
         lq = self.lq
         sq = self.sq
         fus = self.fus
-        regs = self.regs
+        sq_window = sq._window
+        sq_by_addr = sq._by_addr
         rob_ring = rob._commit_ring
         rob_entries = rob.entries
         rs_ring = rs._issue_ring
@@ -302,14 +310,17 @@ class FastOOOPipeline(OOOPipeline):
         seq = self.seq
         next_fetch = self.next_fetch_cycle
         barrier = self.fetch_barrier
+        fetch, fetch_count = self._fetch_slot
         prev_dispatch = self.prev_dispatch_cycle
         prev_commit = self.prev_commit_cycle
-        last_commit = self.last_commit_cycle
+        commit_count = self._commit_count
         last_block = self._last_fetch_block
+        credit_total = self._credit_total
         ops = self._ops_since_prune
+        history = bpred.history
+        lookups = bpred.lookups
         rob_head = rob._head
         rob_count = rob._count
-        rob_last = rob.last_commit_cycle
         rs_head = rs._head
         rs_count = rs._count
         lq_head = lq._head
@@ -318,6 +329,8 @@ class FastOOOPipeline(OOOPipeline):
         sq_count = sq._count
         max_claimed = fus._max_claimed
         renames = regs.renames
+        bypass = 0
+        host_cycles = 0
 
         index = start
         while True:
@@ -328,57 +341,111 @@ class FastOOOPipeline(OOOPipeline):
                 rec = decode.get(id(static))
                 if rec is None or rec[0] is not static:
                     rec = decode_static(static, id(static))
-                (_, kind, latency, srcs, nsrcs, dest, exec_slot,
-                 busy, pool_size, span, block) = rec
+                (_, kind, latency, nsrcs, src_a, src_b, a_is_dest,
+                 b_is_dest, dest, busy, pool_size, span, block, table_index,
+                 count_slot) = rec
+                static_counts[count_slot] += 1
                 pc = dyn.pc
 
                 # ---- fetch & branch prediction -----------------------
+                # ``fetch`` is the cycle of the latest fetch, holding
+                # ``fetch_count`` fetches; the front never moves behind it.
                 cycle = next_fetch if next_fetch >= barrier else barrier
-                count = fetch_counts.get(cycle, 0)
-                while count >= fetch_width:
+                if cycle == fetch and fetch_count >= fetch_width:
                     cycle += 1
-                    count = fetch_counts.get(cycle, 0)
                 if block != last_block:
                     sb[F_IC_ACC] += 1
                     extra = icache_access(pc) - l1i_latency
                     if extra > 0:
                         sb[F_IC_MISS] += 1
                         cycle += extra
-                        count = fetch_counts.get(cycle, 0)
                         stall_credit["frontend"] += extra
-                        self._credit_total += extra
+                        credit_total += extra
                     last_block = block
-                fetch_counts[cycle] = count + 1
-                next_fetch = fetch = cycle
+                if cycle == fetch:
+                    fetch_count += 1
+                else:
+                    fetch = cycle
+                    fetch_count = 1
+                next_fetch = cycle
 
                 mispredicted = False
                 if kind == _KIND_BRANCH:
-                    sb[F_PRED] += 1
-                    taken = bool(dyn.taken)
-                    prediction = bpred_update(pc, taken)
+                    # Inlined BranchPredictor.predict_and_update: predict,
+                    # train both component tables and the chooser, stamp
+                    # every index whose stored value changes, shift the
+                    # history (which is always masked).
+                    taken = True if dyn.taken else False
+                    lookups += 1
+                    g_index = table_index ^ history
+                    b_counter = bimodal[table_index]
+                    g_counter = gshare[g_index]
+                    b_taken = b_counter >= 2
+                    g_taken = g_counter >= 2
+                    if tournament:
+                        prediction = (g_taken if chooser[table_index] >= 2
+                                      else b_taken)
+                    elif gshare_only:
+                        prediction = g_taken
+                    else:
+                        prediction = b_taken
+                    if taken:
+                        if b_counter < 3:
+                            bimodal[table_index] = b_counter + 1
+                            stamps[table_index] += 1
+                        if g_counter < 3:
+                            gshare[g_index] = g_counter + 1
+                            stamps[g_index] += 1
+                    else:
+                        if b_counter > 0:
+                            bimodal[table_index] = b_counter - 1
+                            stamps[table_index] += 1
+                        if g_counter > 0:
+                            gshare[g_index] = g_counter - 1
+                            stamps[g_index] += 1
+                    if b_taken != g_taken:
+                        counter = chooser[table_index]
+                        if g_taken == taken:
+                            if counter < 3:
+                                chooser[table_index] = counter + 1
+                                stamps[table_index] += 1
+                        elif counter > 0:
+                            chooser[table_index] = counter - 1
+                            stamps[table_index] += 1
+                    history = ((history << 1) | taken) & mask
                     if prediction != taken:
                         mispredicted = True
+                        bpred.mispredicts += 1
                         sb[F_MISP] += 1
                     if prediction:
-                        if not btb_lookup(pc):
+                        # Inlined BranchPredictor.btb_lookup.
+                        if pc in btb:
+                            # A correctly predicted taken branch ends the
+                            # fetch group.
+                            next_fetch = fetch + 1
+                        else:
+                            bpred.btb_misses += 1
+                            if len(btb) >= btb_entries:
+                                btb.pop()
+                            btb.add(pc)
                             sb[F_BTB] += 1
                             next_fetch = fetch + 1 + btb_miss_penalty
                             if btb_miss_penalty > 0:
                                 stall_credit["frontend"] += btb_miss_penalty
-                                self._credit_total += btb_miss_penalty
-                        else:
-                            # A correctly predicted taken branch ends the
-                            # fetch group.
-                            next_fetch = fetch + 1
+                                credit_total += btb_miss_penalty
                 elif kind == _KIND_JUMP:
-                    if not btb_lookup(pc):
+                    if pc in btb:
+                        next_fetch = fetch + 1
+                    else:
+                        bpred.btb_misses += 1
+                        if len(btb) >= btb_entries:
+                            btb.pop()
+                        btb.add(pc)
                         sb[F_BTB] += 1
                         next_fetch = fetch + 1 + btb_miss_penalty
                         if btb_miss_penalty > 0:
                             stall_credit["frontend"] += btb_miss_penalty
-                            self._credit_total += btb_miss_penalty
-                    else:
-                        next_fetch = fetch + 1
+                            credit_total += btb_miss_penalty
 
                 # ---- rename / dispatch (in order) --------------------
                 dispatch = fetch + frontend_depth
@@ -405,35 +472,52 @@ class FastOOOPipeline(OOOPipeline):
                 prev_dispatch = dispatch
 
                 # ---- operand readiness -------------------------------
+                # Each source's readiness is read once; the bypass check
+                # below reuses it.
                 ready = dispatch + 1
-                for src in srcs:
-                    other = regs_ready.get(src, 0)
-                    if other > ready:
-                        ready = other
-                sb[F_WAKEUPS] += nsrcs
+                if nsrcs:
+                    ready_a = regs_ready.get(src_a, 0)
+                    if ready_a > ready:
+                        ready = ready_a
+                    if nsrcs > 1:
+                        ready_b = regs_ready.get(src_b, 0)
+                        if ready_b > ready:
+                            ready = ready_b
+                        if nsrcs > 2:
+                            for src in static.srcs[2:]:
+                                other = regs_ready.get(src, 0)
+                                if other > ready:
+                                    ready = other
 
                 violated = False
                 if kind == _KIND_LOAD:
-                    sb[F_LOADS] += 1
                     if conservative:
                         older = sq.youngest_older(seq)
                         if older is not None and older.data_ready > ready:
                             ready = older.data_ready
                     elif storesets_enabled:
-                        wait_seq = ss_load_dispatched(pc)
-                        if wait_seq is not None:
-                            predicted = store_by_seq.get(wait_seq)
-                            if (predicted is not None
-                                    and predicted.data_ready > ready):
-                                ready = predicted.data_ready
+                        # Inlined StoreSetPredictor.load_dispatched.
+                        set_id = ssit.get(table_index)
+                        if set_id is not None:
+                            wait_seq = lfst.get(set_id)
+                            if wait_seq is not None:
+                                storesets.load_waits += 1
+                                predicted = store_by_seq.get(wait_seq)
+                                if (predicted is not None
+                                        and predicted.data_ready > ready):
+                                    ready = predicted.data_ready
                 elif kind == _KIND_STORE:
-                    sb[F_STORES] += 1
-                    if storesets_enabled and not conservative:
-                        prev_seq = ss_store_dispatched(pc, seq)
-                        if prev_seq is not None:
-                            prev = store_by_seq.get(prev_seq)
-                            if prev is not None and prev.data_ready > ready:
-                                ready = prev.data_ready
+                    if store_sets:
+                        # Inlined StoreSetPredictor.store_dispatched.
+                        set_id = ssit.get(table_index)
+                        if set_id is not None:
+                            prev_seq = lfst.get(set_id)
+                            lfst[set_id] = seq
+                            if prev_seq is not None:
+                                prev = store_by_seq.get(prev_seq)
+                                if (prev is not None
+                                        and prev.data_ready > ready):
+                                    ready = prev.data_ready
 
                 # ---- issue / execute ---------------------------------
                 # Inlined _alloc_issue: the earliest cycle with both a
@@ -470,7 +554,6 @@ class FastOOOPipeline(OOOPipeline):
                     max_claimed = end
                 issue_counts[cycle] = slots + 1
                 issue = cycle
-                sb[exec_slot] += 1
 
                 if kind == _KIND_LOAD:
                     addr = dyn.addr
@@ -492,13 +575,13 @@ class FastOOOPipeline(OOOPipeline):
                         violated = True
                         sb[F_VIOLATIONS] += 1
                         if storesets_enabled:
-                            ss_train(pc, alias.pc)
+                            storesets.train_violation(pc, alias.pc)
                         complete = alias.data_ready + forward_latency
                         front = next_fetch if next_fetch >= barrier else barrier
                         redirect = alias.addr_ready + squash_penalty
                         if redirect > front:
                             stall_credit["squash_memory"] += redirect - front
-                            self._credit_total += redirect - front
+                            credit_total += redirect - front
                         if redirect > barrier:
                             barrier = redirect
                     elif alias is not None:
@@ -510,11 +593,11 @@ class FastOOOPipeline(OOOPipeline):
                             complete = other
                     else:
                         sb[F_DC_ACC] += 1
-                        before_l2 = l2.hits + l2.misses
                         lat_d = dcache_access(addr)
                         if lat_d > l1d_latency:
+                            # An L1 miss probes the L2 exactly once.
                             sb[F_DC_MISS] += 1
-                        sb[F_L2_ACC] += l2.hits + l2.misses - before_l2
+                            sb[F_L2_ACC] += 1
                         complete = issue + 1 + lat_d
                     lq_ring[lq_head] = complete
                     lq_head += 1
@@ -533,7 +616,7 @@ class FastOOOPipeline(OOOPipeline):
                     redirect = complete + mispredict_redirect
                     if redirect > front:
                         stall_credit["squash_branch"] += redirect - front
-                        self._credit_total += redirect - front
+                        credit_total += redirect - front
                     if redirect > barrier:
                         barrier = redirect
                     # Wrong-path work is not simulated, but its front-end
@@ -546,28 +629,37 @@ class FastOOOPipeline(OOOPipeline):
                         sb[F_WRONGPATH] += wrong
 
                 # ---- commit ------------------------------------------
-                # Inlined _alloc_commit (bucket=None): when no stall
-                # credit is pending the whole gap is healthy host time.
+                # Inlined _alloc_commit (bucket=None).  The commit slot is
+                # (prev_commit, commit_count).
                 cycle = complete + 1
-                if prev_commit > cycle:
-                    cycle = prev_commit
-                gap = cycle - prev_commit
-                if gap:
-                    if self._credit_total:
-                        self._charge_commit_gap(gap, None)
-                    else:
-                        sb[F_CYCLES_HOST] += gap
-                count = commit_counts.get(cycle, 0)
-                while count >= commit_width:
-                    cycle += 1
+                if cycle > prev_commit:
+                    gap = cycle - prev_commit
+                    if credit_total:
+                        # Inlined _charge_commit_gap: pending stall credits
+                        # are consumed severest cause first; the rest of
+                        # the gap is healthy host time.
+                        for cause, credit_slot in credit_slots:
+                            available = stall_credit[cause]
+                            if available:
+                                take = available if available < gap else gap
+                                stall_credit[cause] = available - take
+                                credit_total -= take
+                                sb[credit_slot] += take
+                                gap -= take
+                                if not gap:
+                                    break
+                    host_cycles += gap
+                    prev_commit = cycle
+                    commit_count = 1
+                elif commit_count < commit_width:
+                    commit_count += 1
+                else:
                     # Commit-width contention is healthy throughput, not
                     # a stall.
-                    sb[F_CYCLES_HOST] += 1
-                    count = commit_counts.get(cycle, 0)
-                commit_counts[cycle] = count + 1
-                prev_commit = commit = cycle
-                if commit > last_commit:
-                    last_commit = commit
+                    prev_commit += 1
+                    host_cycles += 1
+                    commit_count = 1
+                commit = prev_commit
 
                 rob_ring[rob_head] = commit
                 rob_head += 1
@@ -575,8 +667,6 @@ class FastOOOPipeline(OOOPipeline):
                     rob_head = 0
                 if rob_count < rob_entries:
                     rob_count += 1
-                if commit > rob_last:
-                    rob_last = commit
                 rs_ring[rs_head] = issue
                 rs_head += 1
                 if rs_head == rs_entries:
@@ -589,10 +679,8 @@ class FastOOOPipeline(OOOPipeline):
                     # ready (AGU cycle), typically well before the store's
                     # data arrives.
                     base_ready = dispatch + 1
-                    if nsrcs:
-                        other = regs_ready.get(srcs[0], 0)
-                        if other > base_ready:
-                            base_ready = other
+                    if nsrcs and ready_a > base_ready:
+                        base_ready = ready_a
                     addr_ready = base_ready + 1
                     if issue < addr_ready:
                         addr_ready = issue
@@ -622,28 +710,32 @@ class FastOOOPipeline(OOOPipeline):
                     if len(store_fifo) > store_fifo_cap:
                         store_by_seq.pop(store_fifo.popleft(), None)
                     # The store writes the cache when it commits.
-                    sb[F_DC_ACC] += 1
-                    before_l2 = l2.hits + l2.misses
                     lat_d = dcache_access(addr)
                     if lat_d > l1d_latency:
                         sb[F_DC_MISS] += 1
-                    sb[F_L2_ACC] += l2.hits + l2.misses - before_l2
+                        sb[F_L2_ACC] += 1
 
                 # ---- writeback / scoreboard --------------------------
                 if dest is not None:
-                    if dest != "r0":
-                        renames += 1
-                        regs_ready[dest] = complete
-                        regs_producer[dest] = seq
-                    sb[F_RF_WRITES] += 1
-                # Readiness is re-read *after* the define so a dest that
-                # is also a source sees its new value — matching the
-                # interpreted model.
-                for src in srcs:
-                    if issue - regs_ready.get(src, 0) <= 2:
-                        sb[F_BYPASS] += 1
-                    else:
-                        sb[F_RF_READS] += 1
+                    renames += 1
+                    regs_ready[dest] = complete
+                    regs_producer[dest] = seq
+                # A source that is also the destination sees its new
+                # readiness, as the interpreted model's re-read does.
+                if nsrcs:
+                    if a_is_dest:
+                        ready_a = complete
+                    if issue - ready_a <= 2:
+                        bypass += 1
+                    if nsrcs > 1:
+                        if b_is_dest:
+                            ready_b = complete
+                        if issue - ready_b <= 2:
+                            bypass += 1
+                        if nsrcs > 2:
+                            for src in static.srcs[2:]:
+                                if issue - regs_ready.get(src, 0) <= 2:
+                                    bypass += 1
                 seq += 1
 
             ops += chunk_end - index
@@ -651,13 +743,19 @@ class FastOOOPipeline(OOOPipeline):
             self.seq = seq
             self.next_fetch_cycle = next_fetch
             self.fetch_barrier = barrier
+            self._fetch_slot = (fetch, fetch_count)
             self.prev_dispatch_cycle = prev_dispatch
+            # Commit cycles never decrease, so the latest is the largest.
             self.prev_commit_cycle = prev_commit
-            self.last_commit_cycle = last_commit
+            self.last_commit_cycle = prev_commit
+            self._commit_count = commit_count
             self._last_fetch_block = last_block
+            self._credit_total = credit_total
+            bpred.history = history
+            bpred.lookups = lookups
             rob._head = rob_head
             rob._count = rob_count
-            rob.last_commit_cycle = rob_last
+            rob.last_commit_cycle = prev_commit
             rs._head = rs_head
             rs._count = rs_count
             lq._head = lq_head
@@ -666,6 +764,9 @@ class FastOOOPipeline(OOOPipeline):
             sq._count = sq_count
             fus._max_claimed = max_claimed
             regs.renames = renames
+            sb[F_BYPASS] += bypass
+            sb[F_CYCLES_HOST] += host_cycles
+            bypass = host_cycles = 0
             if ops >= prune_interval:
                 ops = 0
                 self._ops_since_prune = 0
@@ -674,7 +775,6 @@ class FastOOOPipeline(OOOPipeline):
                 self._ops_since_prune = ops
             if index >= stop:
                 break
-        self._uniform_count += stop - start
         return InstrTiming(seq - 1, fetch, dispatch, issue, complete, commit,
                            mispredicted, violated)
 
@@ -682,14 +782,20 @@ class FastOOOPipeline(OOOPipeline):
     # Lifecycle
     # ------------------------------------------------------------------
     def finish(self) -> PipelineResult:
-        """Flush the batched counters, then finalize as usual."""
+        """Fan the per-static counts out, flush the batched counters, then
+        finalize as usual."""
         sb = self._sb
+        counts = self._static_counts
+        fanout = self._fanout
+        for slot, count in enumerate(counts):
+            if count:
+                counts[slot] = 0
+                for field, increment in fanout[slot]:
+                    sb[field] += increment * count
+        # Every source operand is either bypassed or read from the
+        # register file.
+        sb[F_RF_READS] = sb[F_WAKEUPS] - sb[F_BYPASS]
         stats = self.stats
-        n = self._uniform_count
-        if n:
-            self._uniform_count = 0
-            for index in _UNIFORM_SLOTS:
-                sb[index] += n
         for index, name in enumerate(_SB_FIELDS):
             value = sb[index]
             if value:

@@ -128,14 +128,19 @@ class OOOPipeline:
         self.sq = StoreQueueModel(cfg.store_queue)
         self.fus = FunctionalUnitPool(cfg.fu_pools)
 
-        # Sliding-window slot occupancy.  Keys are cycles; entries behind
-        # the watermarks proven in ``_prune_slot_windows`` can never be
-        # probed again and are deleted on a fixed instruction cadence, so
-        # memory stays bounded by the in-flight window instead of growing
-        # with total simulated cycles.
-        self._fetch_counts: dict[int, int] = {}
+        # Slot occupancy.  Fetch and commit are in order: every fetch lands
+        # at or after max(next_fetch_cycle, fetch_barrier) and every commit
+        # at or after prev_commit_cycle, and neither front ever moves back,
+        # so only the latest fetch (commit) cycle can still take more.  Each
+        # is one (cycle, count) pair; the commit slot's cycle is
+        # ``prev_commit_cycle`` itself.  Issue is out of order — a younger
+        # instruction may issue earlier — so issue slots are a dict keyed by
+        # cycle, and entries behind the watermark proven in
+        # ``_prune_slot_windows`` are deleted on a fixed instruction
+        # cadence, keeping memory bounded by the in-flight window.
+        self._fetch_slot: tuple[int, int] = (0, 0)
+        self._commit_count = 0
         self._issue_counts: dict[int, int] = {}
-        self._commit_counts: dict[int, int] = {}
         self._ops_since_prune = 0
         self._store_by_seq: dict[int, StoreRecord] = {}
         self._store_seq_fifo: deque[int] = deque()
@@ -171,12 +176,22 @@ class OOOPipeline:
     # ------------------------------------------------------------------
     # Slot allocation helpers
     # ------------------------------------------------------------------
+    def _open_fetch_slot(self) -> int:
+        """Earliest cycle at the fetch front with a fetch slot free."""
+        cycle = max(self.next_fetch_cycle, self.fetch_barrier)
+        slot_cycle, count = self._fetch_slot
+        if cycle == slot_cycle and count >= self.config.fetch_width:
+            cycle += 1
+        return cycle
+
+    def _take_fetch_slot(self, cycle: int) -> None:
+        slot_cycle, count = self._fetch_slot
+        self._fetch_slot = (cycle, count + 1 if cycle == slot_cycle else 1)
+        self.next_fetch_cycle = cycle
+
     def _alloc_fetch(self, pc: int) -> int:
         cfg = self.config
-        counts = self._fetch_counts
-        cycle = max(self.next_fetch_cycle, self.fetch_barrier)
-        while counts.get(cycle, 0) >= cfg.fetch_width:
-            cycle += 1
+        cycle = self._open_fetch_slot()
         block = pc // cfg.block_bytes
         if block != self._last_fetch_block:
             self.stats.icache_accesses += 1
@@ -186,8 +201,7 @@ class OOOPipeline:
                 cycle += latency - cfg.l1i_latency
                 self._credit_stall("frontend", latency - cfg.l1i_latency)
             self._last_fetch_block = block
-        counts[cycle] = counts.get(cycle, 0) + 1
-        self.next_fetch_cycle = cycle
+        self._take_fetch_slot(cycle)
         self.stats.fetches += 1
         return cycle
 
@@ -233,16 +247,18 @@ class OOOPipeline:
         stats.cycles_host += gap
 
     def _alloc_commit(self, complete: int, bucket: str | None = None) -> int:
-        counts = self._commit_counts
         cycle = max(complete + 1, self.prev_commit_cycle)
         gap = cycle - self.prev_commit_cycle
+        count = self._commit_count
         if gap:
             self._charge_commit_gap(gap, bucket)
-        while counts.get(cycle, 0) >= self.config.commit_width:
+            count = 0
+        if count >= self.config.commit_width:
             cycle += 1
+            count = 0
             # Commit-width contention is healthy throughput, not a stall.
             self.stats.cycles_host += 1
-        counts[cycle] = counts.get(cycle, 0) + 1
+        self._commit_count = count + 1
         self.prev_commit_cycle = cycle
         if cycle > self.last_commit_cycle:
             self.last_commit_cycle = cycle
@@ -255,38 +271,20 @@ class OOOPipeline:
     PRUNE_INTERVAL = 4096
 
     def _prune_slot_windows(self) -> None:
-        """Drop slot-count entries that can never be probed again.
+        """Drop issue-slot and FU-occupancy entries never probed again.
 
-        Safe watermarks (all allocation cursors are monotone):
-
-        * fetch slots are probed at cycles >= max(next_fetch_cycle,
-          fetch_barrier) — both only ever increase, and ``_alloc_fetch`` /
-          ``macro_dispatch`` re-read the count *at* the cursor, so entries
-          strictly below it are dead;
-        * issue slots (and FU occupancy) are probed at cycles >= ready >=
-          dispatch + 1 >= prev_dispatch_cycle + 1, so entries at or below
-          ``prev_dispatch_cycle`` are dead;
-        * commit slots are probed at cycles >= max(complete + 1,
-          prev_commit_cycle) >= prev_commit_cycle, so entries strictly
-          below ``prev_commit_cycle`` are dead.
+        Issue slots (and FU occupancy) are probed at cycles >= ready >=
+        dispatch + 1 >= prev_dispatch_cycle + 1, and ``prev_dispatch_cycle``
+        never decreases, so entries at or below it are dead.
 
         Deletion happens in place — never by rebuilding the dicts — because
         the fast path caches direct references to them.
         """
-        front = self.next_fetch_cycle
-        if self.fetch_barrier > front:
-            front = self.fetch_barrier
-        counts = self._fetch_counts
-        for cycle in [c for c in counts if c < front]:
-            del counts[cycle]
         issue_floor = self.prev_dispatch_cycle + 1
         counts = self._issue_counts
         for cycle in [c for c in counts if c < issue_floor]:
             del counts[cycle]
         self.fus.prune_before(issue_floor)
-        counts = self._commit_counts
-        for cycle in [c for c in counts if c < self.prev_commit_cycle]:
-            del counts[cycle]
 
     def _record_store(self, record: StoreRecord) -> None:
         self.sq.push(record)
@@ -550,12 +548,8 @@ class OOOPipeline:
         """
         seq = self.seq
         self.seq += 1
-        counts = self._fetch_counts
-        cycle = max(self.next_fetch_cycle, self.fetch_barrier)
-        while counts.get(cycle, 0) >= self.config.fetch_width:
-            cycle += 1
-        counts[cycle] = counts.get(cycle, 0) + 1
-        self.next_fetch_cycle = cycle
+        cycle = self._open_fetch_slot()
+        self._take_fetch_slot(cycle)
         dispatch = max(
             cycle + self.config.frontend_depth,
             self.rob.dispatch_ready_cycle(),
