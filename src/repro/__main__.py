@@ -524,8 +524,8 @@ def cmd_bench(args) -> int:
         speedup_warnings,
     )
     from repro.harness.__main__ import apply_cache_arguments
-    from repro.harness.profiling import PROFILER
     from repro.harness.runner import report_provenance
+    from repro.obs.runtime import TRACER
 
     apply_cache_arguments(args)
     if args.cold:
@@ -548,7 +548,7 @@ def cmd_bench(args) -> int:
         tracker.add_listener(obs_progress.stderr_listener())
         tracker.add_listener(obs_progress.log_listener())
         obs_progress.activate(tracker)
-    PROFILER.reset()
+    mark = TRACER.mark()
     started = time.perf_counter()
     try:
         result = figure8_performance(args.scale, jobs=args.jobs)
@@ -557,12 +557,13 @@ def cmd_bench(args) -> int:
             obs_progress.deactivate()
     wall_clock = time.perf_counter() - started
 
+    # The sweep's span totals and counters (main() turned the tracer on).
+    profile = TRACER.profile(since=mark)
     cache_stats = diskcache.shared_stats()
-    memory_hits = PROFILER.counters.get("run_cache_memory_hits", 0)
+    memory_hits = profile["counters"].get("run_cache_memory_hits", 0)
     disk_hits = sum(ns.get("hits", 0) for ns in cache_stats.values())
-    runs_simulated = PROFILER.counters.get("runs_simulated", 0)
+    runs_simulated = profile["counters"].get("runs_simulated", 0)
     served = memory_hits + disk_hits
-    profile = PROFILER.snapshot()
     # Cache/profile counters are frozen above: the accounting pass below
     # re-reads the sweep's runs from the in-process cache (zero extra
     # simulation) and must not leak its cache hits into the timing report.
@@ -638,10 +639,6 @@ def cmd_bench(args) -> int:
             "memory_hits": memory_hits,
             "runs_simulated": runs_simulated,
             "hit_ratio": served / max(1, served + runs_simulated),
-            "predict_memo_hits": PROFILER.counters.get(
-                "predict_memo_hits", 0),
-            "predict_memo_misses": PROFILER.counters.get(
-                "predict_memo_misses", 0),
         },
         "profile": profile,
     }
@@ -664,9 +661,9 @@ def cmd_bench(args) -> int:
         path = write_dashboard(report, args.dashboard)
         print(f"dashboard -> {path}")
     if args.profile:
-        from repro.harness.__main__ import print_profile
+        from repro.harness.__main__ import render_profile
 
-        print_profile()
+        print(render_profile(report["profile"], report["cache"]["disk"]))
     return 0
 
 
@@ -1172,9 +1169,12 @@ def main(argv=None) -> int:
     )
 
     # --trace-out and --progress need spans/heartbeats even without a
-    # REPRO_LOG destination; everything else turns on by environment only.
+    # REPRO_LOG destination, and bench and --profile read their section
+    # totals from the spans; everything else turns on by environment only.
     forced = bool(getattr(args, "trace_out", None)
-                  or getattr(args, "progress", False))
+                  or getattr(args, "progress", False)
+                  or args.command == "bench"
+                  or (args.command == "harness" and args.profile))
     run_id = init_runtime_telemetry(
         args.command, force=forced,
         argv=list(argv) if argv is not None else sys.argv[1:],

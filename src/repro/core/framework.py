@@ -50,10 +50,6 @@ class DynaSpAMConfig:
     #: Future-work feature: end cap-split traces at their last branch so
     #: the next trace anchors immediately (no dead zone).
     smart_trace_selection: bool = False
-    #: Memoize predicted trace keys on (anchor PC, predictor history),
-    #: invalidated through predictor table stamps.  Results are identical
-    #: either way; the flag exists for A/B testing and diagnostics.
-    predict_memo: bool = True
     num_fabrics: int = 1
     mapper: str = "resource_aware"  # | "naive" (ablation)
     tcache_entries: int = 256
@@ -191,8 +187,6 @@ class DynaSpAM:
         self._offloaded_keys: set = set()
         self._squashes = 0
         self.program: Program | None = None
-        #: (anchor_pc, history) -> (predicted key, predictor stamp deps).
-        self._predict_memo: dict[tuple[int, int], tuple] = {}
 
     # ------------------------------------------------------------------
     def run(self, trace: list[DynamicInstruction], program: Program) -> DynaSpAMResult:
@@ -408,53 +402,20 @@ class DynaSpAM:
         return end
 
     # ------------------------------------------------------------------
-    #: Memo entries kept before a wholesale clear bounds memory on long
-    #: phase-changing workloads; steady-state working sets are far smaller.
-    _PREDICT_MEMO_CAP = 1 << 15
-
     def _predict_key(self, pc: int) -> tuple | None:
-        """Predicted trace key at ``pc``, memoized on (PC, history).
-
-        A memo entry is valid while the predictor-table indices its walk
-        read are unmodified (checked through ``BranchPredictor.update_stamp``
-        — training a constituent branch invalidates the entry).
-        """
-        bpred = self.pipeline.bpred
-        history = bpred.history
-        if not self.config.predict_memo:
-            return self._walk_predict_key(pc, history)[0]
-        stats = self.pipeline.stats
-        entry = self._predict_memo.get((pc, history))
-        if entry is not None:
-            key, deps = entry
-            stamps = bpred.update_stamp
-            for index, stamp in deps:
-                if stamps[index] != stamp:
-                    break
-            else:
-                stats.predict_memo_hits += 1
-                return key
-        stats.predict_memo_misses += 1
-        key, deps = self._walk_predict_key(pc, history)
-        memo = self._predict_memo
-        if len(memo) >= self._PREDICT_MEMO_CAP:
-            memo.clear()
-        memo[(pc, history)] = (key, deps)
-        return key
-
-    def _walk_predict_key(self, pc: int, history: int) -> tuple:
-        """Front-end walk of the static program under predicted branches.
+        """Predicted trace key at ``pc``: a front-end walk of the static
+        program under predicted branches.
 
         Hops branch-to-branch over the program's precomputed
         ``StaticSegment`` summaries instead of probing ``by_pc`` per
-        instruction.  Returns ``(key_or_None, stamp_deps)`` where
-        ``stamp_deps`` names the predictor-table state the walk read.
+        instruction.  Returns ``None`` when the walk reaches a HALT
+        before the trace fills.
         """
         program = self.program
         bpred = self.pipeline.bpred
+        history = bpred.history
         cfg = self.config
         trace_length = cfg.trace_length
-        deps: list[tuple[int, int]] = []
         outcomes: list[bool] = []
         length = 0
         cursor = pc
@@ -465,13 +426,12 @@ class DynaSpAM:
                 if seg.count >= remaining:
                     length = trace_length  # cap reached before the HALT
                     break
-                return None, tuple(deps)
+                return None
             if seg.count > remaining or seg.branch_pc is None:
                 length = trace_length  # cap splits the block mid-run
                 break
             length += seg.count
-            taken, dep = bpred.peek_with_deps(seg.branch_pc, history)
-            deps.extend(dep)
+            taken = bpred.peek_with_history(seg.branch_pc, history)
             history = bpred.shift_history(history, taken)
             outcomes.append(taken)
             if len(outcomes) >= cfg.max_branches:
@@ -482,7 +442,7 @@ class DynaSpAM:
                         cursor, trace_length + 1)
                     > trace_length - length):
                 break  # next block cannot fit: end the trace here
-        return (pc, tuple(outcomes), length), tuple(deps)
+        return (pc, tuple(outcomes), length)
 
     def _actual_segment(self, trace, i) -> list[DynamicInstruction]:
         """The oracle-path trace occurrence starting at index ``i``."""

@@ -15,7 +15,7 @@ import time
 
 import repro.harness.diskcache as diskcache
 from repro.harness import experiments
-from repro.harness.profiling import PROFILER
+from repro.obs.runtime import TRACER
 
 
 def _characterization(scale: float) -> str:
@@ -34,7 +34,8 @@ def add_cache_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the on-disk run cache")
     parser.add_argument("--profile", action="store_true",
-                        help="print per-phase wall clock and cache counters")
+                        help="print wall-clock seconds per span name and "
+                             "the run and cache counters")
 
 
 def apply_cache_arguments(args) -> None:
@@ -46,11 +47,23 @@ def apply_cache_arguments(args) -> None:
         args.jobs = default_jobs()
 
 
-def print_profile() -> None:
-    for namespace, stats in sorted(diskcache.shared_stats().items()):
+def render_profile(profile: dict, disk: dict) -> str:
+    """The ``--profile`` table: a ``{"sections_seconds", "counters"}``
+    block of span totals (``SpanTracer.profile``) plus disk-cache stats."""
+    lines = ["profile: per-phase wall clock "
+             "(spans nest; workers.* sums the pool's processes)"]
+    sections = profile["sections_seconds"]
+    for name, seconds in sorted(sections.items(), key=lambda kv: -kv[1]):
+        lines.append(f"  {name:<32} {seconds:8.3f}s")
+    counters = dict(profile["counters"])
+    for namespace, stats in disk.items():
         for name, count in stats.items():
-            PROFILER.bump(f"disk_{namespace}_{name}", count)
-    print(PROFILER.render())
+            counters[f"disk_{namespace}_{name}"] = count
+    if counters:
+        lines.append("profile: counters")
+        for name, count in sorted(counters.items()):
+            lines.append(f"  {name:<32} {count}")
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
@@ -68,6 +81,8 @@ def main(argv=None) -> int:
     add_cache_arguments(parser)
     args = parser.parse_args(argv)
     apply_cache_arguments(args)
+    if args.profile:
+        TRACER.enable()  # the table reads the tracer's span totals
 
     jobs = {
         "table3": lambda: experiments.table3_benchmarks(),
@@ -90,7 +105,7 @@ def main(argv=None) -> int:
         print(jobs[name]())
         print(f"[{name} regenerated in {time.time() - started:.1f}s]\n")
     if args.profile:
-        print_profile()
+        print(render_profile(TRACER.profile(), diskcache.shared_stats()))
     return 0
 
 

@@ -9,6 +9,11 @@ Traces never cross the process boundary: trace generation is
 deterministic, so a worker regenerates exactly the trace the parent
 would.  Serial and parallel execution produce bit-identical results: a
 run never depends on any other run.
+
+Both fork pools — this sweep fan-out and the service's
+``ProcessWorkerPool`` — carry worker telemetry home through one
+envelope: :func:`run_worker_batch` in the child, :func:`absorb` in the
+parent.
 """
 
 from __future__ import annotations
@@ -17,10 +22,9 @@ import multiprocessing
 import os
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 import repro.harness.diskcache as diskcache
-from repro.harness.profiling import PROFILER
 from repro.harness.runner import (
     RunKey,
     RunSpec,
@@ -71,27 +75,54 @@ def _instructions(result) -> int:
     return getattr(stats, "instructions", 0) if stats is not None else 0
 
 
+def run_worker_batch(
+    batch: Callable[[], Any],
+    cache_enabled: bool,
+    cache_root: str | None,
+    telemetry: dict | None,
+) -> tuple[Any, dict]:
+    """Run ``batch()`` inside a forked pool worker; the child half of
+    the telemetry envelope.
+
+    Re-applies the parent's disk-cache config, re-arms the tracer (a
+    fork inherits the parent's spans, totals and counters, which would
+    otherwise come home twice), runs the batch, and returns ``(result,
+    telemetry)``.  ``telemetry`` is one dict — pid, spans, span totals,
+    counters, drop count and disk-cache stats — for :func:`absorb`:
+    without it a pooled report would show zero simulated runs and zero
+    cache writes, and the span timeline a hole where the pool worked.
+    """
+    diskcache.configure(enabled=cache_enabled, root=cache_root)
+    begin_worker(telemetry)
+    result = batch()
+    return result, {
+        "pid": os.getpid(),
+        **TRACER.snapshot(),
+        "disk": diskcache.shared_stats(),
+    }
+
+
+def absorb(telemetry: dict) -> None:
+    """Merge a worker's :func:`run_worker_batch` telemetry into this
+    process: spans under a ``worker-<pid>`` track, totals under
+    ``workers.``, counters flat, disk-cache stats summed."""
+    TRACER.merge(telemetry, process=f"worker-{telemetry['pid']}")
+    diskcache.merge_stats(telemetry["disk"])
+
+
 def _worker_batch(
     specs: list[RunSpec],
     cache_enabled: bool,
     cache_root: str | None,
     telemetry: dict | None = None,
-) -> tuple[list[tuple[RunKey, Any]], dict, dict, dict]:
-    """Run one batch of specs inside a worker process.
+) -> tuple[list[tuple[RunKey, Any]], dict]:
+    """Run one batch of specs inside a worker process."""
 
-    Returns the results plus the worker's profiler snapshot, disk cache
-    counters, and wall-clock span buffer, which the parent folds back
-    in — otherwise a parallel ``--profile``/``bench`` report would show
-    zero simulation time and zero cache writes, and the span timeline
-    would have a hole where the pool did all the work.
-    """
-    diskcache.configure(enabled=cache_enabled, root=cache_root)
-    PROFILER.reset()  # forked workers inherit the parent's totals
-    begin_worker(telemetry)
-    with TRACER.span("pool.worker_batch", specs=len(specs)):
-        pairs = [(spec.key, execute_spec(spec)) for spec in specs]
-    spans = {"pid": os.getpid(), **TRACER.snapshot()}
-    return pairs, PROFILER.snapshot(), diskcache.shared_stats(), spans
+    def batch() -> list[tuple[RunKey, Any]]:
+        with TRACER.span("pool.worker_batch", specs=len(specs)):
+            return [(spec.key, execute_spec(spec)) for spec in specs]
+
+    return run_worker_batch(batch, cache_enabled, cache_root, telemetry)
 
 
 def execute_runs(
@@ -149,34 +180,27 @@ def execute_runs(
     telemetry = worker_telemetry()
     with TRACER.span("pool.execute_runs", pending=len(pending),
                      batches=len(batches), workers=workers):
-        with PROFILER.section("parallel_execution"):
-            with ProcessPoolExecutor(
-                max_workers=workers, mp_context=context
-            ) as pool:
-                futures = [
-                    pool.submit(_worker_batch, batch, cache_enabled,
-                                cache_root, telemetry)
-                    for batch in batches
-                ]
-                for future in as_completed(futures):
-                    pairs, worker_profile, worker_disk, spans = (
-                        future.result()
-                    )
-                    instructions = 0
-                    for key, result in pairs:
-                        seed_run_cache(key, result)
-                        results[key] = result
-                        PROFILER.bump("parallel_runs_completed")
-                        instructions += _instructions(result)
-                    PROFILER.merge_snapshot(worker_profile)
-                    diskcache.merge_stats(worker_disk)
-                    TRACER.merge(
-                        spans, process=f"worker-{spans.get('pid', '?')}"
-                    )
-                    progress.advance_active(
-                        len(pairs), instructions,
-                        detail=pairs[0][0].abbrev if pairs else None,
-                    )
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=context
+        ) as pool:
+            futures = [
+                pool.submit(_worker_batch, batch, cache_enabled,
+                            cache_root, telemetry)
+                for batch in batches
+            ]
+            for future in as_completed(futures):
+                pairs, shipped = future.result()
+                instructions = 0
+                for key, result in pairs:
+                    seed_run_cache(key, result)
+                    results[key] = result
+                    TRACER.bump("parallel_runs_completed")
+                    instructions += _instructions(result)
+                absorb(shipped)
+                progress.advance_active(
+                    len(pairs), instructions,
+                    detail=pairs[0][0].abbrev if pairs else None,
+                )
     return results
 
 

@@ -162,22 +162,17 @@ def perfbench_report(
 def _profile_fast_engine(traces, modes) -> dict:
     """cProfile one fast-engine pass; top functions by cumulative time.
 
-    Complements the harness ``PROFILER`` (whose sections cover the cache
-    and experiment layers) with function-level attribution of the
-    simulation hot loop itself; the harness profiler's snapshot rides
-    along so both views land in one report.
+    Function-level attribution of the simulation hot loop itself, which
+    the harness's span totals (``--profile``) stop short of.
     """
     import cProfile
     import pstats
 
-    from repro.harness.profiling import PROFILER
-
     profiler = cProfile.Profile()
     profiler.enable()
-    with PROFILER.section("perfbench_profile_pass"):
-        for trace in traces.values():
-            for mode in modes:
-                _measure_cell(trace, mode, "fast", repeat=1)
+    for trace in traces.values():
+        for mode in modes:
+            _measure_cell(trace, mode, "fast", repeat=1)
     profiler.disable()
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative")
@@ -196,11 +191,7 @@ def _profile_fast_engine(traces, modes) -> dict:
         })
         if len(top) >= 10:
             break
-    return {
-        "sort": "cumulative",
-        "top": top,
-        "harness": PROFILER.snapshot(),
-    }
+    return {"sort": "cumulative", "top": top}
 
 
 def render_perfbench(report: dict) -> str:

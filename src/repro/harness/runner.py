@@ -24,7 +24,6 @@ from typing import Any
 import repro.harness.diskcache as diskcache
 from repro.core import DynaSpAM, DynaSpAMConfig, DynaSpAMResult
 from repro.fabric.config import FabricConfig
-from repro.harness.profiling import PROFILER
 from repro.obs.runtime import TRACER
 from repro.ooo.config import CoreConfig
 from repro.ooo.fastpath import make_pipeline
@@ -145,12 +144,11 @@ def peek_cached(key: RunKey):
     """Resolve a key from the memory or disk layers only (no simulation)."""
     cached = _RUN_CACHE.get(key)
     if cached is not None:
-        PROFILER.bump("run_cache_memory_hits")
+        TRACER.bump("run_cache_memory_hits")
         return cached
     disk = diskcache.shared_cache("runs")
     if disk is not None:
-        with PROFILER.section("disk_cache_io"):
-            result = disk.get(key)
+        result = disk.get(key)
         if result is not None:
             _RUN_CACHE[key] = result
             return result
@@ -165,13 +163,11 @@ def seed_run_cache(key: RunKey, result) -> None:
 def _simulate(spec: RunSpec, sink=None):
     with TRACER.span("sim.trace_generation",
                      benchmark=spec.abbrev, scale=spec.scale):
-        with PROFILER.section("trace_generation"):
-            trace = generate_trace(spec.abbrev, spec.scale)
+        trace = generate_trace(spec.abbrev, spec.scale)
     if spec.kind == "baseline":
         with TRACER.span("sim.baseline",
                          benchmark=spec.abbrev, scale=spec.scale):
-            with PROFILER.section("simulate_baseline"):
-                return make_pipeline(spec.core_config).run_trace(trace.trace)
+            return make_pipeline(spec.core_config).run_trace(trace.trace)
     machine = DynaSpAM(
         core_config=spec.core_config,
         fabric_config=spec.fabric_config,
@@ -180,11 +176,7 @@ def _simulate(spec: RunSpec, sink=None):
     )
     with TRACER.span("sim.dynaspam",
                      benchmark=spec.abbrev, scale=spec.scale):
-        with PROFILER.section("simulate_dynaspam"):
-            result = machine.run(trace.trace, trace.program)
-    PROFILER.bump("predict_memo_hits", result.stats.predict_memo_hits)
-    PROFILER.bump("predict_memo_misses", result.stats.predict_memo_misses)
-    return result
+        return machine.run(trace.trace, trace.program)
 
 
 def execute_spec(spec: RunSpec, sink=None):
@@ -200,15 +192,14 @@ def execute_spec(spec: RunSpec, sink=None):
         cached = peek_cached(key)
         if cached is not None:
             return cached
-    PROFILER.bump("runs_simulated")
+    TRACER.bump("runs_simulated")
     with TRACER.span("sim.execute_spec", kind=spec.kind,
                      benchmark=spec.abbrev, scale=spec.scale):
         result = _simulate(spec, sink=sink)
     _RUN_CACHE[key] = result
     disk = diskcache.shared_cache("runs")
     if disk is not None:
-        with PROFILER.section("disk_cache_io"):
-            disk.put(key, result)
+        disk.put(key, result)
     return result
 
 

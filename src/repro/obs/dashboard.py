@@ -465,7 +465,7 @@ def _wallclock_section(report: dict) -> str:
     parts = [
         f'<svg role="img" width="{_LEFT + _PLOT_W + _LABEL_W}" '
         f'height="{height}" '
-        f'aria-label="Host wall-clock seconds per harness section">'
+        f'aria-label="Host wall-clock seconds per span name">'
     ]
     y = 4
     for name, seconds in rows:
@@ -494,10 +494,11 @@ def _wallclock_section(report: dict) -> str:
     )
     return f"""
   <h2>Host wall clock</h2>
-  <p class="sub">Wall-clock seconds per harness section (host process,
+  <p class="sub">Wall-clock seconds per span name (host process,
   monotonic clock) against a total of
-  {wall:.2f}s{html.escape(ratio_note)}. Sections overlap the sweep and
-  each other, so they need not sum to the total.</p>
+  {wall:.2f}s{html.escape(ratio_note)}. Spans nest and
+  <code>workers.*</code> sums the pool's processes, so they need not sum
+  to the total.</p>
   <div class="card">
     {''.join(parts)}
   </div>

@@ -21,6 +21,12 @@ Design rules, mirroring the event bus (`repro.obs.events`):
   run their own tracer and ship finished spans back through
   ``harness.parallel`` as plain dicts via :meth:`SpanTracer.snapshot`
   / :meth:`SpanTracer.merge`.
+* **Exact totals, always-on counters.**  Each closing span also adds to
+  a ``(count, seconds)`` total per name, kept apart from the bounded
+  record buffer so totals stay exact after it fills.  These totals are
+  the ``--profile`` table and the ``repro bench`` ``profile`` block.
+  Named counters (runs simulated, run-cache memory hits) count whether
+  or not the tracer is enabled.
 * **Correlated.**  Every finished span carries the tracer's ``run_id``
   plus any contextual bindings (``job_id``, ``run_key``, benchmark…)
   pushed by :meth:`SpanTracer.bind`.
@@ -126,6 +132,10 @@ class SpanTracer:
         self.dropped = 0
         self._lock = threading.Lock()
         self._records: list[SpanRecord] = []
+        #: span name -> [count, seconds]; worker totals merge in under
+        #: a ``workers.`` prefix.
+        self._totals: dict[str, list] = {}
+        self._counters: dict[str, int] = {}
         self._local = threading.local()
         #: thread ident -> (thread name, open-span stack).  Registered
         #: lazily per thread; read by the watchdog.
@@ -146,9 +156,11 @@ class SpanTracer:
         self.enabled = False
 
     def reset(self) -> None:
-        """Drop buffered spans and bindings (tests; between bench repeats)."""
+        """Drop buffered spans, totals, counters and bindings."""
         with self._lock:
             self._records.clear()
+            self._totals.clear()
+            self._counters.clear()
             self._active.clear()
             self.dropped = 0
         self._local = threading.local()
@@ -257,11 +269,26 @@ class SpanTracer:
             attrs=merged,
         )
         with self._lock:
+            self._add_total(record.name, 1, duration)
             if len(self._records) < MAX_BUFFERED_SPANS:
                 self._records.append(record)
             else:
                 self.dropped += 1
         self._notify(record)
+
+    def _add_total(self, name: str, count: int, seconds: float) -> None:
+        # Caller holds self._lock.
+        total = self._totals.get(name)
+        if total is None:
+            self._totals[name] = [count, seconds]
+        else:
+            total[0] += count
+            total[1] += seconds
+
+    def bump(self, name: str, amount: int = 1) -> None:
+        """Add ``amount`` to counter ``name`` (counts even when disabled)."""
+        with self._lock:
+            self._counters[name] = self._counters.get(name, 0) + amount
 
     def _notify(self, record: SpanRecord) -> None:
         for listener in self._listeners:
@@ -278,6 +305,37 @@ class SpanTracer:
         with self._lock:
             return list(self._records)
 
+    def counters(self) -> dict[str, int]:
+        with self._lock:
+            return dict(self._counters)
+
+    def mark(self) -> tuple[dict, dict]:
+        """The totals and counters so far, for a later :meth:`profile`."""
+        with self._lock:
+            totals = {name: tuple(total)
+                      for name, total in self._totals.items()}
+            return totals, dict(self._counters)
+
+    def profile(self, since: tuple[dict, dict] | None = None) -> dict:
+        """Span seconds by name and counters, accrued since the
+        :meth:`mark` ``since`` (default: since the last reset), in the
+        ``{"sections_seconds", "counters"}`` shape of the bench report."""
+        totals, counters = self.mark()
+        base_totals, base_counters = since or ({}, {})
+        sections = {}
+        for name, (count, seconds) in totals.items():
+            base_count, base_seconds = base_totals.get(name, (0, 0.0))
+            if count != base_count:
+                sections[name] = seconds - base_seconds
+        return {
+            "sections_seconds": sections,
+            "counters": {
+                name: value - base_counters.get(name, 0)
+                for name, value in counters.items()
+                if value != base_counters.get(name, 0)
+            },
+        }
+
     def snapshot(self) -> dict:
         """Serializable form for shipping across a process boundary."""
         with self._lock:
@@ -285,21 +343,34 @@ class SpanTracer:
                 "run_id": self.run_id,
                 "dropped": self.dropped,
                 "spans": [record.as_dict() for record in self._records],
+                "totals": {name: list(total)
+                           for name, total in self._totals.items()},
+                "counters": dict(self._counters),
             }
 
     def merge(self, snapshot: dict | None, process: str) -> int:
-        """Fold a worker tracer's :meth:`snapshot` into this buffer.
+        """Fold a worker tracer's :meth:`snapshot` into this tracer.
 
         Worker records keep their own relative timeline but are tagged
         with ``process`` so exports can give each worker its own track.
         Listeners fire for each merged span (so the JSONL log and the
-        Prometheus histograms see worker spans too).  Returns the number
-        of spans merged.
+        Prometheus histograms see worker spans too).  Worker totals land
+        under a ``workers.`` prefix: they are compute seconds summed
+        across the pool, never to be read as this process's wall clock.
+        Counters merge flat — a cache hit is a hit in any process.
+        Returns the number of spans merged.
         """
-        if not snapshot or not snapshot.get("spans"):
+        if not snapshot:
             return 0
+        with self._lock:
+            for name, (count, seconds) in snapshot.get("totals", {}).items():
+                if not name.startswith("workers."):
+                    name = f"workers.{name}"
+                self._add_total(name, count, seconds)
+            for name, value in snapshot.get("counters", {}).items():
+                self._counters[name] = self._counters.get(name, 0) + value
         merged = 0
-        for doc in snapshot["spans"]:
+        for doc in snapshot.get("spans", ()):
             record = SpanRecord.from_dict(doc)
             record.process = process
             if self.run_id is not None:
@@ -439,10 +510,11 @@ def worker_telemetry() -> dict:
 def begin_worker(telemetry: dict | None) -> None:
     """Reinitialize :data:`TRACER` inside a forked pool worker.
 
-    A fork inherits the parent's buffered spans *and* its listeners
-    (JSONL log, Prometheus hook) — both must go: buffered spans would be
-    double-counted on merge, and listener side effects belong to the
-    parent, which replays merged worker spans through its own listeners.
+    A fork inherits the parent's buffered spans, totals and counters
+    *and* its listeners (JSONL log, Prometheus hook) — all must go:
+    inherited state would be double-counted on merge, and listener side
+    effects belong to the parent, which replays merged worker spans
+    through its own listeners.
     """
     TRACER.reset()
     TRACER._listeners.clear()

@@ -51,11 +51,6 @@ class BranchPredictor:
         self.gshare = [1] * self.table_size    # weakly not-taken
         self.bimodal = [1] * self.table_size
         self.chooser = [1] * self.table_size   # <2 favors bimodal
-        #: Per-index modification stamp, bumped whenever any of the three
-        #: direction tables changes value at that index.  DynaSpAM's
-        #: predicted-key memo records the stamps of the indices a cached
-        #: walk read; a stamp mismatch invalidates the memo entry.
-        self.update_stamp = [0] * self.table_size
         self.history = 0
         self.btb: set[int] = set()
         self.btb_entries = config.btb_entries
@@ -99,23 +94,6 @@ class BranchPredictor:
         """
         return self._predict(pc, history)
 
-    def peek_with_deps(
-        self, pc: int, history: int
-    ) -> tuple[bool, tuple[tuple[int, int], tuple[int, int]]]:
-        """Like ``peek_with_history``, also naming the table state read.
-
-        Returns ``(taken, ((index, stamp), (index, stamp)))`` — the PC and
-        gshare table indices the prediction depends on, with their current
-        ``update_stamp`` values.  A caller may cache the prediction and
-        revalidate it later by comparing stamps.
-        """
-        pc_index, gshare_index = self._indices(pc, history)
-        stamps = self.update_stamp
-        return self._predict(pc, history), (
-            (pc_index, stamps[pc_index]),
-            (gshare_index, stamps[gshare_index]),
-        )
-
     def shift_history(self, history: int, taken: bool) -> int:
         """Fold one speculative outcome into a history value."""
         return ((history << 1) | int(taken)) & self.mask
@@ -151,26 +129,20 @@ class BranchPredictor:
             use_gshare = self.chooser[pc_index] >= 2
             prediction = gshare_taken if use_gshare else bimodal_taken
 
-        # Train both component tables (stamping indices whose stored value
-        # actually changed, so memoized predictions over them invalidate).
-        stamps = self.update_stamp
+        # Train both component tables.
         for table, index in ((self.bimodal, pc_index), (self.gshare, gshare_index)):
             if actual_taken:
                 if table[index] < 3:
                     table[index] += 1
-                    stamps[index] += 1
             elif table[index] > 0:
                 table[index] -= 1
-                stamps[index] += 1
         # Train the chooser toward the component that was right.
         if bimodal_taken != gshare_taken:
             if gshare_taken == actual_taken:
                 if self.chooser[pc_index] < 3:
                     self.chooser[pc_index] += 1
-                    stamps[pc_index] += 1
             elif self.chooser[pc_index] > 0:
                 self.chooser[pc_index] -= 1
-                stamps[pc_index] += 1
 
         self.history = ((self.history << 1) | int(actual_taken)) & self.mask
         if prediction != actual_taken:

@@ -275,7 +275,6 @@ class FastOOOPipeline(OOOPipeline):
         bimodal = bpred.bimodal
         gshare = bpred.gshare
         chooser = bpred.chooser
-        stamps = bpred.update_stamp
         mask = bpred.mask
         tournament = bpred.kind == "tournament"
         gshare_only = bpred.kind == "gshare"
@@ -372,9 +371,8 @@ class FastOOOPipeline(OOOPipeline):
                 mispredicted = False
                 if kind == _KIND_BRANCH:
                     # Inlined BranchPredictor.predict_and_update: predict,
-                    # train both component tables and the chooser, stamp
-                    # every index whose stored value changes, shift the
-                    # history (which is always masked).
+                    # train both component tables and the chooser, shift
+                    # the history (which is always masked).
                     taken = True if dyn.taken else False
                     lookups += 1
                     g_index = table_index ^ history
@@ -392,26 +390,20 @@ class FastOOOPipeline(OOOPipeline):
                     if taken:
                         if b_counter < 3:
                             bimodal[table_index] = b_counter + 1
-                            stamps[table_index] += 1
                         if g_counter < 3:
                             gshare[g_index] = g_counter + 1
-                            stamps[g_index] += 1
                     else:
                         if b_counter > 0:
                             bimodal[table_index] = b_counter - 1
-                            stamps[table_index] += 1
                         if g_counter > 0:
                             gshare[g_index] = g_counter - 1
-                            stamps[g_index] += 1
                     if b_taken != g_taken:
                         counter = chooser[table_index]
                         if g_taken == taken:
                             if counter < 3:
                                 chooser[table_index] = counter + 1
-                                stamps[table_index] += 1
                         elif counter > 0:
                             chooser[table_index] = counter - 1
-                            stamps[table_index] += 1
                     history = ((history << 1) | taken) & mask
                     if prediction != taken:
                         mispredicted = True

@@ -92,11 +92,6 @@ class PipelineStats:
     cycles_squash_branch: int = 0   # mispredict redirects + branch squashes
     cycles_squash_memory: int = 0   # memory-order violation squash recovery
 
-    # Simulator-internal observability (no energy cost; --profile output).
-    # Both engine tiers count these identically.
-    predict_memo_hits: int = 0
-    predict_memo_misses: int = 0
-
     def merge(self, other: "PipelineStats") -> None:
         """Accumulate another stats record into this one."""
         for f in fields(self):

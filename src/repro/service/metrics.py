@@ -226,12 +226,12 @@ class ServiceMetrics:
     @staticmethod
     def cache_stats() -> dict:
         import repro.harness.diskcache as diskcache
-        from repro.harness.profiling import PROFILER
+        from repro.obs.runtime import TRACER
 
+        counters = TRACER.counters()
         return {
-            "run_memory_hits": PROFILER.counters.get(
-                "run_cache_memory_hits", 0),
-            "runs_simulated": PROFILER.counters.get("runs_simulated", 0),
+            "run_memory_hits": counters.get("run_cache_memory_hits", 0),
+            "runs_simulated": counters.get("runs_simulated", 0),
             "disk": diskcache.shared_stats(),
         }
 

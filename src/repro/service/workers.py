@@ -8,11 +8,11 @@ a batch-duration histogram for ``/metrics``.
 Three pools implement the same ``run_batch`` contract:
 
 * :class:`ProcessWorkerPool` (the default) forks one process per worker
-  — the paper-scale answer to the GIL.  Each batch re-applies the disk
-  cache config, sheds inherited telemetry with ``begin_worker``, and
-  ships its profiler counters, disk-cache stats, wall-clock spans, and
-  final progress heartbeats back for the parent to merge, exactly like
-  ``repro.harness.parallel`` does for sweep fan-out.  The
+  — the paper-scale answer to the GIL.  Each batch runs inside the
+  telemetry envelope ``repro.harness.parallel`` uses for sweep fan-out
+  (``run_worker_batch`` / ``absorb``): the parent gets back the
+  worker's spans, span totals, counters and disk-cache stats, plus the
+  final progress heartbeats.  The
   content-addressed disk cache (``REPRO_CACHE_DIR``) is the shared
   artifact store: a result simulated by any worker is a disk hit for
   every other worker — and for every other replica pointed at the same
@@ -40,9 +40,8 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import repro.harness.diskcache as diskcache
-from repro.harness.parallel import max_jobs
-from repro.harness.profiling import PROFILER
-from repro.obs.runtime import TRACER, begin_worker, worker_telemetry
+from repro.harness.parallel import absorb, max_jobs, run_worker_batch
+from repro.obs.runtime import worker_telemetry
 from repro.service.metrics import LatencyHistogram
 
 #: Hard ceiling on the process-pool default; wider pools thrash the
@@ -79,32 +78,25 @@ def _process_batch(
     cache_enabled: bool,
     cache_root: str | None,
     telemetry: dict | None,
-) -> tuple[dict, dict, dict, dict, dict]:
+) -> tuple[tuple[dict, dict], dict]:
     """One scheduler batch inside a forked worker process.
 
-    Returns ``(outcomes, heartbeats, profiler_snapshot, disk_stats,
-    spans)``.  The parent folds the last four back in: without the merge
-    a process-pool service would report zero simulated runs, zero cache
-    writes, and span histograms with a hole where all the work happened.
-    Heartbeats cannot stream across the process boundary mid-batch, so
-    the worker records the last beat per flight and the parent applies
-    them at completion.
+    Returns ``((outcomes, heartbeats), telemetry)`` from the shared
+    worker envelope.  Heartbeats cannot stream across the process
+    boundary mid-batch, so the worker records the last beat per flight
+    and the parent applies them at completion.
     """
     from repro.service.scheduler import execute_batch
 
-    diskcache.configure(enabled=cache_enabled, root=cache_root)
-    PROFILER.reset()  # forked workers inherit the parent's totals
-    begin_worker(telemetry)
-    beats: dict = {}
+    def batch() -> tuple[dict, dict]:
+        beats: dict = {}
+        outcomes = execute_batch(
+            requests, sim_jobs, progress_cb=beats.__setitem__,
+            job_ids=job_ids,
+        )
+        return outcomes, beats
 
-    def collect(key, beat) -> None:
-        beats[key] = beat
-
-    outcomes = execute_batch(
-        requests, sim_jobs, progress_cb=collect, job_ids=job_ids
-    )
-    spans = {"pid": os.getpid(), **TRACER.snapshot()}
-    return outcomes, beats, PROFILER.snapshot(), diskcache.shared_stats(), spans
+    return run_worker_batch(batch, cache_enabled, cache_root, telemetry)
 
 
 class WorkerPool:
@@ -252,8 +244,8 @@ class ProcessWorkerPool(WorkerPool):
         loop = asyncio.get_running_loop()
         with self._track():
             try:
-                outcomes, beats, profile, disk, spans = (
-                    await loop.run_in_executor(self._executor, call)
+                (outcomes, beats), shipped = await loop.run_in_executor(
+                    self._executor, call
                 )
             except BrokenProcessPool:
                 # A dead worker (OOM, segfault) poisons the whole
@@ -262,9 +254,7 @@ class ProcessWorkerPool(WorkerPool):
                 self._executor.shutdown(wait=False)
                 self._executor = self._make_executor()
                 raise
-        PROFILER.merge_snapshot(profile)
-        diskcache.merge_stats(disk)
-        TRACER.merge(spans, process=f"worker-{spans.get('pid', '?')}")
+        absorb(shipped)
         if on_progress is not None:
             for key, beat in beats.items():
                 on_progress(key, beat)

@@ -1,10 +1,17 @@
 """Determinism and merging tests for the parallel sweep engine."""
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 import repro.harness.diskcache as diskcache
-from repro.harness.parallel import default_jobs, execute_runs
-from repro.harness.profiling import PROFILER
+from repro.harness.parallel import (
+    absorb,
+    default_jobs,
+    execute_runs,
+    run_worker_batch,
+)
 from repro.harness.runner import (
     clear_run_cache,
     dynaspam_spec,
@@ -12,7 +19,7 @@ from repro.harness.runner import (
     run_dynaspam,
 )
 from repro.obs import progress
-from repro.obs.runtime import TRACER
+from repro.obs.runtime import TRACER, worker_telemetry
 from repro.workloads import ALL_ABBREVS
 
 SCALE = 0.05
@@ -81,11 +88,10 @@ def test_jobs_one_runs_serially(no_disk):
 
 
 def test_worker_profiles_and_spans_merge_into_parent(no_disk, monkeypatch):
-    """Regression: child-process profiler sections and tracer spans both
+    """Regression: child-process span totals, counters and spans all
     come home through the pool fan-out, tagged per worker process."""
     monkeypatch.delenv("REPRO_MAX_JOBS", raising=False)
     clear_run_cache()
-    PROFILER.reset()
     TRACER.reset()
     TRACER.enable("run-pool")
     tracker = progress.ProgressTracker(2, label="test")
@@ -98,13 +104,30 @@ def test_worker_profiles_and_spans_merge_into_parent(no_disk, monkeypatch):
         progress.deactivate()
         TRACER.disable()
         records = TRACER.records()
+        totals = TRACER.mark()[0]
+        counters = TRACER.counters()
         TRACER.reset()
         TRACER.run_id = None
 
-    # Worker wall-clock sections land under the workers.* prefix.
-    sections = PROFILER.snapshot()["sections_seconds"]
-    assert "parallel_execution" in sections
-    assert any(name.startswith("workers.") for name in sections)
+    # One mechanism: each name's total is exactly its records' summed
+    # durations — bare for this process, under workers.* for the pool.
+    summed: dict[str, list] = {}
+    for record in records:
+        name = (record.name if record.process == "main"
+                else f"workers.{record.name}")
+        entry = summed.setdefault(name, [0, 0.0])
+        entry[0] += 1
+        entry[1] += record.duration
+    assert set(totals) == set(summed)
+    for name, (count, seconds) in totals.items():
+        assert count == summed[name][0], name
+        assert seconds == pytest.approx(summed[name][1], abs=1e-9), name
+    assert "pool.execute_runs" in totals
+    assert "workers.sim.dynaspam" in totals
+    assert "sim.dynaspam" not in totals
+    # Worker counters merge flat; the parent counted completions.
+    assert counters["runs_simulated"] == 2
+    assert counters["parallel_runs_completed"] == 2
 
     # Worker spans are merged with a worker-<pid> process tag and the
     # parent's run id; the parent recorded the fan-out span itself.
@@ -122,6 +145,51 @@ def test_worker_profiles_and_spans_merge_into_parent(no_disk, monkeypatch):
     # The progress tracker saw every unique spec exactly once.
     assert tracker.done == 2
     assert tracker.instructions > 0
+
+
+def _envelope_batch() -> str:
+    TRACER.bump("runs_simulated", 2)
+    with TRACER.span("pool.worker_batch"):
+        diskcache.shared_cache("runs").put(("envelope",), "worker")
+    return "done"
+
+
+def test_envelope_brings_worker_telemetry_home_once(tmp_path):
+    """A forked worker's counters, spans and disk stats each arrive
+    exactly once; none of the state the fork inherited comes back."""
+    root = str(tmp_path / "cache")
+    diskcache.configure(enabled=True, root=root)
+    TRACER.reset()
+    TRACER.enable("run-envelope")
+    try:
+        # Parent state the fork inherits.
+        TRACER.bump("runs_simulated", 5)
+        with TRACER.span("pool.execute_runs"):
+            pass
+        diskcache.shared_cache("runs").put(("envelope",), "parent")
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(1, mp_context=context) as pool:
+            result, shipped = pool.submit(
+                run_worker_batch, _envelope_batch, True, root,
+                worker_telemetry(),
+            ).result()
+        absorb(shipped)
+        records = TRACER.records()
+        totals, counters = TRACER.mark()
+        disk = diskcache.shared_stats()
+    finally:
+        TRACER.disable()
+        TRACER.reset()
+        TRACER.run_id = None
+        diskcache.configure()
+    assert result == "done"
+    assert counters == {"runs_simulated": 7}
+    assert sorted(r.name for r in records if r.process != "main") == [
+        "cache.put", "pool.worker_batch"]
+    assert {name: count for name, (count, _) in totals.items()} == {
+        "pool.execute_runs": 1, "cache.put": 1,
+        "workers.pool.worker_batch": 1, "workers.cache.put": 1}
+    assert disk["runs"]["writes"] == 2
 
 
 def test_serial_runs_advance_progress(no_disk):

@@ -104,26 +104,6 @@ def test_figure8_runs_at_tiny_scale():
     assert "GEOMEAN" in text
 
 
-def test_profiler_merge_labels_worker_sections():
-    from repro.harness.profiling import Profiler
-
-    parent = Profiler()
-    with parent.section("parallel_execution"):
-        pass
-    parent.merge_snapshot({
-        "sections_seconds": {"simulate_dynaspam": 2.5,
-                             "workers.trace_generation": 1.0},
-        "counters": {"runs_simulated": 3},
-    })
-    # Worker compute seconds are prefixed so they can never be misread
-    # as the parent's wall clock; already-prefixed names stay single.
-    assert parent.sections["workers.simulate_dynaspam"] == 2.5
-    assert parent.sections["workers.trace_generation"] == 1.0
-    assert "simulate_dynaspam" not in parent.sections
-    # Counters merge flat: a cache hit is a hit in any process.
-    assert parent.counters["runs_simulated"] == 3
-
-
 def test_traced_run_bypasses_cache_but_seeds_it():
     from repro.harness.runner import (
         clear_run_cache,

@@ -136,6 +136,51 @@ def test_snapshot_merge_tags_process_and_fires_listeners(tracer):
     assert tracer.merge({"spans": []}, process="x") == 0
 
 
+def test_tracer_merge_labels_worker_totals(tracer):
+    tracer.enable()
+    with tracer.span("pool.execute_runs"):
+        pass
+    tracer.bump("runs_simulated")
+    tracer.merge({
+        "totals": {"sim.dynaspam": [2, 2.5],
+                   "workers.sim.trace_generation": [1, 1.0]},
+        "counters": {"runs_simulated": 3},
+    }, process="worker-1")
+    totals, counters = tracer.mark()
+    # Worker compute seconds are prefixed so they can never be misread
+    # as the parent's wall clock; already-prefixed names stay single.
+    assert totals["workers.sim.dynaspam"] == (2, 2.5)
+    assert totals["workers.sim.trace_generation"] == (1, 1.0)
+    assert "sim.dynaspam" not in totals
+    assert totals["pool.execute_runs"][0] == 1
+    # Counters merge flat: a cache hit is a hit in any process.
+    assert counters == {"runs_simulated": 4}
+
+
+def test_profile_counts_since_a_mark(tracer):
+    tracer.enable()
+    with tracer.span("sim.baseline"):
+        pass
+    tracer.bump("run_cache_memory_hits", 2)
+    mark = tracer.mark()
+    with tracer.span("sim.dynaspam"):
+        pass
+    tracer.bump("runs_simulated")
+    profile = tracer.profile(since=mark)
+    assert set(profile["sections_seconds"]) == {"sim.dynaspam"}
+    assert profile["counters"] == {"runs_simulated": 1}
+    assert set(tracer.profile()["sections_seconds"]) == {
+        "sim.baseline", "sim.dynaspam"}
+
+
+def test_counters_count_while_disabled(tracer):
+    with tracer.span("sim.baseline"):
+        pass
+    tracer.bump("runs_simulated")
+    assert tracer.counters() == {"runs_simulated": 1}
+    assert tracer.mark()[0] == {}
+
+
 def test_span_buffer_is_bounded(tracer):
     tracer.enable()
     import repro.obs.runtime as runtime
@@ -146,11 +191,16 @@ def test_span_buffer_is_bounded(tracer):
         for _ in range(6):
             with tracer.span("cache.get"):
                 pass
+            tracer.bump("run_cache_memory_hits")
     finally:
         runtime.MAX_BUFFERED_SPANS = original
     assert len(tracer.records()) == 4
     assert tracer.dropped == 2
     assert tracer.snapshot()["dropped"] == 2
+    # Totals and counters live apart from the buffer and keep counting.
+    totals, counters = tracer.mark()
+    assert totals["cache.get"][0] == 6
+    assert counters["run_cache_memory_hits"] == 6
 
 
 def test_watchdog_warns_once_with_thread_stack(tracer):
@@ -185,12 +235,15 @@ def test_worker_handoff_reenables_with_parent_run_id(global_tracer):
         pass
     telemetry = worker_telemetry()
     assert telemetry == {"enabled": True, "run_id": "run-test"}
-    # Simulate the forked child: inherited spans+listeners must be shed.
+    # Simulate the forked child: inherited spans, totals, counters and
+    # listeners must be shed.
     global_tracer.add_listener(lambda record: None)
+    global_tracer.bump("runs_simulated")
     begin_worker(telemetry)
     assert global_tracer.enabled
     assert global_tracer.run_id == "run-test"
     assert global_tracer.records() == []
+    assert global_tracer.mark() == ({}, {})
     assert global_tracer._listeners == []
 
     begin_worker({"enabled": False, "run_id": None})

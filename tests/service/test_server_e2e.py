@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import repro.harness.diskcache as diskcache
-from repro.harness.profiling import PROFILER
 from repro.harness.runner import clear_run_cache, simulation_report
+from repro.obs.runtime import TRACER
 from repro.service import ServiceClient, ThreadedServer
 from repro.service.client import ServerBusy
 from repro.service.errors import InvalidJob, UnknownJob
@@ -95,7 +95,7 @@ def test_submit_poll_metrics_roundtrip(tmp_disk_cache):
 
 
 def test_duplicate_burst_coalesces_and_backpressures(no_disk_cache):
-    before = PROFILER.counters.get("runs_simulated", 0)
+    before = TRACER.counters().get("runs_simulated", 0)
     # workers=1 and a multi-second job: the burst lands while the first
     # submission is still simulating.
     with ThreadedServer(workers=1, queue_depth=3) as server:
@@ -121,7 +121,7 @@ def test_duplicate_burst_coalesces_and_backpressures(no_disk_cache):
         assert metrics["jobs"]["rejected"] == 7
         assert metrics["jobs"]["completed"] == 3
     # Single-flight: one baseline + one DynaSpAM simulation, total.
-    simulated = PROFILER.counters.get("runs_simulated", 0) - before
+    simulated = TRACER.counters().get("runs_simulated", 0) - before
     assert simulated == 2
 
 

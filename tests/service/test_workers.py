@@ -5,8 +5,8 @@ import asyncio
 import pytest
 
 import repro.harness.diskcache as diskcache
-from repro.harness.profiling import PROFILER
 from repro.harness.runner import clear_run_cache
+from repro.obs.runtime import TRACER
 from repro.service.jobs import JobRequest
 from repro.service.workers import (
     InjectedWorkerPool,
@@ -74,11 +74,11 @@ def test_injected_pool_runs_legacy_two_arg_call():
 
 def test_process_pool_executes_merges_and_reports(tmp_path):
     """A forked worker really simulates, and the parent gets everything
-    back: outcomes, final heartbeats, profiler counters, disk stats."""
+    back: outcomes, final heartbeats, counters, disk stats."""
     diskcache.configure(enabled=True, root=str(tmp_path / "cache"))
     clear_run_cache()
     clear_trace_cache()
-    before = PROFILER.counters.get("runs_simulated", 0)
+    before = TRACER.counters().get("runs_simulated", 0)
     pool = ProcessWorkerPool(1)
     request = JobRequest(benchmark="KM", scale=0.05)
     beats = {}
@@ -101,8 +101,8 @@ def test_process_pool_executes_merges_and_reports(tmp_path):
     assert status == "ok"
     assert report["benchmark"] == "KM"
     assert report["speedup"] > 0
-    # Worker profiler counters merged back into the parent.
-    simulated = PROFILER.counters.get("runs_simulated", 0) - before
+    # Worker counters merged back into the parent.
+    simulated = TRACER.counters().get("runs_simulated", 0) - before
     assert simulated == 2  # baseline + dynaspam
     # The worker's final heartbeat arrived with batch totals.
     beat = beats[request.flight_key]

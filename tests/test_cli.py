@@ -82,7 +82,6 @@ def test_bench_command_writes_report(tmp_path, capsys, monkeypatch):
     assert set(report["geomean"]) == {"mapping", "no_spec", "spec"}
     assert len(report["per_benchmark"]) == 11
     assert "disk" in report["cache"]
-    assert "predict_memo_hits" in report["cache"]
 
 
 def test_bench_command_no_cache(tmp_path, capsys):
@@ -155,6 +154,69 @@ def test_bench_cold_reports_real_simulation(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "cache hit ratio" in printed
     assert "(cold)" in printed
+
+
+def _printed_profile(out: str) -> tuple[set, dict]:
+    """Section names and counters from a printed ``--profile`` table."""
+    sections, counters, block = set(), {}, None
+    for line in out.splitlines():
+        if line.startswith("profile: "):
+            block = line.split()[1]
+        elif block and line.startswith("  "):
+            name, value = line.split()
+            if block == "counters":
+                counters[name] = int(value)
+            else:
+                sections.add(name)
+        else:
+            block = None
+    return sections, counters
+
+
+def test_bench_profile_prints_what_the_report_recorded(tmp_path, capsys):
+    """The table renders the report's ``profile`` block, so the
+    accounting pass after the sweep cannot add its memory hits."""
+    import repro.harness.diskcache as diskcache
+
+    out_path = tmp_path / "bench.json"
+    try:
+        assert main(["bench", "--scale", "0.05", "--jobs", "2", "--cold",
+                     "--profile", "--output", str(out_path)]) == 0
+    finally:
+        diskcache.configure()
+    report = json.loads(out_path.read_text())
+    sections, counters = _printed_profile(capsys.readouterr().out)
+    assert counters == report["profile"]["counters"]
+    assert counters["run_cache_memory_hits"] == report["cache"]["memory_hits"]
+    assert sections == set(report["profile"]["sections_seconds"])
+    assert "pool.execute_runs" in sections
+
+
+def test_bench_profile_matches_the_jsonl_span_log(tmp_path, monkeypatch):
+    """Every surface reads one span stream: the report's section totals
+    equal the JSONL log's span durations summed by name."""
+    import repro.harness.diskcache as diskcache
+
+    log_path = tmp_path / "runs.jsonl"
+    monkeypatch.setenv("REPRO_LOG", str(log_path))
+    out_path = tmp_path / "bench.json"
+    try:
+        assert main(["bench", "--scale", "0.05", "--jobs", "2", "--cold",
+                     "--output", str(out_path)]) == 0
+    finally:
+        diskcache.configure()
+    sections = json.loads(out_path.read_text())["profile"]["sections_seconds"]
+    summed: dict[str, float] = {}
+    for line in log_path.read_text().splitlines():
+        record = json.loads(line)
+        if record["kind"] != "span" or record["name"].startswith("cli."):
+            continue  # cli.bench was still open when the report froze
+        name = (record["name"] if record["process"] == "main"
+                else f"workers.{record['name']}")
+        summed[name] = summed.get(name, 0.0) + record["duration"]
+    assert set(summed) == set(sections)
+    for name, seconds in sections.items():
+        assert seconds == pytest.approx(summed[name], abs=1e-6), name
 
 
 def test_serve_rejects_bad_knobs(capsys):
