@@ -38,9 +38,10 @@ the source can never replay a stale result).
 ``run --trace-out`` additionally records the lifecycle event stream and
 exports it as Chrome trace-event JSON (load it in https://ui.perfetto.dev
 or chrome://tracing); the simulated numbers are bit-identical either way.
-``explain`` replays the same event stream into per-trace lifetime
-reports: when each trace was detected, went hot, got mapped, turned
-ready, and how often it offloaded or squashed.
+``explain`` folds the same event stream, as it streams, into per-trace
+lifetime reports (the decision fold behind ``why``): when each trace was
+detected, went hot, got mapped, turned ready, and how often it offloaded
+or squashed.
 ``why`` folds the event stream into decision records — every trace
 candidate's terminal fate (offloaded, unmappable, never hot, ...) plus
 a lost-cycles attribution joining the fates against the cycle-accounting
@@ -321,16 +322,19 @@ def cmd_explain(args) -> int:
     """Per-trace lifetime report: detected -> hot -> mapped -> offloaded."""
     from repro.harness.runner import run_dynaspam
     from repro.obs import (
-        MemorySink,
-        build_lifetime_report,
-        render_lifetime_report,
+        DecisionSink,
+        TeeSink,
+        TraceEventLog,
+        format_trace_id,
+        render_explain,
         render_trace_detail,
     )
 
     benchmark = _validate_run_args(args)
     if benchmark is None:
         return 2
-    sink = MemorySink()
+    fold = DecisionSink()
+    log = TraceEventLog(args.trace_id) if args.trace_id else None
     run_dynaspam(
         benchmark,
         args.scale,
@@ -338,14 +342,13 @@ def cmd_explain(args) -> int:
         speculation=not args.no_speculation,
         trace_length=args.trace_length,
         num_fabrics=args.fabrics,
-        sink=sink,
+        sink=fold if log is None else TeeSink(fold, log),
     )
-    report = build_lifetime_report(sink.events)
-    if args.trace_id:
-        detail = render_trace_detail(report, sink.events, args.trace_id)
+    if log is not None:
+        detail = render_trace_detail(fold, args.trace_id, log.events)
         if detail is None:
             known = ", ".join(
-                t.trace_id for t in report.ranked()[:8]
+                format_trace_id(key) for key, _ in fold.ranked()[:8]
             ) or "none"
             return _fail(
                 f"no trace {args.trace_id!r} in this run (try: {known})"
@@ -353,7 +356,7 @@ def cmd_explain(args) -> int:
         print(detail)
         return 0
     print(f"{benchmark} @ scale {args.scale}")
-    print(render_lifetime_report(report, top=args.top))
+    print(render_explain(fold, top=args.top))
     return 0
 
 

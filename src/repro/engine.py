@@ -4,16 +4,18 @@ The repository carries two engine tiers for its innermost loops:
 
 * the *interpreted* engine — ``repro.ooo.pipeline.OOOPipeline.process``
   and the plan-free branches of ``SpatialFabric.execute`` /
-  ``FunctionalFabric.execute`` / ``OffloadEngine.offload`` — written for
-  readability and used as the reference model; DynaSpAM re-walks every
-  trace occurrence in full;
+  ``OffloadEngine.offload`` — written for readability and used as the
+  reference model; DynaSpAM re-walks every trace occurrence in full;
 * the *fast path* — ``repro.ooo.fastpath.FastOOOPipeline``, the
-  plan-driven evaluators and offload twin over the plans of
+  plan-driven fabric timing walk and offload twin over the plans of
   ``repro.fabric.compiled``, and DynaSpAM's occurrence probe (a
   key-matched occurrence is validated by spot-checking its embedded
   branches instead of re-walking it) — bit-identical by construction and
   enforced so by the identity tests in ``tests/engine`` and the CI
   ``fastpath-identity`` job.
+
+The value oracle ``repro.fabric.functional.FunctionalFabric`` runs in no
+simulation, so it has one (interpreted) evaluator on either tier.
 
 The fast path is on by default; ``REPRO_FASTPATH=0`` (or
 :func:`set_fastpath`) selects the interpreted reference — the A side of
@@ -53,9 +55,8 @@ def set_fastpath(enabled: bool) -> bool:
 
     Returns the previous setting.  Every component captures the engine
     once, at construction (``make_pipeline``, ``DynaSpAM``,
-    ``SpatialFabric``, ``FunctionalFabric``, ``OffloadEngine``,
-    ``ConfigCache``); flipping the flag never changes a simulation
-    already in flight.
+    ``SpatialFabric``, ``OffloadEngine``, ``ConfigCache``); flipping the
+    flag never changes a simulation already in flight.
     """
     global _FASTPATH
     previous = _FASTPATH

@@ -4,24 +4,20 @@ A ``Configuration`` is immutable once the mapper produces it, yet the
 interpreted evaluators re-derive the same facts on every invocation:
 ``SpatialFabric.execute`` recomputes the structural initiation interval,
 re-walks each op's operand sources (re-reading roles, re-counting hops),
-and re-extracts live-outs; ``FunctionalFabric.execute`` re-classifies
-every opcode through a chain of dict-membership tests;
-``OffloadEngine.offload`` re-scans the placements and the segment.
+and re-extracts live-outs; ``OffloadEngine.offload`` re-scans the
+placements and the segment.
 Steady state runs millions of invocations over a handful of
 configurations — the same insight DynaSpAM itself applies to instruction
 schedules applies here: lower the reused structure once, then execute
 the lowered form.
 
-Three plans, all cached on the configuration object and keyed by
+Two plans, both cached on the configuration object and keyed by
 identity:
 
 * :class:`TimingPlan` — for the cycle engine: topological op steps with
   pre-split producer/live-in gather lists, per-op latency and mem kind,
   the structural II, constant datapath-transfer and FIFO-op totals, and
   the live-out extraction list.
-* :class:`FunctionalPlan` — for the value engine: per-op gather indices
-  and a resolved evaluator kind (immediate / load / store / branch /
-  unary / binop) with its operator function.
 * :class:`OffloadPlan` — for the offload bookkeeping: the rename counts,
   the loads' ``(mem_index, pc)`` pairs and the stores'
   ``(mem_index, pos, pc)``, the segment's memory and branch positions,
@@ -32,9 +28,9 @@ identity:
 hot; every plan also compiles lazily on first use.  Plan use is the fast
 engine tier (:mod:`repro.engine`), which each component captures at
 construction — on the reference tier the interpreted loops in
-``repro.fabric.fabric``, ``repro.fabric.functional`` and
-``repro.core.offload`` remain the spec, and ``tests/engine`` holds the
-two bit-identical.
+``repro.fabric.fabric`` and ``repro.core.offload`` remain the spec, and
+``tests/engine`` holds the two bit-identical.  The value oracle
+(``repro.fabric.functional``) runs in no simulation and has no plan.
 """
 
 from __future__ import annotations
@@ -48,14 +44,6 @@ from repro.isa.opcodes import FU_PIPELINED, OpClass, latency_of
 T_ALU = 0
 T_LOAD = 1
 T_STORE = 2
-
-# Functional evaluator kinds.
-F_IMM = 0
-F_LOAD = 1
-F_STORE = 2
-F_BRANCH = 3
-F_UNARY = 4
-F_BINOP = 5
 
 
 @dataclass(frozen=True)
@@ -72,18 +60,6 @@ class TimingPlan:
     steps: tuple
     datapath_transfers: int   # sum of hops over all producer routes
     fifo_ops: int             # live-in gathers + live-out drains
-    liveouts: tuple           # ((reg, producer_pos), ...)
-
-
-@dataclass(frozen=True)
-class FunctionalPlan:
-    """Everything ``FunctionalFabric.execute`` needs that never changes."""
-
-    #: Per placed op: ``(pos, gather, kind, fn, aux)`` with
-    #: ``gather = ((is_livein, reg_or_producer_pos), ...)``; ``aux`` is
-    #: the load's is-float flag, the store's (base_idx, value_idx), or
-    #: the branch's operand count.
-    steps: tuple
     liveouts: tuple           # ((reg, producer_pos), ...)
 
 
@@ -138,82 +114,6 @@ def timing_plan_of(configuration: Configuration) -> TimingPlan:
     plan = getattr(configuration, "_timing_plan", None)
     if plan is None:
         plan = compile_timing_plan(configuration)
-    return plan
-
-
-def compile_functional_plan(
-    configuration: Configuration,
-) -> FunctionalPlan | None:
-    """Lower a configuration for the value engine and cache it.
-
-    Returns ``None`` (cached as ``False``) when any opcode falls outside
-    the compiled evaluator's repertoire — the interpreted path then owns
-    the invocation, including its error behavior.
-    """
-    # Imported here: functional.py imports the ISA executor stack, which
-    # the pure timing path never needs.
-    from repro.fabric.functional import _BRANCH, _COMMUTATIVE_BINOPS, _UNARY
-    from repro.isa.opcodes import Opcode
-
-    steps = []
-    for op in configuration.placements:
-        gather = []
-        for src in op.sources:
-            if src.kind == "livein":
-                gather.append((True, src.reg))
-            else:
-                gather.append((False, src.producer_pos))
-        opcode = op.opcode
-        fn = None
-        aux = None
-        if opcode in (Opcode.LI, Opcode.FLI):
-            kind = F_IMM
-        elif opcode in (Opcode.LW, Opcode.FLW):
-            kind = F_LOAD
-            aux = opcode is Opcode.FLW
-        elif opcode in (Opcode.SW, Opcode.FSW):
-            kind = F_STORE
-            roles = op.source_roles or ("base", "value")[: len(op.sources)]
-            base_idx = None
-            value_idx = None
-            # Truncate to the operand count, matching the interpreter's
-            # zip(operands, roles); last matching role wins, as there.
-            for index, role in enumerate(roles[: len(op.sources)]):
-                if role == "base":
-                    base_idx = index
-                elif role == "value":
-                    value_idx = index
-            aux = (base_idx, value_idx)
-        elif opcode in _BRANCH:
-            kind = F_BRANCH
-            fn = _BRANCH[opcode]
-            aux = len(op.sources)
-        elif opcode in _UNARY:
-            kind = F_UNARY
-            fn = _UNARY[opcode]
-        elif opcode in _COMMUTATIVE_BINOPS:
-            kind = F_BINOP
-            fn = _COMMUTATIVE_BINOPS[opcode]
-            aux = opcode.value  # for the missing-operand error message
-        else:
-            configuration._functional_plan = False
-            return None
-        steps.append((op.pos, tuple(gather), kind, fn, aux))
-    plan = FunctionalPlan(
-        steps=tuple(steps),
-        liveouts=tuple(configuration.live_outs.items()),
-    )
-    configuration._functional_plan = plan
-    return plan
-
-
-def functional_plan_of(configuration: Configuration) -> FunctionalPlan | None:
-    """The configuration's functional plan, or None if uncompilable."""
-    plan = getattr(configuration, "_functional_plan", None)
-    if plan is None:
-        return compile_functional_plan(configuration)
-    if plan is False:
-        return None
     return plan
 
 

@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.engine import fastpath_enabled
-from repro.fabric.compiled import functional_plan_of
 from repro.fabric.configuration import Configuration, PlacedOp
 from repro.isa.executor import Memory
 from repro.isa.instructions import DynamicInstruction
@@ -91,10 +89,6 @@ _BRANCH = {
 class FunctionalFabric:
     """Evaluate configurations over values (not cycles)."""
 
-    def __init__(self) -> None:
-        #: Engine tier, captured once like ``make_pipeline`` does.
-        self._fastpath = fastpath_enabled()
-
     def execute(
         self,
         configuration: Configuration,
@@ -113,12 +107,6 @@ class FunctionalFabric:
         invocation's own earlier stores through the buffer, preserving
         intra-trace memory semantics.
         """
-        if self._fastpath:
-            plan = functional_plan_of(configuration)
-            if plan is not None:
-                return self._execute_plan(
-                    plan, live_in_values, memory, dyn_instances, commit
-                )
         statics = {}
         if dyn_instances is not None:
             statics = {pos: dyn_instances[pos].static
@@ -147,90 +135,6 @@ class FunctionalFabric:
         # (the buffer preserved program order per address).  With
         # ``commit=False`` the caller inspects ``result.stores`` instead —
         # the co-simulator does this to avoid double-applying stores.
-        if commit:
-            for addr, value in result.stores:
-                memory.store(addr, value)
-        return result
-
-    # ------------------------------------------------------------------
-    def _execute_plan(self, plan, live_ins, memory, dyn_instances, commit):
-        """Plan-driven twin of :meth:`execute` (see repro.fabric.compiled).
-
-        Opcode classification, store operand roles, and the load float/int
-        cast were resolved at compile time; values, immediates, and error
-        conditions are evaluated exactly as the interpreted path does.
-        """
-        from repro.fabric.compiled import (
-            F_BINOP, F_BRANCH, F_IMM, F_LOAD, F_STORE, F_UNARY,
-        )
-
-        result = FunctionalResult()
-        values = result.values
-        store_buffer: dict[int, float | int] = {}
-        n_dyn = len(dyn_instances) if dyn_instances is not None else 0
-
-        for pos, gather, kind, fn, aux in plan.steps:
-            operands = []
-            for is_livein, key in gather:
-                if is_livein:
-                    if key not in live_ins:
-                        raise FabricExecutionError(
-                            f"op {pos}: live-in {key} not supplied"
-                        )
-                    operands.append(live_ins[key])
-                else:
-                    value = values.get(key)
-                    if value is None:
-                        raise FabricExecutionError(
-                            f"op {pos}: producer {key} has no value"
-                        )
-                    operands.append(value)
-            imm = dyn_instances[pos].static.imm if pos < n_dyn else None
-
-            if kind == F_BINOP:
-                a = operands[0]
-                b = operands[1] if len(operands) > 1 else imm
-                if b is None:
-                    raise FabricExecutionError(
-                        f"op {pos} ({aux}) missing second operand"
-                    )
-                value = fn(a, b)
-            elif kind == F_UNARY:
-                value = fn(operands[0])
-            elif kind == F_IMM:
-                value = imm
-            elif kind == F_LOAD:
-                addr = int(operands[0]) + int(imm or 0)
-                if addr in store_buffer:
-                    loaded = store_buffer[addr]
-                else:
-                    loaded = memory.load(addr)
-                result.loads.append((addr, loaded))
-                value = float(loaded) if aux else int(loaded)
-            elif kind == F_STORE:
-                base_idx, value_idx = aux
-                if base_idx is None:
-                    raise FabricExecutionError(f"store {pos} has no base")
-                addr = int(operands[base_idx]) + int(imm or 0)
-                data = operands[value_idx] if value_idx is not None else 0
-                store_buffer[addr] = data
-                result.stores.append((addr, data))
-                value = None
-            else:  # F_BRANCH
-                a = operands[0] if operands else 0
-                b = operands[1] if len(operands) > 1 else 0
-                result.branch_results.append(bool(fn(a, b)))
-                value = None
-            values[pos] = value
-
-        for reg, pos in plan.liveouts:
-            value = values.get(pos)
-            if value is None:
-                raise FabricExecutionError(
-                    f"live-out {reg} producer {pos} yielded no value"
-                )
-            result.live_outs[reg] = value
-
         if commit:
             for addr, value in result.stores:
                 memory.store(addr, value)

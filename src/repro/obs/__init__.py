@@ -2,8 +2,13 @@
 
 Zero overhead when disabled — every instrumented component holds
 ``bus = None`` by default and guards each emission with a single pointer
-comparison.  Pass any :class:`EventSink` to ``DynaSpAM(sink=...)`` (or the
-harness/CLI equivalents) to record the full lifecycle stream.
+comparison.  Pass any :class:`EventSink` (anything with an ``emit``
+method) to ``DynaSpAM(sink=...)`` (or the harness/CLI equivalents) to
+record the full lifecycle stream.  :mod:`repro.obs.decisions` folds it,
+as it streams, into one record per trace identity — the source of
+``repro why``, ``repro explain``, ``repro study`` and the ``decisions``
+report block — and :mod:`repro.obs.chrometrace` exports a recorded
+stream for Perfetto.
 
 Two clocks live side by side here: the *simulated* instrumentation above
 counts cycles, while :mod:`repro.obs.runtime` (wall-clock span tracer),
@@ -14,31 +19,24 @@ see ``docs/observability.md``.
 
 from repro.obs.events import (
     EVENT_TYPES,
-    AggregateSink,
     Event,
     EventBus,
     EventSink,
-    JsonlSink,
     MemorySink,
-    NullSink,
     TeeSink,
 )
-from repro.obs.lifetime import (
-    LifetimeReport,
-    TraceLifetime,
-    build_lifetime_report,
-    format_trace_id,
-    render_lifetime_report,
-    render_trace_detail,
-)
-from repro.obs.chrometrace import build_chrome_trace, write_chrome_trace
 from repro.obs.decisions import (
     TRACE_FATES,
     DecisionSink,
+    TraceEventLog,
     attribute_lost_cycles,
     decisions_from_events,
+    format_trace_id,
+    render_explain,
+    render_trace_detail,
     render_why,
 )
+from repro.obs.chrometrace import build_chrome_trace, write_chrome_trace
 from repro.obs.accounting import (
     BUCKET_FIELDS,
     BUCKETS,
@@ -68,27 +66,22 @@ from repro.obs.runtime import (
 
 __all__ = [
     "EVENT_TYPES",
-    "AggregateSink",
     "Event",
     "EventBus",
     "EventSink",
-    "JsonlSink",
     "MemorySink",
-    "NullSink",
     "TeeSink",
-    "LifetimeReport",
-    "TraceLifetime",
-    "build_lifetime_report",
-    "format_trace_id",
-    "render_lifetime_report",
-    "render_trace_detail",
-    "build_chrome_trace",
-    "write_chrome_trace",
     "TRACE_FATES",
     "DecisionSink",
+    "TraceEventLog",
     "attribute_lost_cycles",
     "decisions_from_events",
+    "format_trace_id",
+    "render_explain",
+    "render_trace_detail",
     "render_why",
+    "build_chrome_trace",
+    "write_chrome_trace",
     "BUCKET_FIELDS",
     "BUCKETS",
     "bucket_breakdown",

@@ -33,7 +33,7 @@ import json
 from typing import Iterable
 
 from repro.obs.events import Event
-from repro.obs.lifetime import format_trace_id
+from repro.obs.decisions import format_trace_id
 
 PID = 1
 HOST_PID = 2

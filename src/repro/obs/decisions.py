@@ -13,13 +13,20 @@ silently miscounting.
 
 :class:`DecisionSink` is a streaming fold (O(#identities) memory, no
 event retention) that plugs anywhere an ``EventSink`` does; it powers
-``repro why``, ``repro study``, the ``decisions`` report block
-(``simulation_report(..., decisions=True)``), the dashboard fate panel,
-and the service's ``repro_trace_fate_total`` Prometheus family.
+``repro why``, ``repro explain``, ``repro study``, the ``decisions``
+report block (``simulation_report(..., decisions=True)``), the dashboard
+fate panel, and the service's ``repro_trace_fate_total`` Prometheus
+family.
 
 :func:`attribute_lost_cycles` joins the fold against the cycle-accounting
 buckets (PR 4): each non-host bucket is paired with the decision records
 that explain it, giving the lost-cycles attribution behind ``repro why``.
+
+Each identity's record also carries its lifecycle milestones as cycle
+stamps (detected, hot, mapped, ready, first/last offload, evicted), and
+the sink keeps a few run-wide tallies: :func:`render_explain` and
+:func:`render_trace_detail` print ``repro explain`` from them.
+
 Decisions are strictly opt-in; a plain run never constructs any of this
 (the report stays byte-identical, the ``--require-null-sink`` bench gate
 stays meaningful).
@@ -38,8 +45,12 @@ __all__ = [
     "MAP_FAIL_REASONS",
     "WINDOW_CLOSE_REASONS",
     "DecisionSink",
+    "TraceEventLog",
     "decisions_from_events",
     "attribute_lost_cycles",
+    "format_trace_id",
+    "render_explain",
+    "render_trace_detail",
     "render_why",
 ]
 
@@ -62,43 +73,101 @@ TRACE_FATES: dict[str, str] = {
 }
 
 
+def format_trace_id(key) -> str:
+    """Stable human-readable id for a trace key ``(pc, outcomes, length)``.
+
+    Example: ``0x1a4:TNT:32`` — anchor PC, branch-outcome string (``-``
+    when the trace embeds no branches), length cap.
+    """
+    pc, outcomes, length = key
+    taken = "".join("T" if o else "N" for o in outcomes) or "-"
+    return f"0x{pc:x}:{taken}:{length}"
+
+
 class _TraceDecision:
-    """Streaming per-identity accumulator (one per trace key)."""
+    """Streaming per-identity accumulator (one per trace key).
+
+    Milestones are cycle stamps, ``None`` until reached.
+    """
 
     __slots__ = (
-        "windows", "hot", "map_attempts", "map_aborts", "mapped",
-        "map_fail_reason", "ready", "commits", "squash_branch",
-        "squash_memory", "defers",
+        "windows", "detected", "hot", "map_started", "map_attempts",
+        "map_aborts", "mapped", "map_fail_reason", "mapping_cycles",
+        "placements", "ready", "predictions", "commits", "first_offload",
+        "last_offload", "offloaded_instructions", "squash_branch",
+        "squash_memory", "defers", "evicted", "reconfigurations",
     )
 
     def __init__(self) -> None:
         self.windows = 0
-        self.hot = False
+        self.detected: int | None = None     # first tcache.detect
+        self.hot: int | None = None          # first tcache.hot / hot window
+        self.map_started: int | None = None  # first map.start
         self.map_attempts = 0
         self.map_aborts = 0
-        self.mapped = False
+        self.mapped: int | None = None       # latest map.done
         self.map_fail_reason: str | None = None
-        self.ready = False
+        self.mapping_cycles: int | None = None
+        self.placements: int | None = None
+        self.ready: int | None = None        # first ccache.ready
+        self.predictions = 0                 # fetch-stage config-cache hits
         self.commits = 0
+        self.first_offload: int | None = None
+        self.last_offload: int | None = None
+        self.offloaded_instructions = 0
         self.squash_branch = 0
         self.squash_memory = 0
         self.defers = 0
+        self.evicted: int | None = None      # latest ccache.evict
+        self.reconfigurations = 0
 
     @property
     def fate(self) -> str:
         if self.commits:
             return "offloaded"
-        if self.ready:
+        if self.ready is not None:
             return "ready_never_offloaded"
-        if self.mapped:
+        if self.mapped is not None:
             return "mapped_never_ready"
         if self.map_fail_reason is not None:
             return "unmappable"
         if self.map_aborts:
             return "map_aborted"
-        if self.hot:
+        if self.hot is not None:
             return "hot_never_mapped"
         return "never_hot"
+
+    @property
+    def stage(self) -> str:
+        """``repro explain``'s furthest-stage column.
+
+        Coarser than :attr:`fate`, and a failed mapping outranks a built
+        configuration here, where the fate lattice orders them the other
+        way.
+        """
+        if self.commits:
+            return "offloaded"
+        if self.map_fail_reason is not None:
+            return "unmappable"
+        if self.mapped is not None:
+            return "mapped"
+        if self.hot is not None:
+            return "hot"
+        return "detected"
+
+    def timeline(self) -> list[tuple[int, str]]:
+        """Ordered ``(cycle, milestone)`` pairs for the detail view."""
+        marks = [
+            (self.detected, "detected"),
+            (self.hot, "hot"),
+            (self.map_started, "mapping started"),
+            (self.mapped, "mapped"),
+            (self.ready, "ready"),
+            (self.first_offload, "first offload"),
+            (self.last_offload, "last offload"),
+            (self.evicted, "evicted"),
+        ]
+        return [(c, label) for c, label in marks if c is not None]
 
 
 class DecisionSink:
@@ -109,8 +178,6 @@ class DecisionSink:
     event types are ignored (the sink can ride a :class:`TeeSink` next to
     any other consumer).
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         self.windows_total = 0
@@ -123,6 +190,11 @@ class DecisionSink:
         self.deferred = 0
         self.squash_branch_pcs: dict[int, int] = {}
         self.squash_memory_pairs: dict[tuple, int] = {}
+        # Run-wide tallies for ``repro explain``.
+        self.events = 0
+        self.peak_ccache_occupancy = 0
+        self.tcache_clears = 0
+        self.drain_cycles = 0
 
     # ------------------------------------------------------------------
     def _trace(self, key: tuple) -> _TraceDecision:
@@ -133,8 +205,10 @@ class DecisionSink:
         return record
 
     def emit(self, event: Event) -> None:
+        self.events += 1
         etype = event.type
         data = event.data
+        cycle = event.cycle
         if etype == "tcache.window":
             self.windows_total += 1
             reason = data.get("reason")
@@ -143,23 +217,54 @@ class DecisionSink:
             )
             record = self._trace(data["key"])
             record.windows += 1
-            if data.get("hot"):
-                record.hot = True
+            if data.get("hot") and record.hot is None:
+                record.hot = cycle
+        elif etype == "tcache.detect":
+            record = self._trace(data["key"])
+            if record.detected is None:
+                record.detected = cycle
         elif etype == "tcache.hot":
-            self._trace(data["key"]).hot = True
+            record = self._trace(data["key"])
+            if record.hot is None:
+                record.hot = cycle
+        elif etype == "tcache.clear":
+            self.tcache_clears += 1
         elif etype == "map.start":
-            self._trace(data["key"]).map_attempts += 1
+            record = self._trace(data["key"])
+            record.map_attempts += 1
+            if record.map_started is None:
+                record.map_started = cycle
         elif etype == "map.abort":
             self._trace(data["key"]).map_aborts += 1
         elif etype == "map.fail":
             self._trace(data["key"]).map_fail_reason = data.get("reason")
         elif etype == "map.done":
-            self._trace(data["key"]).mapped = True
+            record = self._trace(data["key"])
+            record.mapped = cycle
+            record.mapping_cycles = data.get("mapping_cycles")
+            record.placements = data.get("placements")
+        elif etype == "ccache.hit":
+            self._trace(data["key"]).predictions += 1
+        elif etype == "ccache.insert":
+            occupancy = data.get("occupancy", 0)
+            if occupancy > self.peak_ccache_occupancy:
+                self.peak_ccache_occupancy = occupancy
         elif etype == "ccache.ready":
-            self._trace(data["key"]).ready = True
+            record = self._trace(data["key"])
+            if record.ready is None:
+                record.ready = cycle
+        elif etype == "ccache.evict":
+            self._trace(data["key"]).evicted = cycle
+        elif etype == "fabric.reconfig":
+            self._trace(data["key"]).reconfigurations += 1
         elif etype == "offload.commit":
             self.committed += 1
-            self._trace(data["key"]).commits += 1
+            record = self._trace(data["key"])
+            record.commits += 1
+            record.offloaded_instructions += data.get("instructions", 0)
+            if record.first_offload is None:
+                record.first_offload = cycle
+            record.last_offload = cycle
         elif etype == "offload.squash":
             record = self._trace(data["key"])
             if data.get("cause") == "memory":
@@ -179,6 +284,8 @@ class DecisionSink:
         elif etype == "offload.defer":
             self.deferred += 1
             self._trace(data["key"]).defers += 1
+        elif etype == "pipeline.drain":
+            self.drain_cycles += data.get("stall", 0)
 
     # ------------------------------------------------------------------
     def fate_counts(self) -> dict[str, int]:
@@ -232,6 +339,26 @@ class DecisionSink:
         """Identity -> fate (tests and the study harness)."""
         return {key: rec.fate for key, rec in self._traces.items()}
 
+    def stage_counts(self) -> dict[str, int]:
+        """Identity count per explain stage (all stages, zero-filled)."""
+        counts = dict.fromkeys(
+            ("detected", "hot", "mapped", "unmappable", "offloaded"), 0
+        )
+        for record in self._traces.values():
+            counts[record.stage] += 1
+        return counts
+
+    def ranked(self) -> list[tuple[tuple, _TraceDecision]]:
+        """``(key, record)`` pairs, most consequential first: offloads,
+        then predictions, then age."""
+        def weight(item):
+            record = item[1]
+            detected = record.detected
+            return (-record.commits, -record.predictions,
+                    1 << 60 if detected is None else detected)
+
+        return sorted(self._traces.items(), key=weight)
+
 
 def _top_pcs(counter: dict, limit: int = 8) -> list[dict]:
     ranked = sorted(counter.items(), key=lambda kv: (-kv[1], str(kv[0])))
@@ -259,6 +386,115 @@ def decisions_from_events(events: Iterable[Event]) -> DecisionSink:
     for event in events:
         sink.emit(event)
     return sink
+
+
+# ----------------------------------------------------------------------
+#: Raw events the ``--trace-id`` detail view lists before truncating.
+DETAIL_EVENTS = 200
+
+
+class TraceEventLog:
+    """Sink keeping the first :data:`DETAIL_EVENTS` events of one trace.
+
+    ``repro explain --trace-id`` tees it next to the :class:`DecisionSink`,
+    so the detail view holds at most that many events whatever the run
+    length.
+    """
+
+    def __init__(self, trace_id: str) -> None:
+        self.trace_id = trace_id
+        self.events: list[Event] = []
+
+    def emit(self, event: Event) -> None:
+        if len(self.events) < DETAIL_EVENTS:
+            key = event.data.get("key")
+            if key is not None and format_trace_id(key) == self.trace_id:
+                self.events.append(event)
+
+
+def _stamp(value: int | None) -> str:
+    return "-" if value is None else str(value)
+
+
+def render_explain(sink: DecisionSink, top: int = 10) -> str:
+    """The ``repro explain`` table: one line per trace identity, ranked."""
+    stages = sink.stage_counts()
+    lines = [
+        (
+            f"{len(sink._traces)} traces detected | "
+            f"hot-not-mapped {stages['hot']} | mapped {stages['mapped']} | "
+            f"offloaded {stages['offloaded']} | "
+            f"unmappable {stages['unmappable']}"
+        ),
+        (
+            f"peak config-cache occupancy {sink.peak_ccache_occupancy} | "
+            f"t-cache clears {sink.tcache_clears} | "
+            f"drain stall {sink.drain_cycles} cycles | "
+            f"{sink.events} events"
+        ),
+        "",
+        f"{'trace':<18} {'len':>4} {'detect':>8} {'hot':>8} {'mapped':>8} "
+        f"{'ready':>8} {'offloads':>8} {'insts':>8} {'sq(b/m)':>8} "
+        f"{'evict':>8}  fate",
+    ]
+    for key, record in sink.ranked()[: top if top else None]:
+        lines.append(
+            f"{format_trace_id(key):<18} {key[2]:>4} "
+            f"{_stamp(record.detected):>8} {_stamp(record.hot):>8} "
+            f"{_stamp(record.mapped):>8} {_stamp(record.ready):>8} "
+            f"{record.commits:>8} {record.offloaded_instructions:>8} "
+            f"{record.squash_branch:>4}/{record.squash_memory:<3} "
+            f"{_stamp(record.evicted):>8}  {record.stage}"
+        )
+    return "\n".join(lines)
+
+
+def render_trace_detail(
+    sink: DecisionSink, trace_id: str, events: list[Event]
+) -> str | None:
+    """Detail view for one trace: milestones, then its raw events.
+
+    ``events`` are the trace's own events (a :class:`TraceEventLog`'s).
+    Returns None when ``trace_id`` matches no identity in the fold.
+    """
+    found = next(
+        (item for item in sink._traces.items()
+         if format_trace_id(item[0]) == trace_id),
+        None,
+    )
+    if found is None:
+        return None
+    key, record = found
+    lines = [
+        f"trace {trace_id} (length {key[2]}) — {record.stage}",
+        f"  offloads {record.commits} "
+        f"({record.offloaded_instructions} instructions), "
+        f"predictions {record.predictions}, "
+        f"squashes {record.squash_branch} branch / "
+        f"{record.squash_memory} memory, "
+        f"reconfigurations {record.reconfigurations}",
+    ]
+    if record.map_fail_reason is not None:
+        lines.append(f"  unmappable: {record.map_fail_reason}")
+    if record.mapping_cycles is not None:
+        lines.append(
+            f"  mapping took {record.mapping_cycles} issue-unit cycles "
+            f"for {record.placements} placements"
+        )
+    lines.append("  timeline:")
+    for cycle, label in record.timeline():
+        lines.append(f"    cycle {cycle:>10}  {label}")
+    lines.append("  events:")
+    for event in events:
+        detail = " ".join(
+            f"{k}={v}" for k, v in event.data.items() if k != "key"
+        )
+        lines.append(
+            f"    cycle {event.cycle:>10}  {event.type:<16} {detail}".rstrip()
+        )
+    if len(events) >= DETAIL_EVENTS:
+        lines.append(f"    ... (truncated at {DETAIL_EVENTS} events)")
+    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------

@@ -17,22 +17,20 @@ Tracing is strictly opt-in and must never perturb the simulation:
 
 Sinks:
 
-:class:`NullSink`
-    Swallows everything (the explicit "tracing off" object).
 :class:`MemorySink`
-    Bounded in-memory ring of :class:`Event` records (analysis, tests,
-    the ``repro explain`` and ``--trace-out`` pipelines).
-:class:`JsonlSink`
-    One JSON object per line to a file or file-like object.
-:class:`AggregateSink`
-    Counts per event type only — O(#types) memory, for telemetry.
+    Bounded in-memory ring of :class:`Event` records (the ``run
+    --trace-out`` Chrome export, analysis, tests).
 :class:`TeeSink`
     Fans one stream out to several sinks.
+
+The streaming folds in :mod:`repro.obs.decisions` are sinks too: the
+``DecisionSink`` behind ``repro why``/``explain`` and the ``decisions``
+report block, and the per-trace ``TraceEventLog`` of ``explain
+--trace-id``.
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol, runtime_checkable
@@ -94,31 +92,14 @@ class Event:
 
 @runtime_checkable
 class EventSink(Protocol):
-    """Receiver of emitted events.
-
-    ``enabled`` lets cooperating code skip expensive payload construction;
-    the bus itself always forwards to ``emit``.
-    """
-
-    enabled: bool
+    """Receiver of emitted events: anything with an ``emit`` method."""
 
     def emit(self, event: Event) -> None:  # pragma: no cover - protocol
         ...
 
 
-class NullSink:
-    """The explicit "tracing off" sink: swallows everything."""
-
-    enabled = False
-
-    def emit(self, event: Event) -> None:
-        pass
-
-
 class MemorySink:
     """Bounded in-memory ring of events (newest kept when full)."""
-
-    enabled = True
 
     def __init__(self, capacity: int | None = 1 << 20) -> None:
         self.events: deque[Event] = deque(maxlen=capacity)
@@ -140,63 +121,8 @@ class MemorySink:
         return iter(self.events)
 
 
-class JsonlSink:
-    """One JSON object per line to ``path`` or an open file-like object."""
-
-    enabled = True
-
-    def __init__(self, target) -> None:
-        if hasattr(target, "write"):
-            self._fh = target
-            self._owns = False
-        else:
-            self._fh = open(target, "w", encoding="utf-8")
-            self._owns = True
-        self.count = 0
-
-    def emit(self, event: Event) -> None:
-        self._fh.write(json.dumps(event.as_dict(), default=_jsonable))
-        self._fh.write("\n")
-        self.count += 1
-
-    def close(self) -> None:
-        if self._owns:
-            self._fh.close()
-
-    def __enter__(self) -> "JsonlSink":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def _jsonable(value):
-    """JSON fallback: tuples (trace keys) become lists, objects strings."""
-    if isinstance(value, (set, frozenset)):
-        return sorted(value)
-    return str(value)
-
-
-class AggregateSink:
-    """Per-type counters only; constant memory regardless of volume."""
-
-    enabled = True
-
-    def __init__(self) -> None:
-        self.counts: dict[str, int] = {}
-        self.last_cycle: int = 0
-        self.total = 0
-
-    def emit(self, event: Event) -> None:
-        self.counts[event.type] = self.counts.get(event.type, 0) + 1
-        self.last_cycle = event.cycle
-        self.total += 1
-
-
 class TeeSink:
     """Fan one event stream out to several sinks."""
-
-    enabled = True
 
     def __init__(self, *sinks: EventSink) -> None:
         self.sinks = tuple(sinks)

@@ -94,6 +94,78 @@ def test_single_identity_fates(events, fate):
     assert sink.trace_fates() == {KEY_A: fate}
 
 
+def test_milestone_stamps_keep_the_first_or_the_latest():
+    """First detect/hot/ready/offload, latest map.done/evict/offload; a
+    window marked hot stamps ``hot`` as a ``tcache.hot`` does."""
+    sink = decisions_from_events(_events(
+        ("tcache.detect", {"key": KEY_A, "length": 32}),             # 0
+        ("tcache.window", {"key": KEY_A, "reason": "length_cap",
+                           "hot": True}),                            # 1
+        ("tcache.detect", {"key": KEY_A, "length": 32}),             # 2
+        ("tcache.hot", {"key": KEY_A}),                              # 3
+        ("map.start", {"key": KEY_A}),                               # 4
+        ("map.done", {"key": KEY_A, "mapping_cycles": 9,
+                      "placements": 7}),                             # 5
+        ("ccache.ready", {"key": KEY_A}),                            # 6
+        ("offload.commit", {"key": KEY_A, "instructions": 32}),      # 7
+        ("ccache.evict", {"key": KEY_A}),                            # 8
+        ("map.start", {"key": KEY_A}),                               # 9
+        ("map.done", {"key": KEY_A, "mapping_cycles": 5,
+                      "placements": 6}),                             # 10
+        ("ccache.ready", {"key": KEY_A}),                            # 11
+        ("offload.commit", {"key": KEY_A, "instructions": 30}),      # 12
+        ("ccache.evict", {"key": KEY_A}),                            # 13
+        ("tcache.window", {"key": KEY_B, "reason": "length_cap",
+                           "hot": False}),                           # 14
+        ("tcache.hot", {"key": KEY_B}),                              # 15
+    ))
+    a, b = sink._traces[KEY_A], sink._traces[KEY_B]
+    assert a.detected == 0
+    assert a.hot == 1
+    assert a.map_started == 4
+    assert (a.mapped, a.mapping_cycles, a.placements) == (10, 5, 6)
+    assert a.ready == 6
+    assert (a.first_offload, a.last_offload) == (7, 12)
+    assert a.evicted == 13
+    assert (a.commits, a.offloaded_instructions) == (2, 62)
+    assert b.hot == 15
+    assert (b.detected, b.mapped, b.ready) == (None, None, None)
+    assert sink.events == 16
+
+
+def test_run_wide_tallies():
+    sink = decisions_from_events(_events(
+        ("ccache.insert", {"key": KEY_A, "occupancy": 3}),
+        ("ccache.insert", {"key": KEY_B, "occupancy": 5}),
+        ("ccache.insert", {"key": KEY_A, "occupancy": 4}),
+        ("tcache.clear", {"entries": 2, "hot": 1}),
+        ("pipeline.drain", {"until": 9, "stall": 7}),
+        ("pipeline.drain", {"until": 19, "stall": 4}),
+        ("ccache.hit", {"key": KEY_A}),
+        ("ccache.hit", {"key": KEY_A}),
+        ("fabric.reconfig", {"key": KEY_A, "fabric": 0}),
+    ))
+    assert sink.events == 9
+    assert sink.peak_ccache_occupancy == 5
+    assert sink.tcache_clears == 1
+    assert sink.drain_cycles == 11
+    record = sink._traces[KEY_A]
+    assert (record.predictions, record.reconfigurations) == (2, 1)
+
+
+def test_unmappable_outranks_mapped_in_stage_not_fate():
+    """Explain's stage column and the fate lattice order a failed mapping
+    and a built configuration oppositely."""
+    sink = decisions_from_events(_events(
+        ("map.done", {"key": KEY_A}),
+        ("map.fail", {"key": KEY_A, "reason": "out_of_stripes"}),
+    ))
+    record = sink._traces[KEY_A]
+    assert record.stage == "unmappable"
+    assert record.fate == "mapped_never_ready"
+    assert sink.stage_counts()["unmappable"] == 1
+
+
 def test_squash_offender_tallies():
     sink = decisions_from_events(_events(
         ("offload.squash", {"key": KEY_A, "cause": "branch",

@@ -1,20 +1,16 @@
 """Unit tests for the event bus and sinks."""
 
-import io
-import json
-
 import pytest
 
 from repro.obs import (
     EVENT_TYPES,
-    AggregateSink,
+    DecisionSink,
     Event,
     EventBus,
     EventSink,
-    JsonlSink,
     MemorySink,
-    NullSink,
     TeeSink,
+    TraceEventLog,
 )
 
 
@@ -38,11 +34,9 @@ def test_bus_rejects_unregistered_types():
 
 
 def test_every_sink_satisfies_the_protocol():
-    for sink in (NullSink(), MemorySink(), JsonlSink(io.StringIO()),
-                 AggregateSink(), TeeSink()):
+    for sink in (MemorySink(), TeeSink(), DecisionSink(),
+                 TraceEventLog("0x4:-:8")):
         assert isinstance(sink, EventSink)
-    assert NullSink().enabled is False
-    assert MemorySink().enabled is True
 
 
 def test_memory_sink_ring_drops_oldest():
@@ -55,39 +49,14 @@ def test_memory_sink_ring_drops_oldest():
     assert [event.cycle for event in sink] == [2, 3, 4]
 
 
-def test_jsonl_sink_round_trips_trace_keys(tmp_path):
-    path = tmp_path / "events.jsonl"
-    with JsonlSink(path) as sink:
-        bus = EventBus(sink)
-        bus.emit("map.done", cycle=9, key=(4, (True, False), 32),
-                 placements=7)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 1
-    doc = json.loads(lines[0])
-    assert doc["type"] == "map.done"
-    assert doc["cycle"] == 9
-    assert doc["key"] == [4, [True, False], 32]
-    assert doc["placements"] == 7
-
-
-def test_aggregate_sink_counts_only():
-    sink = AggregateSink()
-    bus = EventBus(sink)
-    for _ in range(4):
-        bus.emit("ccache.hit", cycle=5, key=(1, (), 8))
-    bus.emit("ccache.ready", cycle=8, key=(1, (), 8))
-    assert sink.counts == {"ccache.hit": 4, "ccache.ready": 1}
-    assert sink.total == 5
-    assert sink.last_cycle == 8
-
-
 def test_tee_sink_fans_out():
-    memory, aggregate = MemorySink(), AggregateSink()
-    bus = EventBus(TeeSink(memory, aggregate))
+    first, second = MemorySink(), MemorySink()
+    bus = EventBus(TeeSink(first, second))
     bus.emit("fabric.reconfig", cycle=3, fabric=0,
              key=(2, (), 8), evicted=None, stripes=4)
-    assert len(memory) == 1
-    assert aggregate.counts == {"fabric.reconfig": 1}
+    assert len(first) == len(second) == 1
+    assert list(first) == list(second)
+    assert first.events[0].type == "fabric.reconfig"
 
 
 def test_event_as_dict_flattens_payload():

@@ -19,6 +19,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.engine import use_fastpath
+from repro.obs import MemorySink
 from repro.workloads import ALL_ABBREVS
 
 SCALE = "0.05"
@@ -53,6 +54,15 @@ def test_explain_output_matches_golden(kernel, fast):
         detail = _detail(kernel, golden["trace_id"])
     assert _digest(table) == golden["table"]
     assert _digest(detail) == golden["detail"]
+
+
+def test_explain_holds_no_event_buffer(monkeypatch):
+    """Explain folds the stream as it runs: a ``MemorySink`` ring far too
+    small for KM's 705 events changes none of its bytes."""
+    monkeypatch.setattr(MemorySink.__init__, "__defaults__", (64,))
+    golden = json.loads(GOLDEN.read_text())["KM"]
+    assert _digest(_table("KM")) == golden["table"]
+    assert _digest(_detail("KM", golden["trace_id"])) == golden["detail"]
 
 
 def _regenerate() -> None:

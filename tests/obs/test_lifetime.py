@@ -1,19 +1,23 @@
-"""Lifetime reports: folding the event stream into per-trace records."""
+"""Trace lifetimes: the decision fold's milestones behind ``repro explain``."""
 
 from repro.harness.runner import run_dynaspam
 from repro.obs import (
-    MemorySink,
-    build_lifetime_report,
+    DecisionSink,
+    TeeSink,
+    TraceEventLog,
     format_trace_id,
-    render_lifetime_report,
+    render_explain,
     render_trace_detail,
 )
+from repro.obs.decisions import DETAIL_EVENTS
 
 
-def _traced_run(abbrev="KM", scale=0.05):
-    sink = MemorySink()
-    result = run_dynaspam(abbrev, scale, sink=sink)
-    return result, sink
+def _traced_run(abbrev="KM", scale=0.05, sink=None):
+    fold = DecisionSink()
+    result = run_dynaspam(
+        abbrev, scale, sink=fold if sink is None else TeeSink(fold, sink)
+    )
+    return result, fold
 
 
 def test_format_trace_id():
@@ -22,59 +26,58 @@ def test_format_trace_id():
 
 
 def test_lifetimes_are_ordered_and_consistent():
-    result, sink = _traced_run()
-    report = build_lifetime_report(sink.events)
-    assert report.events == len(sink)
-    assert report.lifetimes, "no traces detected"
-    for trace in report.lifetimes.values():
+    result, fold = _traced_run()
+    assert fold.events > 0
+    assert fold._traces, "no traces detected"
+    for key, record in fold._traces.items():
         # Milestones must be reached in lifecycle order.
-        stamps = [cycle for cycle, _ in trace.timeline()]
-        assert stamps == sorted(stamps), trace.trace_id
-        if trace.offloads:
-            assert trace.fate == "offloaded"
-            assert trace.mapped is not None
-            assert trace.ready is not None
+        stamps = [cycle for cycle, _ in record.timeline()]
+        assert stamps == sorted(stamps), format_trace_id(key)
+        if record.commits:
+            assert record.stage == "offloaded"
+            assert record.mapped is not None
+            assert record.ready is not None
     # The fold's offload totals agree with the simulator's own accounting.
-    offloaded = [t for t in report.lifetimes.values() if t.offloads]
+    offloaded = [r for r in fold._traces.values() if r.commits]
     assert len(offloaded) == result.offloaded_traces
-    assert sum(t.offloads for t in offloaded) == \
+    assert sum(r.commits for r in offloaded) == \
         result.stats.fabric_invocations
 
 
 def test_fate_counts_partition_the_traces():
-    _, sink = _traced_run()
-    report = build_lifetime_report(sink.events)
-    fates = report.counts()
-    assert sum(fates.values()) == len(report.lifetimes)
+    _, fold = _traced_run()
+    stages = fold.stage_counts()
+    assert sum(stages.values()) == len(fold._traces)
 
 
 def test_ranked_puts_heaviest_offloader_first():
-    _, sink = _traced_run()
-    report = build_lifetime_report(sink.events)
-    ranked = report.ranked()
-    assert ranked[0].offloads == max(
-        t.offloads for t in report.lifetimes.values()
-    )
+    _, fold = _traced_run()
+    _, first = fold.ranked()[0]
+    assert first.commits == max(r.commits for r in fold._traces.values())
 
 
 def test_render_table_and_summary():
-    _, sink = _traced_run()
-    report = build_lifetime_report(sink.events)
-    text = render_lifetime_report(report, top=5)
+    _, fold = _traced_run()
+    text = render_explain(fold, top=5)
     assert "traces detected" in text
     assert "offloaded" in text
+    assert f"{fold.events} events" in text
     # top=5 caps the table body.
     body = [line for line in text.splitlines() if line.startswith("0x")]
     assert 0 < len(body) <= 5
 
 
 def test_render_trace_detail():
-    _, sink = _traced_run()
-    report = build_lifetime_report(sink.events)
-    best = report.ranked()[0]
-    detail = render_trace_detail(report, sink.events, best.trace_id)
+    _, fold = _traced_run()
+    trace_id = format_trace_id(fold.ranked()[0][0])
+    log = TraceEventLog(trace_id)
+    _, fold = _traced_run(sink=log)
+    assert 0 < len(log.events) <= DETAIL_EVENTS
+    assert all(format_trace_id(e.data["key"]) == trace_id
+               for e in log.events)
+    detail = render_trace_detail(fold, trace_id, log.events)
     assert detail is not None
-    assert best.trace_id in detail
+    assert trace_id in detail
     assert "timeline:" in detail
     assert "first offload" in detail
-    assert render_trace_detail(report, sink.events, "0xdead:-:1") is None
+    assert render_trace_detail(fold, "0xdead:-:1", []) is None

@@ -17,7 +17,7 @@ from repro.core import DynaSpAM, DynaSpAMConfig
 from repro.harness.runner import run_dynaspam
 from repro.isa.builder import ProgramBuilder
 from repro.isa.executor import FunctionalExecutor
-from repro.obs import EVENT_TYPES, AggregateSink
+from repro.obs import EVENT_TYPES, MemorySink
 from repro.ooo.stats import PipelineStats
 from repro.workloads import ALL_ABBREVS
 
@@ -52,17 +52,17 @@ def test_every_stat_and_event_fires_across_the_suite():
         ticked.update(
             name for name, value in result.stats.as_dict().items() if value
         )
-        fired.update(sink.counts)
+        fired.update(event.type for event in sink)
 
     for abbrev in ALL_ABBREVS:
-        sink = AggregateSink()
+        sink = MemorySink()
         absorb(run_dynaspam(abbrev, SCALE, sink=sink), sink)
 
     # Forced rare paths -----------------------------------------------
     # Periodic T-Cache clear: the interval counts *observed windows*
     # (offloaded invocations bypass the commit stream), so it must sit
     # far below the handful of windows a smoke run commits on the host.
-    sink = AggregateSink()
+    sink = MemorySink()
     absorb(
         run_dynaspam(
             "KM", SCALE, sink=sink,
@@ -71,7 +71,7 @@ def test_every_stat_and_event_fires_across_the_suite():
         sink,
     )
     # Config-cache eviction: a trace-diverse benchmark with 2 entries.
-    sink = AggregateSink()
+    sink = MemorySink()
     absorb(
         run_dynaspam(
             "BFS", SCALE, sink=sink,
@@ -80,7 +80,7 @@ def test_every_stat_and_event_fires_across_the_suite():
         sink,
     )
     # Integer division (synthetic; see _int_div_run).
-    sink = AggregateSink()
+    sink = MemorySink()
     absorb(_int_div_run(sink), sink)
 
     dead_stats = field_names - ticked
