@@ -3,6 +3,7 @@
 from repro.harness.runner import run_dynaspam
 from repro.obs import (
     DecisionSink,
+    MemorySink,
     TeeSink,
     TraceEventLog,
     format_trace_id,
@@ -26,8 +27,9 @@ def test_format_trace_id():
 
 
 def test_lifetimes_are_ordered_and_consistent():
-    result, fold = _traced_run()
-    assert fold.events > 0
+    ring = MemorySink()
+    result, fold = _traced_run(sink=ring)
+    assert fold.events == len(ring)
     assert fold._traces, "no traces detected"
     for key, record in fold._traces.items():
         # Milestones must be reached in lifecycle order.
