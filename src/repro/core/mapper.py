@@ -20,6 +20,12 @@ during the mapping phase:
 The mapper also accounts the cycles the mapping phase occupies the issue
 unit: each scheduling step costs ``ceil(selected / issue width)`` cycles
 plus a pause while unpipelined units finish (Section 4.1, Special Issues).
+
+Steps 1-3 are the placement policy, ``_schedule``.  Everything around it
+(trace analysis, the FIFO limits, operand routing in ``_place``,
+live-value propagation, the ``Configuration`` and the ``map.*`` events)
+is shared with the naive in-order baseline, which overrides only
+``_schedule``.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from repro.core.priority import (
     priority_gen,
     score_name,
     PlacementPlan,
-    PRIORITY_INFEASIBLE,
 )
 from repro.core.tables import MappingTables, livein_token, pos_token, Token
 from repro.fabric.config import FabricConfig
@@ -159,7 +164,6 @@ class ResourceAwareMapper:
         #: but ignores the Table 2 routing preferences (pure host
         #: oldest-first among feasible instructions).
         self.use_priority_scores = use_priority_scores
-        self.attempts = 0
         self.failures = 0
         #: Optional ``repro.obs.EventBus`` (None = tracing disabled).
         self.bus = bus
@@ -169,7 +173,6 @@ class ResourceAwareMapper:
         self, insts: list[DynamicInstruction], trace_key: tuple
     ) -> Configuration | None:
         """Map a trace; returns None if no feasible mapping exists."""
-        self.attempts += 1
         if self.bus is not None:
             self.bus.emit(
                 "map.start", key=trace_key, instructions=len(insts)
@@ -199,6 +202,9 @@ class ResourceAwareMapper:
 
     # ------------------------------------------------------------------
     def _map(self, insts, trace_key) -> Configuration:
+        """The frame every placement policy shares: trace analysis, the
+        FIFO limits, the tables, and the configuration ``_schedule``
+        fills in."""
         fcfg = self.fabric_config
         ops, live_ins, last_def, branch_outcomes = analyze_trace(insts)
 
@@ -213,49 +219,16 @@ class ResourceAwareMapper:
                 f"{len(last_def)} live-outs > {fcfg.liveout_fifos} FIFOs",
             )
 
-        stripes = self._stripes
         tables = MappingTables(fcfg.num_stripes, self._stripe_channels)
         placed: dict[int, PlacedOp] = {}
-        unplaced = {op.pos: op for op in ops}
         consumers: dict[int, list[int]] = {}
         for op in ops:
             for token in op.operand_tokens:
                 if token[0] == "pos":
                     consumers.setdefault(token[1], []).append(op.pos)
-
-        mapping_cycles = 0
-        frontier = 0
-        while unplaced:
-            if frontier >= fcfg.num_stripes:
-                raise MappingFailure(
-                    "out_of_stripes",
-                    f"frontier passed stripe {fcfg.num_stripes - 1} with "
-                    f"{len(unplaced)} ops unplaced",
-                )
-            selected = self._fill_stripe(
-                stripes[frontier], frontier, unplaced, placed, tables
-            )
-            if selected:
-                mapping_cycles += self._step_cycles(selected)
-            elif not self._any_ready(unplaced, placed):
-                raise MappingFailure(
-                    "deadlock", "deadlock: no instruction is ready"
-                )
-            # Advance the frontier: propagate still-live values forward.
-            live_tokens = self._live_tokens(
-                placed, unplaced, consumers, last_def
-            )
-            tables.propagate(frontier, live_tokens)
-            if self.bus is not None:
-                self.bus.emit(
-                    "map.stripe",
-                    stripe=frontier,
-                    selected=len(selected),
-                    offset=mapping_cycles,
-                    remaining=len(unplaced),
-                )
-            frontier += 1
-            mapping_cycles += 1  # frontier advance
+        mapping_cycles = self._schedule(
+            ops, placed, tables, consumers, last_def
+        )
 
         live_outs = {reg: pos for reg, pos in last_def.items() if pos in placed}
         mem_pcs = []
@@ -278,6 +251,49 @@ class ResourceAwareMapper:
         )
         configuration.validate()
         return configuration
+
+    # ------------------------------------------------------------------
+    def _schedule(self, ops, placed, tables, consumers, last_def) -> int:
+        """The placement policy: put every op of ``ops`` into ``placed``
+        (through :meth:`_place`) and return the mapping cycles, or raise
+        :class:`MappingFailure`.  Here the scheduling frontier fills the
+        stripes one by one with the ops the host would wake up."""
+        num_stripes = self.fabric_config.num_stripes
+        unplaced = {op.pos: op for op in ops}
+        mapping_cycles = 0
+        frontier = 0
+        while unplaced:
+            if frontier >= num_stripes:
+                raise MappingFailure(
+                    "out_of_stripes",
+                    f"frontier passed stripe {num_stripes - 1} with "
+                    f"{len(unplaced)} ops unplaced",
+                )
+            selected = self._fill_stripe(
+                self._stripes[frontier], frontier, unplaced, placed, tables
+            )
+            if selected:
+                mapping_cycles += self._step_cycles(selected)
+            elif not self._any_ready(unplaced, placed):
+                raise MappingFailure(
+                    "deadlock", "deadlock: no instruction is ready"
+                )
+            # Advance the frontier: propagate still-live values forward.
+            live_tokens = self._live_tokens(
+                placed, unplaced, consumers, last_def
+            )
+            tables.propagate(frontier, live_tokens)
+            if self.bus is not None:
+                self.bus.emit(
+                    "map.stripe",
+                    stripe=frontier,
+                    selected=len(selected),
+                    offset=mapping_cycles,
+                    remaining=len(unplaced),
+                )
+            frontier += 1
+            mapping_cycles += 1  # frontier advance
+        return mapping_cycles
 
     # ------------------------------------------------------------------
     def _fill_stripe(self, stripe, frontier, unplaced, placed, tables):
