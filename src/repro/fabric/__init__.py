@@ -12,7 +12,6 @@ from repro.fabric.config import cca_like, FabricConfig
 from repro.fabric.pe import PE
 from repro.fabric.stripe import Stripe
 from repro.fabric.configuration import Configuration, OperandSource, PlacedOp
-from repro.fabric.encoding import configuration_blocks, decode, encode
 from repro.fabric.fifos import FifoModel
 from repro.fabric.fabric import InvocationContext, InvocationResult, SpatialFabric
 from repro.fabric.functional import CoSimulator, FunctionalFabric
@@ -20,10 +19,7 @@ from repro.fabric.functional import CoSimulator, FunctionalFabric
 __all__ = [
     "cca_like",
     "Configuration",
-    "configuration_blocks",
     "CoSimulator",
-    "decode",
-    "encode",
     "FabricConfig",
     "FifoModel",
     "FunctionalFabric",
