@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.fabric.configuration import Configuration, PlacedOp
-from repro.isa.executor import Memory
+from repro.isa.executor import BINARY_OPS, BRANCH_OPS, Memory, UNARY_OPS
 from repro.isa.instructions import DynamicInstruction
 from repro.isa.opcodes import Opcode
 
@@ -39,51 +39,6 @@ class FunctionalResult:
     branch_results: list[bool] = field(default_factory=list)
     stores: list[tuple[int, float | int]] = field(default_factory=list)
     loads: list[tuple[int, float | int]] = field(default_factory=list)
-
-
-_COMMUTATIVE_BINOPS = {
-    Opcode.ADD: lambda a, b: a + b,
-    Opcode.SUB: lambda a, b: a - b,
-    Opcode.AND: lambda a, b: a & b,
-    Opcode.OR: lambda a, b: a | b,
-    Opcode.XOR: lambda a, b: a ^ b,
-    Opcode.SLT: lambda a, b: 1 if a < b else 0,
-    Opcode.SLE: lambda a, b: 1 if a <= b else 0,
-    Opcode.SEQ: lambda a, b: 1 if a == b else 0,
-    Opcode.MIN: min,
-    Opcode.MAX: max,
-    Opcode.MUL: lambda a, b: a * b,
-    Opcode.DIV: lambda a, b: 0 if b == 0 else int(a / b),
-    Opcode.REM: lambda a, b: 0 if b == 0 else a % int(b),
-    Opcode.SHL: lambda a, b: a << int(b),
-    Opcode.SHR: lambda a, b: a >> int(b),
-    Opcode.FADD: lambda a, b: a + b,
-    Opcode.FSUB: lambda a, b: a - b,
-    Opcode.FMUL: lambda a, b: a * b,
-    Opcode.FDIV: lambda a, b: 0.0 if b == 0 else a / b,
-    Opcode.FMIN: min,
-    Opcode.FMAX: max,
-    Opcode.FSLT: lambda a, b: 1 if a < b else 0,
-    Opcode.FSLE: lambda a, b: 1 if a <= b else 0,
-}
-
-_UNARY = {
-    Opcode.ABS: abs,
-    Opcode.FABS: abs,
-    Opcode.FNEG: lambda a: -a,
-    Opcode.MOV: lambda a: a,
-    Opcode.FMOV: lambda a: a,
-    Opcode.FSQRT: lambda a: math.sqrt(a) if a > 0 else 0.0,
-    Opcode.CVTIF: float,
-    Opcode.CVTFI: int,
-}
-
-_BRANCH = {
-    Opcode.BEQ: lambda a, b: a == b,
-    Opcode.BNE: lambda a, b: a != b,
-    Opcode.BLT: lambda a, b: a < b,
-    Opcode.BGE: lambda a, b: a >= b,
-}
 
 
 class FunctionalFabric:
@@ -195,24 +150,24 @@ class FunctionalFabric:
             result.stores.append((addr, data))
             return None
 
-        if opcode in _BRANCH:
+        if opcode in BRANCH_OPS:
             a = operands[0] if operands else 0
             b = operands[1] if len(operands) > 1 else 0
-            taken = _BRANCH[opcode](a, b)
+            taken = BRANCH_OPS[opcode](a, b)
             result.branch_results.append(bool(taken))
             return None
 
-        if opcode in _UNARY:
-            return _UNARY[opcode](operands[0])
+        if opcode in UNARY_OPS:
+            return UNARY_OPS[opcode](operands[0])
 
-        if opcode in _COMMUTATIVE_BINOPS:
+        if opcode in BINARY_OPS:
             a = operands[0]
             b = operands[1] if len(operands) > 1 else imm
             if b is None:
                 raise FabricExecutionError(
                     f"op {op.pos} ({opcode.value}) missing second operand"
                 )
-            return _COMMUTATIVE_BINOPS[opcode](a, b)
+            return BINARY_OPS[opcode](a, b)
 
         raise FabricExecutionError(f"unsupported opcode {opcode}")
 

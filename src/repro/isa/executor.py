@@ -260,9 +260,12 @@ def _rem(a, b):
     return 0 if divisor == 0 else a % divisor
 
 
+#: The ISA's value semantics, shared by the predecoded handlers and
+#: ``repro.fabric.functional.FunctionalFabric``.
+#:
 #: ``dest <- op(src0, second operand)``, each exactly as ``_step`` computes
 #: it (the second operand is ``srcs[1]`` when present, else ``imm``).
-_BINARY = {
+BINARY_OPS = {
     Opcode.ADD: operator.add,
     Opcode.SUB: operator.sub,
     Opcode.AND: lambda a, b: a & int(b),
@@ -289,7 +292,7 @@ _BINARY = {
 }
 
 #: ``dest <- op(src0)``.
-_UNARY = {
+UNARY_OPS = {
     Opcode.ABS: abs,
     Opcode.MOV: _identity,
     Opcode.FMOV: _identity,
@@ -300,7 +303,8 @@ _UNARY = {
     Opcode.CVTFI: int,
 }
 
-_BRANCH = {
+#: ``taken <- op(src0, src1)``.
+BRANCH_OPS = {
     Opcode.BEQ: operator.eq,
     Opcode.BNE: operator.ne,
     Opcode.BLT: operator.lt,
@@ -364,10 +368,10 @@ def _decode(executor, program, inst, pc, regs, memory, emit):
             return target
         return jump
 
-    if op in _BRANCH:
+    if op in BRANCH_OPS:
         if len(srcs) < 2 or target is None:
             return reference
-        compare = _BRANCH[op]
+        compare = BRANCH_OPS[op]
 
         def branch(seq):
             taken = compare(ra[a], rb[b])
@@ -431,8 +435,8 @@ def _decode(executor, program, inst, pc, regs, memory, emit):
             return fall
         return load
 
-    if op in _UNARY:
-        fn = _UNARY[op]
+    if op in UNARY_OPS:
+        fn = UNARY_OPS[op]
 
         def unary(seq):
             dst[dest] = coerce(fn(ra[a]))
@@ -440,8 +444,8 @@ def _decode(executor, program, inst, pc, regs, memory, emit):
             return fall
         return unary
 
-    if op in _BINARY:
-        fn = _BINARY[op]
+    if op in BINARY_OPS:
+        fn = BINARY_OPS[op]
         if len(srcs) >= 2:
             def binary(seq):
                 dst[dest] = coerce(fn(ra[a], rb[b]))

@@ -18,6 +18,7 @@ from repro.fabric.functional import (
 )
 from repro.isa.builder import ProgramBuilder
 from repro.isa.executor import FunctionalExecutor, Memory
+from repro.isa.opcodes import Opcode
 from repro.workloads import ALL_ABBREVS, get_benchmark
 
 SCALE = 0.12
@@ -53,6 +54,30 @@ def test_simple_arith_values():
     result = fabric.execute(config, {}, Memory(), segment)
     assert result.live_outs["r3"] == 42
     assert result.live_outs["r4"] == 43
+
+
+@pytest.mark.parametrize("opcode, operand, expected", [
+    (Opcode.REM, 0.5, 0),   # the divisor truncates to 0: remainder 0
+    (Opcode.AND, 2.5, 2),   # bitwise ops truncate their second operand
+    (Opcode.OR, 2.5, 7),
+    (Opcode.XOR, 2.5, 5),
+])
+def test_fabric_shares_the_executor_value_semantics(opcode, operand,
+                                                    expected):
+    """An integer op on a float operand computes on the fabric what the
+    executor computes on the host."""
+    def body(b):
+        b.li("r1", 7)
+        b.fli("f1", operand)
+        b.raw(opcode, "r2", ("r1", "f1"))
+
+    program, run = build_run(body)
+    segment = run.trace[:-1]
+    result = FunctionalFabric().execute(
+        map_segment(segment), {}, Memory(), segment
+    )
+    assert run.registers.read("r2") == expected
+    assert result.live_outs["r2"] == expected
 
 
 def test_live_in_values_flow_through():
