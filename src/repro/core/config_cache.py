@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engine import fastpath_enabled
-from repro.fabric.compiled import compile_timing_plan
 from repro.fabric.configuration import Configuration
 
 
@@ -50,11 +48,6 @@ class ConfigCache:
     unmappable_keys: set = field(default_factory=set)
     #: Optional ``repro.obs.EventBus`` (None = tracing disabled).
     bus: object | None = field(default=None, repr=False, compare=False)
-    #: Engine tier, captured once like ``make_pipeline`` does.
-    _fastpath: bool = field(
-        default_factory=fastpath_enabled, init=False, repr=False,
-        compare=False,
-    )
 
     def __post_init__(self) -> None:
         if self.clear_interval < 1:
@@ -98,13 +91,6 @@ class ConfigCache:
             self.unmappable_keys.add(key)
         else:
             self.mapped_keys.add(key)
-            # Pre-lower the fabric evaluator at insert so the first
-            # offload of this configuration already runs the compiled
-            # plan (repro.fabric.compiled); insert is off the hot path.
-            # The placements guard keeps stub configurations (tests,
-            # external callers) insertable without being compilable.
-            if self._fastpath and hasattr(configuration, "placements"):
-                compile_timing_plan(configuration)
         self._store[key] = entry
         if self.bus is not None:
             self.bus.emit(

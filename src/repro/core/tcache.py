@@ -198,7 +198,6 @@ class TCache:
         self._hot: set[tuple] = set()
         self._since_clear = 0
         self.lookups = 0
-        self.insertions = 0
         self.clears = 0
         #: Optional ``repro.obs.EventBus`` (None = tracing disabled).
         self.bus = bus
@@ -217,7 +216,6 @@ class TCache:
                 del self._counters[victim]
                 self._hot.discard(victim)
             count = 0
-            self.insertions += 1
             if bus is not None:
                 bus.emit("tcache.detect", key=key, length=window.length)
         count = min(count + 1, self.counter_max)

@@ -55,8 +55,8 @@ def set_fastpath(enabled: bool) -> bool:
 
     Returns the previous setting.  Every component captures the engine
     once, at construction (``make_pipeline``, ``DynaSpAM``,
-    ``SpatialFabric``, ``OffloadEngine``, ``ConfigCache``); flipping the
-    flag never changes a simulation already in flight.
+    ``SpatialFabric``, ``OffloadEngine``); flipping the flag never
+    changes a simulation already in flight.
     """
     global _FASTPATH
     previous = _FASTPATH

@@ -18,7 +18,6 @@ class FifoModel:
         self._complete_ring: list[int] = [0] * depth
         self._head = 0
         self._count = 0
-        self.pushes = 0
 
     def admit_ready_cycle(self) -> int:
         """Earliest cycle a new invocation may enter (an entry is free)."""
@@ -31,7 +30,6 @@ class FifoModel:
         self._head = (self._head + 1) % self.depth
         if self._count < self.depth:
             self._count += 1
-        self.pushes += 1
 
     @property
     def occupancy(self) -> int:

@@ -91,15 +91,14 @@ class _TraceDecision:
     """
 
     __slots__ = (
-        "windows", "detected", "hot", "map_started", "map_attempts",
-        "map_aborts", "mapped", "map_fail_reason", "mapping_cycles",
-        "placements", "ready", "predictions", "commits", "first_offload",
-        "last_offload", "offloaded_instructions", "squash_branch",
-        "squash_memory", "defers", "evicted", "reconfigurations",
+        "detected", "hot", "map_started", "map_attempts", "map_aborts",
+        "mapped", "map_fail_reason", "mapping_cycles", "placements",
+        "ready", "predictions", "commits", "first_offload", "last_offload",
+        "offloaded_instructions", "squash_branch", "squash_memory",
+        "evicted", "reconfigurations",
     )
 
     def __init__(self) -> None:
-        self.windows = 0
         self.detected: int | None = None     # first tcache.detect
         self.hot: int | None = None          # first tcache.hot / hot window
         self.map_started: int | None = None  # first map.start
@@ -117,7 +116,6 @@ class _TraceDecision:
         self.offloaded_instructions = 0
         self.squash_branch = 0
         self.squash_memory = 0
-        self.defers = 0
         self.evicted: int | None = None      # latest ccache.evict
         self.reconfigurations = 0
 
@@ -216,7 +214,6 @@ class DecisionSink:
                 self.windows_by_reason.get(reason, 0) + 1
             )
             record = self._trace(data["key"])
-            record.windows += 1
             if data.get("hot") and record.hot is None:
                 record.hot = cycle
         elif etype == "tcache.detect":
@@ -283,7 +280,7 @@ class DecisionSink:
                 )
         elif etype == "offload.defer":
             self.deferred += 1
-            self._trace(data["key"]).defers += 1
+            self._trace(data["key"])
         elif etype == "pipeline.drain":
             self.drain_cycles += data.get("stall", 0)
 

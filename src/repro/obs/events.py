@@ -81,14 +81,6 @@ class Event:
     cycle: int               #: simulated cycle stamp
     data: dict[str, Any]     #: type-specific payload (read-only snapshot)
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "seq": self.seq,
-            "type": self.type,
-            "cycle": self.cycle,
-            **self.data,
-        }
-
 
 @runtime_checkable
 class EventSink(Protocol):

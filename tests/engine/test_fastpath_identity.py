@@ -203,26 +203,6 @@ def test_engine_captured_at_construction(monkeypatch):
     assert calls["_execute_plan"] == calls["_offload_plan"]
 
 
-def test_config_cache_captures_the_tier():
-    """The configuration cache reads the switch at construction too: one
-    built on the fast tier pre-compiles the timing plan at insert even
-    after the switch is turned off."""
-    from repro.core.config_cache import ConfigCache
-    from repro.core.mapper import ResourceAwareMapper
-
-    tr = generate_trace("KM", SCALE)
-    segment = tr.trace[:8]
-    key = (segment[0].pc, tuple(bool(d.taken) for d in segment
-                                if d.is_branch), len(segment))
-    configuration = ResourceAwareMapper().map_trace(segment, key)
-    assert configuration is not None
-    with use_fastpath(True):
-        cache = ConfigCache()
-    with use_fastpath(False):
-        cache.insert(key, configuration)
-    assert hasattr(configuration, "_timing_plan")
-
-
 def test_engine_flag_roundtrip(monkeypatch):
     previous = set_fastpath(True)
     try:

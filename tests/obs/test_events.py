@@ -5,7 +5,6 @@ import pytest
 from repro.obs import (
     EVENT_TYPES,
     DecisionSink,
-    Event,
     EventBus,
     EventSink,
     MemorySink,
@@ -57,14 +56,6 @@ def test_tee_sink_fans_out():
     assert len(first) == len(second) == 1
     assert list(first) == list(second)
     assert first.events[0].type == "fabric.reconfig"
-
-
-def test_event_as_dict_flattens_payload():
-    event = Event(seq=3, type="offload.commit", cycle=42,
-                  data={"key": (1, (), 8), "instructions": 12})
-    doc = event.as_dict()
-    assert doc == {"seq": 3, "type": "offload.commit", "cycle": 42,
-                   "key": (1, (), 8), "instructions": 12}
 
 
 def test_registry_names_are_namespaced():
