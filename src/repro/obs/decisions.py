@@ -135,24 +135,6 @@ class _TraceDecision:
             return "hot_never_mapped"
         return "never_hot"
 
-    @property
-    def stage(self) -> str:
-        """``repro explain``'s furthest-stage column.
-
-        Coarser than :attr:`fate`, and a failed mapping outranks a built
-        configuration here, where the fate lattice orders them the other
-        way.
-        """
-        if self.commits:
-            return "offloaded"
-        if self.map_fail_reason is not None:
-            return "unmappable"
-        if self.mapped is not None:
-            return "mapped"
-        if self.hot is not None:
-            return "hot"
-        return "detected"
-
     def timeline(self) -> list[tuple[int, str]]:
         """Ordered ``(cycle, milestone)`` pairs for the detail view."""
         marks = [
@@ -336,15 +318,6 @@ class DecisionSink:
         """Identity -> fate (tests and the study harness)."""
         return {key: rec.fate for key, rec in self._traces.items()}
 
-    def stage_counts(self) -> dict[str, int]:
-        """Identity count per explain stage (all stages, zero-filled)."""
-        counts = dict.fromkeys(
-            ("detected", "hot", "mapped", "unmappable", "offloaded"), 0
-        )
-        for record in self._traces.values():
-            counts[record.stage] += 1
-        return counts
-
     def ranked(self) -> list[tuple[tuple, _TraceDecision]]:
         """``(key, record)`` pairs, most consequential first: offloads,
         then predictions, then age."""
@@ -415,14 +388,11 @@ def _stamp(value: int | None) -> str:
 
 def render_explain(sink: DecisionSink, top: int = 10) -> str:
     """The ``repro explain`` table: one line per trace identity, ranked."""
-    stages = sink.stage_counts()
+    fates = " | ".join(
+        f"{fate} {count}" for fate, count in sink.fate_counts().items()
+    )
     lines = [
-        (
-            f"{len(sink._traces)} traces detected | "
-            f"hot-not-mapped {stages['hot']} | mapped {stages['mapped']} | "
-            f"offloaded {stages['offloaded']} | "
-            f"unmappable {stages['unmappable']}"
-        ),
+        f"{len(sink._traces)} traces detected | {fates}",
         (
             f"peak config-cache occupancy {sink.peak_ccache_occupancy} | "
             f"t-cache clears {sink.tcache_clears} | "
@@ -441,7 +411,7 @@ def render_explain(sink: DecisionSink, top: int = 10) -> str:
             f"{_stamp(record.mapped):>8} {_stamp(record.ready):>8} "
             f"{record.commits:>8} {record.offloaded_instructions:>8} "
             f"{record.squash_branch:>4}/{record.squash_memory:<3} "
-            f"{_stamp(record.evicted):>8}  {record.stage}"
+            f"{_stamp(record.evicted):>8}  {record.fate}"
         )
     return "\n".join(lines)
 
@@ -463,7 +433,7 @@ def render_trace_detail(
         return None
     key, record = found
     lines = [
-        f"trace {trace_id} (length {key[2]}) — {record.stage}",
+        f"trace {trace_id} (length {key[2]}) — {record.fate}",
         f"  offloads {record.commits} "
         f"({record.offloaded_instructions} instructions), "
         f"predictions {record.predictions}, "

@@ -153,19 +153,6 @@ def test_run_wide_tallies():
     assert (record.predictions, record.reconfigurations) == (2, 1)
 
 
-def test_unmappable_outranks_mapped_in_stage_not_fate():
-    """Explain's stage column and the fate lattice order a failed mapping
-    and a built configuration oppositely."""
-    sink = decisions_from_events(_events(
-        ("map.done", {"key": KEY_A}),
-        ("map.fail", {"key": KEY_A, "reason": "out_of_stripes"}),
-    ))
-    record = sink._traces[KEY_A]
-    assert record.stage == "unmappable"
-    assert record.fate == "mapped_never_ready"
-    assert sink.stage_counts()["unmappable"] == 1
-
-
 def test_squash_offender_tallies():
     sink = decisions_from_events(_events(
         ("offload.squash", {"key": KEY_A, "cause": "branch",

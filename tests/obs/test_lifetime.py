@@ -10,7 +10,7 @@ from repro.obs import (
     render_explain,
     render_trace_detail,
 )
-from repro.obs.decisions import DETAIL_EVENTS
+from repro.obs.decisions import DETAIL_EVENTS, TRACE_FATES
 
 
 def _traced_run(abbrev="KM", scale=0.05, sink=None):
@@ -36,7 +36,7 @@ def test_lifetimes_are_ordered_and_consistent():
         stamps = [cycle for cycle, _ in record.timeline()]
         assert stamps == sorted(stamps), format_trace_id(key)
         if record.commits:
-            assert record.stage == "offloaded"
+            assert record.fate == "offloaded"
             assert record.mapped is not None
             assert record.ready is not None
     # The fold's offload totals agree with the simulator's own accounting.
@@ -48,8 +48,9 @@ def test_lifetimes_are_ordered_and_consistent():
 
 def test_fate_counts_partition_the_traces():
     _, fold = _traced_run()
-    stages = fold.stage_counts()
-    assert sum(stages.values()) == len(fold._traces)
+    fates = fold.fate_counts()
+    assert list(fates) == list(TRACE_FATES)
+    assert sum(fates.values()) == len(fold._traces)
 
 
 def test_ranked_puts_heaviest_offloader_first():
