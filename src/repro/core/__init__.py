@@ -6,8 +6,10 @@ This package implements the paper's contribution:
 * ``tables`` — the mapping status tables (ProdTable, ReuseSet,
   OverallUsage, LiveOutTable, LastUsedLocation);
 * ``priority`` — PriorityGen, Algorithm 2;
-* ``mapper`` — the resource-aware scheduler, Algorithms 1 and 3;
-* ``naive_mapper`` — the CCA/DIF-style in-order baseline mapper;
+* ``mapper`` — the mapping skeleton both mappers share and the
+  resource-aware scheduler, Algorithms 1 and 3, as its placement policy;
+* ``naive_mapper`` — the CCA/DIF-style in-order baseline: the same
+  skeleton with a program-order first-fit policy;
 * ``config_cache`` — the configuration cache with saturating counters;
 * ``siderob`` — the side reorder buffer (ROB') for fat atomic traces;
 * ``multifabric`` — LRU management of 1..N on-chip fabrics;
