@@ -24,6 +24,7 @@ from repro.fabric.configuration import Configuration, PlacedOp
 from repro.isa.executor import BINARY_OPS, BRANCH_OPS, Memory, UNARY_OPS
 from repro.isa.instructions import DynamicInstruction
 from repro.isa.opcodes import Opcode
+from repro.isa.registers import ZERO_REG, is_int_reg
 
 
 class FabricExecutionError(Exception):
@@ -77,6 +78,10 @@ class FunctionalFabric:
             value = self._evaluate(
                 op, operands, imm, memory, store_buffer, result
             )
+            dest = op.dest_reg
+            if value is not None and dest is not None and dest != ZERO_REG:
+                # Held as the destination's register class holds it.
+                value = int(value) if is_int_reg(dest) else float(value)
             result.values[op.pos] = value
 
         for reg, pos in configuration.live_outs.items():
@@ -130,7 +135,7 @@ class FunctionalFabric:
             else:
                 value = memory.load(addr)
             result.loads.append((addr, value))
-            return float(value) if opcode is Opcode.FLW else int(value)
+            return value
 
         if opcode in (Opcode.SW, Opcode.FSW):
             # Roles: base first, value second (r0 operands were dropped by

@@ -61,11 +61,12 @@ def test_simple_arith_values():
     (Opcode.AND, 2.5, 2),   # bitwise ops truncate their second operand
     (Opcode.OR, 2.5, 7),
     (Opcode.XOR, 2.5, 5),
+    (Opcode.ADD, 0.5, 7),   # an integer register holds int(7.5)
 ])
 def test_fabric_shares_the_executor_value_semantics(opcode, operand,
                                                     expected):
     """An integer op on a float operand computes on the fabric what the
-    executor computes on the host."""
+    executor computes on the host, down to the destination's type."""
     def body(b):
         b.li("r1", 7)
         b.fli("f1", operand)
