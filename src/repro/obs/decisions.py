@@ -262,7 +262,7 @@ class DecisionSink:
                 )
         elif etype == "offload.defer":
             self.deferred += 1
-            self._trace(data["key"])
+            self._trace(data["key"])  # a deferral names an identity too
         elif etype == "pipeline.drain":
             self.drain_cycles += data.get("stall", 0)
 
