@@ -279,9 +279,7 @@ class ResourceAwareMapper:
                     "deadlock", "deadlock: no instruction is ready"
                 )
             # Advance the frontier: propagate still-live values forward.
-            live_tokens = self._live_tokens(
-                placed, unplaced, consumers, last_def
-            )
+            live_tokens = self._live_tokens(placed, consumers, last_def)
             tables.propagate(frontier, live_tokens)
             if self.bus is not None:
                 self.bus.emit(
@@ -399,16 +397,17 @@ class ResourceAwareMapper:
         return cycles + stall
 
     # ------------------------------------------------------------------
-    def _live_tokens(self, placed, unplaced, consumers, last_def):
-        """Tokens worth propagating: still-needed values and potential
-        live-outs (final definitions of architectural registers)."""
+    def _live_tokens(self, placed, consumers, last_def):
+        """Tokens worth propagating: values an unplaced op still needs and
+        potential live-outs (final definitions of architectural
+        registers)."""
         live: set[Token] = set()
         final_defs = set(last_def.values())
         for pos, placement in placed.items():
             if placement.dest_reg is None:
                 continue
             has_pending_consumer = any(
-                c in unplaced for c in consumers.get(pos, ())
+                c not in placed for c in consumers.get(pos, ())
             )
             if has_pending_consumer or pos in final_defs:
                 live.add(pos_token(pos))

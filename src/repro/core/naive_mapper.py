@@ -21,7 +21,6 @@ class NaiveMapper(ResourceAwareMapper):
 
     def _schedule(self, ops, placed, tables, consumers, last_def) -> int:
         free_pes = {pe for stripe in self._stripes for pe in stripe}
-        unplaced = {op.pos for op in ops}
         propagated = 0  # stripe boundaries whose live values moved on
         for op in ops:
             first = max(
@@ -32,9 +31,7 @@ class NaiveMapper(ResourceAwareMapper):
             for stripe in self._stripes[first:]:
                 # Keep propagation in step with how deep placement has gone.
                 while propagated < stripe.index:
-                    live = self._live_tokens(
-                        placed, unplaced, consumers, last_def
-                    )
+                    live = self._live_tokens(placed, consumers, last_def)
                     tables.propagate(propagated, live)
                     propagated += 1
                 for pe in stripe:
@@ -49,7 +46,6 @@ class NaiveMapper(ResourceAwareMapper):
                     continue  # no feasible PE here: try the next stripe
                 self._place(op, pe, stripe.index, plan, placed, tables)
                 free_pes.remove(pe)
-                unplaced.remove(op.pos)
                 break
             else:
                 raise MappingFailure(
