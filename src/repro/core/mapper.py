@@ -279,8 +279,11 @@ class ResourceAwareMapper:
                     "deadlock", "deadlock: no instruction is ready"
                 )
             # Advance the frontier: propagate still-live values forward.
-            live_tokens = self._live_tokens(placed, consumers, last_def)
-            tables.propagate(frontier, live_tokens)
+            # Boundary 0 holds no value to carry (nothing defines one
+            # there), so the first advance propagates nothing.
+            if frontier:
+                live_tokens = self._live_tokens(placed, consumers, last_def)
+                tables.propagate(frontier, live_tokens)
             if self.bus is not None:
                 self.bus.emit(
                     "map.stripe",

@@ -21,7 +21,9 @@ class NaiveMapper(ResourceAwareMapper):
 
     def _schedule(self, ops, placed, tables, consumers, last_def) -> int:
         free_pes = {pe for stripe in self._stripes for pe in stripe}
-        propagated = 0  # stripe boundaries whose live values moved on
+        # Stripe boundaries whose live values moved on; boundary 0 holds
+        # none (nothing defines a value there), so it counts as done.
+        propagated = 1
         for op in ops:
             first = max(
                 (placed[token[1]].stripe + 1
