@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.siderob import SideROB
-from repro.engine import fastpath_enabled
 from repro.fabric.compiled import offload_plan_of
 from repro.fabric.configuration import Configuration
 from repro.fabric.fabric import InvocationContext, SpatialFabric
+from repro.ooo.fastpath import FastOOOPipeline
 from repro.ooo.lsq import StoreRecord
 from repro.ooo.pipeline import OOOPipeline
 
@@ -45,10 +45,15 @@ class OffloadEngine:
     siderob: SideROB = field(default_factory=SideROB)
     #: Optional ``repro.obs.EventBus`` (None = tracing disabled).
     bus: object | None = None
-    #: Engine tier, captured once like ``make_pipeline`` does.
-    _fastpath: bool = field(
-        default_factory=fastpath_enabled, init=False, repr=False
-    )
+
+    def __post_init__(self) -> None:
+        #: Engine tier: the pipeline's, captured at construction.  The
+        #: plan-driven twin batches counters in ``FastOOOPipeline``'s
+        #: count slots.
+        self._fastpath = isinstance(self.pipeline, FastOOOPipeline)
+        #: id(configuration) -> (configuration, the pipeline count slot
+        #: of its successful invocations), for the twin.
+        self._count_slots: dict[int, tuple[Configuration, int]] = {}
 
     def offload(
         self,
@@ -194,14 +199,19 @@ class OffloadEngine:
 
         Per invocation it does only the work that varies between
         invocations of one configuration: addresses, live-in cycles,
-        in-flight host stores and cache state.  Everything else comes
-        from the configuration's :class:`OffloadPlan`.  The scoreboard
-        and the store queue's address index are read and written
-        directly, and the D-cache counters are charged from the L1/L2
-        counter deltas across the invocation: nothing but this
-        invocation's loads and store drains touches the data caches
-        while it runs, and an L1 miss always costs more than the L1
-        latency (``CoreConfig`` requires a positive L2 latency).
+        in-flight host stores, cache state and the schedule's timing.
+        Everything else comes from the configuration's
+        :class:`OffloadPlan`.  ``SpatialFabric.walk`` times the
+        invocation from its inputs, reading live-in cycles straight from
+        the scoreboard, and returns plain values.  The scoreboard and the
+        store queue's address index are read and written directly.  The
+        D-cache counters are charged from the L1/L2 counter deltas across
+        the invocation: nothing but this invocation's loads and store
+        drains touches the data caches while it runs, and an L1 miss
+        always costs more than the L1 latency (``CoreConfig`` requires a
+        positive L2 latency).  The counters a successful invocation adds
+        in amounts its configuration fixes are one count in the
+        configuration's slot, which ``FastOOOPipeline.finish`` fans out.
         """
         plan = offload_plan_of(configuration, segment)
         pipeline = self.pipeline
@@ -213,12 +223,8 @@ class OffloadEngine:
         if self.bus is not None:
             self._emit_dispatch(seq, dispatch, configuration, segment)
 
-        regs = pipeline.regs
-        ready = regs._ready
-        live_ins = configuration.live_ins
-        live_in_ready = {reg: ready.get(reg, 0) for reg in live_ins}
         stats.renames += plan.renames
-        stats.regfile_reads += len(live_ins)
+        stats.regfile_reads += len(configuration.live_ins)
 
         # ---- memory context (see _memory_context) ---------------------
         mem_addrs = [segment[i].addr for i in plan.mem_positions]
@@ -265,38 +271,42 @@ class OffloadEngine:
                     )
 
         dcache = pipeline.dcache
-        before = self._dcache_counts()
+        l1 = dcache.l1
+        l2 = pipeline.l2
+        l1_accesses = l1.hits + l1.misses
+        l1_misses = l1.misses
+        l2_accesses = l2.hits + l2.misses
         start_lower_bound = dispatch + 1
         if fabric_ready > start_lower_bound:
             start_lower_bound = fabric_ready
-        result = fabric.execute(
-            configuration,
-            InvocationContext(
-                start_lower_bound, live_in_ready, mem_addrs, dcache.access,
-                speculative, extra_wait, predicted_store_pos,
-            ),
+        regs = pipeline.regs
+        ready = regs._ready
+        (_start, complete, occupancy, liveout_ready, stores, loads,
+         violations) = fabric.walk(
+            configuration, start_lower_bound, ready, mem_addrs,
+            dcache.access, speculative, extra_wait, predicted_store_pos,
         )
 
-        if result.violations or host_alias:
-            violation = self._find_violation(configuration, result, host_alias)
+        if violations or host_alias:
+            violation = _walk_violation(
+                configuration, stores, loads, violations, host_alias
+            )
             if violation is not None:
-                self._charge_dcache(before)
+                stats.dcache_accesses += l1.hits + l1.misses - l1_accesses
+                stats.dcache_misses += l1.misses - l1_misses
+                stats.l2_accesses += l2.hits + l2.misses - l2_accesses
                 return self._squash_memory(
                     entry, seq, configuration, violation
                 )
 
         # ---- success: commit the fat instruction ---------------------
-        complete = result.complete
         commit = pipeline.macro_commit(complete)
-        liveout_ready = result.liveout_ready
-        mem_events = result.mem_events
-        store_events = [e for e in mem_events if e.kind == "store"]
         siderob.mark_complete(
             entry,
             complete,
             liveout_ready,
             configuration.branch_outcomes,
-            [(e.addr, None) for e in store_events],
+            [(store[2], None) for store in stores],
         )
         siderob.commit(entry, commit)
 
@@ -306,59 +316,41 @@ class OffloadEngine:
                 ready[reg] = cycle
                 producer[reg] = seq
         regs.renames += plan.liveout_renames
-        stats.regfile_writes += len(liveout_ready)
 
-        if store_events:
+        if stores:
             push = sq.push
             access = dcache.access
             pcs = configuration.mem_op_pcs
-            for event in store_events:
-                push(StoreRecord(seq, pcs[event.mem_index], event.addr,
-                                 event.addr_known, event.finish, commit))
-                access(event.addr)
-        self._charge_dcache(before)
-        stats.stores += len(store_events)
-        stats.loads += len(mem_events) - len(store_events)
+            for _pos, m, addr, addr_known, finish in stores:
+                push(StoreRecord(seq, pcs[m], addr, addr_known, finish,
+                                 commit))
+                access(addr)
+        stats.dcache_accesses += l1.hits + l1.misses - l1_accesses
+        stats.dcache_misses += l1.misses - l1_misses
+        stats.l2_accesses += l2.hits + l2.misses - l2_accesses
 
         predict = pipeline.bpred.predict_and_update
         for i in plan.branch_positions:
             dyn = segment[i]
             predict(dyn.pc, bool(dyn.taken))
-        stats.predictor_lookups += len(plan.branch_positions)
 
-        consumed = len(segment)
-        stats.offloaded_instructions += consumed
-        stats.fabric_invocations += 1
-        stats.fabric_fu_ops += result.fu_ops
-        stats.fabric_datapath_transfers += result.datapath_transfers
-        stats.fabric_fifo_ops += result.fifo_ops
         stats.fabric_active_pe_cycles += (
-            len(configuration.placements) * result.occupancy_cycles
+            len(configuration.placements) * occupancy
         )
-        for counter, count in plan.pool_counters:
-            setattr(stats, counter, getattr(stats, counter) + count)
-        stats.instructions += consumed
+        counted = self._count_slots.get(id(configuration))
+        if counted is None:
+            # The entry pins the configuration, so its id stays unique.
+            counted = self._count_slots[id(configuration)] = (
+                configuration, pipeline.count_slot(plan.counters))
+        pipeline._static_counts[counted[1]] += 1
 
+        outcome = OffloadOutcome(success=True, consumed=len(segment),
+                                 complete=complete)
         if self.bus is not None:
-            self._emit_commit(seq, commit, configuration, segment, result)
-        return OffloadOutcome(success=True, consumed=consumed,
-                              complete=complete)
+            self._emit_commit(seq, commit, configuration, segment, outcome)
+        return outcome
 
     # ------------------------------------------------------------------
-    def _dcache_counts(self) -> tuple[int, int, int]:
-        """(L1D accesses, L1D misses, L2 accesses) so far."""
-        l1 = self.pipeline.dcache.l1
-        l2 = self.pipeline.l2
-        return l1.hits + l1.misses, l1.misses, l2.hits + l2.misses
-
-    def _charge_dcache(self, before: tuple[int, int, int]) -> None:
-        """Charge the D-cache statistics for every access since ``before``."""
-        accesses, misses, l2_accesses = self._dcache_counts()
-        stats = self.pipeline.stats
-        stats.dcache_accesses += accesses - before[0]
-        stats.dcache_misses += misses - before[1]
-        stats.l2_accesses += l2_accesses - before[2]
-
     def _emit_dispatch(self, seq, dispatch, configuration, segment) -> None:
         self.bus.emit(
             "offload.dispatch",
@@ -372,6 +364,8 @@ class OffloadEngine:
 
     def _emit_commit(self, seq, commit, configuration, segment,
                      result) -> None:
+        """``result`` is anything carrying the invocation's ``complete``
+        cycle: an ``InvocationResult`` or the twin's outcome."""
         self.bus.emit(
             "offload.commit",
             cycle=commit,
@@ -492,6 +486,22 @@ class OffloadEngine:
                 load_pc = configuration.mem_op_pcs[event.mem_index]
                 return load_pc, alias.pc, alias.addr_ready
         return None
+
+
+def _walk_violation(configuration, stores, loads, violations, host_alias):
+    """``OffloadEngine._find_violation`` over ``SpatialFabric.walk``'s
+    plain values."""
+    if violations:
+        load_pos, store_pos = violations[0]
+        for pos, _m, _addr, addr_known, _finish in stores:
+            if pos == store_pos:
+                return (configuration.op_at(load_pos).pc,
+                        configuration.op_at(store_pos).pc, addr_known)
+    for m, start in loads:
+        alias = host_alias.get(m)
+        if alias is not None and start < alias.addr_ready:
+            return configuration.mem_op_pcs[m], alias.pc, alias.addr_ready
+    return None
 
 
 def _predicted_stores(storesets, placements) -> dict[int, int]:

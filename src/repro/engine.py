@@ -2,12 +2,13 @@
 
 The repository carries two engine tiers for its innermost loops:
 
-* the *interpreted* engine — ``repro.ooo.pipeline.OOOPipeline.process``
-  and the plan-free branches of ``SpatialFabric.execute`` /
-  ``OffloadEngine.offload`` — written for readability and used as the
-  reference model; DynaSpAM re-walks every trace occurrence in full;
-* the *fast path* — ``repro.ooo.fastpath.FastOOOPipeline``, the
-  plan-driven fabric timing walk and offload twin over the plans of
+* the *interpreted* engine — ``repro.ooo.pipeline.OOOPipeline.process``,
+  ``SpatialFabric.execute`` and ``OffloadEngine.offload`` — written for
+  readability and used as the reference model; DynaSpAM re-walks every
+  trace occurrence in full;
+* the *fast path* — ``repro.ooo.fastpath.FastOOOPipeline``, the offload
+  twin ``OffloadEngine._offload_plan`` and the fabric timing walk
+  ``SpatialFabric.walk`` it calls directly, both over the plans of
   ``repro.fabric.compiled``, and DynaSpAM's occurrence probe (a
   key-matched occurrence is validated by spot-checking its embedded
   branches instead of re-walking it) — bit-identical by construction and
@@ -53,10 +54,10 @@ def fastpath_enabled() -> bool:
 def set_fastpath(enabled: bool) -> bool:
     """Select the engine for subsequently constructed simulators.
 
-    Returns the previous setting.  Every component captures the engine
-    once, at construction (``make_pipeline``, ``DynaSpAM``,
-    ``SpatialFabric``, ``OffloadEngine``); flipping the flag never
-    changes a simulation already in flight.
+    Returns the previous setting.  Three components capture the engine
+    once, at construction: ``make_pipeline`` and ``DynaSpAM`` read the
+    flag, and ``OffloadEngine`` takes its pipeline's tier.  Flipping the
+    flag never changes a simulation already in flight.
     """
     global _FASTPATH
     previous = _FASTPATH

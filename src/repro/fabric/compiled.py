@@ -17,20 +17,25 @@ identity:
 * :class:`TimingPlan` — for the cycle engine: topological op steps with
   pre-split producer/live-in gather lists, per-op latency and mem kind,
   the structural II, constant datapath-transfer and FIFO-op totals, and
-  the live-out extraction list.
+  the live-out extraction list.  ``SpatialFabric.walk`` replays it and
+  returns plain values (start, completion, occupancy, the live-out
+  cycles, one tuple per store and per load, the violations) instead of
+  an ``InvocationResult``.
 * :class:`OffloadPlan` — for the offload bookkeeping: the rename counts,
   the loads' ``(mem_index, pc)`` pairs and the stores'
   ``(mem_index, pos, pc)``, the segment's memory and branch positions,
-  and the per-pool op counts.  It needs one offloaded occurrence to
-  lower: the positions come from the segment.
+  and the counters a successful invocation adds in amounts its
+  configuration fixes, which the offload twin charges as one count per
+  configuration.  It needs one offloaded occurrence to lower: the
+  positions and the instruction count come from the segment.
 
-``ConfigCache.insert`` pre-compiles the timing plan so offloading starts
-hot; every plan also compiles lazily on first use.  Plan use is the fast
-engine tier (:mod:`repro.engine`), which each component captures at
-construction — on the reference tier the interpreted loops in
-``repro.fabric.fabric`` and ``repro.core.offload`` remain the spec, and
-``tests/engine`` holds the two bit-identical.  The value oracle
-(``repro.fabric.functional``) runs in no simulation and has no plan.
+Both plans compile on a configuration's first fast-tier invocation, so
+``mapping_only`` runs, which never invoke, compile none.  Plan use is
+the fast engine tier (:mod:`repro.engine`); on the reference tier the
+interpreted ``SpatialFabric.execute`` and ``OffloadEngine.offload``
+remain the spec, and ``tests/engine`` holds the two bit-identical.  The
+value oracle (``repro.fabric.functional``) runs in no simulation and has
+no plan.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ T_STORE = 2
 
 @dataclass(frozen=True)
 class TimingPlan:
-    """Everything ``SpatialFabric.execute`` needs that never changes."""
+    """Everything the fabric timing walk needs that never changes."""
 
     structural_ii: int
     #: Per placed op, in topological (position) order:
@@ -135,8 +140,9 @@ class OffloadPlan:
     mem_positions: tuple
     #: Segment index of every embedded branch, in trace order.
     branch_positions: tuple
-    #: ``(PipelineStats attr name, count)`` per pool with placed ops.
-    pool_counters: tuple
+    #: ``(PipelineStats field, count)`` for every nonzero counter a
+    #: successful invocation adds in an amount its configuration fixes.
+    counters: tuple
 
 
 def compile_offload_plan(configuration: Configuration,
@@ -146,7 +152,8 @@ def compile_offload_plan(configuration: Configuration,
     ``segment`` is any occurrence offloaded on ``configuration``: the
     trace key (anchor PC, embedded branch outcomes, length) pins the
     static instruction sequence, and offload only runs on key-matching
-    occurrences, so the memory and branch positions hold for all of them.
+    occurrences, so the memory and branch positions and the instruction
+    count hold for all of them.
     """
     loads = []
     store_positions = []
@@ -157,6 +164,23 @@ def compile_offload_plan(configuration: Configuration,
         elif op.is_load:
             loads.append((op.mem_index, op.pc))
         pool_counts[op.pool] = pool_counts.get(op.pool, 0) + 1
+    branch_positions = tuple(
+        i for i, dyn in enumerate(segment) if dyn.is_branch)
+    timing = timing_plan_of(configuration)
+    counters = {
+        "regfile_writes": len(configuration.live_outs),
+        "loads": len(loads),
+        "stores": len(store_positions),
+        "predictor_lookups": len(branch_positions),
+        "offloaded_instructions": len(segment),
+        "instructions": len(segment),
+        "fabric_invocations": 1,
+        "fabric_fu_ops": len(configuration.placements),
+        "fabric_datapath_transfers": timing.datapath_transfers,
+        "fabric_fifo_ops": timing.fifo_ops,
+    }
+    for pool, count in pool_counts.items():
+        counters[f"fabric_{pool}_ops"] = count
     plan = OffloadPlan(
         renames=len(configuration.live_ins) + len(configuration.live_outs),
         liveout_renames=sum(
@@ -165,12 +189,9 @@ def compile_offload_plan(configuration: Configuration,
         store_positions=tuple(store_positions),
         mem_positions=tuple(
             i for i, dyn in enumerate(segment) if dyn.is_memory),
-        branch_positions=tuple(
-            i for i, dyn in enumerate(segment) if dyn.is_branch),
-        pool_counters=tuple(
-            (f"fabric_{pool}_ops", count)
-            for pool, count in pool_counts.items()
-        ),
+        branch_positions=branch_positions,
+        counters=tuple(
+            (name, count) for name, count in counters.items() if count),
     )
     configuration._offload_plan = plan
     return plan

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engine import fastpath_enabled
 from repro.fabric.compiled import T_ALU, T_STORE, timing_plan_of
 from repro.fabric.config import FabricConfig
 from repro.fabric.configuration import Configuration, PlacedOp
@@ -94,8 +93,6 @@ class SpatialFabric:
         self.fabric_id = fabric_id
         #: Optional ``repro.obs.EventBus`` (None = tracing disabled).
         self.bus = bus
-        #: Engine tier, captured once like ``make_pipeline`` does.
-        self._fastpath = fastpath_enabled()
         self.stripes: list[Stripe] = build_stripes(self.config)
         self.fifo = FifoModel(self.config.fifo_depth)
 
@@ -177,10 +174,6 @@ class SpatialFabric:
         """Run one invocation of the currently loaded configuration."""
         if self.current_key != configuration.trace_key:
             raise ValueError("fabric is not configured for this trace")
-        if self._fastpath:
-            return self._execute_plan(
-                configuration, timing_plan_of(configuration), ctx
-            )
         cfg = self.config
         bus = cfg.global_bus_latency
 
@@ -272,13 +265,30 @@ class SpatialFabric:
             occupancy_cycles=max(1, occupancy),
         )
 
-    def _execute_plan(
+    def walk(
         self,
         configuration: Configuration,
-        plan,
-        ctx: InvocationContext,
-    ) -> InvocationResult:
-        """Plan-driven twin of :meth:`execute` (see repro.fabric.compiled).
+        start_lower_bound: int,
+        reg_ready: dict[str, int],
+        mem_addrs: list[int],
+        dcache_access,
+        speculative: bool,
+        extra_mem_wait: dict[int, int],
+        predicted_store_pos: dict[int, int],
+    ) -> tuple:
+        """Plan-driven twin of :meth:`execute`, run by the fast tier's
+        offload (see repro.fabric.compiled).
+
+        Takes the invocation's inputs as arguments: ``reg_ready`` is the
+        host scoreboard's register -> ready-cycle dict, read in place (a
+        register it lacks is ready at 0, as ``ready_cycle`` reads it;
+        ``Configuration.validate()`` makes every live-in source a
+        configured live-in, so this is exactly the reference's
+        per-invocation ``live_in_ready``), and ``mem_addrs`` is indexed by
+        ``mem_index``.  Returns plain values, in position order: ``(start,
+        complete, occupancy, liveout_ready, stores, loads, violations)``
+        with one ``(pos, mem_index, addr, addr_known, finish)`` per store
+        and one ``(mem_index, start)`` per load.
 
         Bit-identical by construction.  The per-op arrival computation is
         an order-independent max over the same source set, and the
@@ -292,15 +302,17 @@ class SpatialFabric:
         same-address older store and the Store-Sets-predicted store are
         dict lookups.  ``tests/engine`` holds the two paths equal.
         """
+        if self.current_key != configuration.trace_key:
+            raise ValueError("fabric is not configured for this trace")
+        plan = timing_plan_of(configuration)
         bus = self.config.global_bus_latency
-        structural_ii = plan.structural_ii
 
-        start = ctx.start_lower_bound
+        start = start_lower_bound
         admit = self.fifo.admit_ready_cycle()
         if admit > start:
             start = admit
         if self.invocations_on_current:
-            pipelined = self.last_invocation_start + structural_ii
+            pipelined = self.last_invocation_start + plan.structural_ii
             if pipelined > start:
                 start = pipelined
             occupancy = start - self.last_invocation_start
@@ -308,21 +320,16 @@ class SpatialFabric:
             occupancy = None
 
         finish: dict[int, int] = {}
-        mem_events: list[MemEvent] = []
+        stores: list[tuple] = []
+        loads: list[tuple[int, int]] = []
         violations: list[tuple[int, int]] = []
-        live_in_ready = ctx.live_in_ready
-        mem_addrs = ctx.mem_addrs
-        extra_mem_wait = ctx.extra_mem_wait
-        speculative = ctx.speculative
-        predicted_store_pos = ctx.predicted_store_pos
-        dcache_access = ctx.dcache_access
         # Youngest older store's address cycle and finish: the running
         # maxima over every older store (``start`` is below both bounds
         # they feed, so it stands in before the first store).
         store_addr_known = start
         store_finish = start
-        store_at_addr: dict[int, MemEvent] = {}   # youngest per address
-        store_at_pos: dict[int, MemEvent] = {}
+        store_at_addr: dict[int, tuple] = {}   # youngest per address
+        store_at_pos: dict[int, tuple] = {}
 
         for pos, kind, latency, mem_index, inst_srcs, live_srcs in plan.steps:
             ready = start
@@ -332,7 +339,7 @@ class SpatialFabric:
                     if arrival > ready:
                         ready = arrival
                 for reg in live_srcs:
-                    arrival = live_in_ready.get(reg, start) + bus
+                    arrival = reg_ready.get(reg, 0) + bus
                     if arrival > ready:
                         ready = arrival
                 if kind == T_ALU:
@@ -348,22 +355,20 @@ class SpatialFabric:
                 elif predicted_store_pos:
                     predicted = store_at_pos.get(
                         predicted_store_pos.get(mem_index))
-                    if predicted is not None and predicted.finish > ready:
-                        ready = predicted.finish
+                    if predicted is not None and predicted[4] > ready:
+                        ready = predicted[4]
                 addr = mem_addrs[mem_index]
                 alias = store_at_addr.get(addr)
                 if alias is None:
                     done = ready + 1 + dcache_access(addr)
-                elif speculative and alias.addr_known > ready:
-                    violations.append((pos, alias.pos))
-                    done = alias.finish + 1
-                elif alias.finish > ready:
-                    done = alias.finish + 1   # in-flight forward
+                elif speculative and alias[3] > ready:
+                    violations.append((pos, alias[0]))
+                    done = alias[4] + 1
+                elif alias[4] > ready:
+                    done = alias[4] + 1       # in-flight forward
                 else:
                     done = ready + 1          # buffered forward
-                mem_events.append(
-                    MemEvent(pos, mem_index, addr, "load", ready, ready, done)
-                )
+                loads.append((mem_index, ready))
                 finish[pos] = done
             else:
                 base_arrival = start
@@ -374,7 +379,7 @@ class SpatialFabric:
                     if is_base and arrival > base_arrival:
                         base_arrival = arrival
                 for reg, is_base in live_srcs:
-                    arrival = live_in_ready.get(reg, start) + bus
+                    arrival = reg_ready.get(reg, 0) + bus
                     if arrival > ready:
                         ready = arrival
                     if is_base and arrival > base_arrival:
@@ -388,14 +393,12 @@ class SpatialFabric:
                 if not speculative and store_finish + 1 > done:
                     done = store_finish + 1
                 addr = mem_addrs[mem_index]
-                event = MemEvent(
-                    pos, mem_index, addr, "store", addr_known, addr_known, done
-                )
+                store = (pos, mem_index, addr, addr_known, done)
                 store_addr_known = addr_known
                 store_finish = done
-                store_at_addr[addr] = event
-                store_at_pos[pos] = event
-                mem_events.append(event)
+                store_at_addr[addr] = store
+                store_at_pos[pos] = store
+                stores.append(store)
                 finish[pos] = done
 
         liveout_ready = {}
@@ -410,19 +413,8 @@ class SpatialFabric:
         self._retire(start, complete, len(plan.steps))
         if occupancy is None:
             occupancy = complete - start
-        return InvocationResult(
-            start=start,
-            complete=complete,
-            finish_times=finish,
-            liveout_ready=liveout_ready,
-            mem_events=mem_events,
-            violations=violations,
-            structural_ii=structural_ii,
-            fu_ops=len(plan.steps),
-            datapath_transfers=plan.datapath_transfers,
-            fifo_ops=plan.fifo_ops,
-            occupancy_cycles=max(1, occupancy),
-        )
+        return (start, complete, max(1, occupancy), liveout_ready, stores,
+                loads, violations)
 
     def _retire(self, start: int, complete: int, ops: int) -> None:
         """Book one invocation: FIFO slot, pipelining and occupancy state."""

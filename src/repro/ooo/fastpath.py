@@ -19,11 +19,14 @@ the interpreter:
   locals for the whole span (``process()`` is a span of one);
 * **batched statistics**: every counter that depends only on the static
   instruction is one count per decoded static, fanned out in
-  ``finish()``; the other hot counters accumulate in a plain int list
-  indexed by module constants.  Both flush additively into
-  ``PipelineStats`` in ``finish()`` (cold counters — fabric, mapping,
-  drain, offload buckets — are still written directly by the framework,
-  which is why the flush adds rather than assigns);
+  ``finish()``, and so is every counter a successful fabric invocation
+  adds in an amount its configuration fixes (one count per offloaded
+  configuration, opened by :meth:`FastOOOPipeline.count_slot`); the
+  other hot counters accumulate in a plain int list indexed by module
+  constants.  Both flush additively into ``PipelineStats`` in
+  ``finish()`` (cold counters — the invocation-dependent fabric ones,
+  mapping, drain, offload buckets — are still written directly by the
+  framework, which is why the flush adds rather than assigns);
 * stall credits keep a running total so the common commit-gap case
   (no credits pending) skips the per-cause scan.
 
@@ -51,8 +54,10 @@ from repro.ooo.lsq import StoreRecord
 from repro.ooo.pipeline import InstrTiming, OOOPipeline, PipelineResult
 
 #: PipelineStats fields mirrored by the batched-counter list, in slot
-#: order.  Only counters the host span charges belong here; everything
-#: else keeps writing ``stats`` directly.
+#: order.  Only counters the host span charges, and those a successful
+#: fabric invocation adds in amounts its configuration fixes (the
+#: offload twin's count slots), belong here; everything else keeps
+#: writing ``stats`` directly.
 _SB_FIELDS: tuple[str, ...] = (
     "fetches", "wrongpath_fetches", "icache_accesses", "icache_misses",
     "predictor_lookups", "branch_mispredicts", "btb_misses",
@@ -65,6 +70,10 @@ _SB_FIELDS: tuple[str, ...] = (
     "commits", "rob_writes", "instructions", "cycles_host",
     "cycles_squash_memory", "cycles_squash_branch", "cycles_drain",
     "cycles_mapping", "cycles_frontend",
+    "offloaded_instructions", "fabric_invocations", "fabric_fu_ops",
+    "fabric_datapath_transfers", "fabric_fifo_ops",
+    "fabric_int_alu_ops", "fabric_int_muldiv_ops",
+    "fabric_fp_alu_ops", "fabric_fp_muldiv_ops", "fabric_ldst_ops",
 )
 
 (F_FETCHES, F_WRONGPATH, F_IC_ACC, F_IC_MISS,
@@ -131,11 +140,12 @@ class FastOOOPipeline(OOOPipeline):
         #: instruction (slot 0) so a recycled id can never alias a dead
         #: object's cache entry.
         self._decode: dict[int, tuple] = {}
-        #: Executions of each decoded static instruction since the last
-        #: ``finish``, indexed by its record's count slot, and the
-        #: batched counters one execution bumps whatever its timing —
+        #: Occurrences since the last ``finish`` of each decoded static
+        #: instruction (indexed by its record's count slot) and of each
+        #: offloaded configuration's successful invocation, and the
+        #: batched counters one occurrence bumps whatever its timing —
         #: ``(stats slot, increment)`` pairs that ``finish`` fans the
-        #: counts out to.
+        #: counts out to.  :meth:`count_slot` opens a slot.
         self._static_counts: list[int] = []
         self._fanout: list[tuple[tuple[int, int], ...]] = []
         self._sb: list[int] = [0] * len(_SB_FIELDS)
@@ -216,6 +226,17 @@ class FastOOOPipeline(OOOPipeline):
         )
         self._decode[key] = rec
         return rec
+
+    def count_slot(self, counters) -> int:
+        """Open a count slot beside the decoded statics' and return its
+        index: ``finish`` charges ``counters``, ``(PipelineStats field,
+        increment)`` pairs, once per count in ``_static_counts[slot]``."""
+        slot = len(self._fanout)
+        self._fanout.append(tuple(
+            (_SB_FIELDS.index(name), increment)
+            for name, increment in counters))
+        self._static_counts.append(0)
+        return slot
 
     def _credit_stall(self, cause: str, cycles: int) -> None:
         if cycles > 0:

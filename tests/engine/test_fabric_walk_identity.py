@@ -1,17 +1,19 @@
 """Tier identity of the fabric timing walk on generated configurations.
 
-``SpatialFabric._execute_plan`` replaces the reference walk's rescans of
-older stores with running maxima and dict lookups.  The kernel identity
-sweep rarely reaches the cases where that could go wrong: two stores to
-one address inside one invocation, intra-trace violations, Store-Sets
-predictions.  These tests generate configurations that reach them on
-purpose and demand that both tiers return equal ``InvocationResult``s,
-memory events and violations included, invocation after invocation.
+``SpatialFabric.walk`` replaces the reference walk's rescans of older
+stores with running maxima and dict lookups, reads live-in cycles
+straight from the host scoreboard and returns plain values.  The kernel
+identity sweep rarely reaches the cases where that could go wrong: two
+stores to one address inside one invocation, intra-trace violations,
+Store-Sets predictions.  These tests generate configurations that reach
+them on purpose and demand that the walk returns what the reference
+``SpatialFabric.execute`` does (start, completion, occupancy, live-outs,
+each store's address cycle and finish, each load's start, violations)
+and leaves the same fabric books, invocation after invocation.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import use_fastpath
 from repro.fabric.configuration import Configuration, OperandSource, PlacedOp
 from repro.fabric.fabric import InvocationContext, SpatialFabric
 from repro.isa.opcodes import Opcode, OpClass
@@ -98,16 +100,17 @@ def configurations(draw):
 
 @st.composite
 def invocations(draw, configuration):
-    """Per-invocation inputs: addresses, live-in cycles, memory waits and
-    Store-Sets predictions (any position, older store or not)."""
+    """Per-invocation inputs: addresses, the host scoreboard (which may
+    lack a live-in: it is then ready at 0), memory waits and Store-Sets
+    predictions (any position, older store or not)."""
     loads = [op.mem_index for op in configuration.placements if op.is_load]
     mem_ops = range(len(configuration.mem_op_pcs))
     positions = range(len(configuration.placements))
     return dict(
         gap=draw(st.integers(0, 30)),
-        mem_addrs={m: draw(st.sampled_from(ADDRESSES)) for m in mem_ops},
-        live_in_ready=draw(st.dictionaries(
-            st.sampled_from(LIVE_INS), st.integers(0, 60))),
+        mem_addrs=[draw(st.sampled_from(ADDRESSES)) for _ in mem_ops],
+        scoreboard=draw(st.dictionaries(
+            st.sampled_from(LIVE_INS + ("r9",)), st.integers(0, 60))),
         extra_mem_wait=draw(st.dictionaries(
             st.sampled_from(mem_ops), st.integers(0, 120))
         ) if mem_ops else {},
@@ -130,27 +133,8 @@ def _dcache() -> CacheHierarchy:
                           Cache("L2", 4, 4, 64, 12), 80)
 
 
-def _walk(configuration, runs, fast, speculative):
-    """Every ``InvocationResult`` of ``runs`` back to back on one fabric,
-    then the fabric's occupancy books."""
-    with use_fastpath(fast):
-        fabric = SpatialFabric()
-    dcache = _dcache()
-    cycle = 0
-    results = []
-    fabric.configure(configuration, 0)
-    for run in runs:
-        cycle += run["gap"]
-        results.append(fabric.execute(configuration, InvocationContext(
-            start_lower_bound=cycle,
-            live_in_ready=run["live_in_ready"],
-            mem_addrs=run["mem_addrs"],
-            dcache_access=dcache.access,
-            speculative=speculative,
-            extra_mem_wait=run["extra_mem_wait"],
-            predicted_store_pos=run["predicted_store_pos"],
-        )))
-    books = (
+def _books(fabric, dcache) -> tuple:
+    return (
         fabric.total_invocations,
         fabric.last_invocation_start,
         fabric.stripe_placed_invocations,
@@ -162,7 +146,61 @@ def _walk(configuration, runs, fast, speculative):
         dcache.l1.hits,
         dcache.l1.misses,
     )
-    return results, books
+
+
+def _reference(configuration, runs, speculative):
+    """What ``SpatialFabric.walk`` must return for each of ``runs`` back
+    to back on one fabric, read off the reference ``InvocationResult``s,
+    then the fabric's books."""
+    fabric = SpatialFabric()
+    dcache = _dcache()
+    cycle = 0
+    results = []
+    fabric.configure(configuration, 0)
+    for run in runs:
+        cycle += run["gap"]
+        scoreboard = run["scoreboard"]
+        result = fabric.execute(configuration, InvocationContext(
+            start_lower_bound=cycle,
+            # The reference offload gives every live-in a cycle.
+            live_in_ready={reg: scoreboard.get(reg, 0)
+                           for reg in configuration.live_ins},
+            mem_addrs=run["mem_addrs"],
+            dcache_access=dcache.access,
+            speculative=speculative,
+            extra_mem_wait=run["extra_mem_wait"],
+            predicted_store_pos=run["predicted_store_pos"],
+        ))
+        events = result.mem_events
+        results.append((
+            result.start,
+            result.complete,
+            result.occupancy_cycles,
+            result.liveout_ready,
+            [(e.pos, e.mem_index, e.addr, e.addr_known, e.finish)
+             for e in events if e.kind == "store"],
+            [(e.mem_index, e.start) for e in events if e.kind == "load"],
+            result.violations,
+        ))
+    return results, _books(fabric, dcache)
+
+
+def _walk(configuration, runs, speculative):
+    """Every ``SpatialFabric.walk`` return of ``runs`` back to back on one
+    fabric, then the fabric's books."""
+    fabric = SpatialFabric()
+    dcache = _dcache()
+    cycle = 0
+    results = []
+    fabric.configure(configuration, 0)
+    for run in runs:
+        cycle += run["gap"]
+        results.append(fabric.walk(
+            configuration, cycle, run["scoreboard"], run["mem_addrs"],
+            dcache.access, speculative, run["extra_mem_wait"],
+            run["predicted_store_pos"],
+        ))
+    return results, _books(fabric, dcache)
 
 
 @given(scenario=scenarios())
@@ -170,7 +208,6 @@ def _walk(configuration, runs, fast, speculative):
 def test_plan_walk_matches_reference(scenario):
     configuration, runs = scenario
     for speculative in (True, False):
-        reference = _walk(configuration, runs, fast=False,
-                          speculative=speculative)
-        fast = _walk(configuration, runs, fast=True, speculative=speculative)
-        assert fast == reference, f"speculative={speculative}"
+        reference = _reference(configuration, runs, speculative)
+        walked = _walk(configuration, runs, speculative)
+        assert walked == reference, f"speculative={speculative}"

@@ -26,6 +26,8 @@ from types import SimpleNamespace
 
 import pytest
 
+import repro.core.offload as offload_module
+import repro.fabric.fabric as fabric_module
 from repro.core import DynaSpAM, DynaSpAMConfig
 from repro.core.offload import OffloadEngine
 from repro.engine import fastpath_enabled, set_fastpath, use_fastpath
@@ -194,13 +196,33 @@ def test_engine_captured_at_construction(monkeypatch):
     with use_fastpath(True):
         machine = DynaSpAM(ds_config=DynaSpAMConfig(mode="accelerate"))
     calls = Counter()
-    _spy(monkeypatch, SpatialFabric, "_execute_plan", calls)
+    _spy(monkeypatch, SpatialFabric, "walk", calls)
     _spy(monkeypatch, OffloadEngine, "_offload_plan", calls)
     with use_fastpath(False):
         result = machine.run(tr.trace, tr.program)
     assert result.stats.fabric_invocations > 0
     assert calls["_offload_plan"] >= result.stats.fabric_invocations
-    assert calls["_execute_plan"] == calls["_offload_plan"]
+    assert calls["walk"] == calls["_offload_plan"]
+
+
+def test_fast_offload_builds_no_invocation_records(monkeypatch):
+    """The fast tier times an invocation from plain values: an
+    accelerate run of KM never builds the reference walk's context,
+    result or memory events (the same patches stop the reference)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an invocation record")
+
+    for name in ("InvocationContext", "InvocationResult", "MemEvent"):
+        monkeypatch.setattr(fabric_module, name, refuse)
+    monkeypatch.setattr(offload_module, "InvocationContext", refuse)
+    tr = generate_trace("KM", SCALE)
+    with use_fastpath(True):
+        machine = DynaSpAM(ds_config=DynaSpAMConfig(mode="accelerate"))
+    assert machine.run(tr.trace, tr.program).stats.fabric_invocations > 0
+    with use_fastpath(False):
+        reference = DynaSpAM(ds_config=DynaSpAMConfig(mode="accelerate"))
+    with pytest.raises(AssertionError, match="invocation record"):
+        reference.run(tr.trace, tr.program)
 
 
 def test_engine_flag_roundtrip(monkeypatch):

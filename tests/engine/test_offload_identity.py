@@ -2,11 +2,13 @@
 
 The fast tier's offload twin reads the scoreboard and the store queue's
 address index directly, caches Store-Sets predictions per configuration,
-skips the violation scan when nothing can violate, and charges D-cache
-counters from counter deltas.  These tests put host stores in flight at
+skips the violation scan when nothing can violate, charges D-cache
+counters from counter deltas, and leaves the counters its configuration
+fixes to one count per configuration that the fast pipeline's
+``finish()`` fans out.  These tests put host stores in flight at
 addresses the trace's loads alias, train Store-Sets on some (load, store)
 pairs, run invocations back to back on twin pipelines, and demand equal
-outcomes, statistics and host state from both tiers.
+outcomes, statistics after ``finish()`` and host state from both tiers.
 """
 
 from hypothesis import given, settings, strategies as st
