@@ -328,6 +328,7 @@ class SpatialFabric:
         # they feed, so it stands in before the first store).
         store_addr_known = start
         store_finish = start
+        # Store tuples: (pos, mem_index, addr, addr_known, finish).
         store_at_addr: dict[int, tuple] = {}   # youngest per address
         store_at_pos: dict[int, tuple] = {}
 
