@@ -11,9 +11,9 @@ This package implements the paper's contribution:
 * ``naive_mapper`` — the CCA/DIF-style in-order baseline: the same
   skeleton with a program-order first-fit policy;
 * ``config_cache`` — the configuration cache with saturating counters;
-* ``siderob`` — the side reorder buffer (ROB') for fat atomic traces;
 * ``multifabric`` — LRU management of 1..N on-chip fabrics;
-* ``offload`` — fat-atomic-instruction execution with squash/replay;
+* ``offload`` — fat-atomic-instruction execution with squash/replay (the
+  side ROB, ROB', is modeled by the fat entry's timing);
 * ``framework`` — the full DynaSpAM machine wired around the host OOO.
 """
 

@@ -41,9 +41,6 @@ class ConfigCache:
 
     _store: dict[tuple, ConfigEntry] = field(default_factory=dict)
     _since_clear: int = 0
-    reads: int = 0
-    writes: int = 0
-    evictions: int = 0
     mapped_keys: set = field(default_factory=set)
     unmappable_keys: set = field(default_factory=set)
     #: Optional ``repro.obs.EventBus`` (None = tracing disabled).
@@ -55,7 +52,6 @@ class ConfigCache:
 
     def lookup(self, key: tuple) -> ConfigEntry | None:
         """Probe the cache (a fetch-stage read).  Hits refresh LRU order."""
-        self.reads += 1
         entry = self._store.get(key)
         if entry is not None:
             # dict preserves insertion order: re-insert to mark recency.
@@ -73,12 +69,10 @@ class ConfigCache:
 
     def insert(self, key: tuple, configuration: Configuration | None) -> ConfigEntry:
         """Store a mapping result (or an unmappable marker)."""
-        self.writes += 1
         if key not in self._store and len(self._store) >= self.entries:
             victim = next(iter(self._store))
             victim_entry = self._store[victim]
             del self._store[victim]
-            self.evictions += 1
             if self.bus is not None:
                 self.bus.emit(
                     "ccache.evict",

@@ -164,7 +164,6 @@ class ResourceAwareMapper:
         #: but ignores the Table 2 routing preferences (pure host
         #: oldest-first among feasible instructions).
         self.use_priority_scores = use_priority_scores
-        self.failures = 0
         #: Optional ``repro.obs.EventBus`` (None = tracing disabled).
         self.bus = bus
 
@@ -180,7 +179,6 @@ class ResourceAwareMapper:
         try:
             configuration = self._map(insts, trace_key)
         except MappingFailure as exc:
-            self.failures += 1
             if self.bus is not None:
                 self.bus.emit(
                     "map.fail",

@@ -101,7 +101,9 @@ class FabricPool:
         Every fabric in the pool shares one geometry, so per-stripe counts
         merge by index.  Ratios are invocation-weighted: an invocation of a
         configuration occupying 10 of 192 PEs contributes 10/192 to
-        ``placed_pe_ratio`` regardless of how long it ran.
+        ``placed_pe_ratio`` regardless of how long it ran.  Occupancy is
+        charged when a configuration's lifetime closes, so call
+        :meth:`lifetimes` first at the end of a run.
         """
         cfg = self.fabric_config
         invocations = self.total_invocations

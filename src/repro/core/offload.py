@@ -1,18 +1,22 @@
 """Trace offloading: fat atomic invocations, squash, and replay.
 
 Executes one predicted hot-trace occurrence on the fabric.  The invocation
-occupies a single main-ROB entry pointing at a ROB' entry; live-ins come
-from the rename stage (the host register scoreboard plus forwarded
-live-outs of the previous invocation), memory operations interact with the
-host store queue and the Store-Sets unit, and live-outs broadcast back into
-the host bypass network at completion (paper Sections 3.1-3.2).
+occupies a single main-ROB entry; live-ins come from the rename stage (the
+host register scoreboard plus forwarded live-outs of the previous
+invocation), memory operations interact with the host store queue and the
+Store-Sets unit, and live-outs broadcast back into the host bypass network
+at completion (paper Sections 3.1-3.2).  The paper's side ROB (ROB') holds
+an invocation's live-outs, branch results and stores until it commits; here
+that is the fat entry's timing: ``macro_dispatch``/``macro_commit``, the
+``TRACE_SQUASH_DETECT`` bubble and the store-queue pushes at commit.  Each
+invocation dispatches and retires within one ``offload`` call, so the model
+never holds two invocations in flight.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.siderob import SideROB
 from repro.fabric.compiled import offload_plan_of
 from repro.fabric.configuration import Configuration
 from repro.fabric.fabric import InvocationContext, SpatialFabric
@@ -42,7 +46,6 @@ class OffloadEngine:
 
     pipeline: OOOPipeline
     speculation: bool = True
-    siderob: SideROB = field(default_factory=SideROB)
     #: Optional ``repro.obs.EventBus`` (None = tracing disabled).
     bus: object | None = None
 
@@ -71,7 +74,6 @@ class OffloadEngine:
         stats = pipeline.stats
 
         seq, dispatch = pipeline.macro_dispatch()
-        entry = self.siderob.allocate(seq, configuration.trace_key)
         if self.bus is not None:
             self._emit_dispatch(seq, dispatch, configuration, segment)
 
@@ -126,22 +128,14 @@ class OffloadEngine:
             configuration, result, host_alias
         )
         if violation is not None:
-            return self._squash_memory(entry, seq, configuration, violation)
+            return self._squash_memory(seq, configuration, violation)
 
         # ---- success: commit the fat instruction ---------------------
         commit = pipeline.macro_commit(result.complete)
         store_events = [e for e in result.mem_events if e.kind == "store"]
-        self.siderob.mark_complete(
-            entry,
-            result.complete,
-            result.liveout_ready,
-            configuration.branch_outcomes,
-            [(e.addr, None) for e in store_events],
-        )
-        self.siderob.commit(entry, commit)
 
         for reg, cycle in result.liveout_ready.items():
-            pipeline.set_live_out(reg, cycle, seq)
+            pipeline.set_live_out(reg, cycle)
             stats.regfile_writes += 1
 
         # Buffered stores drain to the memory system at commit and become
@@ -216,10 +210,8 @@ class OffloadEngine:
         plan = offload_plan_of(configuration, segment)
         pipeline = self.pipeline
         stats = pipeline.stats
-        siderob = self.siderob
 
         seq, dispatch = pipeline.macro_dispatch()
-        entry = siderob.allocate(seq, configuration.trace_key)
         if self.bus is not None:
             self._emit_dispatch(seq, dispatch, configuration, segment)
 
@@ -295,26 +287,14 @@ class OffloadEngine:
                 stats.dcache_accesses += l1.hits + l1.misses - l1_accesses
                 stats.dcache_misses += l1.misses - l1_misses
                 stats.l2_accesses += l2.hits + l2.misses - l2_accesses
-                return self._squash_memory(
-                    entry, seq, configuration, violation
-                )
+                return self._squash_memory(seq, configuration, violation)
 
         # ---- success: commit the fat instruction ---------------------
         commit = pipeline.macro_commit(complete)
-        siderob.mark_complete(
-            entry,
-            complete,
-            liveout_ready,
-            configuration.branch_outcomes,
-            [(store[2], None) for store in stores],
-        )
-        siderob.commit(entry, commit)
 
-        producer = regs._producer
         for reg, cycle in liveout_ready.items():
             if reg != "r0":
                 ready[reg] = cycle
-                producer[reg] = seq
         regs.renames += plan.liveout_renames
 
         if stores:
@@ -359,7 +339,6 @@ class OffloadEngine:
             key=configuration.trace_key,
             instructions=len(segment),
             live_ins=len(configuration.live_ins),
-            siderob_occupancy=self.siderob.occupancy,
         )
 
     def _emit_commit(self, seq, commit, configuration, segment,
@@ -375,8 +354,7 @@ class OffloadEngine:
             complete=result.complete,
         )
 
-    def _squash_memory(self, entry, seq, configuration,
-                       violation) -> OffloadOutcome:
+    def _squash_memory(self, seq, configuration, violation) -> OffloadOutcome:
         """Squash the invocation on a memory-order violation."""
         pipeline = self.pipeline
         stats = pipeline.stats
@@ -385,7 +363,6 @@ class OffloadEngine:
         stats.fabric_squashes += 1
         if self.speculation:
             pipeline.storesets.train_violation(load_pc, store_pc)
-        self.siderob.squash(entry, detect)
         pipeline.stall_fetch_until(
             detect + pipeline.config.violation_squash_penalty,
             cause="squash_memory",

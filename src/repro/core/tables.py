@@ -64,9 +64,6 @@ class MappingTables:
     # ------------------------------------------------------------------
     # ProdTable
     # ------------------------------------------------------------------
-    def producer_stripe(self, token: Token) -> int | None:
-        return self.prod_stripe.get(token)
-
     def define(self, token: Token, stripe: int) -> None:
         self.prod_stripe[token] = stripe
         # A producer's output reaches the next boundary through the direct

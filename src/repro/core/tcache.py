@@ -198,7 +198,6 @@ class TCache:
         self._hot: set[tuple] = set()
         self._since_clear = 0
         self.lookups = 0
-        self.clears = 0
         #: Optional ``repro.obs.EventBus`` (None = tracing disabled).
         self.bus = bus
 
@@ -244,7 +243,6 @@ class TCache:
         self._since_clear += 1
         if self._since_clear >= self.clear_interval:
             self._since_clear = 0
-            self.clears += 1
             if self.bus is not None:
                 self.bus.emit(
                     "tcache.clear",
@@ -258,7 +256,3 @@ class TCache:
             # stops triggering mapping phases.
             self._counters = {k: 0 for k in self._counters}
             self._hot.clear()
-
-    @property
-    def hot_count(self) -> int:
-        return len(self._hot)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.energy.cacti import SramModel
 from repro.fabric.config import FabricConfig
 
 #: Paper Table 6, µm² at 32 nm.
@@ -72,9 +71,3 @@ class FabricAreaModel:
             total = stripes * self.stripe_area_um2()
         total += self.fifo_area_um2()
         return total / 1e6
-
-    def config_cache_area_mm2(self) -> float:
-        return SramModel(entries=16, block_bytes=16).area_mm2
-
-    def total_area_mm2(self, num_stripes: int | None = None) -> float:
-        return self.fabric_area_mm2(num_stripes) + self.config_cache_area_mm2()

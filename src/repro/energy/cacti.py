@@ -2,8 +2,9 @@
 
 The paper sizes the configuration cache with CACTI and reports 0.003 mm²;
 this model reproduces that order of magnitude from bit count alone, with a
-fixed per-bit cell area plus peripheral overhead, and derives access
-energies with a simple capacitance-proportional rule.
+fixed per-bit cell area plus peripheral overhead.  Access energies are
+not derived here: the energy model charges configuration-cache reads and
+writes from ``repro.energy.constants``.
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ from dataclasses import dataclass
 BIT_AREA_UM2 = 1.1
 #: Fixed peripheral overhead (µm²).
 PERIPHERAL_UM2 = 180.0
-#: Dynamic read energy per bit line touched (pJ).
-READ_ENERGY_PER_BYTE = 0.45
-WRITE_ENERGY_PER_BYTE = 0.6
 
 
 @dataclass(frozen=True)
@@ -38,11 +36,3 @@ class SramModel:
     @property
     def area_mm2(self) -> float:
         return self.area_um2 / 1e6
-
-    @property
-    def read_energy_pj(self) -> float:
-        return self.block_bytes * READ_ENERGY_PER_BYTE
-
-    @property
-    def write_energy_pj(self) -> float:
-        return self.block_bytes * WRITE_ENERGY_PER_BYTE

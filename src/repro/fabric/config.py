@@ -69,10 +69,6 @@ class FabricConfig:
             return max(sum(pools.values()) for pools in self.per_stripe_pools)
         return sum(self.stripe_pools.values())
 
-    @property
-    def pass_regs_per_stripe(self) -> int:
-        return self.pass_regs_per_fu * self.pes_per_stripe
-
     def reconfig_latency(self, stripes_used: int) -> int:
         """Cycles to load a configuration touching ``stripes_used`` stripes."""
         return self.reconfig_cycles_per_stripe * max(1, stripes_used)

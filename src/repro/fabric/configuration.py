@@ -98,14 +98,6 @@ class Configuration:
     def length(self) -> int:
         return len(self.placements)
 
-    @property
-    def pes_used(self) -> int:
-        return len(self.placements)
-
-    @property
-    def num_branches(self) -> int:
-        return len(self.branch_outcomes)
-
     def validate(self) -> None:
         """Check structural invariants of the mapping.
 

@@ -17,7 +17,6 @@ from repro.fabric.compiled import T_ALU, T_STORE, timing_plan_of
 from repro.fabric.config import FabricConfig
 from repro.fabric.configuration import Configuration, PlacedOp
 from repro.fabric.fifos import FifoModel
-from repro.fabric.stripe import Stripe, build_stripes
 
 
 @dataclass
@@ -93,7 +92,6 @@ class SpatialFabric:
         self.fabric_id = fabric_id
         #: Optional ``repro.obs.EventBus`` (None = tracing disabled).
         self.bus = bus
-        self.stripes: list[Stripe] = build_stripes(self.config)
         self.fifo = FifoModel(self.config.fifo_depth)
 
         # Current configuration state.
@@ -107,12 +105,10 @@ class SpatialFabric:
         self.total_invocations: int = 0
         self.lifetime_invocations: list[int] = []
 
-        # Power-gating accounting: (active PEs, total PEs) per configuration.
-        self.active_pes: int = 0
-
         # Occupancy statistics (repro.obs.accounting): ``(stripe, placed
-        # ops)`` for every stripe the current configuration touches,
-        # accumulated per invocation.
+        # ops)`` for every stripe the current configuration touches.  A
+        # lifetime's invocations are charged to the books below when it
+        # closes (``configure`` or ``flush_lifetime``).
         self._stripe_increments: tuple[tuple[int, int], ...] = ()
         #: stripe -> sum over invocations of ops placed on that stripe.
         self.stripe_placed_invocations: list[int] = (
@@ -132,8 +128,7 @@ class SpatialFabric:
 
     def configure(self, configuration: Configuration, cycle: int) -> int:
         """Load a configuration; returns the cycle the fabric is ready."""
-        if self.current_key is not None and self.invocations_on_current:
-            self.lifetime_invocations.append(self.invocations_on_current)
+        self._close_lifetime()
         if self.bus is not None:
             self.bus.emit(
                 "fabric.reconfig",
@@ -144,9 +139,7 @@ class SpatialFabric:
                 stripes=configuration.stripes_used,
             )
         self.current_key = configuration.trace_key
-        self.invocations_on_current = 0
         self.reconfigurations += 1
-        self.active_pes = configuration.pes_used
         placed = [0] * self.config.num_stripes
         for op in configuration.placements:
             placed[op.stripe] += 1
@@ -160,10 +153,23 @@ class SpatialFabric:
 
     def flush_lifetime(self) -> list[int]:
         """Close the books on the current configuration (end of run)."""
-        if self.current_key is not None and self.invocations_on_current:
-            self.lifetime_invocations.append(self.invocations_on_current)
-            self.invocations_on_current = 0
+        self._close_lifetime()
         return self.lifetime_invocations
+
+    def _close_lifetime(self) -> None:
+        """Record the current configuration's invocations as one lifetime
+        and charge them to the occupancy statistics."""
+        invocations = self.invocations_on_current
+        if not invocations:
+            return
+        self.invocations_on_current = 0
+        self.lifetime_invocations.append(invocations)
+        for stripe, placed in self._stripe_increments:
+            self.stripe_placed_invocations[stripe] += placed * invocations
+            self.stripe_invocations[stripe] += invocations
+            self.placed_pe_invocations += placed * invocations
+        self.filled_stripe_invocations += (
+            len(self._stripe_increments) * invocations)
 
     # ------------------------------------------------------------------
     # Execution
@@ -247,7 +253,7 @@ class SpatialFabric:
         # Branch results and live-outs drain through the output FIFOs.
         complete += bus
 
-        self._retire(start, complete, len(configuration.placements))
+        self._retire(start, complete)
 
         if occupancy is None:
             occupancy = complete - start
@@ -411,25 +417,18 @@ class SpatialFabric:
             complete = max(finish.values())
         complete += bus
 
-        self._retire(start, complete, len(plan.steps))
+        self._retire(start, complete)
         if occupancy is None:
             occupancy = complete - start
         return (start, complete, max(1, occupancy), liveout_ready, stores,
                 loads, violations)
 
-    def _retire(self, start: int, complete: int, ops: int) -> None:
-        """Book one invocation: FIFO slot, pipelining and occupancy state."""
+    def _retire(self, start: int, complete: int) -> None:
+        """Book one invocation: FIFO slot and pipelining state."""
         self.fifo.push(complete)
         self.last_invocation_start = start
         self.invocations_on_current += 1
         self.total_invocations += 1
-        stripe_placed = self.stripe_placed_invocations
-        stripe_invocations = self.stripe_invocations
-        for stripe, placed in self._stripe_increments:
-            stripe_placed[stripe] += placed
-            stripe_invocations[stripe] += 1
-        self.filled_stripe_invocations += len(self._stripe_increments)
-        self.placed_pe_invocations += ops
 
     @staticmethod
     def _time_store(

@@ -8,11 +8,12 @@ values, branch results, and store set.
 
 Its purpose is verification: because the reproduction's pipelines are
 trace-driven, a mapping bug (wrong operand route, wrong producer, dropped
-live-out) would otherwise never corrupt an architectural result.  The
-``verify_against_oracle`` helper replays a trace occurrence on the
-configuration and cross-checks every architectural effect against the
-functional executor's ground truth; the test suite runs it over every hot
-trace of every benchmark.
+live-out) would otherwise never corrupt an architectural result.
+:class:`CoSimulator` replays a benchmark's dynamic trace, evaluates each
+chosen trace occurrence on its configuration, and cross-checks every
+live-out value, store and branch result against the functional executor's
+ground truth; the test suite runs it over every mapped window of every
+benchmark.
 """
 
 from __future__ import annotations
@@ -270,37 +271,3 @@ def _close(a, b) -> bool:
     if isinstance(a, float) or isinstance(b, float):
         return math.isclose(float(a), float(b), rel_tol=1e-12, abs_tol=1e-12)
     return a == b
-
-
-def verify_against_oracle(
-    configuration: Configuration,
-    segment: list[DynamicInstruction],
-    live_in_values: dict[str, float | int],
-    memory: Memory,
-) -> FunctionalResult:
-    """Execute functionally and cross-check against the oracle segment.
-
-    Checks, per position: branch outcomes, load/store effective addresses,
-    and (via the returned result) live-out values.  Raises
-    ``FabricExecutionError`` on any mismatch.
-    """
-    fabric = FunctionalFabric()
-    result = fabric.execute(configuration, live_in_values, memory, segment)
-
-    oracle_branches = [bool(d.taken) for d in segment if d.is_branch]
-    # The mapper only embeds *placed* branches; compare pairwise.
-    if result.branch_results != oracle_branches:
-        raise FabricExecutionError(
-            f"branch results {result.branch_results} != oracle "
-            f"{oracle_branches}"
-        )
-    oracle_mem = [(d.addr, d.is_store) for d in segment if d.is_memory]
-    fabric_mem = ([(a, False) for a, _ in result.loads]
-                  + [(a, True) for a, _ in result.stores])
-    if sorted(a for a, s in oracle_mem if s) != sorted(
-            a for a, _ in result.stores):
-        raise FabricExecutionError("store address set diverges from oracle")
-    if sorted(a for a, s in oracle_mem if not s) != sorted(
-            a for a, _ in result.loads):
-        raise FabricExecutionError("load address set diverges from oracle")
-    return result

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.isa.opcodes import FU_PIPELINED, OpClass
-from repro.ooo.fus import POOL_OF
 
 
 @dataclass(frozen=True)
@@ -23,14 +22,6 @@ class PE:
     index: int            # position within the stripe
     pool: str             # functional-unit kind ("int_alu", "ldst", ...)
     input_ports: int      # live-in operands deliverable per invocation
-
-    @property
-    def pe_id(self) -> tuple[int, int]:
-        return (self.stripe, self.index)
-
-    def can_execute(self, opclass: OpClass) -> bool:
-        """True if this PE's functional unit covers ``opclass``."""
-        return POOL_OF[opclass] == self.pool
 
     def occupancy(self, opclass: OpClass, latency: int) -> int:
         """Cycles per invocation this PE is busy executing ``opclass``.

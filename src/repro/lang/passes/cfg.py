@@ -207,10 +207,6 @@ def natural_loops(cfg: CFG) -> list[Loop]:
     return [loops[h] for h in sorted(loops)]
 
 
-def instr_uses(instr: Instr) -> tuple[str, ...]:
-    return instr.args
-
-
 def liveness(cfg: CFG) -> tuple[list[set[str]], list[set[str]]]:
     """Per-block variable liveness: ``(live_in, live_out)``."""
     n = len(cfg.blocks)

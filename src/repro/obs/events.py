@@ -149,7 +149,3 @@ class EventBus:
             cycle = self.clock()
         self.sink.emit(Event(self._seq, type, cycle, data))
         self._seq += 1
-
-    @property
-    def emitted(self) -> int:
-        return self._seq

@@ -75,10 +75,6 @@ def open_log(path: str) -> RuntimeLog:
     return _LOG
 
 
-def current_log() -> RuntimeLog | None:
-    return _LOG
-
-
 def log_record(kind: str, **fields) -> None:
     """Write one record if a log is open; free no-op otherwise."""
     if _LOG is not None:

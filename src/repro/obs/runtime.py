@@ -12,9 +12,9 @@ Design rules, mirroring the event bus (`repro.obs.events`):
   shared no-op and records nothing.  No report field, no output byte
   changes until telemetry is explicitly enabled.
 * **Monotonic durations.**  Span durations come from
-  ``time.perf_counter()``; the wall-clock epoch (``time.time()``) is
-  captured once per tracer so spans can still be placed on a calendar
-  timeline for display.
+  ``time.perf_counter()``; each span also records its wall-clock start
+  (``time.time()``) so it can still be placed on a calendar timeline for
+  display.
 * **Thread-safe, process-mergeable.**  Each thread keeps its own open
   span stack (spans therefore nest without overlap per thread);
   finished spans land in one lock-guarded buffer.  Subprocess workers
@@ -125,10 +125,9 @@ class SpanTracer:
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
         self.run_id: str | None = None
-        #: Monotonic/wall epoch pair: ``start`` fields are relative to
-        #: ``epoch`` so records from one process share a timeline.
+        #: ``start`` fields are relative to ``epoch`` so records from one
+        #: process share a timeline.
         self.epoch = time.perf_counter()
-        self.epoch_wall = time.time()
         self.dropped = 0
         self._lock = threading.Lock()
         self._records: list[SpanRecord] = []

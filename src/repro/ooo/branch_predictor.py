@@ -1,8 +1,9 @@
 """Branch direction and target prediction.
 
-A tournament direction predictor (bimodal + gshare with a per-PC chooser),
-a direct-mapped BTB for taken-branch targets, and a return-address stack
-(unused by the call-free kernel ISA but part of the Table 4 configuration).
+A tournament direction predictor (bimodal + gshare with a per-PC chooser)
+and a direct-mapped BTB for taken-branch targets.  The Table 4 core's
+return-address stack is not modeled because the kernel ISA has no calls;
+``CoreConfig.ras_entries`` is listed and keyed but drives nothing.
 The bimodal side learns strongly biased loop branches within a couple of
 iterations; the gshare side captures history-correlated patterns; the
 chooser favors whichever has been right.  The fetch stage of DynaSpAM also
@@ -15,30 +16,8 @@ from __future__ import annotations
 from repro.ooo.config import CoreConfig
 
 
-class SaturatingCounter:
-    """An n-bit saturating counter (default 2-bit)."""
-
-    __slots__ = ("value", "maximum")
-
-    def __init__(self, bits: int = 2, value: int = 0) -> None:
-        self.maximum = (1 << bits) - 1
-        self.value = value
-
-    def increment(self) -> None:
-        if self.value < self.maximum:
-            self.value += 1
-
-    def decrement(self) -> None:
-        if self.value > 0:
-            self.value -= 1
-
-    @property
-    def taken(self) -> bool:
-        return self.value > self.maximum // 2
-
-
 class BranchPredictor:
-    """Tournament (bimodal/gshare) + BTB + RAS, trace-driven semantics."""
+    """Tournament (bimodal/gshare) + BTB, trace-driven semantics."""
 
     def __init__(self, config: CoreConfig | None = None) -> None:
         config = config or CoreConfig()
@@ -54,8 +33,6 @@ class BranchPredictor:
         self.history = 0
         self.btb: set[int] = set()
         self.btb_entries = config.btb_entries
-        self.ras: list[int] = []
-        self.ras_entries = config.ras_entries
         self.lookups = 0
         self.mispredicts = 0
         self.btb_misses = 0
@@ -78,13 +55,6 @@ class BranchPredictor:
             return self.gshare[gshare_index] >= 2
         return self.bimodal[pc_index] >= 2
 
-    def peek(self, pc: int) -> bool:
-        """Predict the direction of the branch at ``pc`` without updating.
-
-        Used by the T-Cache probe, which must not perturb predictor state.
-        """
-        return self._predict(pc, self.history)
-
     def peek_with_history(self, pc: int, history: int) -> bool:
         """Predict under an explicit speculative history (no update).
 
@@ -97,20 +67,6 @@ class BranchPredictor:
     def shift_history(self, history: int, taken: bool) -> int:
         """Fold one speculative outcome into a history value."""
         return ((history << 1) | int(taken)) & self.mask
-
-    def peek_path(self, branch_pcs) -> list[bool]:
-        """Predict a sequence of upcoming branches without state updates.
-
-        Speculative history is threaded through the sequence, mirroring how
-        a real front end predicts several branches ahead.
-        """
-        history = self.history
-        out = []
-        for pc in branch_pcs:
-            taken = self._predict(pc, history)
-            history = ((history << 1) | int(taken)) & self.mask
-            out.append(taken)
-        return out
 
     def predict_and_update(self, pc: int, actual_taken: bool) -> bool:
         """Predict the branch at ``pc``, then train on the actual outcome.
@@ -161,20 +117,3 @@ class BranchPredictor:
                 self.btb.pop()
             self.btb.add(pc)
         return hit
-
-    # ------------------------------------------------------------------
-    # Return address stack (completeness; the kernel ISA has no calls)
-    # ------------------------------------------------------------------
-    def ras_push(self, return_pc: int) -> None:
-        if len(self.ras) >= self.ras_entries:
-            self.ras.pop(0)
-        self.ras.append(return_pc)
-
-    def ras_pop(self) -> int | None:
-        return self.ras.pop() if self.ras else None
-
-    @property
-    def accuracy(self) -> float:
-        if not self.lookups:
-            return 1.0
-        return 1.0 - self.mispredicts / self.lookups

@@ -51,18 +51,9 @@ class Cache:
             ways.pop()
         return False
 
-    def contains(self, addr: int) -> bool:
-        """Non-mutating presence check."""
-        set_index, tag = self._locate(addr)
-        return tag in self._sets[set_index]
-
     @property
     def accesses(self) -> int:
         return self.hits + self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
 
 
 class CacheHierarchy:

@@ -306,7 +306,6 @@ class FastOOOPipeline(OOOPipeline):
         lfst = storesets._lfst
         regs = self.regs
         regs_ready = regs._ready
-        regs_producer = regs._producer
         store_by_seq = self._store_by_seq
         store_fifo = self._store_seq_fifo
         rob = self.rob
@@ -514,7 +513,6 @@ class FastOOOPipeline(OOOPipeline):
                         if set_id is not None:
                             wait_seq = lfst.get(set_id)
                             if wait_seq is not None:
-                                storesets.load_waits += 1
                                 predicted = store_by_seq.get(wait_seq)
                                 if (predicted is not None
                                         and predicted.data_ready > ready):
@@ -732,7 +730,6 @@ class FastOOOPipeline(OOOPipeline):
                 if dest is not None:
                     renames += 1
                     regs_ready[dest] = complete
-                    regs_producer[dest] = seq
                 # A source that is also the destination sees its new
                 # readiness, as the interpreted model's re-read does.
                 if nsrcs:

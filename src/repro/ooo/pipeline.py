@@ -464,7 +464,7 @@ class OOOPipeline:
 
         # ---- writeback / scoreboard ----------------------------------
         if static.dest is not None:
-            self.regs.define(static.dest, complete, seq)
+            self.regs.define(static.dest, complete)
             stats.regfile_writes += 1
         for src in static.srcs:
             if issue - self.regs.ready_cycle(src) <= 2:
@@ -563,13 +563,9 @@ class OOOPipeline:
         self.rob.push(commit)
         return commit
 
-    def live_in_ready(self, regs) -> int:
-        """Latest readiness cycle over the trace's live-in registers."""
-        return self.regs.max_ready(regs)
-
-    def set_live_out(self, reg: str, cycle: int, seq: int) -> None:
+    def set_live_out(self, reg: str, cycle: int) -> None:
         """Broadcast a fabric live-out into the host scoreboard."""
-        self.regs.define(reg, cycle, seq)
+        self.regs.define(reg, cycle)
 
     def finish(self) -> PipelineResult:
         """Finalize the run."""

@@ -1,11 +1,9 @@
 """Register rename/readiness scoreboard.
 
 The timing pass processes instructions in program order, so renaming
-reduces to tracking, per architectural register, the completion cycle and
-sequence number of its latest producer.  Physical-register capacity is
-checked against the in-flight destination count (bounded by the ROB, which
-at 192 entries never exceeds the 256 physical registers of Table 4 — the
-check exists so misconfigurations fail loudly).
+reduces to tracking, per architectural register, the completion cycle of
+its latest producer.  The model needs more physical than architectural
+registers to rename at all; a configuration without them fails loudly.
 """
 
 from __future__ import annotations
@@ -19,9 +17,7 @@ class RegisterScoreboard:
             raise ValueError(
                 "need more physical than architectural registers to rename"
             )
-        self.rename_capacity = phys_registers - arch_registers
         self._ready: dict[str, int] = {}
-        self._producer: dict[str, int] = {}
         self.renames = 0
 
     def ready_cycle(self, reg: str) -> int:
@@ -29,22 +25,9 @@ class RegisterScoreboard:
         architectural state)."""
         return self._ready.get(reg, 0)
 
-    def producer_seq(self, reg: str) -> int | None:
-        return self._producer.get(reg)
-
-    def define(self, reg: str, complete_cycle: int, seq: int) -> None:
+    def define(self, reg: str, complete_cycle: int) -> None:
         """Record a new producer for ``reg`` (a rename + eventual write)."""
         if reg == "r0":
             return
         self.renames += 1
         self._ready[reg] = complete_cycle
-        self._producer[reg] = seq
-
-    def max_ready(self, regs) -> int:
-        """Latest readiness cycle over a set of registers."""
-        latest = 0
-        for reg in regs:
-            cycle = self._ready.get(reg, 0)
-            if cycle > latest:
-                latest = cycle
-        return latest

@@ -21,8 +21,6 @@ class StoreSetPredictor:
         # Last Fetched Store Table: store set id -> seq of last store.
         self._lfst: dict[int, int] = {}
         self._next_set_id = 0
-        self.violations_trained = 0
-        self.load_waits = 0
         #: Bumped whenever the learned sets (SSIT) change, so callers that
         #: cache ``same_set``-derived predictions can validate with one
         #: integer comparison instead of re-querying per memory op.
@@ -53,23 +51,13 @@ class StoreSetPredictor:
         set_id = self._set_of(pc)
         if set_id is None:
             return None
-        waiting_on = self._lfst.get(set_id)
-        if waiting_on is not None:
-            self.load_waits += 1
-        return waiting_on
-
-    def store_retired(self, pc: int, seq: int) -> None:
-        """Clear the LFST entry when the recorded store leaves the window."""
-        set_id = self._set_of(pc)
-        if set_id is not None and self._lfst.get(set_id) == seq:
-            del self._lfst[set_id]
+        return self._lfst.get(set_id)
 
     # ------------------------------------------------------------------
     # Violation training
     # ------------------------------------------------------------------
     def train_violation(self, load_pc: int, store_pc: int) -> None:
         """Merge the load and store into a common store set."""
-        self.violations_trained += 1
         self.generation += 1
         load_slot = self._slot(load_pc)
         store_slot = self._slot(store_pc)
@@ -98,7 +86,3 @@ class StoreSetPredictor:
         """
         load_set = self._set_of(load_pc)
         return load_set is not None and load_set == self._set_of(store_pc)
-
-    def clear_inflight(self) -> None:
-        """Forget in-flight stores (pipeline squash); learned sets persist."""
-        self._lfst.clear()

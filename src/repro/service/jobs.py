@@ -244,12 +244,6 @@ class Job:
             return None
         return max(0.0, self.finished_mono - self.started_mono)
 
-    @property
-    def total_seconds(self) -> float | None:
-        if self.finished_mono is None:
-            return None
-        return max(0.0, self.finished_mono - self.created_mono)
-
     def to_doc(self, include_result: bool = True) -> dict:
         doc = {
             "id": self.id,

@@ -143,17 +143,9 @@ class JobQueue:
         with self._lock:
             return len(self._pending)
 
-    def running_count(self) -> int:
-        with self._lock:
-            return len(self._running)
-
     def open_count(self) -> int:
         with self._lock:
             return len(self._pending) + len(self._running)
-
-    def is_idle(self) -> bool:
-        with self._lock:
-            return not self._pending and not self._running
 
     def stats(self) -> dict:
         with self._lock:

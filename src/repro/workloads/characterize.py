@@ -34,9 +34,6 @@ class WorkloadProfile:
     unique_blocks_touched: int = 0
     mean_block_run: float = 0.0   # consecutive instructions between branches
 
-    def dominant_pool(self) -> str:
-        return max(self.pool_mix, key=self.pool_mix.get)
-
 
 def characterize(name: str, trace: list[DynamicInstruction],
                  block_bytes: int = 64) -> WorkloadProfile:

@@ -100,10 +100,9 @@ def simple_loop(b):
 def test_mapping_succeeds_and_validates():
     mem = Memory()
     mem.store_array(0x100, [1.0] * 8)
-    config, segment, mapper = map_with(ResourceAwareMapper, simple_loop, mem)
+    config, _, _ = map_with(ResourceAwareMapper, simple_loop, mem)
     assert config is not None
     config.validate()
-    assert mapper.failures == 0
 
 
 def test_mapping_covers_all_nontransparent_instructions():
@@ -191,7 +190,6 @@ def test_too_many_liveins_fails():
     segment = segment_of(body)
     mapper = ResourceAwareMapper()
     assert mapper.map_trace(segment, key_of(segment)) is None
-    assert mapper.failures == 1
 
 
 def test_trace_larger_than_fabric_fails():
@@ -240,10 +238,9 @@ def test_naive_fails_where_resource_aware_succeeds():
         b.addi("r14", "r4", 1)
         b.add("r15", "r5", "r6")   # two live-ins, arrives last
 
-    naive_config, _, naive = map_with(NaiveMapper, body)
-    aware_config, _, aware = map_with(ResourceAwareMapper, body)
+    naive_config, _, _ = map_with(NaiveMapper, body)
+    aware_config, _, _ = map_with(ResourceAwareMapper, body)
     assert naive_config is None
-    assert naive.failures == 1
     assert aware_config is not None
 
 

@@ -12,7 +12,7 @@ def make_tables(stripes=8, channels=4):
 def test_define_publishes_to_next_boundary():
     t = make_tables()
     t.define(pos_token(0), stripe=2)
-    assert t.producer_stripe(pos_token(0)) == 2
+    assert t.prod_stripe[pos_token(0)] == 2
     assert t.in_reuse_set(pos_token(0), boundary=3)
     assert not t.in_reuse_set(pos_token(0), boundary=4)
 
@@ -86,7 +86,7 @@ def test_propagate_respects_capacity():
 
 def test_livein_tokens_never_have_producers():
     t = make_tables()
-    assert t.producer_stripe(livein_token("r5")) is None
+    assert livein_token("r5") not in t.prod_stripe
     assert not t.can_route(livein_token("r5"), 3)
 
 

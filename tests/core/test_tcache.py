@@ -113,7 +113,7 @@ def test_trace_becomes_hot_after_threshold():
     # The steady-state key (first seen at window 1) crosses threshold 3 on
     # its third observation, i.e. overall window index 3.
     assert hot_after == 3
-    assert tcache.hot_count >= 1
+    assert tcache.is_hot(windows[3].key)
 
 
 def test_is_hot_by_key():
@@ -144,10 +144,10 @@ def test_periodic_clearing_demotes_and_rewarm():
     tcache.observe(steady[0])
     tcache.observe(steady[1])
     assert tcache.is_hot(key)
-    # Force a clearing epoch with unrelated observations.
-    for w in steady[2:7]:
-        tcache.observe(w)
-    assert tcache.clears >= 1
+    # Force a clearing epoch: the observation that crosses the interval
+    # finds its trace demoted.
+    hot_flags = [tcache.observe(w) for w in steady[2:7]]
+    assert not all(hot_flags)
     # The dominant trace re-warms quickly after demotion.
     hot_again = False
     for w in steady[7:10]:

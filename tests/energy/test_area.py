@@ -59,10 +59,9 @@ def test_config_cache_area_matches_paper_order():
     assert sram.area_mm2 < 0.01
 
 
-def test_sram_energy_scales_with_block():
+def test_sram_area_scales_with_block():
     small = SramModel(entries=16, block_bytes=16)
     big = SramModel(entries=16, block_bytes=64)
-    assert big.read_energy_pj > small.read_energy_pj
     assert big.area_mm2 > small.area_mm2
 
 

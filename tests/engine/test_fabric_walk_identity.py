@@ -134,7 +134,10 @@ def _dcache() -> CacheHierarchy:
 
 
 def _books(fabric, dcache) -> tuple:
+    # The occupancy books are charged when the lifetime closes.
+    lifetimes = fabric.flush_lifetime()
     return (
+        lifetimes,
         fabric.total_invocations,
         fabric.last_invocation_start,
         fabric.stripe_placed_invocations,

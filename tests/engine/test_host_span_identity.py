@@ -123,8 +123,7 @@ def _state(pipeline) -> dict:
         "slots": (pipeline._fetch_slot, pipeline._commit_count,
                   pipeline._issue_counts),
         "fus": (pipeline.fus._busy, pipeline.fus._max_claimed),
-        "regs": (pipeline.regs._ready, pipeline.regs._producer,
-                 pipeline.regs.renames),
+        "regs": (pipeline.regs._ready, pipeline.regs.renames),
         "stores": (pipeline._store_by_seq, list(pipeline._store_seq_fifo)),
         "credit": pipeline._stall_credit,
         "bpred": vars(pipeline.bpred),

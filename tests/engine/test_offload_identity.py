@@ -112,11 +112,9 @@ def _offload_run(fast, speculation, stores, pairs, invocations):
         result.cycles,
         result.stats.as_dict(),
         pipeline.regs._ready,
-        pipeline.regs._producer,
         pipeline.regs.renames,
         list(pipeline.sq._window),
         pipeline.storesets._ssit,
-        (engine.siderob.committed, engine.siderob.squashed),
         (pipeline.dcache.l1._sets, pipeline.l2._sets),
     )
 

@@ -278,9 +278,19 @@ def test_lifetime_recorded_on_reconfiguration():
     for _ in range(5):
         fabric.execute(cfg_a, ctx())
     fabric.configure(cfg_b, 100)
+    # Closing A's lifetime charges its five invocations to the books.
+    assert fabric.placed_pe_invocations == 5
     fabric.execute(cfg_b, ctx(start=100))
     assert fabric.lifetime_invocations == [5]
     assert fabric.flush_lifetime() == [5, 1]
+    books = (fabric.stripe_placed_invocations[0],
+             fabric.stripe_invocations[0], fabric.filled_stripe_invocations,
+             fabric.placed_pe_invocations)
+    assert books == (6, 6, 6, 6)
+    assert not any(fabric.stripe_placed_invocations[1:])
+    # A second flush charges nothing more.
+    assert fabric.flush_lifetime() == [5, 1]
+    assert fabric.placed_pe_invocations == 6
 
 
 def test_power_gating_tracks_active_pes():
@@ -290,6 +300,9 @@ def test_power_gating_tracks_active_pes():
     ], live_ins=["r1"], live_outs={"r3": 1})
     fabric = fresh_fabric()
     fabric.configure(cfg, 0)
-    assert fabric.active_pes == 2
+    fabric.execute(cfg, ctx())
+    fabric.flush_lifetime()
+    assert fabric.placed_pe_invocations == 2
+    assert fabric.filled_stripe_invocations == 2   # one op per stripe
     total = fabric.config.num_stripes * fabric.config.pes_per_stripe
-    assert fabric.active_pes < total
+    assert fabric.placed_pe_invocations < total

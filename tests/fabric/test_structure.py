@@ -7,6 +7,7 @@ from repro.fabric.fifos import FifoModel
 from repro.fabric.pe import PE
 from repro.fabric.stripe import build_stripes, Stripe
 from repro.isa.opcodes import OpClass
+from repro.ooo.fus import POOL_OF
 
 
 def test_default_geometry_matches_table4():
@@ -14,7 +15,7 @@ def test_default_geometry_matches_table4():
     assert cfg.num_stripes == 16
     assert cfg.pes_per_stripe == 12        # 4+1+4+1+2
     assert cfg.pass_regs_per_fu == 3
-    assert cfg.pass_regs_per_stripe == 36
+    assert cfg.channels_in_stripe(0) == 36
     assert cfg.fifo_depth == 8
     assert cfg.livein_fifos == 16
     assert cfg.liveout_fifos == 16
@@ -44,11 +45,12 @@ def test_stripe_pool_composition():
 
 
 def test_pe_functionality_constraint():
+    """The mapper places an op only on PEs of its op class's pool."""
     pe = PE(stripe=0, index=0, pool="int_alu", input_ports=2)
-    assert pe.can_execute(OpClass.INT_ALU)
-    assert pe.can_execute(OpClass.BRANCH)   # branches run on int ALUs
-    assert not pe.can_execute(OpClass.FP_MUL)
-    assert not pe.can_execute(OpClass.LOAD)
+    assert POOL_OF[OpClass.INT_ALU] == pe.pool
+    assert POOL_OF[OpClass.BRANCH] == pe.pool   # branches run on int ALUs
+    assert POOL_OF[OpClass.FP_MUL] != pe.pool
+    assert POOL_OF[OpClass.LOAD] != pe.pool
 
 
 def test_pe_occupancy_pipelining():

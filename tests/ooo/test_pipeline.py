@@ -151,9 +151,13 @@ def test_memory_violation_detection_and_training():
             b.sw("r1", "r2", 0)
             b.lw("r4", "r1", 0)       # aliases the store
 
-    result, pipe = run(body)
+    trace = trace_of(body)
+    pipe = OOOPipeline()
+    result = pipe.run_trace(trace)
     assert result.stats.memory_violations >= 1
-    assert pipe.storesets.violations_trained >= 1
+    load_pc = next(d.pc for d in trace if d.is_load)
+    store_pc = next(d.pc for d in trace if d.is_store)
+    assert pipe.storesets.same_set(load_pc, store_pc)
     # After training, the predictor prevents repeat violations.
     assert result.stats.memory_violations < 10
 
@@ -232,10 +236,11 @@ def test_macro_dispatch_and_commit():
         pipe.process(d)
     seq, dispatch = pipe.macro_dispatch()
     assert seq == 3  # after li, li, halt
-    start = max(dispatch, pipe.live_in_ready(["r1", "r2"]))
+    start = max(dispatch, pipe.regs.ready_cycle("r1"),
+                pipe.regs.ready_cycle("r2"))
     commit = pipe.macro_commit(start + 10)
     assert commit > start + 10
-    pipe.set_live_out("r9", start + 10, seq)
+    pipe.set_live_out("r9", start + 10)
     assert pipe.regs.ready_cycle("r9") == start + 10
 
 

@@ -12,6 +12,7 @@ def test_untrained_predictor_predicts_independence():
 def test_violation_training_creates_shared_set():
     p = StoreSetPredictor()
     p.train_violation(load_pc=0x200, store_pc=0x100)
+    assert p.same_set(0x200, 0x100)
     p.store_dispatched(0x100, seq=7)
     assert p.load_dispatched(0x200) == 7
 
@@ -32,23 +33,6 @@ def test_stores_in_one_set_serialize():
     assert p.store_dispatched(0x104, seq=5) == 3
 
 
-def test_store_retired_clears_lfst():
-    p = StoreSetPredictor()
-    p.train_violation(0x200, 0x100)
-    p.store_dispatched(0x100, seq=9)
-    p.store_retired(0x100, seq=9)
-    assert p.load_dispatched(0x200) is None
-
-
-def test_store_retired_ignores_stale_seq():
-    p = StoreSetPredictor()
-    p.train_violation(0x200, 0x100)
-    p.store_dispatched(0x100, seq=9)
-    p.store_dispatched(0x100, seq=12)
-    p.store_retired(0x100, seq=9)  # an older instance retiring
-    assert p.load_dispatched(0x200) == 12
-
-
 def test_merging_two_existing_sets():
     p = StoreSetPredictor()
     p.train_violation(0x200, 0x100)   # set A: load 0x200, store 0x100
@@ -57,21 +41,3 @@ def test_merging_two_existing_sets():
     p.store_dispatched(0x104, seq=4)
     assert p.load_dispatched(0x200) == 4
 
-
-def test_clear_inflight_keeps_learned_sets():
-    p = StoreSetPredictor()
-    p.train_violation(0x200, 0x100)
-    p.store_dispatched(0x100, seq=9)
-    p.clear_inflight()
-    assert p.load_dispatched(0x200) is None  # nothing in flight
-    p.store_dispatched(0x100, seq=20)
-    assert p.load_dispatched(0x200) == 20    # but the set survived
-
-
-def test_counters():
-    p = StoreSetPredictor()
-    p.train_violation(0x200, 0x100)
-    p.store_dispatched(0x100, 1)
-    p.load_dispatched(0x200)
-    assert p.violations_trained == 1
-    assert p.load_waits == 1

@@ -132,23 +132,16 @@ def test_load_queue_capacity():
 def test_scoreboard_ready_and_producer():
     sb = RegisterScoreboard(256)
     assert sb.ready_cycle("r4") == 0
-    sb.define("r4", 17, seq=3)
+    sb.define("r4", 17)
     assert sb.ready_cycle("r4") == 17
-    assert sb.producer_seq("r4") == 3
+    assert sb.renames == 1
 
 
 def test_scoreboard_r0_never_renamed():
     sb = RegisterScoreboard(256)
-    sb.define("r0", 99, seq=1)
+    sb.define("r0", 99)
     assert sb.ready_cycle("r0") == 0
     assert sb.renames == 0
-
-
-def test_scoreboard_max_ready():
-    sb = RegisterScoreboard(256)
-    sb.define("r1", 5, 0)
-    sb.define("r2", 9, 1)
-    assert sb.max_ready(["r1", "r2", "r3"]) == 9
 
 
 def test_scoreboard_requires_rename_headroom():

@@ -169,7 +169,7 @@ def test_closed_queue_drains_but_rejects():
     # Already-admitted work still drains normally.
     queue.next_batch(1)
     queue.finish(job.id, {})
-    assert queue.is_idle()
+    assert queue.open_count() == 0
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +221,10 @@ def test_scheduler_coalesces_identical_inflight_specs():
         scheduler.wake()
 
         # All three jobs attach to ONE flight while the executor blocks.
-        await _wait_until(lambda: queue.running_count() == 3)
+        await _wait_until(lambda: queue.stats()["running"] == 3)
         assert scheduler.in_flight() == 1
         release.set()
-        await _wait_until(queue.is_idle)
+        await _wait_until(lambda: queue.open_count() == 0)
 
         assert [len(batch) for batch in calls] == [1]
         docs = [queue.get(job.id) for job in jobs]
@@ -255,7 +255,7 @@ def test_scheduler_distinct_specs_do_not_coalesce():
         a = queue.submit(JobRequest("KM", scale=0.05))
         b = queue.submit(JobRequest("KM", scale=0.10))
         scheduler.wake()
-        await _wait_until(queue.is_idle)
+        await _wait_until(lambda: queue.open_count() == 0)
         assert queue.get(a.id).result == {"scale": 0.05}
         assert queue.get(b.id).result == {"scale": 0.10}
         assert metrics.counter("coalesced") == 0
@@ -280,7 +280,7 @@ def test_scheduler_failure_marks_jobs_failed_without_crashing():
         scheduler.start()
         job = queue.submit(_request())
         scheduler.wake()
-        await _wait_until(queue.is_idle)
+        await _wait_until(lambda: queue.open_count() == 0)
         doc = queue.get(job.id)
         assert doc.state == JobState.FAILED
         assert "simulated explosion" in doc.error
@@ -307,7 +307,7 @@ def test_scheduler_drain_finishes_queued_work():
                 for s in (0.05, 0.10, 0.15)]
         queue.close()
         await scheduler.drain()
-        assert queue.is_idle()
+        assert queue.open_count() == 0
         assert all(queue.get(job.id).state == JobState.DONE for job in jobs)
 
     _drive(scenario())
