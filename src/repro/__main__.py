@@ -747,8 +747,6 @@ def cmd_serve(args) -> int:
         args.port,
         workers=args.workers,
         queue_depth=args.queue_depth,
-        sim_jobs=args.jobs or 1,
-        pool=args.pool,
     )
 
 
@@ -765,8 +763,6 @@ def cmd_route(args) -> int:
         replicas=args.replicas,
         workers=args.workers,
         queue_depth=args.queue_depth,
-        sim_jobs=args.jobs or 1,
-        pool=args.pool,
         vnodes=args.vnodes,
     )
 
@@ -1074,15 +1070,8 @@ def main(argv=None) -> int:
     serve_parser.add_argument("--workers", type=int, default=None,
                               help="simulation workers (default: min(cpu, 8),"
                                    " capped by REPRO_MAX_JOBS)")
-    serve_parser.add_argument("--pool", default="process",
-                              choices=["process", "thread"],
-                              help="worker pool backend (process = one "
-                                   "forked simulator per worker)")
     serve_parser.add_argument("--queue-depth", type=int, default=64,
                               help="max open (queued + running) jobs")
-    serve_parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                              help="process fan-out per batch "
-                                   "(default: in-worker serial)")
 
     route_parser = sub.add_parser(
         "route",
@@ -1095,14 +1084,8 @@ def main(argv=None) -> int:
     route_parser.add_argument("--workers", type=int, default=None,
                               help="workers per replica (default: "
                                    "min(cpu, 8) capped by REPRO_MAX_JOBS)")
-    route_parser.add_argument("--pool", default="process",
-                              choices=["process", "thread"],
-                              help="worker pool backend per replica")
     route_parser.add_argument("--queue-depth", type=int, default=64,
                               help="max open jobs per replica")
-    route_parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                              help="process fan-out per batch inside each "
-                                   "replica worker")
     route_parser.add_argument("--vnodes", type=int, default=128,
                               help="virtual nodes per replica on the "
                                    "consistent-hash ring")

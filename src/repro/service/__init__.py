@@ -6,10 +6,10 @@ long-lived server that many clients can share:
 
 * ``jobs``      — the validated job request/record model,
 * ``queue``     — bounded admission-controlled job queue (429 on overload),
-* ``scheduler`` — batches queued jobs, single-flights duplicates, and
-  shards them across a worker pool,
-* ``workers``   — the pool backends (forked processes by default; the
-  content-addressed disk cache is the shared artifact store),
+* ``scheduler`` — pulls queued jobs one at a time, single-flights
+  duplicates, and hands each new flight to the worker pool,
+* ``workers``   — the forked-process pool (the content-addressed disk
+  cache is the shared artifact store),
 * ``metrics``   — counters, latency rings, and worker-pool gauges,
 * ``server``    — the asyncio HTTP/1.1 front end (stdlib only),
 * ``client``    — a small blocking Python client (backoff polling),
@@ -38,7 +38,6 @@ from repro.service.router import HashRing, ReplicaRouter, RouterServer
 from repro.service.server import ServiceServer, ThreadedServer
 from repro.service.workers import (
     ProcessWorkerPool,
-    ThreadWorkerPool,
     WorkerPool,
     default_workers,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "ServiceServer",
-    "ThreadWorkerPool",
     "ThreadedServer",
     "UnknownJob",
     "WorkerPool",

@@ -78,18 +78,17 @@ class JobQueue:
     # ------------------------------------------------------------------
     # Scheduler side
     # ------------------------------------------------------------------
-    def next_batch(self, max_jobs: int) -> list[Job]:
-        """Pop up to ``max_jobs`` queued jobs, transitioning them to running."""
-        batch: list[Job] = []
+    def next_job(self) -> Job | None:
+        """Pop the oldest queued job, transitioning it to running."""
         with self._lock:
-            while self._pending and len(batch) < max_jobs:
-                job = self._jobs[self._pending.popleft()]
-                job.state = JobState.RUNNING
-                job.started_at = time.time()
-                job.started_mono = time.monotonic()
-                self._running.add(job.id)
-                batch.append(job)
-        return batch
+            if not self._pending:
+                return None
+            job = self._jobs[self._pending.popleft()]
+            job.state = JobState.RUNNING
+            job.started_at = time.time()
+            job.started_mono = time.monotonic()
+            self._running.add(job.id)
+        return job
 
     def finish(self, job_id: str, result: dict) -> Job:
         return self._complete(job_id, JobState.DONE, result=result)

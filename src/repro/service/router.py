@@ -646,19 +646,13 @@ def run_router(
     replicas: int = 2,
     workers: int | None = None,
     queue_depth: int = 64,
-    sim_jobs: int = 1,
-    pool: str = "process",
     vnodes: int = DEFAULT_VNODES,
     health_interval: float = 1.0,
 ) -> int:
     """``repro route`` body: spawn N replicas, route until SIGTERM, drain."""
-    replica_args: list[str] = [
-        "--queue-depth", str(queue_depth), "--pool", pool,
-    ]
+    replica_args: list[str] = ["--queue-depth", str(queue_depth)]
     if workers:
         replica_args += ["--workers", str(workers)]
-    if sim_jobs and sim_jobs > 1:
-        replica_args += ["--jobs", str(sim_jobs)]
 
     router = ReplicaRouter(vnodes=vnodes, health_interval=health_interval)
     procs = []
@@ -678,7 +672,7 @@ def run_router(
     server = RouterServer((host, port), router)
     print(
         f"repro.router listening on http://{host}:{server.port} "
-        f"(replicas={len(procs)} pool={pool} "
+        f"(replicas={len(procs)} "
         f"workers={workers or 'auto'} queue-depth={queue_depth})",
         flush=True,
     )

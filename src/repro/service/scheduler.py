@@ -1,19 +1,17 @@
-"""Batching scheduler: queue -> single-flight dedup -> worker pool.
+"""Dispatch scheduler: queue -> single-flight dedup -> worker pool.
 
-The dispatch loop pulls queued jobs in batches, coalesces jobs whose
-``flight_key`` matches an in-flight execution (single-flight: the
-duplicate attaches to the leader's flight and never simulates), shards
-the batch of *new* flights across idle workers, and hands each shard to
-a :class:`repro.service.workers.WorkerPool` — forked processes by
-default, so N workers really are N cores of simulation.
+The dispatch loop pulls one queued job at a time.  A job whose
+``flight_key`` matches an open flight attaches to it (single-flight: the
+duplicate never simulates); any other job opens a new flight, which
+goes to the :class:`repro.service.workers.WorkerPool` as its own task.
+The pool's executor queues flights beyond its worker count, so the
+scheduler batches nothing; batching bought nothing either, since under
+the loadtest mixes and hostbench's service traffic each pull found
+exactly one queued job.  Each flight carries its own outcome, so one
+failed request never touches another.
 
-Inside a worker the batch first warms the harness caches through
-``repro.harness.parallel`` — one ``execute_runs`` call over the union of
-the batch's ``RunSpec``s, optionally fanning out over ``sim_jobs``
-processes — and then builds each request's report from what are now
-pure cache hits.  Repeat requests across batches short-circuit the same
-way: the layered run caches (including the shared on-disk store) serve
-them without re-simulating.
+Repeat requests short-circuit in the worker: the layered run caches
+(including the shared on-disk store) serve them without re-simulating.
 
 Everything that mutates queue/flight state runs on the event loop
 thread; pool workers only execute pure simulation code.  That keeps
@@ -26,15 +24,14 @@ import asyncio
 import time
 
 from repro.obs.progress import ProgressTracker
-from repro.obs.runtime import TRACER
-from repro.service.jobs import Job, JobRequest
+from repro.service.jobs import Job
 from repro.service.metrics import ServiceMetrics
 from repro.service.queue import JobQueue
 from repro.service.workers import (
     InjectedWorkerPool,
+    ProcessWorkerPool,
     WorkerPool,
     default_workers,
-    make_pool,
 )
 
 
@@ -71,70 +68,6 @@ class FlightTable:
         return key in self._flights
 
 
-def execute_batch(
-    requests: list[JobRequest],
-    sim_jobs: int = 1,
-    progress_cb=None,
-    job_ids: dict | None = None,
-) -> dict:
-    """Resolve one batch of deduplicated requests (runs in a worker thread).
-
-    Returns ``{flight_key: ("ok", report) | ("error", message)}`` — a
-    failure in one request never poisons its batchmates.
-
-    ``progress_cb(flight_key, heartbeat)`` (optional) receives a
-    progress heartbeat as each request starts and finishes; ``job_ids``
-    maps flight keys to leader job ids so every span recorded inside a
-    request execution carries ``job_id``/``run_key`` correlation attrs.
-    """
-    from repro.harness.parallel import warm_cache
-
-    job_ids = job_ids or {}
-    specs = [spec for request in requests for spec in request.specs()]
-    tracker = ProgressTracker(len(requests), label="batch")
-
-    def notify(request, phase: str) -> None:
-        if progress_cb is None:
-            return
-        beat = tracker.heartbeat(detail=request.benchmark)
-        beat["phase"] = phase
-        try:
-            progress_cb(request.flight_key, beat)
-        except Exception:  # noqa: BLE001 — progress must never kill a batch
-            pass
-
-    with TRACER.span("service.execute_batch",
-                     requests=len(requests), sim_jobs=sim_jobs):
-        if sim_jobs > 1:
-            try:
-                warm_cache(specs, jobs=sim_jobs)
-            except Exception:
-                # Fall through: per-request execution surfaces the error.
-                pass
-        out: dict[tuple, tuple[str, object]] = {}
-        for request in requests:
-            notify(request, "running")
-            with TRACER.bind(job_id=job_ids.get(request.flight_key),
-                             run_key=request.run_key):
-                with TRACER.span("service.execute_request",
-                                 benchmark=request.benchmark):
-                    try:
-                        outcome = ("ok", request.execute())
-                    except Exception as exc:  # noqa: BLE001 — report it
-                        outcome = (
-                            "error", f"{type(exc).__name__}: {exc}"
-                        )
-            out[request.flight_key] = outcome
-            instructions = 0
-            if outcome[0] == "ok" and isinstance(outcome[1], dict):
-                instructions = int(
-                    outcome[1].get("dynamic_instructions", 0) or 0
-                )
-            tracker.advance(1, instructions, detail=request.benchmark)
-            notify(request, "finished" if outcome[0] == "ok" else "failed")
-    return out
-
-
 class Scheduler:
     """Owns the dispatch loop, the flight table, and the worker pool."""
 
@@ -144,27 +77,19 @@ class Scheduler:
         metrics: ServiceMetrics,
         *,
         workers: int | None = None,
-        sim_jobs: int = 1,
-        max_batch: int = 8,
-        execute_batch_fn=None,
-        pool: str | WorkerPool = "process",
+        execute_fn=None,
     ) -> None:
         self.queue = queue
         self.metrics = metrics
         self.workers = max(1, workers) if workers else default_workers()
-        self.sim_jobs = max(1, sim_jobs)
-        self.max_batch = max(1, max_batch)
-        #: Injected executors (tests) keep the legacy two-argument call;
-        #: only the stock pools get progress/correlation plumbing.
-        if execute_batch_fn is not None:
+        #: ``execute_fn`` (tests) stands in for ``execute_request`` on a
+        #: thread pool; otherwise flights run in forked workers.
+        if execute_fn is not None:
             self.pool: WorkerPool = InjectedWorkerPool(
-                self.workers, execute_batch_fn
+                self.workers, execute_fn
             )
-        elif isinstance(pool, WorkerPool):
-            self.pool = pool
-            self.workers = pool.workers
         else:
-            self.pool = make_pool(pool, self.workers)
+            self.pool = ProcessWorkerPool(self.workers)
         self.flights = FlightTable()
         self._wakeup = asyncio.Event()
         self._tasks: set[asyncio.Task] = set()
@@ -182,7 +107,7 @@ class Scheduler:
         return len(self.flights)
 
     def worker_stats(self) -> dict:
-        """Pool gauges for ``/metrics`` (kind, busy/total, batch times)."""
+        """Pool gauges for ``/metrics`` (kind, busy/total, dispatch times)."""
         return self.pool.stats()
 
     async def drain(self) -> None:
@@ -196,9 +121,9 @@ class Scheduler:
     # ------------------------------------------------------------------
     async def _run(self) -> None:
         while True:
-            batch = self.queue.next_batch(self.max_batch)
-            if batch:
-                self._dispatch(batch)
+            job = self.queue.next_job()
+            if job is not None:
+                self._dispatch(job)
                 continue
             if self._draining and self.queue.queued_count() == 0:
                 if self._tasks:
@@ -211,80 +136,53 @@ class Scheduler:
             except asyncio.TimeoutError:
                 pass
 
-    def _dispatch(self, batch: list[Job]) -> None:
-        new_flights: list[Flight] = []
-        for job in batch:
-            flight, leader = self.flights.lease(job.request.flight_key)
-            flight.jobs.append(job)
-            if leader:
-                new_flights.append(flight)
-            else:
-                job.coalesced = True
-                self.metrics.bump("coalesced")
-        if new_flights:
-            # Shard the batch across workers: one big batch on one
-            # worker would serialize what the pool could parallelize.
-            shards = min(self.workers, len(new_flights))
-            loop = asyncio.get_running_loop()
-            for index in range(shards):
-                task = loop.create_task(
-                    self._run_flights(new_flights[index::shards])
-                )
-                self._tasks.add(task)
-                task.add_done_callback(self._tasks.discard)
+    def _dispatch(self, job: Job) -> None:
+        flight, leader = self.flights.lease(job.request.flight_key)
+        flight.jobs.append(job)
+        if not leader:
+            job.coalesced = True
+            job.progress = flight.jobs[0].progress
+            self.metrics.bump("coalesced")
+            return
+        task = asyncio.get_running_loop().create_task(self._run_flight(flight))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
-    async def _run_flights(self, flights: list[Flight]) -> None:
-        requests = [flight.jobs[0].request for flight in flights]
-        flight_map = {flight.key: flight for flight in flights}
-        for flight in flights:
-            for job in flight.jobs:
-                job.progress = {
-                    "phase": "dispatched",
-                    "requests_total": len(requests),
-                }
-        # Heartbeats arrive on a worker thread (thread pool: live,
-        # mid-batch) or on the loop thread after the batch returns
-        # (process pool: the worker's final beats, merged back); writing
-        # a fresh dict per update keeps readers race-free without a lock.
-        def on_progress(key, beat):
-            flight = flight_map.get(key)
-            if flight is not None:
-                for job in list(flight.jobs):
-                    job.progress = beat
-
-        job_ids = {flight.key: flight.jobs[0].id for flight in flights}
+    async def _run_flight(self, flight: Flight) -> None:
+        leader = flight.jobs[0]
+        request = leader.request
+        tracker = ProgressTracker(1, label="job")
+        # Progress documents are replaced, never mutated, so readers on
+        # the server's loop see a consistent heartbeat without a lock.
+        dispatched = tracker.heartbeat(detail=request.benchmark)
+        dispatched["phase"] = "dispatched"
+        leader.progress = dispatched
         try:
-            outcomes = await self.pool.run_batch(
-                requests, self.sim_jobs, job_ids, on_progress
-            )
+            status, value = await self.pool.run(request, leader.id)
         except Exception as exc:  # pool broken / executor-level failure
-            outcomes = {
-                flight.key: ("error", f"{type(exc).__name__}: {exc}")
-                for flight in flights
-            }
+            status, value = "error", f"{type(exc).__name__}: {exc}"
+        # Land before completing so a post-completion duplicate starts a
+        # fresh flight (and is then served by the caches).
+        self.flights.land(flight.key)
+        instructions = 0
+        if status == "ok" and isinstance(value, dict):
+            instructions = int(value.get("dynamic_instructions", 0) or 0)
+        final = tracker.advance(1, instructions, detail=request.benchmark)
+        final["phase"] = "done" if status == "ok" else "failed"
         now = time.monotonic()
-        for flight in flights:
-            # Land before completing so a post-completion duplicate
-            # starts a fresh flight (and is then served by the caches).
-            self.flights.land(flight.key)
-            status, value = outcomes.get(
-                flight.key, ("error", "executor returned no outcome")
-            )
-            for job in flight.jobs:
-                if status == "ok":
-                    self.queue.finish(job.id, value)
-                    self.metrics.bump("completed")
-                    self.metrics.observe_report(value)
-                else:
-                    self.queue.fail(job.id, str(value))
-                    self.metrics.bump("failed")
-                # Monotonic end-to-end latency: wall-clock deltas would
-                # absorb any clock step between submit and finish.
-                self.metrics.observe_latency(now - job.created_mono)
-                wait = job.queue_wait_seconds
-                if wait is not None:
-                    self.metrics.observe_queue_wait(wait)
-                final = dict(job.progress or {})
-                final["phase"] = "done" if status == "ok" else "failed"
-                job.progress = final
+        for job in flight.jobs:
+            if status == "ok":
+                self.queue.finish(job.id, value)
+                self.metrics.bump("completed")
+                self.metrics.observe_report(value)
+            else:
+                self.queue.fail(job.id, str(value))
+                self.metrics.bump("failed")
+            # Monotonic end-to-end latency: wall-clock deltas would
+            # absorb any clock step between submit and finish.
+            self.metrics.observe_latency(now - job.created_mono)
+            wait = job.queue_wait_seconds
+            if wait is not None:
+                self.metrics.observe_queue_wait(wait)
+            job.progress = final
         self.wake()

@@ -66,22 +66,21 @@ class ServiceServer:
         *,
         workers: int | None = None,
         queue_depth: int = 64,
-        sim_jobs: int = 1,
         retention: int = 256,
-        max_batch: int = 8,
         pool: str = "process",
     ) -> None:
+        # Forked processes are the only pool; the keyword stays so that
+        # embedders that name it keep working.
+        if pool != "process":
+            raise ValueError(
+                f"unknown worker pool {pool!r}; the only pool is 'process'"
+            )
         self.host = host
         self.port = port
         self.queue = JobQueue(depth=queue_depth, retention=retention)
         self.metrics = ServiceMetrics()
-        self.scheduler = Scheduler(
-            self.queue, self.metrics,
-            workers=workers, sim_jobs=sim_jobs, max_batch=max_batch,
-            pool=pool,
-        )
+        self.scheduler = Scheduler(self.queue, self.metrics, workers=workers)
         self.workers = self.scheduler.workers
-        self.pool_kind = self.scheduler.pool.kind
         self._server: asyncio.base_events.Server | None = None
         # Host-runtime telemetry: the service always traces (spans feed
         # the `repro_span_duration_seconds` histograms on /metrics; the
@@ -294,22 +293,17 @@ def run_server(
     *,
     workers: int | None = None,
     queue_depth: int = 64,
-    sim_jobs: int = 1,
-    pool: str = "process",
 ) -> int:
     """Run a server until SIGTERM/SIGINT, drain, and return 0 (CLI body)."""
 
     async def _main() -> None:
         server = ServiceServer(
-            host, port,
-            workers=workers, queue_depth=queue_depth, sim_jobs=sim_jobs,
-            pool=pool,
+            host, port, workers=workers, queue_depth=queue_depth
         )
         await server.start()
         print(
             f"repro.service listening on http://{server.host}:{server.port} "
-            f"(pool={server.pool_kind} workers={server.workers} "
-            f"queue-depth={queue_depth} sim-jobs={sim_jobs})",
+            f"(workers={server.workers} queue-depth={queue_depth})",
             flush=True,
         )
         stop = asyncio.Event()

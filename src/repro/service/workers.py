@@ -1,27 +1,25 @@
-"""Worker pools: how a scheduler batch turns into simulated cycles.
+"""Worker pools: how one dispatched flight turns into simulated cycles.
 
-The scheduler is policy (batching, single-flight dedup, completion
-bookkeeping); a :class:`WorkerPool` is mechanism — it owns the executor
-that actually runs ``execute_batch`` and reports busy/total gauges plus
-a batch-duration histogram for ``/metrics``.
+The scheduler is policy (single-flight dedup, completion bookkeeping); a
+:class:`WorkerPool` is mechanism — it owns the executor that runs
+:func:`execute_request` and reports busy/total gauges plus a
+dispatch-duration histogram for ``/metrics``.  The contract is one
+request in, one outcome out: ``("ok", report)`` or ``("error",
+message)``; ``run`` raises only when the pool itself is broken.
 
-Three pools implement the same ``run_batch`` contract:
+Two pools implement it:
 
-* :class:`ProcessWorkerPool` (the default) forks one process per worker
-  — the paper-scale answer to the GIL.  Each batch runs inside the
-  telemetry envelope ``repro.harness.parallel`` uses for sweep fan-out
-  (``run_worker_batch`` / ``absorb``): the parent gets back the
-  worker's spans, span totals, counters and disk-cache stats, plus the
-  final progress heartbeats.  The
+* :class:`ProcessWorkerPool` (the service's pool) forks one process per
+  worker — the paper-scale answer to the GIL.  Each request runs inside
+  the telemetry envelope ``repro.harness.parallel`` uses for sweep
+  fan-out (``run_worker_batch`` / ``absorb``): the parent gets back the
+  worker's spans, span totals, counters and disk-cache stats.  The
   content-addressed disk cache (``REPRO_CACHE_DIR``) is the shared
   artifact store: a result simulated by any worker is a disk hit for
   every other worker — and for every other replica pointed at the same
   root.
-* :class:`ThreadWorkerPool` keeps the original in-process thread
-  executor (zero fork overhead, live mid-batch heartbeats; throughput
-  capped by the GIL).
-* :class:`InjectedWorkerPool` wraps a test-supplied ``execute_batch_fn``
-  with the legacy two-argument call signature.
+* :class:`InjectedWorkerPool` is the test seam: a thread executor around
+  a test-supplied stand-in for :func:`execute_request`.
 
 ``default_workers()`` is ``min(cpu, 8)`` capped by ``REPRO_MAX_JOBS`` —
 the same env contract the harness pool honors.
@@ -41,14 +39,12 @@ from concurrent.futures.process import BrokenProcessPool
 
 import repro.harness.diskcache as diskcache
 from repro.harness.parallel import absorb, max_jobs, run_worker_batch
-from repro.obs.runtime import worker_telemetry
+from repro.obs.runtime import TRACER, worker_telemetry
 from repro.service.metrics import LatencyHistogram
 
 #: Hard ceiling on the process-pool default; wider pools thrash the
 #: small queue depths the service runs with.
 MAX_DEFAULT_WORKERS = 8
-
-POOL_KINDS = ("process", "thread")
 
 
 def default_workers() -> int:
@@ -71,36 +67,24 @@ def idle_worker_stats(kind: str = "none") -> dict:
     }
 
 
-def _process_batch(
-    requests: list,
-    sim_jobs: int,
-    job_ids: dict,
-    cache_enabled: bool,
-    cache_root: str | None,
-    telemetry: dict | None,
-) -> tuple[tuple[dict, dict], dict]:
-    """One scheduler batch inside a forked worker process.
+def execute_request(request, job_id: str | None = None) -> tuple[str, object]:
+    """Resolve one request: ``("ok", report)`` or ``("error", message)``.
 
-    Returns ``((outcomes, heartbeats), telemetry)`` from the shared
-    worker envelope.  Heartbeats cannot stream across the process
-    boundary mid-batch, so the worker records the last beat per flight
-    and the parent applies them at completion.
+    Every span recorded inside carries ``job_id``/``run_key``
+    correlation attrs.  A failure is returned, not raised, so a forked
+    worker still ships its telemetry home.
     """
-    from repro.service.scheduler import execute_batch
-
-    def batch() -> tuple[dict, dict]:
-        beats: dict = {}
-        outcomes = execute_batch(
-            requests, sim_jobs, progress_cb=beats.__setitem__,
-            job_ids=job_ids,
-        )
-        return outcomes, beats
-
-    return run_worker_batch(batch, cache_enabled, cache_root, telemetry)
+    with TRACER.bind(job_id=job_id, run_key=request.run_key):
+        with TRACER.span("service.execute_request",
+                         benchmark=request.benchmark):
+            try:
+                return "ok", request.execute()
+            except Exception as exc:  # noqa: BLE001 — the job reports it
+                return "error", f"{type(exc).__name__}: {exc}"
 
 
 class WorkerPool:
-    """Common gauges + batch accounting; subclasses supply the executor."""
+    """Common gauges + dispatch accounting around one executor."""
 
     kind = "base"
 
@@ -110,6 +94,7 @@ class WorkerPool:
         self._busy = 0
         self._batches_total = 0
         self._batch_seconds = LatencyHistogram()
+        self._executor = None
 
     # ------------------------------------------------------------------
     @contextlib.contextmanager
@@ -127,6 +112,7 @@ class WorkerPool:
             self._batch_seconds.observe(elapsed)
 
     def stats(self) -> dict:
+        """``/metrics`` gauges; a ``batches_total`` unit is one dispatch."""
         with self._lock:
             busy = self._busy
             batches = self._batches_total
@@ -139,67 +125,30 @@ class WorkerPool:
         }
 
     # ------------------------------------------------------------------
-    async def run_batch(
-        self, requests: list, sim_jobs: int, job_ids: dict, on_progress=None
-    ) -> dict:
-        """Execute one deduplicated batch; returns the outcome map."""
+    async def run(self, request, job_id: str | None = None):
+        """Execute one request; returns its ``(status, value)`` outcome."""
         raise NotImplementedError
-
-    def shutdown(self, wait: bool = True) -> None:
-        raise NotImplementedError
-
-
-class ThreadWorkerPool(WorkerPool):
-    """The original in-process executor (GIL-bound, live heartbeats)."""
-
-    kind = "thread"
-
-    def __init__(self, workers: int) -> None:
-        super().__init__(workers)
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-sim"
-        )
-
-    async def run_batch(
-        self, requests, sim_jobs, job_ids, on_progress=None
-    ) -> dict:
-        from repro.service.scheduler import execute_batch
-
-        call = functools.partial(
-            execute_batch, requests, sim_jobs,
-            progress_cb=on_progress, job_ids=job_ids,
-        )
-        loop = asyncio.get_running_loop()
-        with self._track():
-            return await loop.run_in_executor(self._executor, call)
 
     def shutdown(self, wait: bool = True) -> None:
         self._executor.shutdown(wait=wait)
 
 
 class InjectedWorkerPool(WorkerPool):
-    """Test seam: a thread executor around ``execute_batch_fn`` with the
-    legacy two-argument call (no progress/correlation plumbing)."""
+    """Test seam: a thread executor around ``execute_fn(request)``."""
 
     kind = "injected"
 
-    def __init__(self, workers: int, execute_batch_fn) -> None:
+    def __init__(self, workers: int, execute_fn) -> None:
         super().__init__(workers)
-        self._fn = execute_batch_fn
+        self._fn = execute_fn
         self._executor = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-sim"
         )
 
-    async def run_batch(
-        self, requests, sim_jobs, job_ids, on_progress=None
-    ) -> dict:
-        call = functools.partial(self._fn, requests, sim_jobs)
+    async def run(self, request, job_id: str | None = None):
         loop = asyncio.get_running_loop()
         with self._track():
-            return await loop.run_in_executor(self._executor, call)
-
-    def shutdown(self, wait: bool = True) -> None:
-        self._executor.shutdown(wait=wait)
+            return await loop.run_in_executor(self._executor, self._fn, request)
 
 
 class ProcessWorkerPool(WorkerPool):
@@ -233,43 +182,25 @@ class ProcessWorkerPool(WorkerPool):
         except Exception:  # pragma: no cover - warmup is best-effort
             pass
 
-    async def run_batch(
-        self, requests, sim_jobs, job_ids, on_progress=None
-    ) -> dict:
+    async def run(self, request, job_id: str | None = None):
         call = functools.partial(
-            _process_batch, requests, sim_jobs, job_ids,
+            run_worker_batch,
+            functools.partial(execute_request, request, job_id),
             diskcache.is_enabled(), diskcache.configured_root(),
             worker_telemetry(),
         )
         loop = asyncio.get_running_loop()
         with self._track():
             try:
-                (outcomes, beats), shipped = await loop.run_in_executor(
+                outcome, shipped = await loop.run_in_executor(
                     self._executor, call
                 )
             except BrokenProcessPool:
                 # A dead worker (OOM, segfault) poisons the whole
-                # executor; rebuild so the next batch gets a live pool,
-                # then let the scheduler fail this batch's flights.
+                # executor; rebuild so the next dispatch gets a live
+                # pool, then let the scheduler fail this flight.
                 self._executor.shutdown(wait=False)
                 self._executor = self._make_executor()
                 raise
         absorb(shipped)
-        if on_progress is not None:
-            for key, beat in beats.items():
-                on_progress(key, beat)
-        return outcomes
-
-    def shutdown(self, wait: bool = True) -> None:
-        self._executor.shutdown(wait=wait)
-
-
-def make_pool(kind: str, workers: int) -> WorkerPool:
-    """Build a pool by name (the ``repro serve --pool`` values)."""
-    if kind == "process":
-        return ProcessWorkerPool(workers)
-    if kind == "thread":
-        return ThreadWorkerPool(workers)
-    raise ValueError(
-        f"unknown worker pool kind {kind!r}; expected one of {POOL_KINDS}"
-    )
+        return outcome

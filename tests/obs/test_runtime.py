@@ -104,7 +104,7 @@ def test_bind_attaches_context_to_inner_spans(tracer):
     with tracer.bind(job_id="job-1", run_key="abc123"):
         with tracer.span("service.execute_request", benchmark="KM"):
             pass
-    with tracer.span("service.execute_batch"):
+    with tracer.span("service.execute_request"):
         pass
     first, second = tracer.records()
     assert first.attrs["job_id"] == "job-1"

@@ -68,7 +68,7 @@ def test_build_schedule_is_deterministic_and_mix_checked():
 
 
 def test_run_loadtest_duplicate_heavy_coalesces_and_conserves(cold_caches):
-    with ThreadedServer(queue_depth=64, pool="thread", workers=2) as server:
+    with ThreadedServer(queue_depth=64, workers=2) as server:
         report = run_loadtest(
             port=server.port, rate=50.0, total=9,
             mix="duplicate-heavy", timeout=120,
@@ -90,7 +90,7 @@ def test_run_loadtest_duplicate_heavy_coalesces_and_conserves(cold_caches):
 
 
 def test_loadtest_report_feeds_slo_gate_and_history(tmp_path, cold_caches):
-    with ThreadedServer(queue_depth=64, pool="thread", workers=2) as server:
+    with ThreadedServer(queue_depth=64, workers=2) as server:
         # Distinct scale from the other live test: its payloads are
         # memoized in-process by then, which would defeat coalescing.
         report = run_loadtest(

@@ -98,13 +98,14 @@ def test_admission_counts_open_jobs():
 
     # Moving jobs to running does NOT free capacity: depth bounds
     # queued + running, the real backpressure contract.
-    batch = queue.next_batch(10)
-    assert len(batch) == 2
+    first, second = queue.next_job(), queue.next_job()
+    assert first is not None and second is not None
+    assert queue.next_job() is None
     assert queue.queued_count() == 0
     with pytest.raises(QueueFull):
         queue.submit(_request())
 
-    queue.finish(batch[0].id, {"ok": True})
+    queue.finish(first.id, {"ok": True})
     queue.submit(_request())  # capacity freed by completion
 
 
@@ -114,7 +115,7 @@ def test_lifecycle_transitions():
     assert job.state == JobState.QUEUED
     assert job.started_at is None
 
-    (running,) = queue.next_batch(1)
+    running = queue.next_job()
     assert running is job
     assert job.state == JobState.RUNNING
     assert job.started_at is not None
@@ -126,7 +127,7 @@ def test_lifecycle_transitions():
     assert queue.done_total == 1
 
     failed = queue.submit(_request())
-    queue.next_batch(1)
+    queue.next_job()
     queue.fail(failed.id, "boom")
     assert failed.state == JobState.FAILED
     assert failed.error == "boom"
@@ -149,7 +150,7 @@ def test_retention_evicts_oldest_finished():
     finished = []
     for _ in range(4):
         job = queue.submit(_request())
-        queue.next_batch(1)
+        queue.next_job()
         queue.finish(job.id, {})
         finished.append(job.id)
     assert queue.evicted_total == 2
@@ -167,7 +168,7 @@ def test_closed_queue_drains_but_rejects():
     with pytest.raises(Draining):
         queue.submit(_request())
     # Already-admitted work still drains normally.
-    queue.next_batch(1)
+    queue.next_job()
     queue.finish(job.id, {})
     assert queue.open_count() == 0
 
@@ -206,16 +207,13 @@ def test_scheduler_coalesces_identical_inflight_specs():
         release = threading.Event()
         calls = []
 
-        def fake_execute(requests, sim_jobs):
-            calls.append(list(requests))
+        def fake_execute(request):
+            calls.append(request)
             release.wait(timeout=10)
-            return {
-                request.flight_key: ("ok", {"benchmark": request.benchmark})
-                for request in requests
-            }
+            return "ok", {"benchmark": request.benchmark}
 
         scheduler = Scheduler(queue, metrics, workers=1,
-                              execute_batch_fn=fake_execute)
+                              execute_fn=fake_execute)
         scheduler.start()
         jobs = [queue.submit(_request()) for _ in range(3)]
         scheduler.wake()
@@ -226,7 +224,7 @@ def test_scheduler_coalesces_identical_inflight_specs():
         release.set()
         await _wait_until(lambda: queue.open_count() == 0)
 
-        assert [len(batch) for batch in calls] == [1]
+        assert len(calls) == 1
         docs = [queue.get(job.id) for job in jobs]
         assert all(doc.state == JobState.DONE for doc in docs)
         assert sum(doc.coalesced for doc in docs) == 2
@@ -238,19 +236,56 @@ def test_scheduler_coalesces_identical_inflight_specs():
     _drive(scenario())
 
 
+def test_scheduler_duplicates_attach_to_an_open_flight():
+    """Duplicates that arrive after their leader was dispatched join its
+    flight: the scheduler pulls one job at a time, so this is the case
+    every coalesced job takes."""
+    async def scenario():
+        queue = JobQueue(depth=8)
+        metrics = ServiceMetrics()
+        release = threading.Event()
+        calls = []
+
+        def fake_execute(request):
+            calls.append(request)
+            release.wait(timeout=10)
+            return "ok", {"benchmark": request.benchmark}
+
+        scheduler = Scheduler(queue, metrics, workers=1,
+                              execute_fn=fake_execute)
+        scheduler.start()
+        leader = queue.submit(_request())
+        scheduler.wake()
+        await _wait_until(lambda: len(calls) == 1)
+        duplicates = [queue.submit(_request()) for _ in range(2)]
+        scheduler.wake()
+        await _wait_until(lambda: queue.stats()["running"] == 3)
+        assert scheduler.in_flight() == 1
+        assert metrics.counter("coalesced") == 2
+        release.set()
+        await _wait_until(lambda: queue.open_count() == 0)
+
+        assert len(calls) == 1
+        assert [queue.get(job.id).coalesced for job in duplicates] == [
+            True, True]
+        assert not queue.get(leader.id).coalesced
+        assert all(queue.get(job.id).state == JobState.DONE
+                   for job in [leader, *duplicates])
+        await scheduler.drain()
+
+    _drive(scenario())
+
+
 def test_scheduler_distinct_specs_do_not_coalesce():
     async def scenario():
         queue = JobQueue(depth=8)
         metrics = ServiceMetrics()
 
-        def fake_execute(requests, sim_jobs):
-            return {
-                request.flight_key: ("ok", {"scale": request.scale})
-                for request in requests
-            }
+        def fake_execute(request):
+            return "ok", {"scale": request.scale}
 
         scheduler = Scheduler(queue, metrics, workers=2,
-                              execute_batch_fn=fake_execute)
+                              execute_fn=fake_execute)
         scheduler.start()
         a = queue.submit(JobRequest("KM", scale=0.05))
         b = queue.submit(JobRequest("KM", scale=0.10))
@@ -269,14 +304,11 @@ def test_scheduler_failure_marks_jobs_failed_without_crashing():
         queue = JobQueue(depth=8)
         metrics = ServiceMetrics()
 
-        def fake_execute(requests, sim_jobs):
-            return {
-                request.flight_key: ("error", "simulated explosion")
-                for request in requests
-            }
+        def fake_execute(request):
+            return "error", "simulated explosion"
 
         scheduler = Scheduler(queue, metrics, workers=1,
-                              execute_batch_fn=fake_execute)
+                              execute_fn=fake_execute)
         scheduler.start()
         job = queue.submit(_request())
         scheduler.wake()
@@ -295,13 +327,11 @@ def test_scheduler_drain_finishes_queued_work():
         queue = JobQueue(depth=8)
         metrics = ServiceMetrics()
 
-        def fake_execute(requests, sim_jobs):
-            return {
-                request.flight_key: ("ok", {}) for request in requests
-            }
+        def fake_execute(request):
+            return "ok", {}
 
         scheduler = Scheduler(queue, metrics, workers=1,
-                              execute_batch_fn=fake_execute)
+                              execute_fn=fake_execute)
         scheduler.start()
         jobs = [queue.submit(JobRequest("KM", scale=s))
                 for s in (0.05, 0.10, 0.15)]

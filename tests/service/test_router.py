@@ -146,12 +146,12 @@ def test_merge_snapshots_empty_is_zero_filled():
 
 
 # ---------------------------------------------------------------------------
-# End-to-end over live replicas (thread pool keeps the test light)
+# End-to-end over live replicas
 # ---------------------------------------------------------------------------
 @pytest.fixture()
 def fleet():
     replicas = [
-        ThreadedServer(port=0, queue_depth=16, pool="thread", workers=2)
+        ThreadedServer(port=0, queue_depth=16, workers=2)
         for _ in range(2)
     ]
     for replica in replicas:

@@ -1,4 +1,4 @@
-"""Tests for the worker-pool abstraction (thread, process, injected)."""
+"""Tests for the worker pools (process, injected) and their contract."""
 
 import asyncio
 
@@ -8,12 +8,12 @@ import repro.harness.diskcache as diskcache
 from repro.harness.runner import clear_run_cache
 from repro.obs.runtime import TRACER
 from repro.service.jobs import JobRequest
+from repro.service.server import ServiceServer
 from repro.service.workers import (
     InjectedWorkerPool,
     ProcessWorkerPool,
     default_workers,
     idle_worker_stats,
-    make_pool,
 )
 from repro.workloads.suite import clear_trace_cache
 
@@ -39,31 +39,28 @@ def test_idle_worker_stats_zero_filled():
     assert all(count == 0 for _, count in histogram["buckets"])
 
 
-def test_make_pool_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        make_pool("carrier-pigeon", 2)
+@pytest.mark.parametrize("pool", ["thread", "carrier-pigeon", None])
+def test_server_rejects_pool_other_than_process(pool):
+    with pytest.raises(ValueError, match="only pool is 'process'"):
+        ServiceServer(port=0, pool=pool)
 
 
-def test_injected_pool_runs_legacy_two_arg_call():
+def test_injected_pool_runs_one_request():
     calls = []
 
-    def fake_execute(requests, sim_jobs):
-        calls.append((list(requests), sim_jobs))
-        return {request.flight_key: ("ok", {"fake": True})
-                for request in requests}
+    def fake_execute(request):
+        calls.append(request)
+        return "ok", {"fake": True}
 
     pool = InjectedWorkerPool(2, fake_execute)
     request = JobRequest(benchmark="KM", scale=0.05)
 
-    async def go():
-        return await pool.run_batch([request], 3, {}, on_progress=None)
-
     try:
-        outcomes = asyncio.run(go())
+        outcome = asyncio.run(pool.run(request, "job-1"))
     finally:
         pool.shutdown()
-    assert outcomes[request.flight_key] == ("ok", {"fake": True})
-    assert calls == [([request], 3)]
+    assert outcome == ("ok", {"fake": True})
+    assert calls == [request]
     stats = pool.stats()
     assert stats["kind"] == "injected"
     assert stats["total"] == 2
@@ -74,41 +71,28 @@ def test_injected_pool_runs_legacy_two_arg_call():
 
 def test_process_pool_executes_merges_and_reports(tmp_path):
     """A forked worker really simulates, and the parent gets everything
-    back: outcomes, final heartbeats, counters, disk stats."""
+    back: the outcome, counters, disk stats."""
     diskcache.configure(enabled=True, root=str(tmp_path / "cache"))
     clear_run_cache()
     clear_trace_cache()
     before = TRACER.counters().get("runs_simulated", 0)
     pool = ProcessWorkerPool(1)
     request = JobRequest(benchmark="KM", scale=0.05)
-    beats = {}
-
-    async def go():
-        return await pool.run_batch(
-            [request], 1, {request.flight_key: "job-1"},
-            on_progress=lambda key, beat: beats.update({key: beat}),
-        )
 
     try:
-        outcomes = asyncio.run(go())
+        status, report = asyncio.run(pool.run(request, "job-1"))
         disk = diskcache.shared_stats()
     finally:
         pool.shutdown()
         diskcache.configure()
         clear_run_cache()
         clear_trace_cache()
-    status, report = outcomes[request.flight_key]
     assert status == "ok"
     assert report["benchmark"] == "KM"
     assert report["speedup"] > 0
     # Worker counters merged back into the parent.
     simulated = TRACER.counters().get("runs_simulated", 0) - before
     assert simulated == 2  # baseline + dynaspam
-    # The worker's final heartbeat arrived with batch totals.
-    beat = beats[request.flight_key]
-    assert beat["label"] == "batch"
-    assert beat["done"] == beat["total"] == 1
-    assert beat["detail"] == "KM"
     # The shared artifact store holds the worker's results.
     assert disk.get("runs", {}).get("writes", 0) >= 2
     stats = pool.stats()
