@@ -3,7 +3,8 @@
 ``repro loadtest`` drives a running service (a single ``repro serve`` or
 a ``repro route`` fleet — same wire protocol) with a Poisson-free,
 deterministic open-loop schedule: job *i* is due at ``i / rate`` seconds
-after start, and its latency is measured **from that due time**, not
+after start (a duplicate-heavy burst is due at once, at its first job's
+time), and its latency is measured **from that due time**, not
 from when the client thread got around to submitting it.  That is the
 standard defense against coordinated omission — a closed-loop client
 that waits for each response before sending the next one hides every
@@ -45,9 +46,10 @@ LOADTEST_SCHEMA_VERSION = 1
 
 MIXES = ("cold-heavy", "duplicate-heavy", "mixed")
 
-#: Consecutive identical submissions per duplicate-heavy burst.  Three
-#: back-to-back duplicates land inside one scheduler batch window (or on
-#: a still-open flight), which is what makes coalescing observable.
+#: Consecutive identical submissions per duplicate-heavy burst.  A
+#: burst's jobs share one due time, so its duplicates arrive while the
+#: first one's flight is still open, which is what makes coalescing
+#: observable.
 BURST = 3
 
 #: Benchmarks the generator rotates through — small Table 3 kernels so
@@ -164,7 +166,8 @@ def run_loadtest(
     start = time.monotonic()
 
     def drive(index: int, payload: dict) -> None:
-        due = start + index / rate
+        slot = index - index % BURST if mix == "duplicate-heavy" else index
+        due = start + slot / rate
         delay = due - time.monotonic()
         if delay > 0:
             time.sleep(delay)
