@@ -42,7 +42,6 @@ class ConfigCache:
     _store: dict[tuple, ConfigEntry] = field(default_factory=dict)
     _since_clear: int = 0
     mapped_keys: set = field(default_factory=set)
-    unmappable_keys: set = field(default_factory=set)
     #: Optional ``repro.obs.EventBus`` (None = tracing disabled).
     bus: object | None = field(default=None, repr=False, compare=False)
 
@@ -81,9 +80,7 @@ class ConfigCache:
                     occupancy=len(self._store),
                 )
         entry = ConfigEntry(key=key, configuration=configuration)
-        if configuration is None:
-            self.unmappable_keys.add(key)
-        else:
+        if configuration is not None:
             self.mapped_keys.add(key)
         self._store[key] = entry
         if self.bus is not None:

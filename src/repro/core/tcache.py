@@ -197,7 +197,6 @@ class TCache:
         self._counters: dict[tuple, int] = {}
         self._hot: set[tuple] = set()
         self._since_clear = 0
-        self.lookups = 0
         #: Optional ``repro.obs.EventBus`` (None = tracing disabled).
         self.bus = bus
 
@@ -205,7 +204,6 @@ class TCache:
         """Record a closed trace; returns True if it is (now) hot."""
         key = window.key
         bus = self.bus
-        self.lookups += 1
         count = self._counters.get(key)
         if count is None:
             if len(self._counters) >= self.entries:

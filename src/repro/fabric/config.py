@@ -36,7 +36,6 @@ class FabricConfig:
     stripe0_input_ports: int = 2     # first-stripe PEs take two live-ins
     deep_input_ports: int = 1        # deeper PEs receive one live-in via the bus
     reconfig_cycles_per_stripe: int = 2
-    load_reservation_entries: int = 8
 
     def __post_init__(self) -> None:
         if self.num_stripes < 1:

@@ -33,9 +33,6 @@ class BranchPredictor:
         self.history = 0
         self.btb: set[int] = set()
         self.btb_entries = config.btb_entries
-        self.lookups = 0
-        self.mispredicts = 0
-        self.btb_misses = 0
 
     # ------------------------------------------------------------------
     # Direction prediction
@@ -73,7 +70,6 @@ class BranchPredictor:
 
         Returns the *prediction* so the caller can detect mispredicts.
         """
-        self.lookups += 1
         pc_index, gshare_index = self._indices(pc, self.history)
         bimodal_taken = self.bimodal[pc_index] >= 2
         gshare_taken = self.gshare[gshare_index] >= 2
@@ -101,8 +97,6 @@ class BranchPredictor:
                 self.chooser[pc_index] -= 1
 
         self.history = ((self.history << 1) | int(actual_taken)) & self.mask
-        if prediction != actual_taken:
-            self.mispredicts += 1
         return prediction
 
     # ------------------------------------------------------------------
@@ -112,7 +106,6 @@ class BranchPredictor:
         """True if the BTB knows the target of the branch at ``pc``."""
         hit = pc in self.btb
         if not hit:
-            self.btb_misses += 1
             if len(self.btb) >= self.btb_entries:
                 self.btb.pop()
             self.btb.add(pc)

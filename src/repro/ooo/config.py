@@ -65,7 +65,6 @@ class CoreConfig:
 
     # Memory dependence predictor (Store Sets).
     ssit_entries: int = 1024
-    storesets_enabled: bool = True
 
     def __post_init__(self) -> None:
         if self.fetch_width < 1 or self.issue_width < 1 or self.commit_width < 1:

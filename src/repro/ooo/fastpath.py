@@ -132,10 +132,9 @@ class FastOOOPipeline(OOOPipeline):
     def __init__(
         self,
         config: CoreConfig | None = None,
-        conservative_memory: bool = False,
         bus=None,
     ) -> None:
-        super().__init__(config, conservative_memory, bus=bus)
+        super().__init__(config, bus=bus)
         #: id(static) -> decode record.  The record pins the static
         #: instruction (slot 0) so a recycled id can never alias a dead
         #: object's cache entry.
@@ -286,9 +285,6 @@ class FastOOOPipeline(OOOPipeline):
         forward_latency = cfg.store_forward_latency
         squash_penalty = cfg.violation_squash_penalty
         wrongpath_cap = cfg.rob_entries
-        storesets_enabled = cfg.storesets_enabled
-        conservative = self.conservative_memory
-        store_sets = storesets_enabled and not conservative
         store_fifo_cap = cfg.store_queue * 2
         icache_access = self.icache.access
         dcache_access = self.dcache.access
@@ -337,7 +333,6 @@ class FastOOOPipeline(OOOPipeline):
         credit_total = self._credit_total
         ops = self._ops_since_prune
         history = bpred.history
-        lookups = bpred.lookups
         rob_head = rob._head
         rob_count = rob._count
         rs_head = rs._head
@@ -394,7 +389,6 @@ class FastOOOPipeline(OOOPipeline):
                     # train both component tables and the chooser, shift
                     # the history (which is always masked).
                     taken = True if dyn.taken else False
-                    lookups += 1
                     g_index = table_index ^ history
                     b_counter = bimodal[table_index]
                     g_counter = gshare[g_index]
@@ -427,7 +421,6 @@ class FastOOOPipeline(OOOPipeline):
                     history = ((history << 1) | taken) & mask
                     if prediction != taken:
                         mispredicted = True
-                        bpred.mispredicts += 1
                         sb[F_MISP] += 1
                     if prediction:
                         # Inlined BranchPredictor.btb_lookup.
@@ -436,7 +429,6 @@ class FastOOOPipeline(OOOPipeline):
                             # fetch group.
                             next_fetch = fetch + 1
                         else:
-                            bpred.btb_misses += 1
                             if len(btb) >= btb_entries:
                                 btb.pop()
                             btb.add(pc)
@@ -449,7 +441,6 @@ class FastOOOPipeline(OOOPipeline):
                     if pc in btb:
                         next_fetch = fetch + 1
                     else:
-                        bpred.btb_misses += 1
                         if len(btb) >= btb_entries:
                             btb.pop()
                         btb.add(pc)
@@ -503,32 +494,26 @@ class FastOOOPipeline(OOOPipeline):
 
                 violated = False
                 if kind == _KIND_LOAD:
-                    if conservative:
-                        older = sq.youngest_older(seq)
-                        if older is not None and older.data_ready > ready:
-                            ready = older.data_ready
-                    elif storesets_enabled:
-                        # Inlined StoreSetPredictor.load_dispatched.
-                        set_id = ssit.get(table_index)
-                        if set_id is not None:
-                            wait_seq = lfst.get(set_id)
-                            if wait_seq is not None:
-                                predicted = store_by_seq.get(wait_seq)
-                                if (predicted is not None
-                                        and predicted.data_ready > ready):
-                                    ready = predicted.data_ready
+                    # Inlined StoreSetPredictor.load_dispatched.
+                    set_id = ssit.get(table_index)
+                    if set_id is not None:
+                        wait_seq = lfst.get(set_id)
+                        if wait_seq is not None:
+                            predicted = store_by_seq.get(wait_seq)
+                            if (predicted is not None
+                                    and predicted.data_ready > ready):
+                                ready = predicted.data_ready
                 elif kind == _KIND_STORE:
-                    if store_sets:
-                        # Inlined StoreSetPredictor.store_dispatched.
-                        set_id = ssit.get(table_index)
-                        if set_id is not None:
-                            prev_seq = lfst.get(set_id)
-                            lfst[set_id] = seq
-                            if prev_seq is not None:
-                                prev = store_by_seq.get(prev_seq)
-                                if (prev is not None
-                                        and prev.data_ready > ready):
-                                    ready = prev.data_ready
+                    # Inlined StoreSetPredictor.store_dispatched.
+                    set_id = ssit.get(table_index)
+                    if set_id is not None:
+                        prev_seq = lfst.get(set_id)
+                        lfst[set_id] = seq
+                        if prev_seq is not None:
+                            prev = store_by_seq.get(prev_seq)
+                            if (prev is not None
+                                    and prev.data_ready > ready):
+                                ready = prev.data_ready
 
                 # ---- issue / execute ---------------------------------
                 # Inlined _alloc_issue: the earliest cycle with both a
@@ -585,8 +570,7 @@ class FastOOOPipeline(OOOPipeline):
                         # when the store runs.
                         violated = True
                         sb[F_VIOLATIONS] += 1
-                        if storesets_enabled:
-                            storesets.train_violation(pc, alias.pc)
+                        storesets.train_violation(pc, alias.pc)
                         complete = alias.data_ready + forward_latency
                         front = next_fetch if next_fetch >= barrier else barrier
                         redirect = alias.addr_ready + squash_penalty
@@ -762,7 +746,6 @@ class FastOOOPipeline(OOOPipeline):
             self._last_fetch_block = last_block
             self._credit_total = credit_total
             bpred.history = history
-            bpred.lookups = lookups
             rob._head = rob_head
             rob._count = rob_count
             rob.last_commit_cycle = prev_commit
@@ -816,11 +799,10 @@ class FastOOOPipeline(OOOPipeline):
 
 def make_pipeline(
     config: CoreConfig | None = None,
-    conservative_memory: bool = False,
     bus=None,
 ) -> OOOPipeline:
     """Construct a pipeline for the currently selected engine."""
     from repro.engine import fastpath_enabled
 
     cls = FastOOOPipeline if fastpath_enabled() else OOOPipeline
-    return cls(config, conservative_memory, bus=bus)
+    return cls(config, bus=bus)

@@ -80,7 +80,7 @@ class StoreQueueModel:
 
     def youngest_older(self, before_seq: int) -> StoreRecord | None:
         """Youngest store older than ``before_seq`` regardless of address
-        (used by the conservative no-speculation ablation)."""
+        (a non-speculative offload orders its stores behind it)."""
         for record in reversed(self._window):
             if record.seq < before_seq:
                 return record

@@ -93,13 +93,11 @@ class OOOPipeline:
     def __init__(
         self,
         config: CoreConfig | None = None,
-        conservative_memory: bool = False,
         bus=None,
     ) -> None:
         self.config = config or CoreConfig()
         cfg = self.config
         self.stats = PipelineStats()
-        self.conservative_memory = conservative_memory
         #: Optional ``repro.obs.EventBus`` (None = tracing disabled).  The
         #: DynaSpAM framework assigns it after construction because the
         #: bus's clock closes over this pipeline.
@@ -359,24 +357,18 @@ class OOOPipeline:
         predicted_store: StoreRecord | None = None
         if static.is_load:
             stats.loads += 1
-            if self.conservative_memory:
-                older = self.sq.youngest_older(seq)
-                if older is not None:
-                    ready = max(ready, older.data_ready)
-            elif cfg.storesets_enabled:
-                wait_seq = self.storesets.load_dispatched(dyn.pc)
-                if wait_seq is not None:
-                    predicted_store = self._store_by_seq.get(wait_seq)
-                    if predicted_store is not None:
-                        ready = max(ready, predicted_store.data_ready)
+            wait_seq = self.storesets.load_dispatched(dyn.pc)
+            if wait_seq is not None:
+                predicted_store = self._store_by_seq.get(wait_seq)
+                if predicted_store is not None:
+                    ready = max(ready, predicted_store.data_ready)
         elif static.is_store:
             stats.stores += 1
-            if cfg.storesets_enabled and not self.conservative_memory:
-                prev_seq = self.storesets.store_dispatched(dyn.pc, seq)
-                if prev_seq is not None:
-                    prev = self._store_by_seq.get(prev_seq)
-                    if prev is not None:
-                        ready = max(ready, prev.data_ready)
+            prev_seq = self.storesets.store_dispatched(dyn.pc, seq)
+            if prev_seq is not None:
+                prev = self._store_by_seq.get(prev_seq)
+                if prev is not None:
+                    ready = max(ready, prev.data_ready)
 
         # ---- issue / execute -----------------------------------------
         issue = self._alloc_issue(opclass, ready, latency)
@@ -390,8 +382,7 @@ class OOOPipeline:
                 # memory-order violation, detected when the store runs.
                 violated = True
                 stats.memory_violations += 1
-                if cfg.storesets_enabled:
-                    self.storesets.train_violation(dyn.pc, alias.pc)
+                self.storesets.train_violation(dyn.pc, alias.pc)
                 complete = alias.data_ready + cfg.store_forward_latency
                 front = max(self.next_fetch_cycle, self.fetch_barrier)
                 barrier = alias.addr_ready + cfg.violation_squash_penalty

@@ -31,7 +31,8 @@ def test_unmappable_marker_never_ready():
     for _ in range(10):
         assert cache.predicted_again(entry) is False
     assert not entry.ready
-    assert ("k", 1) in cache.unmappable_keys
+    assert cache.lookup(("k", 1)).configuration is None
+    assert cache.mapped_trace_count == 0
 
 
 def test_counter_saturates_at_counter_bits():

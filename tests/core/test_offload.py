@@ -82,7 +82,7 @@ def test_offloaded_branches_train_host_predictor():
 
     outcome, pipeline = offload_once(body)
     assert outcome.success
-    assert pipeline.bpred.lookups == 1
+    assert pipeline.stats.predictor_lookups == 1
 
 
 def test_rename_energy_charged_for_lives():

@@ -140,7 +140,6 @@ def _state(pipeline) -> dict:
 @given(
     draws=st.lists(instructions, min_size=1, max_size=90),
     cuts=st.lists(st.tuples(st.integers(0, 12), between), max_size=14),
-    conservative=st.booleans(),
     pairs=st.lists(st.tuples(st.sampled_from(LOAD_PCS),
                              st.sampled_from(STORE_PCS)), max_size=3),
     prune_interval=st.integers(1, 9),
@@ -155,8 +154,8 @@ def _state(pipeline) -> dict:
     predictor_bits=st.sampled_from((2, 12)),
     ssit_entries=st.sampled_from((1, 1024)),
 )
-def test_span_matches_reference_per_instruction(draws, cuts, conservative,
-                                                pairs, prune_interval, repeat,
+def test_span_matches_reference_per_instruction(draws, cuts, pairs,
+                                                prune_interval, repeat,
                                                 predictor_kind, btb_entries,
                                                 predictor_bits, ssit_entries):
     trace = _stream(draws * repeat)
@@ -164,8 +163,8 @@ def test_span_matches_reference_per_instruction(draws, cuts, conservative,
                         btb_entries=btb_entries,
                         predictor_bits=predictor_bits,
                         ssit_entries=ssit_entries)
-    fast = FastOOOPipeline(config, conservative_memory=conservative)
-    reference = OOOPipeline(config, conservative_memory=conservative)
+    fast = FastOOOPipeline(config)
+    reference = OOOPipeline(config)
     for pipeline in (fast, reference):
         # Small enough that prunes fire inside spans.
         pipeline.PRUNE_INTERVAL = prune_interval

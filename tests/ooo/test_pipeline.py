@@ -15,8 +15,8 @@ def trace_of(build, memory=None):
     return FunctionalExecutor().run(b.build(), memory).trace
 
 
-def run(build, memory=None, config=None, **kwargs):
-    pipe = OOOPipeline(config, **kwargs)
+def run(build, memory=None, config=None):
+    pipe = OOOPipeline(config)
     result = pipe.run_trace(trace_of(build, memory))
     return result, pipe
 
@@ -160,35 +160,6 @@ def test_memory_violation_detection_and_training():
     assert pipe.storesets.same_set(load_pc, store_pc)
     # After training, the predictor prevents repeat violations.
     assert result.stats.memory_violations < 10
-
-
-def test_conservative_memory_mode_has_no_violations():
-    def body(b):
-        b.li("r1", 0x100)
-        b.li("r5", 64)
-        with b.countdown("loop", "r3", 40):
-            b.div("r2", "r5", "r3")
-            b.sw("r1", "r2", 0)
-            b.lw("r4", "r1", 0)
-
-    result, _ = run(body, conservative_memory=True)
-    assert result.stats.memory_violations == 0
-
-
-def test_conservative_memory_is_slower_on_independent_streams():
-    def body(b):
-        b.li("r1", 0x100)
-        b.li("r2", 0x8000)
-        b.li("r5", 7)
-        with b.countdown("loop", "r3", 100):
-            b.sw("r1", "r5", 0)
-            b.lw("r4", "r2", 0)     # never aliases the store
-            b.addi("r1", "r1", 4)
-            b.addi("r2", "r2", 4)
-
-    fast, _ = run(body)
-    slow, _ = run(body, conservative_memory=True)
-    assert slow.cycles > fast.cycles
 
 
 def test_cache_misses_slow_execution():
