@@ -71,7 +71,7 @@ class _TraceOp:
 def analyze_trace(insts: list[DynamicInstruction]):
     """Build intra-trace dependence structure.
 
-    Returns (ops, live_ins, live_out_defs, branch_outcomes) where
+    Returns (ops, live_ins, live_out_defs) where
     ``live_out_defs`` maps each architectural register to the position of
     its final definition inside the trace.
     """
@@ -109,10 +109,7 @@ def analyze_trace(insts: list[DynamicInstruction]):
         )
         if static.dest is not None and static.dest != "r0":
             last_def[static.dest] = pos
-    branch_outcomes = tuple(
-        bool(d.taken) for d in insts if d.is_branch
-    )
-    return ops, tuple(live_ins), dict(last_def), branch_outcomes
+    return ops, tuple(live_ins), dict(last_def)
 
 
 #: Closed vocabulary of mapping-failure reasons.  ``map.fail`` events and
@@ -204,7 +201,7 @@ class ResourceAwareMapper:
         FIFO limits, the tables, and the configuration ``_schedule``
         fills in."""
         fcfg = self.fabric_config
-        ops, live_ins, last_def, branch_outcomes = analyze_trace(insts)
+        ops, live_ins, last_def = analyze_trace(insts)
 
         if len(live_ins) > fcfg.livein_fifos:
             raise MappingFailure(
@@ -229,21 +226,14 @@ class ResourceAwareMapper:
         )
 
         live_outs = {reg: pos for reg, pos in last_def.items() if pos in placed}
-        mem_pcs = []
-        mem_kinds = []
-        for op in ops:
-            if op.mem_index is not None:
-                mem_pcs.append(op.dyn.pc)
-                mem_kinds.append("load" if op.dyn.is_load else "store")
-
         configuration = Configuration(
             trace_key=trace_key,
             placements=list(placed.values()),
             live_ins=live_ins,
             live_outs=live_outs,
-            branch_outcomes=branch_outcomes,
-            mem_op_pcs=tuple(mem_pcs),
-            mem_op_kinds=tuple(mem_kinds),
+            mem_op_pcs=tuple(
+                op.dyn.pc for op in ops if op.mem_index is not None
+            ),
             datapath_channels_used=tables.total_channels_allocated,
             mapping_cycles=mapping_cycles,
         )
@@ -371,7 +361,6 @@ class ResourceAwareMapper:
             source_roles=tuple(op.operand_roles),
             dest_reg=dyn.dest,
             pc=dyn.pc,
-            predicted_taken=bool(dyn.taken) if dyn.is_branch else None,
             mem_index=op.mem_index,
         )
         if dyn.dest is not None and dyn.dest != "r0":

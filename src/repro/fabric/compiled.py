@@ -42,8 +42,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.fabric.configuration import Configuration, PlacedOp
-from repro.isa.opcodes import FU_PIPELINED, OpClass, latency_of
+from repro.fabric.configuration import Configuration
+from repro.fabric.pe import pe_busy
+from repro.isa.opcodes import latency_of
 
 # Timing-step kinds.
 T_ALU = 0
@@ -68,16 +69,11 @@ class TimingPlan:
     liveouts: tuple           # ((reg, producer_pos), ...)
 
 
-def _pe_busy(op: PlacedOp) -> int:
-    if op.opclass in (OpClass.LOAD, OpClass.STORE):
-        return 1
-    return 1 if FU_PIPELINED[op.opclass] else latency_of(op.opcode)
-
-
 def compile_timing_plan(configuration: Configuration) -> TimingPlan:
     """Lower a configuration for the cycle engine and cache it."""
     structural_ii = max(
-        (_pe_busy(op) for op in configuration.placements), default=1
+        (pe_busy(op.opclass, op.latency) for op in configuration.placements),
+        default=1,
     )
     steps = []
     datapath_transfers = 0

@@ -1,10 +1,12 @@
 """Trace configurations: the output of the dynamic mapper.
 
 A ``Configuration`` records where every trace instruction was placed, how
-its operands are routed, the trace's live-ins/live-outs, its embedded
-(predicted) branch outcomes, and the simplified memory-instruction list the
-paper keeps "consisting of only their PC, type, and their relative
-ordering" (Section 3.2).
+its operands are routed, the trace's live-ins/live-outs, and the
+simplified memory-instruction list the paper keeps "consisting of only
+their PC, type, and their relative ordering" (Section 3.2): the PCs in
+``mem_op_pcs``, each memory op's type in its placement's op class, and
+the ordering in its ``mem_index``.  The trace key carries the branch
+outcomes the configuration was mapped for.
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ class PlacedOp:
     source_roles: tuple[str, ...] = ()
     dest_reg: str | None = None
     pc: int = -1
-    is_liveout: bool = False
-    predicted_taken: bool | None = None   # branches only
     mem_index: int | None = None          # order among the trace's memory ops
 
     @property
@@ -76,9 +76,7 @@ class Configuration:
     placements: list[PlacedOp]
     live_ins: tuple[str, ...]
     live_outs: dict[str, int]   # arch register -> producing position
-    branch_outcomes: tuple[bool, ...]
     mem_op_pcs: tuple[int, ...]          # simplified memory list (PC order)
-    mem_op_kinds: tuple[str, ...]        # "load" / "store", parallel to pcs
     stripes_used: int = 0
     datapath_channels_used: int = 0
     mapping_cycles: int = 0              # cycles the mapping phase took

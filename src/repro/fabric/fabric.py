@@ -17,6 +17,7 @@ from repro.fabric.compiled import T_ALU, T_STORE, timing_plan_of
 from repro.fabric.config import FabricConfig
 from repro.fabric.configuration import Configuration, PlacedOp
 from repro.fabric.fifos import FifoModel
+from repro.fabric.pe import pe_busy
 
 
 @dataclass
@@ -185,7 +186,9 @@ class SpatialFabric:
 
         # Invocation admission: FIFO space and pipelined initiation.
         structural_ii = max(
-            (pe_busy(op) for op in configuration.placements), default=1
+            (pe_busy(op.opclass, op.latency)
+             for op in configuration.placements),
+            default=1,
         )
         start = max(ctx.start_lower_bound, self.fifo.admit_ready_cycle())
         if self.invocations_on_current:
@@ -510,11 +513,3 @@ class SpatialFabric:
             event.finish = ready + 1 + ctx.dcache_access(event.addr)
         return violation
 
-
-def pe_busy(op: PlacedOp) -> int:
-    """Cycles per invocation the op's PE stays busy (pipelining bound)."""
-    from repro.isa.opcodes import FU_PIPELINED, OpClass
-
-    if op.opclass in (OpClass.LOAD, OpClass.STORE):
-        return 1
-    return 1 if FU_PIPELINED[op.opclass] else op.latency

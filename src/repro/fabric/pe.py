@@ -23,13 +23,15 @@ class PE:
     pool: str             # functional-unit kind ("int_alu", "ldst", ...)
     input_ports: int      # live-in operands deliverable per invocation
 
-    def occupancy(self, opclass: OpClass, latency: int) -> int:
-        """Cycles per invocation this PE is busy executing ``opclass``.
 
-        Pipelined units are busy one cycle; unpipelined dividers block for
-        their full latency; LDST PEs are busy one cycle because the load
-        reservation buffer holds in-flight loads (paper Section 3.2).
-        """
-        if opclass in (OpClass.LOAD, OpClass.STORE):
-            return 1
-        return 1 if FU_PIPELINED[opclass] else latency
+def pe_busy(opclass: OpClass, latency: int) -> int:
+    """Cycles per invocation a PE is busy executing ``opclass`` (the
+    bound on pipelined initiation).
+
+    Pipelined units are busy one cycle; unpipelined dividers block for
+    their full latency; LDST PEs are busy one cycle because the load
+    reservation buffer holds in-flight loads (paper Section 3.2).
+    """
+    if opclass in (OpClass.LOAD, OpClass.STORE):
+        return 1
+    return 1 if FU_PIPELINED[opclass] else latency

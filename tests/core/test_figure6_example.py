@@ -69,7 +69,7 @@ def test_two_livein_instruction_wins_stripe_zero():
 
 def test_priority_scores_match_paper_cycle0():
     trace = figure6_trace()
-    ops, live_ins, _, _ = analyze_trace(trace)
+    ops, live_ins, _ = analyze_trace(trace)
     from repro.fabric.config import FabricConfig
     from repro.fabric.stripe import build_stripes
 

@@ -8,7 +8,7 @@ from repro.core.naive_mapper import NaiveMapper
 from repro.fabric.config import FabricConfig
 from repro.isa.builder import ProgramBuilder
 from repro.isa.executor import FunctionalExecutor, Memory
-from repro.isa.opcodes import Opcode
+from repro.isa.opcodes import Opcode, OpClass
 
 
 def trace_of(build, memory=None):
@@ -44,12 +44,11 @@ def test_analyze_trace_dependences_and_liveins():
         b.add("r1", "r2", "r2")  # pos 2: redefinition of r1
 
     segment = segment_of(body)
-    ops, live_ins, last_def, outcomes = analyze_trace(segment)
+    ops, live_ins, last_def = analyze_trace(segment)
     assert live_ins == ("r9",)
     assert ops[1].operand_tokens == [("pos", 0), ("livein", "r9")]
     assert ops[2].operand_tokens == [("pos", 1), ("pos", 1)]
     assert last_def == {"r1": 2, "r2": 1}
-    assert outcomes == ()
 
 
 def test_analyze_trace_skips_r0_and_transparent_ops():
@@ -61,7 +60,7 @@ def test_analyze_trace_skips_r0_and_transparent_ops():
         b.li("r3", 1)
 
     segment = segment_of(body)
-    ops, live_ins, _, _ = analyze_trace(segment)
+    ops, live_ins, _ = analyze_trace(segment)
     assert [op.dyn.opcode for op in ops] == [Opcode.ADD, Opcode.LI]
     assert ops[0].operand_tokens == [("livein", "r1")]
 
@@ -76,7 +75,7 @@ def test_analyze_trace_memory_roles_and_order():
         b.lw("r3", "r1", 0)
 
     segment = segment_of(body, mem)
-    ops, _, _, _ = analyze_trace(segment)
+    ops, _, _ = analyze_trace(segment)
     store = ops[2]
     load = ops[3]
     assert store.mem_index == 0 and load.mem_index == 1
@@ -143,11 +142,15 @@ def test_live_outs_are_final_definitions():
 
 
 def test_branch_outcomes_embedded():
+    """The configuration is keyed by the outcomes it was mapped for, and
+    every branch of the trace sits on a PE to check them."""
     mem = Memory()
     mem.store_array(0x100, [1.0] * 8)
     config, segment, _ = map_with(ResourceAwareMapper, simple_loop, mem)
     expected = tuple(bool(d.taken) for d in segment if d.is_branch)
-    assert config.branch_outcomes == expected
+    assert expected and config.trace_key[1] == expected
+    branches = [pos for pos, d in enumerate(segment) if d.is_branch]
+    assert [op.pos for op in config.placements if op.is_branch] == branches
 
 
 def test_memory_ops_keep_relative_order():
@@ -162,11 +165,13 @@ def test_memory_ops_keep_relative_order():
         b.sw("r1", "r3", 4)
 
     config, _, _ = map_with(ResourceAwareMapper, body, mem)
-    assert config.mem_op_kinds == ("store", "load", "store")
     mem_ops = sorted(
         (op for op in config.placements if op.mem_index is not None),
         key=lambda o: o.mem_index,
     )
+    assert [o.opclass for o in mem_ops] == [
+        OpClass.STORE, OpClass.LOAD, OpClass.STORE]
+    assert [o.pc for o in mem_ops] == list(config.mem_op_pcs)
     assert [o.pos for o in mem_ops] == sorted(o.pos for o in mem_ops)
 
 

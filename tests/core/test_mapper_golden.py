@@ -4,8 +4,7 @@
 kernels at scale 0.1 (trace-length caps 16, 32 and 40) on the default
 fabric and on ``cca_like()``, the sha256 of what ``ResourceAwareMapper``
 and ``NaiveMapper`` make of it: the configuration (placements, live-ins
-and live-outs, branch outcomes, memory-op PCs and kinds, channels,
-mapping cycles) or ``None`` for a failed attempt, together with every
+and live-outs, memory-op PCs, channels, mapping cycles) or ``None`` for a failed attempt, together with every
 ``map.*`` event the attempt emitted (a failure's reason travels on
 ``map.fail``).  Regenerate the file only for an intended change of
 mapping::
@@ -54,9 +53,7 @@ def _configuration_fields(config):
         [dataclasses.astuple(op) for op in config.placements],
         config.live_ins,
         list(config.live_outs.items()),
-        config.branch_outcomes,
         config.mem_op_pcs,
-        config.mem_op_kinds,
         config.stripes_used,
         config.datapath_channels_used,
         config.mapping_cycles,

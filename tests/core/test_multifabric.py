@@ -24,9 +24,7 @@ def make_config(name):
         placements=[op],
         live_ins=("r1",),
         live_outs={"r2": 0},
-        branch_outcomes=(),
         mem_op_pcs=(),
-        mem_op_kinds=(),
     )
 
 

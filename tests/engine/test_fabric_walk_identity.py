@@ -57,7 +57,6 @@ def configurations(draw):
 
     placements = []
     mem_pcs = []
-    mem_kinds = []
     for pos, kind in enumerate(kinds):
         mem_index = None
         if kind == "alu":
@@ -67,7 +66,6 @@ def configurations(draw):
         else:
             mem_index = len(mem_pcs)
             mem_pcs.append(0x400 + 4 * pos)
-            mem_kinds.append(kind)
             pool = "ldst"
             if kind == "load":
                 opcode, opclass = Opcode.LW, OpClass.LOAD
@@ -92,9 +90,7 @@ def configurations(draw):
         placements=placements,
         live_ins=LIVE_INS,
         live_outs=live_outs,
-        branch_outcomes=(),
         mem_op_pcs=tuple(mem_pcs),
-        mem_op_kinds=tuple(mem_kinds),
     )
 
 

@@ -39,9 +39,7 @@ def make_config(placements, live_ins=(), live_outs=None, mem=()):
         placements=placements,
         live_ins=tuple(live_ins),
         live_outs=live_outs or {},
-        branch_outcomes=(),
         mem_op_pcs=tuple(pc for pc, _ in mem),
-        mem_op_kinds=tuple(kind for _, kind in mem),
     )
 
 
@@ -269,9 +267,7 @@ def test_lifetime_recorded_on_reconfiguration():
                            [livein("r1")], dest="r2")],
         live_ins=("r1",),
         live_outs={"r2": 0},
-        branch_outcomes=(),
         mem_op_pcs=(),
-        mem_op_kinds=(),
     )
     fabric = fresh_fabric()
     fabric.configure(cfg_a, 0)

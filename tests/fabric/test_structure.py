@@ -4,7 +4,7 @@ import pytest
 
 from repro.fabric.config import FabricConfig
 from repro.fabric.fifos import FifoModel
-from repro.fabric.pe import PE
+from repro.fabric.pe import PE, pe_busy
 from repro.fabric.stripe import build_stripes, Stripe
 from repro.isa.opcodes import OpClass
 from repro.ooo.fus import POOL_OF
@@ -54,14 +54,11 @@ def test_pe_functionality_constraint():
 
 
 def test_pe_occupancy_pipelining():
-    alu = PE(0, 0, "int_alu", 2)
-    div = PE(0, 1, "int_muldiv", 2)
-    ldst = PE(0, 2, "ldst", 2)
-    assert alu.occupancy(OpClass.INT_ALU, 1) == 1
-    assert div.occupancy(OpClass.INT_DIV, 12) == 12   # divider blocks
-    assert div.occupancy(OpClass.INT_MUL, 3) == 1     # multiplier pipelined
+    assert pe_busy(OpClass.INT_ALU, 1) == 1
+    assert pe_busy(OpClass.INT_DIV, 12) == 12   # divider blocks
+    assert pe_busy(OpClass.INT_MUL, 3) == 1     # multiplier pipelined
     # Reservation buffer hides load latency from the PE.
-    assert ldst.occupancy(OpClass.LOAD, 1) == 1
+    assert pe_busy(OpClass.LOAD, 1) == 1
 
 
 def test_reconfig_latency_scales_with_stripes():

@@ -64,9 +64,7 @@ def test_reconfiguration_resets_pipelining_state():
                            [livein("r1")], dest="r2")],
         live_ins=("r1",),
         live_outs={"r2": 0},
-        branch_outcomes=(),
         mem_op_pcs=(),
-        mem_op_kinds=(),
     )
     ready = fabric.configure(cfg_b, 1000)
     result = fabric.execute(cfg_b, ctx(start=ready))
