@@ -1,7 +1,7 @@
 """Live progress heartbeats for long host-side runs.
 
 A :class:`ProgressTracker` counts work units (benchmark runs, study
-cells, batch requests) and derives rate and ETA from a monotonic clock.
+cells, service jobs) and derives rate and ETA from a monotonic clock.
 Every :meth:`advance` produces a *heartbeat* — a plain dict — and fans
 it out to listeners: the stderr renderer behind ``repro bench
 --progress`` / ``repro study --progress``, the JSONL log, and the

@@ -15,7 +15,7 @@ Exposed families::
     repro_queue_capacity                  gauge
     repro_queue_draining                  gauge (0/1)
     repro_workers_total                   gauge (pool size)
-    repro_workers_busy                    gauge (batches executing)
+    repro_workers_busy                    gauge (flights dispatched)
     repro_worker_batches_total            counter
     repro_worker_batch_seconds            histogram (+ _sum, _count)
     repro_job_latency_seconds             histogram (+ _sum, _count)
@@ -114,15 +114,15 @@ def render_prometheus(snapshot: dict) -> str:
              "Configured simulation workers in the pool.")
     w.sample("repro_workers_total", workers.get("total", 0))
     w.family("repro_workers_busy", "gauge",
-             "Workers currently executing a batch.")
+             "Flights handed to the worker pool and not yet finished.")
     w.sample("repro_workers_busy", workers.get("busy", 0))
     w.family("repro_worker_batches_total", "counter",
-             "Batches the worker pool has completed.")
+             "Flights the worker pool has completed (one per dispatch).")
     w.sample("repro_worker_batches_total", workers.get("batches_total", 0))
     batch_hist = workers.get("batch_seconds") or {}
     w.family("repro_worker_batch_seconds", "histogram",
-             "Wall-clock duration of worker-pool batches "
-             "(zero-filled while the pool is idle).")
+             "Wall-clock duration of worker-pool dispatches, one per "
+             "flight (zero-filled while the pool is idle).")
     cumulative = 0
     for upper, count in batch_hist.get("buckets", []):
         cumulative += count

@@ -1,8 +1,9 @@
 """Simulation-as-a-service: an async HTTP job layer over the harness.
 
-The service turns the PR-1 compute substrate (``repro.harness.runner``'s
-layered caches and ``repro.harness.parallel``'s process fan-out) into a
-long-lived server that many clients can share:
+The service turns the harness's compute substrate
+(``repro.harness.runner``'s layered caches and the forked-worker
+telemetry envelope of ``repro.harness.parallel``) into a long-lived
+server that many clients can share:
 
 * ``jobs``      — the validated job request/record model,
 * ``queue``     — bounded admission-controlled job queue (429 on overload),
