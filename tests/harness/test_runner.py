@@ -127,3 +127,26 @@ def test_traced_run_bypasses_cache_but_seeds_it():
     assert again.cycles == traced.cycles
     assert again.stats.as_dict() == traced.stats.as_dict()
     clear_run_cache()
+
+
+def test_cached_report_does_not_regenerate_the_trace(tmp_path):
+    import repro.harness.diskcache as diskcache
+    from repro.harness.runner import simulation_report
+    from repro.obs.runtime import TRACER
+    from repro.workloads import suite
+
+    diskcache.configure(enabled=True, root=str(tmp_path))
+    try:
+        clear_run_cache()
+        suite.clear_trace_cache()
+        first = simulation_report("KM", 0.05)
+        clear_run_cache()
+        suite.clear_trace_cache()
+        simulated = TRACER.counters().get("runs_simulated", 0)
+        again = simulation_report("KM", 0.05)
+        assert suite._TRACE_CACHE == {}
+        assert TRACER.counters().get("runs_simulated", 0) == simulated
+        assert again == first
+    finally:
+        diskcache.configure()
+        clear_run_cache()
