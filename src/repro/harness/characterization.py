@@ -10,11 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.harness.reporting import format_table
-from repro.workloads import generate_trace
+from repro.workloads import ALL_ABBREVS, generate_trace
 from repro.workloads.characterize import characterize, WorkloadProfile
-
-PAPER_ORDER = ("BP", "BFS", "BT", "HS", "KM", "LD", "KNN", "NW", "PF",
-               "PTF", "SRAD")
 
 
 @dataclass
@@ -48,7 +45,7 @@ class CharacterizationResult:
 
 def characterization(scale: float = 1.0) -> CharacterizationResult:
     result = CharacterizationResult(scale)
-    for abbrev in PAPER_ORDER:
+    for abbrev in ALL_ABBREVS:
         trace = generate_trace(abbrev, scale).trace
         result.profiles[abbrev] = characterize(abbrev, trace)
     return result

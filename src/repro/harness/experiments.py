@@ -23,10 +23,6 @@ from repro.harness.runner import (
 from repro.ooo.config import CoreConfig
 from repro.workloads import ALL_ABBREVS, BENCHMARKS
 
-#: Table 3 presentation order.
-PAPER_ORDER = ("BP", "BFS", "BT", "HS", "KM", "LD", "KNN", "NW", "PF",
-               "PTF", "SRAD")
-
 
 # ---------------------------------------------------------------------------
 # Table 3 / Table 4 (descriptive)
@@ -34,7 +30,7 @@ PAPER_ORDER = ("BP", "BFS", "BT", "HS", "KM", "LD", "KNN", "NW", "PF",
 def table3_benchmarks() -> str:
     rows = [
         [b.name, b.abbrev, b.domain, b.kernel, b.description]
-        for b in (BENCHMARKS[a] for a in PAPER_ORDER)
+        for b in (BENCHMARKS[a] for a in ALL_ABBREVS)
     ]
     return format_table(
         ["Benchmark Name", "Abbrev", "Domain", "Kernel", "Description"],
@@ -124,11 +120,11 @@ def figure7_coverage(
 ) -> CoverageResult:
     warm_cache(
         (dynaspam_spec(abbrev, scale, trace_length=length)
-         for abbrev in PAPER_ORDER for length in lengths),
+         for abbrev in ALL_ABBREVS for length in lengths),
         jobs,
     )
     result = CoverageResult(scale, tuple(lengths))
-    for abbrev in PAPER_ORDER:
+    for abbrev in ALL_ABBREVS:
         per_length = {}
         for length in lengths:
             run = run_dynaspam(abbrev, scale, trace_length=length)
@@ -174,12 +170,12 @@ def table5_lifetime(
 ) -> LifetimeResult:
     warm_cache(
         [dynaspam_spec(abbrev, scale, num_fabrics=count)
-         for abbrev in PAPER_ORDER for count in fabric_counts]
+         for abbrev in ALL_ABBREVS for count in fabric_counts]
         + [dynaspam_spec("BFS", scale, num_fabrics=8)],
         jobs,
     )
     result = LifetimeResult(scale, tuple(fabric_counts))
-    for abbrev in PAPER_ORDER:
+    for abbrev in ALL_ABBREVS:
         lifetime = {}
         mapped = offloaded = 0
         for count in fabric_counts:
@@ -231,7 +227,7 @@ class PerformanceResult:
 def figure8_specs(scale: float = 1.0) -> list:
     """Every run the Figure 8 sweep needs (baseline + three series)."""
     specs = []
-    for abbrev in PAPER_ORDER:
+    for abbrev in ALL_ABBREVS:
         specs.append(baseline_spec(abbrev, scale))
         specs.append(dynaspam_spec(abbrev, scale, mode="mapping_only"))
         specs.append(dynaspam_spec(abbrev, scale, speculation=False))
@@ -244,7 +240,7 @@ def figure8_performance(
 ) -> PerformanceResult:
     warm_cache(figure8_specs(scale), jobs)
     result = PerformanceResult(scale)
-    for abbrev in PAPER_ORDER:
+    for abbrev in ALL_ABBREVS:
         base = run_baseline(abbrev, scale).cycles
         result.speedups[abbrev] = {
             "mapping": base / run_dynaspam(abbrev, scale,
@@ -295,7 +291,7 @@ def figure8_accounting(scale: float = 1.0) -> tuple[dict, dict]:
 
     accounting: dict[str, dict] = {}
     fabric_utilization: dict[str, dict] = {}
-    for abbrev in PAPER_ORDER:
+    for abbrev in ALL_ABBREVS:
         spec_run = run_dynaspam(abbrev, scale)
         accounting[abbrev] = {
             "baseline": bucket_breakdown(
@@ -352,14 +348,14 @@ def figure9_energy(
     scale: float = 1.0, jobs: int | None = None
 ) -> EnergyResult:
     warm_cache(
-        [spec for abbrev in PAPER_ORDER
+        [spec for abbrev in ALL_ABBREVS
          for spec in (baseline_spec(abbrev, scale),
                       dynaspam_spec(abbrev, scale))],
         jobs,
     )
     model = EnergyModel()
     result = EnergyResult(scale)
-    for abbrev in PAPER_ORDER:
+    for abbrev in ALL_ABBREVS:
         base = model.breakdown(run_baseline(abbrev, scale).stats)
         dyna = model.breakdown(run_dynaspam(abbrev, scale).stats)
         result.components[abbrev] = {
