@@ -5,11 +5,13 @@ Usage::
 
     python scripts/check_report_identity.py reference.json candidate.json
 
-The engine tier (``REPRO_FASTPATH``), host telemetry, the replica router
-and the worker pool are implementation choices and must never change a
-report: the two files are compared whole, with nothing scrubbed.  Any
-difference — a cycle count, a stat, a report field — is a modeling
-divergence and fails the build, printing the offending paths.
+The engine tier (``REPRO_FASTPATH``), host telemetry and the service's
+worker pool are implementation choices and must never change a report
+(CI compares a job served by ``repro serve --workers 2`` with a local
+``repro run``): the two files are compared whole, with nothing
+scrubbed.  Any difference — a cycle count, a stat, a report field — is
+a modeling divergence and fails the build, printing the offending
+paths.
 """
 
 from __future__ import annotations

@@ -750,23 +750,6 @@ def cmd_serve(args) -> int:
     )
 
 
-def cmd_route(args) -> int:
-    from repro.service.router import run_router
-
-    if args.replicas < 1:
-        return _fail(f"invalid --replicas {args.replicas}: must be >= 1")
-    if args.workers is not None and args.workers < 1:
-        return _fail(f"invalid --workers {args.workers}: must be >= 1")
-    return run_router(
-        args.host,
-        args.port,
-        replicas=args.replicas,
-        workers=args.workers,
-        queue_depth=args.queue_depth,
-        vnodes=args.vnodes,
-    )
-
-
 def cmd_loadtest(args) -> int:
     from repro.service.client import ServiceUnreachable
     from repro.service.loadtest import MIXES, run_loadtest, summarize
@@ -1073,29 +1056,12 @@ def main(argv=None) -> int:
     serve_parser.add_argument("--queue-depth", type=int, default=64,
                               help="max open (queued + running) jobs")
 
-    route_parser = sub.add_parser(
-        "route",
-        help="front N spawned serve replicas with a consistent-hash router")
-    route_parser.add_argument("--host", default="127.0.0.1")
-    route_parser.add_argument("--port", type=int, default=8764,
-                              help="router listen port (0 picks a free port)")
-    route_parser.add_argument("--replicas", type=int, default=2,
-                              help="repro serve replicas to spawn")
-    route_parser.add_argument("--workers", type=int, default=None,
-                              help="workers per replica (default: "
-                                   "min(cpu, 8) capped by REPRO_MAX_JOBS)")
-    route_parser.add_argument("--queue-depth", type=int, default=64,
-                              help="max open jobs per replica")
-    route_parser.add_argument("--vnodes", type=int, default=128,
-                              help="virtual nodes per replica on the "
-                                   "consistent-hash ring")
-
     loadtest_parser = sub.add_parser(
         "loadtest",
         help="open-loop arrival-rate load generator with a JSON SLO report")
     loadtest_parser.add_argument("--host", default="127.0.0.1")
     loadtest_parser.add_argument("--port", type=int, default=DEFAULT_PORT,
-                                 help="service or router port to drive")
+                                 help="service port to drive")
     loadtest_parser.add_argument("--rate", type=float, default=2.0,
                                  help="target arrival rate (jobs/sec)")
     loadtest_parser.add_argument("--duration", type=float, default=5.0,
@@ -1204,8 +1170,6 @@ def _dispatch(args) -> int:
         return cmd_perfbench(args)
     if args.command == "serve":
         return cmd_serve(args)
-    if args.command == "route":
-        return cmd_route(args)
     if args.command == "loadtest":
         return cmd_loadtest(args)
     if args.command == "submit":

@@ -14,13 +14,12 @@ server that many clients can share:
 * ``metrics``   — counters, latency rings, and worker-pool gauges,
 * ``server``    — the asyncio HTTP/1.1 front end (stdlib only),
 * ``client``    — a small blocking Python client (backoff polling),
-* ``router``    — consistent-hash dispatch across N serve replicas
-  (``repro route``), with health checks and aggregated ``/metrics``,
 * ``loadtest``  — the open-loop arrival-rate generator behind
   ``repro loadtest`` and the CI SLO gate.
 
-Start one with ``python -m repro serve`` (or a fleet with
-``python -m repro route --replicas N``) and talk to it with
+Start one with ``python -m repro serve --workers N`` — one event loop
+and one flight table in front of N forked workers, the service's one way
+to run simulations concurrently — and talk to it with
 ``python -m repro submit`` or :class:`repro.service.client.ServiceClient`.
 """
 
@@ -35,7 +34,6 @@ from repro.service.jobs import Job, JobRequest, JobState
 from repro.service.queue import JobQueue
 from repro.service.client import JobFailed, ServerBusy, ServiceClient
 from repro.service.loadtest import run_loadtest
-from repro.service.router import HashRing, ReplicaRouter, RouterServer
 from repro.service.server import ServiceServer, ThreadedServer
 from repro.service.workers import (
     ProcessWorkerPool,
@@ -45,7 +43,6 @@ from repro.service.workers import (
 
 __all__ = [
     "Draining",
-    "HashRing",
     "InvalidJob",
     "Job",
     "JobFailed",
@@ -54,8 +51,6 @@ __all__ = [
     "JobState",
     "ProcessWorkerPool",
     "QueueFull",
-    "ReplicaRouter",
-    "RouterServer",
     "ServerBusy",
     "ServiceClient",
     "ServiceError",

@@ -1,7 +1,6 @@
 """Open-loop load generator + SLO report for the simulation service.
 
-``repro loadtest`` drives a running service (a single ``repro serve`` or
-a ``repro route`` fleet — same wire protocol) with a Poisson-free,
+``repro loadtest`` drives a running ``repro serve`` with a Poisson-free,
 deterministic open-loop schedule: job *i* is due at ``i / rate`` seconds
 after start (a duplicate-heavy burst is due at once, at its first job's
 time), and its latency is measured **from that due time**, not

@@ -16,7 +16,7 @@ Two pools implement it:
   worker's spans, span totals, counters and disk-cache stats.  The
   content-addressed disk cache (``REPRO_CACHE_DIR``) is the shared
   artifact store: a result simulated by any worker is a disk hit for
-  every other worker — and for every other replica pointed at the same
+  every other worker, and for every other server pointed at the same
   root.
 * :class:`InjectedWorkerPool` is the test seam: a thread executor around
   a test-supplied stand-in for :func:`execute_request`.
