@@ -530,15 +530,21 @@ def cmd_bench(args) -> int:
     from repro.harness.runner import report_provenance
     from repro.obs.runtime import TRACER
 
+    program_paths = None
+    if args.programs:
+        # Checked before the sweep, so a bad directory fails at once.
+        import pathlib
+
+        program_paths = sorted(pathlib.Path(args.programs).glob("*.spam"))
+        if not program_paths:
+            return _fail(f"no .spam programs under {args.programs}")
     apply_cache_arguments(args)
     if args.cold:
         # A cold benchmark measures simulation, not cache replay: no
-        # disk layer, and the in-process run/trace caches start empty.
-        from repro.harness.runner import clear_run_cache
+        # disk layer, and no kept trace.
         from repro.workloads.suite import clear_trace_cache
 
         diskcache.configure(enabled=False)
-        clear_run_cache()
         clear_trace_cache()
     tracker = None
     if args.progress:
@@ -563,21 +569,18 @@ def cmd_bench(args) -> int:
     # The sweep's span totals and counters (main() turned the tracer on).
     profile = TRACER.profile(since=mark)
     cache_stats = diskcache.shared_stats()
-    memory_hits = profile["counters"].get("run_cache_memory_hits", 0)
     disk_hits = sum(ns.get("hits", 0) for ns in cache_stats.values())
     runs_simulated = profile["counters"].get("runs_simulated", 0)
-    served = memory_hits + disk_hits
-    # Cache/profile counters are frozen above: the accounting pass below
-    # re-reads the sweep's runs from the in-process cache (zero extra
-    # simulation) and must not leak its cache hits into the timing report.
-    accounting, fabric_utilization = figure8_accounting(args.scale)
+    # Derived from the sweep's own runs: no resolution, no simulation.
+    accounting, fabric_utilization = figure8_accounting(result.runs)
     warnings = speedup_warnings(result)
     decisions = None
     if args.decisions:
-        # Like the accounting pass, decisions run strictly after the
-        # timing sweep and its counters are frozen: each benchmark gets
-        # one traced re-simulation folded into a DecisionSink, so the
-        # timed numbers (and "tracing": False) are untouched.
+        # Decisions run strictly after the timing sweep and its counters
+        # are frozen: each benchmark gets one traced re-simulation folded
+        # into a DecisionSink (its baseline resolves through the disk
+        # cache, or simulates again when it is off), so the timed
+        # numbers (and "tracing": False) are untouched.
         from repro.harness.runner import simulation_report
         from repro.workloads import ALL_ABBREVS
 
@@ -586,20 +589,15 @@ def cmd_bench(args) -> int:
             traced = simulation_report(abbrev, args.scale, decisions=True)
             decisions[abbrev] = traced["decisions"]
     programs = None
-    if args.programs:
+    if program_paths is not None:
         # Ingested-program rows run serially in-process: the corpus is
-        # small, and each run resolves through the same layered caches.
-        import pathlib
-
+        # small, and each run resolves through the same disk cache.
         from repro.harness.runner import program_simulation_report
         from repro.lang import LangError
 
         programs = {}
         try:
-            paths = sorted(pathlib.Path(args.programs).glob("*.spam"))
-            if not paths:
-                return _fail(f"no .spam programs under {args.programs}")
-            for path in paths:
+            for path in program_paths:
                 prog_report = program_simulation_report(str(path))
                 programs[path.stem] = {
                     "abbrev": prog_report["program"]["abbrev"],
@@ -639,9 +637,8 @@ def cmd_bench(args) -> int:
         "fabric_utilization": fabric_utilization,
         "cache": {
             "disk": cache_stats,
-            "memory_hits": memory_hits,
             "runs_simulated": runs_simulated,
-            "hit_ratio": served / max(1, served + runs_simulated),
+            "hit_ratio": disk_hits / max(1, disk_hits + runs_simulated),
         },
         "profile": profile,
     }
@@ -884,7 +881,10 @@ def _add_run_knobs(parser: argparse.ArgumentParser,
 
 
 def main(argv=None) -> int:
-    from repro.harness.__main__ import add_cache_arguments
+    from repro.harness.__main__ import (
+        add_cache_arguments,
+        add_harness_arguments,
+    )
     from repro.service.server import DEFAULT_PORT
 
     parser = argparse.ArgumentParser(prog="python -m repro")
@@ -1109,9 +1109,7 @@ def main(argv=None) -> int:
 
     harness_parser = sub.add_parser("harness",
                                     help="regenerate evaluation artifacts")
-    harness_parser.add_argument("experiment")
-    harness_parser.add_argument("--scale", type=float, default=1.0)
-    add_cache_arguments(harness_parser)
+    add_harness_arguments(harness_parser)
 
     args = parser.parse_args(argv)
     from repro.obs.runtime import (
@@ -1176,16 +1174,9 @@ def _dispatch(args) -> int:
         return cmd_submit(args)
     if args.command == "watch":
         return cmd_watch(args)
-    from repro.harness.__main__ import main as harness_main
+    from repro.harness.__main__ import run_harness
 
-    forwarded = [args.experiment, "--scale", str(args.scale)]
-    if args.jobs is not None:
-        forwarded += ["--jobs", str(args.jobs)]
-    if args.no_cache:
-        forwarded.append("--no-cache")
-    if args.profile:
-        forwarded.append("--profile")
-    return harness_main(forwarded)
+    return run_harness(args)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ pytest-benchmark targets.
 
 from repro.harness.runner import (
     baseline_spec,
-    clear_run_cache,
     dynaspam_spec,
     run_baseline,
     run_dynaspam,
@@ -16,12 +15,7 @@ from repro.harness.runner import (
     RunKey,
     RunSpec,
 )
-from repro.harness.parallel import (
-    default_jobs,
-    execute_runs,
-    max_jobs,
-    warm_cache,
-)
+from repro.harness.parallel import default_jobs, execute_runs, max_jobs
 from repro.harness.experiments import (
     figure7_coverage,
     figure8_accounting,
@@ -36,7 +30,6 @@ from repro.harness.experiments import (
 
 __all__ = [
     "baseline_spec",
-    "clear_run_cache",
     "default_jobs",
     "dynaspam_spec",
     "execute_runs",
@@ -55,5 +48,4 @@ __all__ = [
     "table4_parameters",
     "table5_lifetime",
     "table6_area",
-    "warm_cache",
 ]

@@ -32,7 +32,9 @@ def add_cache_arguments(parser: argparse.ArgumentParser) -> None:
              "(default: cpu count, clamped to 8 under CI; "
              "REPRO_MAX_JOBS caps both)")
     parser.add_argument("--no-cache", action="store_true",
-                        help="disable the on-disk run cache")
+                        help="disable the on-disk run cache, the only "
+                             "one: every run then simulates, even one an "
+                             "earlier experiment already made")
     parser.add_argument("--profile", action="store_true",
                         help="print wall-clock seconds per span name and "
                              "the run and cache counters")
@@ -66,20 +68,20 @@ def render_profile(profile: dict, disk: dict) -> str:
     return "\n".join(lines)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness",
-        description="Regenerate DynaSpAM evaluation tables and figures.",
-    )
-    parser.add_argument(
-        "experiment",
-        choices=["table3", "table4", "fig7", "table5", "fig8", "fig9",
-                 "table6", "table7", "workloads", "all"],
-    )
+EXPERIMENTS = ("table3", "table4", "fig7", "table5", "fig8", "fig9",
+               "table6", "table7", "workloads", "all")
+
+
+def add_harness_arguments(parser: argparse.ArgumentParser) -> None:
+    """The experiment arguments (also ``python -m repro harness``)."""
+    parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--scale", type=float, default=1.0,
                         help="benchmark problem-size scale (default 1.0)")
     add_cache_arguments(parser)
-    args = parser.parse_args(argv)
+
+
+def run_harness(args) -> int:
+    """Regenerate the experiment(s) that ``args`` names."""
     apply_cache_arguments(args)
     if args.profile:
         TRACER.enable()  # the table reads the tracer's span totals
@@ -107,6 +109,15 @@ def main(argv=None) -> int:
     if args.profile:
         print(render_profile(TRACER.profile(), diskcache.shared_stats()))
     return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.harness",
+        description="Regenerate DynaSpAM evaluation tables and figures.",
+    )
+    add_harness_arguments(parser)
+    return run_harness(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -1,5 +1,9 @@
 """Content-addressed on-disk cache for completed runs.
 
+It is the only run cache: ``repro.harness.runner`` keeps no result in
+process, so a run resolves here or simulates, and with the layer
+disabled every resolution simulates.
+
 Entries are pickled values addressed by the SHA-256 of a canonical key
 string built from ``(namespace, cache format version, code fingerprint,
 key object)``.  The code fingerprint digests every ``repro`` source file,

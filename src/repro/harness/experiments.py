@@ -8,18 +8,13 @@ to paper artifact is the DESIGN.md experiment index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.energy import EnergyModel, FabricAreaModel, FIGURE9_COMPONENTS, SramModel
 from repro.energy.area import MODULE_AREAS_UM2, PAPER_CONFIG_CACHE_MM2
-from repro.harness.parallel import warm_cache
+from repro.harness.parallel import execute_runs
 from repro.harness.reporting import format_bars, format_stacked, format_table
-from repro.harness.runner import (
-    baseline_spec,
-    dynaspam_spec,
-    geomean,
-    run_baseline,
-    run_dynaspam,
-)
+from repro.harness.runner import baseline_spec, dynaspam_spec, geomean
 from repro.ooo.config import CoreConfig
 from repro.workloads import ALL_ABBREVS, BENCHMARKS
 
@@ -118,18 +113,17 @@ def figure7_coverage(
     scale: float = 1.0, lengths: tuple[int, ...] = (16, 24, 32, 40),
     jobs: int | None = None,
 ) -> CoverageResult:
-    warm_cache(
-        (dynaspam_spec(abbrev, scale, trace_length=length)
-         for abbrev in ALL_ABBREVS for length in lengths),
-        jobs,
-    )
+    specs = {
+        (abbrev, length): dynaspam_spec(abbrev, scale, trace_length=length)
+        for abbrev in ALL_ABBREVS for length in lengths
+    }
+    runs = execute_runs(specs.values(), jobs)
     result = CoverageResult(scale, tuple(lengths))
     for abbrev in ALL_ABBREVS:
-        per_length = {}
-        for length in lengths:
-            run = run_dynaspam(abbrev, scale, trace_length=length)
-            per_length[length] = run.coverage
-        result.coverage[abbrev] = per_length
+        result.coverage[abbrev] = {
+            length: runs[specs[abbrev, length].key].coverage
+            for length in lengths
+        }
     return result
 
 
@@ -168,18 +162,18 @@ def table5_lifetime(
     scale: float = 1.0, fabric_counts: tuple[int, ...] = (1, 2, 4),
     jobs: int | None = None,
 ) -> LifetimeResult:
-    warm_cache(
-        [dynaspam_spec(abbrev, scale, num_fabrics=count)
-         for abbrev in ALL_ABBREVS for count in fabric_counts]
-        + [dynaspam_spec("BFS", scale, num_fabrics=8)],
-        jobs,
-    )
+    specs = {
+        (abbrev, count): dynaspam_spec(abbrev, scale, num_fabrics=count)
+        for abbrev in ALL_ABBREVS for count in fabric_counts
+    }
+    specs["BFS", 8] = dynaspam_spec("BFS", scale, num_fabrics=8)
+    runs = execute_runs(specs.values(), jobs)
     result = LifetimeResult(scale, tuple(fabric_counts))
     for abbrev in ALL_ABBREVS:
         lifetime = {}
         mapped = offloaded = 0
         for count in fabric_counts:
-            run = run_dynaspam(abbrev, scale, num_fabrics=count)
+            run = runs[specs[abbrev, count].key]
             lifetime[count] = run.mean_lifetime
             if count == 1:
                 mapped = run.mapped_traces
@@ -189,8 +183,7 @@ def table5_lifetime(
             "offloaded": offloaded,
             "lifetime": lifetime,
         }
-    bfs8 = run_dynaspam("BFS", scale, num_fabrics=8)
-    result.bfs_eight_fabrics = bfs8.mean_lifetime
+    result.bfs_eight_fabrics = runs[specs["BFS", 8].key].mean_lifetime
     return result
 
 
@@ -202,6 +195,10 @@ class PerformanceResult:
     scale: float
     #: speedups[abbrev] = {"mapping": x, "no_spec": x, "spec": x}
     speedups: dict[str, dict[str, float]] = field(default_factory=dict)
+    #: runs[abbrev][series] = the sweep's run result, for the series of
+    #: ``FIGURE8_SERIES`` (the input of :func:`figure8_accounting`).
+    runs: dict[str, dict[str, Any]] = field(
+        default_factory=dict, repr=False)
 
     def series_geomean(self, series: str) -> float:
         return geomean(v[series] for v in self.speedups.values())
@@ -224,6 +221,10 @@ class PerformanceResult:
         )
 
 
+#: The runs of one Figure 8 kernel, in ``figure8_specs`` order.
+FIGURE8_SERIES = ("baseline", "mapping", "no_spec", "spec")
+
+
 def figure8_specs(scale: float = 1.0) -> list:
     """Every run the Figure 8 sweep needs (baseline + three series)."""
     specs = []
@@ -238,16 +239,19 @@ def figure8_specs(scale: float = 1.0) -> list:
 def figure8_performance(
     scale: float = 1.0, jobs: int | None = None
 ) -> PerformanceResult:
-    warm_cache(figure8_specs(scale), jobs)
+    specs = figure8_specs(scale)
+    runs = execute_runs(specs, jobs)
     result = PerformanceResult(scale)
-    for abbrev in ALL_ABBREVS:
-        base = run_baseline(abbrev, scale).cycles
+    per_kernel = len(FIGURE8_SERIES)
+    for index, abbrev in enumerate(ALL_ABBREVS):
+        kernel_specs = specs[index * per_kernel:(index + 1) * per_kernel]
+        kernel = dict(zip(FIGURE8_SERIES,
+                          (runs[spec.key] for spec in kernel_specs)))
+        base = kernel["baseline"].cycles
+        result.runs[abbrev] = kernel
         result.speedups[abbrev] = {
-            "mapping": base / run_dynaspam(abbrev, scale,
-                                           mode="mapping_only").cycles,
-            "no_spec": base / run_dynaspam(abbrev, scale,
-                                           speculation=False).cycles,
-            "spec": base / run_dynaspam(abbrev, scale).cycles,
+            series: base / kernel[series].cycles
+            for series in FIGURE8_SERIES[1:]
         }
     return result
 
@@ -275,13 +279,14 @@ def speedup_warnings(result: PerformanceResult) -> list[str]:
     return warnings
 
 
-def figure8_accounting(scale: float = 1.0) -> tuple[dict, dict]:
+def figure8_accounting(
+    runs: dict[str, dict[str, Any]]
+) -> tuple[dict, dict]:
     """Cycle accounting + fabric utilization for the Figure 8 runs.
 
-    Resolves every run through the layered caches — called right after
-    :func:`figure8_performance` it re-reads the in-process results and
-    simulates nothing, so attaching accounting to a bench report costs no
-    wall clock and cannot perturb its timings.
+    ``runs`` is :attr:`PerformanceResult.runs`: the sweep's own results,
+    so attaching accounting to a bench report simulates nothing and
+    cannot perturb its timings.
 
     Returns ``(accounting, fabric_utilization)``:
     ``accounting[abbrev][series]`` is a ``bucket_breakdown`` dict and
@@ -289,22 +294,17 @@ def figure8_accounting(scale: float = 1.0) -> tuple[dict, dict]:
     """
     from repro.obs.accounting import bucket_breakdown
 
-    accounting: dict[str, dict] = {}
-    fabric_utilization: dict[str, dict] = {}
-    for abbrev in ALL_ABBREVS:
-        spec_run = run_dynaspam(abbrev, scale)
-        accounting[abbrev] = {
-            "baseline": bucket_breakdown(
-                run_baseline(abbrev, scale).stats.as_dict()),
-            "mapping": bucket_breakdown(
-                run_dynaspam(abbrev, scale,
-                             mode="mapping_only").stats.as_dict()),
-            "no_spec": bucket_breakdown(
-                run_dynaspam(abbrev, scale,
-                             speculation=False).stats.as_dict()),
-            "spec": bucket_breakdown(spec_run.stats.as_dict()),
+    accounting = {
+        abbrev: {
+            series: bucket_breakdown(run.stats.as_dict())
+            for series, run in kernel.items()
         }
-        fabric_utilization[abbrev] = spec_run.fabric_utilization
+        for abbrev, kernel in runs.items()
+    }
+    fabric_utilization = {
+        abbrev: kernel["spec"].fabric_utilization
+        for abbrev, kernel in runs.items()
+    }
     return accounting, fabric_utilization
 
 
@@ -347,17 +347,17 @@ class EnergyResult:
 def figure9_energy(
     scale: float = 1.0, jobs: int | None = None
 ) -> EnergyResult:
-    warm_cache(
-        [spec for abbrev in ALL_ABBREVS
-         for spec in (baseline_spec(abbrev, scale),
-                      dynaspam_spec(abbrev, scale))],
-        jobs,
-    )
+    specs = {
+        abbrev: (baseline_spec(abbrev, scale), dynaspam_spec(abbrev, scale))
+        for abbrev in ALL_ABBREVS
+    }
+    runs = execute_runs(
+        (spec for pair in specs.values() for spec in pair), jobs)
     model = EnergyModel()
     result = EnergyResult(scale)
-    for abbrev in ALL_ABBREVS:
-        base = model.breakdown(run_baseline(abbrev, scale).stats)
-        dyna = model.breakdown(run_dynaspam(abbrev, scale).stats)
+    for abbrev, (base_spec, dyna_spec) in specs.items():
+        base = model.breakdown(runs[base_spec.key].stats)
+        dyna = model.breakdown(runs[dyna_spec.key].stats)
         result.components[abbrev] = {
             "baseline": base.normalized_to(base),
             "dynaspam": dyna.normalized_to(base),

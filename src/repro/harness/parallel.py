@@ -1,10 +1,12 @@
-"""Parallel sweep execution: fan independent runs out over processes.
+"""Sweep execution: resolve a set of runs, fanning misses out over processes.
 
 Every experiment sweep is embarrassingly parallel across ``RunSpec``s.
-``execute_runs`` resolves what it can from the local caches, groups the
-remaining work by ``(benchmark, scale)`` so each worker generates a trace
-once, fans the groups out over a ``ProcessPoolExecutor``, and merges
-worker results back into the parent's in-memory and on-disk run caches.
+``execute_runs`` is the one entry point for a set of specs: it probes the
+disk cache once per unique spec, groups the remaining work by
+``(benchmark, scale)``, and runs the groups in-process or over a
+``ProcessPoolExecutor``, writing each simulated result to the disk cache.
+Either way a kernel's runs execute back to back, so the one trace
+``repro.workloads.generate_trace`` keeps is generated once per group.
 Traces never cross the process boundary: trace generation is
 deterministic, so a worker regenerates exactly the trace the parent
 would.  Serial and parallel execution produce bit-identical results: a
@@ -25,13 +27,8 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Any, Callable, Iterable
 
 import repro.harness.diskcache as diskcache
-from repro.harness.runner import (
-    RunKey,
-    RunSpec,
-    execute_spec,
-    peek_cached,
-    seed_run_cache,
-)
+import repro.harness.runner as runner
+from repro.harness.runner import RunKey, RunSpec
 from repro.obs import progress
 from repro.obs.runtime import TRACER, begin_worker, worker_telemetry
 
@@ -120,7 +117,7 @@ def _worker_batch(
 
     def batch() -> list[tuple[RunKey, Any]]:
         with TRACER.span("pool.worker_batch", specs=len(specs)):
-            return [(spec.key, execute_spec(spec)) for spec in specs]
+            return [(spec.key, runner.execute_spec(spec)) for spec in specs]
 
     return run_worker_batch(batch, cache_enabled, cache_root, telemetry)
 
@@ -130,45 +127,45 @@ def execute_runs(
 ) -> dict[RunKey, Any]:
     """Resolve every spec, fanning cache misses out over ``jobs`` processes.
 
-    ``jobs`` of ``None``/0/1 runs serially in-process.  Returns a dict
-    keyed by ``RunKey``; the parent's caches are seeded either way, so
-    subsequent ``run_baseline``/``run_dynaspam`` calls are memory hits.
+    ``jobs`` of ``None``/0/1 runs serially in-process, as does a sweep
+    whose misses are all one ``(benchmark, scale)``.  Returns a dict
+    keyed by ``RunKey``; simulated results are also written to the disk
+    cache, which is all that outlives the call.
     """
     unique: dict[RunKey, RunSpec] = {}
     for spec in specs:
         unique.setdefault(spec.key, spec)
 
     results: dict[RunKey, Any] = {}
+    # One batch per (benchmark, scale): a kernel's runs stay adjacent, so
+    # the executing process generates its trace once.
+    groups: dict[tuple[str, float], list[RunSpec]] = defaultdict(list)
     for key, spec in unique.items():
-        cached = peek_cached(key)
+        cached = runner.peek_cached(key)
         if cached is not None:
             results[key] = cached
-    pending = [spec for key, spec in unique.items() if key not in results]
+        else:
+            groups[(spec.abbrev, spec.scale)].append(spec)
     if results:
         progress.advance_active(
             len(results),
             sum(_instructions(r) for r in results.values()),
             detail="cache",
         )
+    batches = list(groups.values())
 
     jobs = jobs or 1
     cap = max_jobs()
     if cap is not None:
         jobs = min(jobs, cap)
-    if jobs <= 1 or len(pending) <= 1:
-        for spec in pending:
-            results[spec.key] = execute_spec(spec)
-            progress.advance_active(
-                1, _instructions(results[spec.key]), detail=spec.abbrev
-            )
+    if jobs <= 1 or len(batches) <= 1:
+        for batch in batches:
+            for spec in batch:
+                result = results[spec.key] = runner.execute_spec(spec)
+                progress.advance_active(
+                    1, _instructions(result), detail=spec.abbrev
+                )
         return results
-
-    # One batch per (benchmark, scale): the worker's in-process trace
-    # cache then amortizes trace generation across the batch's runs.
-    groups: dict[tuple[str, float], list[RunSpec]] = defaultdict(list)
-    for spec in pending:
-        groups[(spec.abbrev, spec.scale)].append(spec)
-    batches = list(groups.values())
 
     cache_enabled = diskcache.is_enabled()
     cache_root = diskcache.configured_root()
@@ -178,7 +175,8 @@ def execute_runs(
     except ValueError:  # pragma: no cover - non-POSIX fallback
         context = multiprocessing.get_context()
     telemetry = worker_telemetry()
-    with TRACER.span("pool.execute_runs", pending=len(pending),
+    pending = sum(len(batch) for batch in batches)
+    with TRACER.span("pool.execute_runs", pending=pending,
                      batches=len(batches), workers=workers):
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=context
@@ -192,7 +190,6 @@ def execute_runs(
                 pairs, shipped = future.result()
                 instructions = 0
                 for key, result in pairs:
-                    seed_run_cache(key, result)
                     results[key] = result
                     TRACER.bump("parallel_runs_completed")
                     instructions += _instructions(result)
@@ -202,18 +199,3 @@ def execute_runs(
                     detail=pairs[0][0].abbrev if pairs else None,
                 )
     return results
-
-
-def warm_cache(specs: Iterable[RunSpec], jobs: int | None = None) -> None:
-    """Prefetch runs into the caches ahead of a serial driver loop.
-
-    With ``jobs`` unset this is a no-op — the driver's own lazy calls do
-    the work serially, exactly as before the parallel engine existed —
-    unless a progress tracker is active, in which case the serial work
-    routes through ``execute_runs`` anyway (identical execution, but
-    each resolved run emits a heartbeat instead of staying dark).
-    """
-    if jobs and jobs > 1:
-        execute_runs(specs, jobs)
-    elif progress.current() is not None:
-        execute_runs(specs, jobs)

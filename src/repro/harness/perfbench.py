@@ -115,8 +115,8 @@ def perfbench_report(
     kernels = list(kernels or ALL_ABBREVS)
     started = time.perf_counter()
 
-    # Warm the trace cache up front: after this loop generate_trace is a
-    # dictionary lookup and never shows up inside a timed region.
+    # Generate every trace up front, so trace generation never shows up
+    # inside a timed region.
     traces = {abbrev: generate_trace(abbrev, scale) for abbrev in kernels}
 
     per_engine: dict[str, dict] = {}
@@ -245,7 +245,7 @@ def compare_perfbench(
         if not force:
             raise DiffError(message + " (use --force to compare anyway)")
         warnings.append(message)
-    if baseline.get("fingerprint") != candidate.get("fingerprint"):
+    if baseline.get("code_fingerprint") != candidate.get("code_fingerprint"):
         warnings.append(
             "code fingerprints differ (expected when comparing commits)"
         )

@@ -1,12 +1,12 @@
-"""Simulation drivers with layered run caching.
+"""Simulation drivers backed by the disk run cache.
 
 Figure 8 and Figure 9 share the same accelerated runs, and Figure 7 reuses
-runs across trace lengths.  A run is resolved through three layers,
-cheapest first:
-
-1. the in-process ``_RUN_CACHE`` dict,
-2. the content-addressed on-disk cache (``repro.harness.diskcache``),
-3. a fresh simulation (whose result seeds both caches).
+runs across trace lengths.  A run resolves through the content-addressed
+on-disk cache (``repro.harness.diskcache``) and, on a miss, a fresh
+simulation whose result is written there.  Nothing is kept in process: a
+sweep takes its results from what ``repro.harness.parallel.execute_runs``
+returns, and the disk cache serves every later resolution, across
+processes too.  With the disk layer off, each resolution simulates.
 
 Cache identity is the *full* frozen configuration — every field of
 ``DynaSpAMConfig``, ``CoreConfig``, and ``FabricConfig`` — so runs that
@@ -130,34 +130,21 @@ def dynaspam_spec(
 
 
 # ---------------------------------------------------------------------------
-# Layered resolution
+# Resolution: the disk cache, then simulation
 # ---------------------------------------------------------------------------
-_RUN_CACHE: dict[RunKey, Any] = {}
-
-
 def clear_run_cache() -> None:
-    """Drop the in-process run cache (the disk layer is untouched)."""
-    _RUN_CACHE.clear()
+    """Do nothing: runs are kept only in the disk cache.
+
+    Kept because external harnesses still call it between passes (the
+    repo benchmark's ``hostbench`` does); clear the disk layer with
+    ``diskcache.configure`` or a fresh ``REPRO_CACHE_DIR`` instead.
+    """
 
 
 def peek_cached(key: RunKey):
-    """Resolve a key from the memory or disk layers only (no simulation)."""
-    cached = _RUN_CACHE.get(key)
-    if cached is not None:
-        TRACER.bump("run_cache_memory_hits")
-        return cached
+    """A key's result from the disk cache, or ``None`` (no simulation)."""
     disk = diskcache.shared_cache("runs")
-    if disk is not None:
-        result = disk.get(key)
-        if result is not None:
-            _RUN_CACHE[key] = result
-            return result
-    return None
-
-
-def seed_run_cache(key: RunKey, result) -> None:
-    """Install an externally computed result into the in-memory layer."""
-    _RUN_CACHE[key] = result
+    return disk.get(key) if disk is not None else None
 
 
 def _simulate(spec: RunSpec, sink=None):
@@ -180,27 +167,34 @@ def _simulate(spec: RunSpec, sink=None):
 
 
 def execute_spec(spec: RunSpec, sink=None):
-    """Resolve one run through memory -> disk -> simulation.
+    """Simulate one run and write its result to the disk cache.
 
-    A run with an event sink always simulates fresh — a cached result has
-    no event stream to replay.  It still *seeds* the caches: tracing is
-    bit-identical by construction, so the traced result is the same object
-    an untraced run would have produced.
+    Callers probe the cache first (``peek_cached``); this never does.
+    A run with an event sink is written too: tracing is bit-identical
+    by construction, so the traced result is the one an untraced run
+    would have produced.
     """
-    key = spec.key
-    if sink is None:
-        cached = peek_cached(key)
-        if cached is not None:
-            return cached
     TRACER.bump("runs_simulated")
     with TRACER.span("sim.execute_spec", kind=spec.kind,
                      benchmark=spec.abbrev, scale=spec.scale):
         result = _simulate(spec, sink=sink)
-    _RUN_CACHE[key] = result
     disk = diskcache.shared_cache("runs")
     if disk is not None:
-        disk.put(key, result)
+        disk.put(spec.key, result)
     return result
+
+
+def _resolve(spec: RunSpec, sink=None):
+    """One run through the disk cache, then simulation.
+
+    A run with an event sink always simulates — a cached result has no
+    event stream to replay.
+    """
+    if sink is None:
+        cached = peek_cached(spec.key)
+        if cached is not None:
+            return cached
+    return execute_spec(spec, sink=sink)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +204,7 @@ def run_baseline(
     abbrev: str, scale: float = 1.0, core_config: CoreConfig | None = None
 ) -> PipelineResult:
     """Simulate a benchmark on the plain host OOO pipeline."""
-    return execute_spec(baseline_spec(abbrev, scale, core_config))
+    return _resolve(baseline_spec(abbrev, scale, core_config))
 
 
 def run_dynaspam(
@@ -240,7 +234,7 @@ def run_dynaspam(
             num_fabrics=num_fabrics,
             mapper=mapper,
         )
-    return execute_spec(
+    return _resolve(
         dynaspam_spec(
             abbrev, scale, config=config,
             core_config=core_config, fabric_config=fabric_config,
@@ -264,9 +258,9 @@ def simulation_report(
     """Baseline-vs-DynaSpAM comparison for one benchmark, as a JSON dict.
 
     This is the shared report builder behind ``repro run --json`` and
-    the service's job results — both resolve through the layered run
-    caches, so a served job and a CLI run of the same spec are not just
-    equal but the very same cached simulation.  Passing ``sink`` records
+    the service's job results — both resolve through the disk run
+    cache, so a served job and a CLI run of the same spec read the very
+    same cached simulation.  Passing ``sink`` records
     the DynaSpAM run's lifecycle event stream without changing a single
     reported number.
 

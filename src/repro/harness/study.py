@@ -9,9 +9,9 @@ under each pass pipeline with decision records enabled, and the report
 lays the per-pipeline detection/mapping/squash outcomes side by side,
 with deltas against the unoptimized baseline pipeline.
 
-Everything resolves through the standard layered run caches (each
-(program, passes) pair has its own content-hash benchmark abbreviation),
-so re-running a study only simulates what changed.
+Everything resolves through the disk run cache (each (program, passes)
+pair has its own content-hash benchmark abbreviation), so re-running a
+study only simulates what changed.
 """
 
 from __future__ import annotations

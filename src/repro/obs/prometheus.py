@@ -182,10 +182,7 @@ def render_prometheus(snapshot: dict) -> str:
 
     cache = snapshot.get("cache", {})
     w.family("repro_cache_hits_total", "counter",
-             "Run-cache hits by layer (memory dict vs content-addressed "
-             "disk).")
-    w.sample("repro_cache_hits_total", cache.get("run_memory_hits", 0),
-             {"layer": "memory"})
+             "Run-cache hits by layer (the content-addressed disk cache).")
     disk_hits = sum(
         ns.get("hits", 0) for ns in cache.get("disk", {}).values()
     )

@@ -25,8 +25,8 @@ Design rules, mirroring the event bus (`repro.obs.events`):
   a ``(count, seconds)`` total per name, kept apart from the bounded
   record buffer so totals stay exact after it fills.  These totals are
   the ``--profile`` table and the ``repro bench`` ``profile`` block.
-  Named counters (runs simulated, run-cache memory hits) count whether
-  or not the tracer is enabled.
+  Named counters (runs simulated, parallel runs completed) count
+  whether or not the tracer is enabled.
 * **Correlated.**  Every finished span carries the tracer's ``run_id``
   plus any contextual bindings (``job_id``, ``run_key``, benchmark…)
   pushed by :meth:`SpanTracer.bind`.

@@ -1,7 +1,7 @@
 """Simulation-as-a-service: an async HTTP job layer over the harness.
 
 The service turns the harness's compute substrate
-(``repro.harness.runner``'s layered caches and the forked-worker
+(``repro.harness.runner``'s disk run cache and the forked-worker
 telemetry envelope of ``repro.harness.parallel``) into a long-lived
 server that many clients can share:
 

@@ -3,9 +3,9 @@
 Latency samples live in a fixed-size ``deque`` — the service never keeps
 an unbounded history — and percentiles use the nearest-rank method over
 a sorted copy, which is exact for the ring's window.  Cache hit/miss
-numbers are read straight from the harness layers (the run cache's
-profiler counters and the disk cache's per-namespace stats) so the
-service reports the same counters ``repro bench`` does.
+numbers are read straight from the harness (the tracer's
+``runs_simulated`` counter and the disk cache's per-namespace stats) so
+the service reports the same counters ``repro bench`` does.
 """
 
 from __future__ import annotations
@@ -230,7 +230,6 @@ class ServiceMetrics:
 
         counters = TRACER.counters()
         return {
-            "run_memory_hits": counters.get("run_cache_memory_hits", 0),
             "runs_simulated": counters.get("runs_simulated", 0),
             "disk": diskcache.shared_stats(),
         }

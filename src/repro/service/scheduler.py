@@ -10,8 +10,9 @@ the loadtest mixes and hostbench's service traffic each pull found
 exactly one queued job.  Each flight carries its own outcome, so one
 failed request never touches another.
 
-Repeat requests short-circuit in the worker: the layered run caches
-(including the shared on-disk store) serve them without re-simulating.
+Repeat requests short-circuit in the worker: the shared on-disk run
+cache serves them without re-simulating (with it off, a repeat that
+did not coalesce simulates again).
 
 Everything that mutates queue/flight state runs on the event loop
 thread; pool workers only execute pure simulation code.  That keeps

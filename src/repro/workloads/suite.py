@@ -1,8 +1,10 @@
 """Benchmark registry and trace generation.
 
 ``BENCHMARKS`` maps the paper's Table 3 abbreviations to ``Benchmark``
-records; ``generate_trace`` runs a kernel functionally and keeps the
-resulting dynamic trace in an in-process cache.  Traces are not persisted:
+records; ``generate_trace`` runs a kernel functionally and keeps the most
+recent dynamic trace.  One is enough: a sweep runs a kernel's runs back to
+back (``repro.harness.parallel.execute_runs``), and a report's baseline
+and DynaSpAM runs share one kernel.  Traces are not persisted either:
 regenerating one with the predecoded executor costs about what loading it
 from disk would (docs/internals.md section 7), and writing it would cost
 every cold run more.
@@ -67,6 +69,7 @@ BENCHMARKS: dict[str, Benchmark] = {
 
 ALL_ABBREVS: tuple[str, ...] = tuple(BENCHMARKS)
 
+#: The most recent trace, keyed by ``(abbrev, scale)``: at most one entry.
 _TRACE_CACHE: dict[tuple[str, float], ExecutionResult] = {}
 
 
@@ -81,16 +84,18 @@ def get_benchmark(abbrev: str) -> Benchmark:
 
 
 def generate_trace(abbrev: str, scale: float = 1.0) -> ExecutionResult:
-    """Functionally execute a benchmark and return its (cached) trace.
+    """Functionally execute a benchmark and return its trace.
 
-    Traces resolve through the in-process cache and are regenerated on a
-    miss, never loaded from disk.  A kernel's trace is a pure function of
-    ``(abbrev, scale)``, so every process (a parallel sweep's workers
-    included) regenerates the same one.
+    The most recent trace is kept, so repeated calls for one
+    ``(abbrev, scale)`` generate it once; any other key drops it and
+    generates afresh (never loaded from disk).  A kernel's trace is a pure
+    function of ``(abbrev, scale)``, so every process (a parallel sweep's
+    workers included) regenerates the same one.
     """
     key = (abbrev, scale)
     result = _TRACE_CACHE.get(key)
     if result is None:
+        _TRACE_CACHE.clear()
         program, memory = get_benchmark(abbrev).build(scale)
         result = FunctionalExecutor(max_instructions=20_000_000).run(
             program, memory
@@ -100,7 +105,7 @@ def generate_trace(abbrev: str, scale: float = 1.0) -> ExecutionResult:
 
 
 def clear_trace_cache() -> None:
-    """Drop all cached traces (tests use this to bound memory)."""
+    """Drop the kept trace."""
     _TRACE_CACHE.clear()
 
 

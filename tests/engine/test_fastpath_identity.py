@@ -103,22 +103,20 @@ def test_simulation_report_bit_identity(tmp_path, monkeypatch):
     """The full ``repro run --json`` report is byte-identical across the
     two engine settings.
 
-    Each setting gets its own disk-cache root and a cleared in-memory
-    layer, so neither can serve the other's simulation back.
+    Each setting gets its own disk-cache root, so neither can serve the
+    other's simulation back.
     """
     from repro.harness import diskcache
-    from repro.harness.runner import clear_run_cache, simulation_report
+    from repro.harness.runner import simulation_report
 
     reports = {}
     for fast in (False, True):
-        clear_run_cache()
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"f{int(fast)}"))
         diskcache.configure()  # drop memoized cache objects, re-read env
         with use_fastpath(fast):
             reports[fast] = json.dumps(
                 simulation_report("NW", SCALE), sort_keys=True
             )
-    clear_run_cache()
     diskcache.configure()
     assert reports[True] == reports[False]
 

@@ -13,12 +13,7 @@ import pytest
 import repro.harness.diskcache as diskcache
 from repro.core import DynaSpAMConfig
 from repro.harness.diskcache import DiskCache
-from repro.harness.runner import (
-    baseline_spec,
-    clear_run_cache,
-    dynaspam_spec,
-    run_dynaspam,
-)
+from repro.harness.runner import baseline_spec, dynaspam_spec, run_dynaspam
 from repro.ooo.config import CoreConfig
 from repro.workloads import ALL_ABBREVS, generate_trace
 from repro.workloads.suite import clear_trace_cache
@@ -125,9 +120,7 @@ def test_configure_disable_wins_over_env(monkeypatch):
 
 
 def test_runner_round_trips_through_disk(isolated_disk):
-    clear_run_cache()
     first = run_dynaspam("KM", SCALE)
-    clear_run_cache()
     second = run_dynaspam("KM", SCALE)  # must load from disk
     assert second is not first
     assert second.cycles == first.cycles
@@ -169,11 +162,9 @@ def test_run_keys_pickle_and_repr_stably():
 
 
 def test_cold_run_persists_runs_only(isolated_disk):
-    clear_run_cache()
     clear_trace_cache()
     generate_trace("KM", SCALE)
     run_dynaspam("KM", SCALE)
-    clear_run_cache()
     assert [p.name for p in isolated_disk.iterdir()] == ["runs"]
 
 

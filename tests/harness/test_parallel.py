@@ -12,12 +12,7 @@ from repro.harness.parallel import (
     execute_runs,
     run_worker_batch,
 )
-from repro.harness.runner import (
-    clear_run_cache,
-    dynaspam_spec,
-    execute_spec,
-    run_dynaspam,
-)
+from repro.harness.runner import dynaspam_spec, execute_spec
 from repro.obs import progress
 from repro.obs.runtime import TRACER, worker_telemetry
 from repro.workloads import ALL_ABBREVS
@@ -48,12 +43,10 @@ def test_parallel_matches_serial_for_all_benchmarks(no_disk):
     specs = [dynaspam_spec(abbrev, SCALE) for abbrev in ALL_ABBREVS]
     assert len(specs) == 11
 
-    clear_run_cache()
     serial = {
         spec.key: _fingerprint(execute_spec(spec)) for spec in specs
     }
 
-    clear_run_cache()
     parallel = {
         key: _fingerprint(result)
         for key, result in execute_runs(specs, jobs=4).items()
@@ -64,24 +57,13 @@ def test_parallel_matches_serial_for_all_benchmarks(no_disk):
         assert parallel[key] == serial[key], key.abbrev
 
 
-def test_parallel_seeds_in_memory_cache(no_disk):
-    clear_run_cache()
-    specs = [dynaspam_spec("KM", SCALE), dynaspam_spec("BFS", SCALE)]
-    results = execute_runs(specs, jobs=2)
-    # The lazy driver path must now be a pure memory hit (same object).
-    assert run_dynaspam("KM", SCALE) is results[specs[0].key]
-    assert run_dynaspam("BFS", SCALE) is results[specs[1].key]
-
-
 def test_duplicate_specs_collapse(no_disk):
-    clear_run_cache()
     specs = [dynaspam_spec("KM", SCALE)] * 3
     results = execute_runs(specs, jobs=2)
     assert len(results) == 1
 
 
 def test_jobs_one_runs_serially(no_disk):
-    clear_run_cache()
     specs = [dynaspam_spec("KM", SCALE)]
     results = execute_runs(specs, jobs=1)
     assert specs[0].key in results
@@ -91,7 +73,6 @@ def test_worker_profiles_and_spans_merge_into_parent(no_disk, monkeypatch):
     """Regression: child-process span totals, counters and spans all
     come home through the pool fan-out, tagged per worker process."""
     monkeypatch.delenv("REPRO_MAX_JOBS", raising=False)
-    clear_run_cache()
     TRACER.reset()
     TRACER.enable("run-pool")
     tracker = progress.ProgressTracker(2, label="test")
@@ -192,8 +173,24 @@ def test_envelope_brings_worker_telemetry_home_once(tmp_path):
     assert disk["runs"]["writes"] == 2
 
 
+def test_serial_sweep_probes_the_disk_once_per_spec(tmp_path):
+    diskcache.configure(enabled=True, root=str(tmp_path))
+    try:
+        specs = [dynaspam_spec("KM", SCALE),
+                 dynaspam_spec("KM", SCALE, speculation=False)]
+        first = execute_runs(specs, jobs=1)
+        runs = diskcache.shared_cache("runs")
+        assert (runs.misses, runs.writes, runs.hits) == (2, 2, 0)
+        again = execute_runs(specs, jobs=1)
+        assert (runs.misses, runs.writes, runs.hits) == (2, 2, 2)
+    finally:
+        diskcache.configure()
+    for spec in specs:
+        assert again[spec.key].stats.as_dict() == \
+            first[spec.key].stats.as_dict()
+
+
 def test_serial_runs_advance_progress(no_disk):
-    clear_run_cache()
     tracker = progress.ProgressTracker(1, label="test")
     beats = []
     tracker.add_listener(beats.append)
@@ -236,7 +233,6 @@ def test_repro_max_jobs_caps_explicit_fanout(no_disk, monkeypatch):
     # With the cap at 1, an explicit jobs=8 sweep must run serially —
     # identical results, no process pool on an oversubscribed runner.
     monkeypatch.setenv("REPRO_MAX_JOBS", "1")
-    clear_run_cache()
     specs = [dynaspam_spec("KM", SCALE), dynaspam_spec("BFS", SCALE)]
     results = execute_runs(specs, jobs=8)
     assert set(results) == {spec.key for spec in specs}

@@ -9,6 +9,7 @@ from repro.harness.perfbench import (
     MODES,
     PERFBENCH_SCHEMA_VERSION,
     _geomean,
+    compare_perfbench,
     perfbench_report,
     render_perfbench,
 )
@@ -75,3 +76,12 @@ def test_render_perfbench():
     assert "fast" in text
     assert "interpreted" in text
     assert "speedup" in text
+
+
+def test_compare_warns_when_the_code_differs():
+    report = _tiny_report()
+    same = compare_perfbench(report, dict(report))
+    assert not any("fingerprint" in w for w in same["warnings"])
+    other = dict(report, code_fingerprint="0" * 64)
+    differs = compare_perfbench(report, other)
+    assert any("code fingerprints differ" in w for w in differs["warnings"])

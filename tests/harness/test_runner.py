@@ -1,44 +1,35 @@
 """Tests for the run cache and experiment drivers (tiny scales)."""
 
+from collections import Counter
+
 import pytest
 
+import repro.harness.diskcache as diskcache
 from repro.harness import (
-    clear_run_cache,
     figure8_performance,
-    run_baseline,
     run_dynaspam,
     table3_benchmarks,
     table4_parameters,
+    table5_lifetime,
     table6_area,
 )
-from repro.harness.runner import geomean
+from repro.harness.runner import dynaspam_spec, geomean, peek_cached
+from repro.obs.runtime import TRACER
+from repro.workloads import ALL_ABBREVS, suite
 
 SCALE = 0.08
 
 
-def setup_module(module):
-    clear_run_cache()
+@pytest.fixture
+def isolated_disk(tmp_path):
+    """An empty disk cache, the only place a run is kept."""
+    diskcache.configure(enabled=True, root=str(tmp_path))
+    yield tmp_path
+    diskcache.configure()
 
 
-def test_baseline_runs_are_cached():
-    first = run_baseline("KM", SCALE)
-    second = run_baseline("KM", SCALE)
-    assert first is second
-
-
-def test_dynaspam_runs_cached_by_configuration():
-    a = run_dynaspam("KM", SCALE)
-    b = run_dynaspam("KM", SCALE)
-    c = run_dynaspam("KM", SCALE, speculation=False)
-    assert a is b
-    assert c is not a
-
-
-def test_clear_run_cache():
-    a = run_baseline("KM", SCALE)
-    clear_run_cache()
-    b = run_baseline("KM", SCALE)
-    assert a is not b
+def _simulated() -> int:
+    return TRACER.counters().get("runs_simulated", 0)
 
 
 def test_geomean():
@@ -79,17 +70,21 @@ def test_table7_feature_matrix():
     assert dynaspam_row.count("yes") == 5
 
 
-def test_dynaspam_cache_distinguishes_every_knob():
+def test_dynaspam_cache_distinguishes_every_knob(isolated_disk):
     """The seed cache keyed on a knob subset; the key now freezes the
     full config, so e.g. hot_threshold sweeps can't serve stale results."""
     from repro.core import DynaSpAMConfig
-    from repro.harness.runner import run_dynaspam
 
+    before = _simulated()
     a = run_dynaspam("KM", SCALE)
     b = run_dynaspam("KM", SCALE, config=DynaSpAMConfig(hot_threshold=6))
     c = run_dynaspam("KM", SCALE, config=DynaSpAMConfig(hot_threshold=6))
-    assert a is not b
-    assert b is c
+    # The knob change missed; the repeat read b's entry back from disk.
+    assert _simulated() - before == 2
+    assert len(list((isolated_disk / "runs").rglob("*.pkl"))) == 2
+    assert c.stats.as_dict() == b.stats.as_dict()
+    assert peek_cached(dynaspam_spec("KM", SCALE).key).stats.as_dict() \
+        == a.stats.as_dict()
 
 
 def test_figure8_runs_at_tiny_scale():
@@ -104,49 +99,60 @@ def test_figure8_runs_at_tiny_scale():
     assert "GEOMEAN" in text
 
 
-def test_traced_run_bypasses_cache_but_seeds_it():
-    from repro.harness.runner import (
-        clear_run_cache,
-        dynaspam_spec,
-        execute_spec,
-        peek_cached,
-    )
+def test_traced_run_bypasses_cache_but_seeds_it(isolated_disk):
     from repro.obs import MemorySink
 
-    clear_run_cache()
     spec = dynaspam_spec("KM", 0.05)
     sink = MemorySink()
-    traced = execute_spec(spec, sink=sink)
+    traced = run_dynaspam("KM", 0.05, sink=sink)
     assert len(sink) > 0
-    # The traced result seeded the cache; an untraced lookup now hits.
-    assert peek_cached(spec.key) is traced
+    # The traced result seeded the disk cache; an untraced lookup hits.
+    before = _simulated()
+    assert peek_cached(spec.key).stats.as_dict() == traced.stats.as_dict()
+    assert run_dynaspam("KM", 0.05).cycles == traced.cycles
+    assert _simulated() == before
     # A second traced call simulates fresh (new events), same numbers.
     second_sink = MemorySink()
-    again = execute_spec(spec, sink=second_sink)
+    again = run_dynaspam("KM", 0.05, sink=second_sink)
+    assert _simulated() == before + 1
     assert len(second_sink) == len(sink)
     assert again.cycles == traced.cycles
     assert again.stats.as_dict() == traced.stats.as_dict()
-    clear_run_cache()
 
 
-def test_cached_report_does_not_regenerate_the_trace(tmp_path):
-    import repro.harness.diskcache as diskcache
+def test_cached_report_does_not_regenerate_the_trace(isolated_disk):
     from repro.harness.runner import simulation_report
-    from repro.obs.runtime import TRACER
-    from repro.workloads import suite
 
-    diskcache.configure(enabled=True, root=str(tmp_path))
+    suite.clear_trace_cache()
+    first = simulation_report("KM", 0.05)
+    suite.clear_trace_cache()
+    simulated = _simulated()
+    again = simulation_report("KM", 0.05)
+    assert suite._TRACE_CACHE == {}
+    assert _simulated() == simulated
+    assert again == first
+
+
+def test_serial_sweeps_keep_one_trace_and_generate_each_once(monkeypatch):
+    """A serial sweep runs each kernel's runs back to back, so the one
+    trace ``generate_trace`` keeps is generated once per kernel."""
+    generated = Counter()
+    build = suite.get_benchmark
+
+    def counting_get_benchmark(abbrev):
+        generated[abbrev] += 1
+        return build(abbrev)
+
+    monkeypatch.setattr(suite, "get_benchmark", counting_get_benchmark)
+    diskcache.configure(enabled=False)
+    suite.clear_trace_cache()
     try:
-        clear_run_cache()
-        suite.clear_trace_cache()
-        first = simulation_report("KM", 0.05)
-        clear_run_cache()
-        suite.clear_trace_cache()
-        simulated = TRACER.counters().get("runs_simulated", 0)
-        again = simulation_report("KM", 0.05)
-        assert suite._TRACE_CACHE == {}
-        assert TRACER.counters().get("runs_simulated", 0) == simulated
-        assert again == first
+        for sweep in (figure8_performance, table5_lifetime):
+            generated.clear()
+            sweep(0.05, jobs=1)
+            assert len(suite._TRACE_CACHE) <= 1, sweep.__name__
+            assert generated == Counter(dict.fromkeys(ALL_ABBREVS, 1)), \
+                sweep.__name__
     finally:
         diskcache.configure()
-        clear_run_cache()
+        suite.clear_trace_cache()

@@ -1,5 +1,7 @@
 """Parser, pretty-printer, and checker diagnostics."""
 
+import pathlib
+
 import pytest
 
 from repro.lang import (
@@ -35,11 +37,19 @@ GOOD = """\
 """
 
 
+CORPUS = sorted(
+    (pathlib.Path(__file__).resolve().parents[2] / "corpus").glob("*.spam")
+)
+
+
 def test_round_trip_is_fixpoint():
-    module = parse_module(GOOD, filename="good.spam")
-    printed = format_module(module)
-    again = parse_module(printed, filename="good.spam")
-    assert format_module(again) == printed
+    sources = [("good.spam", GOOD)]
+    sources += [(path.name, path.read_text()) for path in CORPUS]
+    assert len(sources) > 1
+    for name, source in sources:
+        printed = format_module(parse_module(source, filename=name))
+        again = parse_module(printed, filename=name)
+        assert format_module(again) == printed, name
 
 
 def test_load_module_checks():

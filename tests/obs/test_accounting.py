@@ -13,6 +13,7 @@ import pytest
 from repro.harness.experiments import (
     PerformanceResult,
     figure8_accounting,
+    figure8_performance,
     speedup_warnings,
 )
 from repro.harness.runner import run_baseline, run_dynaspam
@@ -114,7 +115,8 @@ def test_fabric_utilization_summary_is_sane():
 
 
 def test_figure8_accounting_covers_suite_and_conserves():
-    accounting, utilization = figure8_accounting(SCALE)
+    accounting, utilization = figure8_accounting(
+        figure8_performance(SCALE).runs)
     assert set(accounting) == set(ALL_ABBREVS)
     assert set(utilization) == set(ALL_ABBREVS)
     for by_series in accounting.values():

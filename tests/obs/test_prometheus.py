@@ -17,7 +17,7 @@ SNAPSHOT = {
         "sum": 3.3,
         "count": 5,
     },
-    "cache": {"run_memory_hits": 11, "runs_simulated": 4,
+    "cache": {"runs_simulated": 4,
               "disk": {"runs": {"hits": 6, "misses": 4}}},
     "lifecycle": {"traces_mapped": 9, "fabric_invocations": 400,
                   "squashes_branch": 12, "squashes_memory": 3},
@@ -34,8 +34,8 @@ def test_renders_counters_gauges_and_histogram():
     assert "repro_queue_capacity 64" in text
     assert "repro_queue_draining 0" in text
     assert "repro_jobs_in_flight 3" in text
-    assert 'repro_cache_hits_total{layer="memory"} 11' in text
     assert 'repro_cache_hits_total{layer="disk"} 6' in text
+    assert 'layer="memory"' not in text
     assert "repro_runs_simulated_total 4" in text
     assert ('repro_lifecycle_events_total{event="fabric_invocations"} 400'
             in text)

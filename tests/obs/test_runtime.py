@@ -161,7 +161,7 @@ def test_profile_counts_since_a_mark(tracer):
     tracer.enable()
     with tracer.span("sim.baseline"):
         pass
-    tracer.bump("run_cache_memory_hits", 2)
+    tracer.bump("parallel_runs_completed", 2)
     mark = tracer.mark()
     with tracer.span("sim.dynaspam"):
         pass
@@ -191,7 +191,7 @@ def test_span_buffer_is_bounded(tracer):
         for _ in range(6):
             with tracer.span("cache.get"):
                 pass
-            tracer.bump("run_cache_memory_hits")
+            tracer.bump("parallel_runs_completed")
     finally:
         runtime.MAX_BUFFERED_SPANS = original
     assert len(tracer.records()) == 4
@@ -200,7 +200,7 @@ def test_span_buffer_is_bounded(tracer):
     # Totals and counters live apart from the buffer and keep counting.
     totals, counters = tracer.mark()
     assert totals["cache.get"][0] == 6
-    assert counters["run_cache_memory_hits"] == 6
+    assert counters["parallel_runs_completed"] == 6
 
 
 def test_watchdog_warns_once_with_thread_stack(tracer):

@@ -28,15 +28,12 @@ def cold_caches(tmp_path):
     flights in microseconds and hide the behaviour under test.
     """
     import repro.harness.diskcache as diskcache
-    from repro.harness.runner import clear_run_cache
     from repro.workloads.suite import clear_trace_cache
 
     diskcache.configure(enabled=True, root=str(tmp_path / "cache"))
-    clear_run_cache()
     clear_trace_cache()
     yield
     diskcache.configure()
-    clear_run_cache()
     clear_trace_cache()
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import repro.harness.diskcache as diskcache
-from repro.harness.runner import clear_run_cache, simulation_report
+from repro.harness.runner import simulation_report
 from repro.obs.runtime import TRACER
 from repro.service import ServiceClient, ThreadedServer
 from repro.service.client import ServerBusy
@@ -20,29 +20,24 @@ from repro.workloads.suite import clear_trace_cache
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def _reset_caches():
-    clear_run_cache()
-    clear_trace_cache()
-
-
 @pytest.fixture
 def tmp_disk_cache(tmp_path):
-    """Fresh disk cache root + empty memory caches, restored afterwards."""
+    """Fresh disk cache root and no kept trace, restored afterwards."""
     diskcache.configure(enabled=True, root=str(tmp_path / "cache"))
-    _reset_caches()
+    clear_trace_cache()
     yield
     diskcache.configure()
-    _reset_caches()
+    clear_trace_cache()
 
 
 @pytest.fixture
 def no_disk_cache():
     """Cold everything: every admitted spec must really simulate."""
     diskcache.configure(enabled=False)
-    _reset_caches()
+    clear_trace_cache()
     yield
     diskcache.configure()
-    _reset_caches()
+    clear_trace_cache()
 
 
 def test_submit_poll_metrics_roundtrip(tmp_disk_cache):

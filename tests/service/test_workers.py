@@ -5,7 +5,6 @@ import asyncio
 import pytest
 
 import repro.harness.diskcache as diskcache
-from repro.harness.runner import clear_run_cache
 from repro.obs.runtime import TRACER
 from repro.service.jobs import JobRequest
 from repro.service.server import ServiceServer
@@ -73,7 +72,6 @@ def test_process_pool_executes_merges_and_reports(tmp_path):
     """A forked worker really simulates, and the parent gets everything
     back: the outcome, counters, disk stats."""
     diskcache.configure(enabled=True, root=str(tmp_path / "cache"))
-    clear_run_cache()
     clear_trace_cache()
     before = TRACER.counters().get("runs_simulated", 0)
     pool = ProcessWorkerPool(1)
@@ -85,7 +83,6 @@ def test_process_pool_executes_merges_and_reports(tmp_path):
     finally:
         pool.shutdown()
         diskcache.configure()
-        clear_run_cache()
         clear_trace_cache()
     assert status == "ok"
     assert report["benchmark"] == "KM"

@@ -62,6 +62,22 @@ def test_harness_delegation_forwards_perf_flags(capsys):
     assert "profile: per-phase wall clock" in out
 
 
+def test_harness_prints_table4(capsys):
+    assert main(["harness", "table4"]) == 0
+    out = capsys.readouterr().out
+    assert "Table 4: Evaluation system parameters" in out
+    assert "192-entry ROB" in out
+
+
+def test_harness_unknown_experiment_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["harness", "nope"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "python -m repro harness" in err
+    assert "invalid choice: 'nope'" in err
+
+
 def test_bench_command_writes_report(tmp_path, capsys, monkeypatch):
     import repro.harness.diskcache as diskcache
 
@@ -148,8 +164,7 @@ def test_bench_cold_reports_real_simulation(tmp_path, capsys):
     assert report["cold"] is True
     assert report["disk_cache_enabled"] is False
     assert report["cache"]["runs_simulated"] > 0
-    # A cold sweep may legitimately reuse shared baselines in memory,
-    # but it must never time a fully-cached replay.
+    # A cold sweep must never time a cached replay.
     assert report["cache"]["hit_ratio"] < 1.0
     printed = capsys.readouterr().out
     assert "cache hit ratio" in printed
@@ -174,8 +189,8 @@ def _printed_profile(out: str) -> tuple[set, dict]:
 
 
 def test_bench_profile_prints_what_the_report_recorded(tmp_path, capsys):
-    """The table renders the report's ``profile`` block, so the
-    accounting pass after the sweep cannot add its memory hits."""
+    """The table renders the report's ``profile`` block, so nothing
+    after the sweep can add to it."""
     import repro.harness.diskcache as diskcache
 
     out_path = tmp_path / "bench.json"
@@ -187,7 +202,6 @@ def test_bench_profile_prints_what_the_report_recorded(tmp_path, capsys):
     report = json.loads(out_path.read_text())
     sections, counters = _printed_profile(capsys.readouterr().out)
     assert counters == report["profile"]["counters"]
-    assert counters["run_cache_memory_hits"] == report["cache"]["memory_hits"]
     assert sections == set(report["profile"]["sections_seconds"])
     assert "pool.execute_runs" in sections
 
@@ -217,6 +231,69 @@ def test_bench_profile_matches_the_jsonl_span_log(tmp_path, monkeypatch):
     assert set(summed) == set(sections)
     for name, seconds in sections.items():
         assert seconds == pytest.approx(summed[name], abs=1e-6), name
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cold_bench_simulates_each_run_once(tmp_path, monkeypatch, jobs):
+    """The accounting block reads the sweep's own runs, so a cold bench
+    simulates the 44 Figure 8 runs (11 kernels x baseline and three
+    series) once each over the whole command."""
+    import repro.harness.diskcache as diskcache
+    from repro.obs.runtime import TRACER
+
+    # main() resets the tracer on its way out: read the counter first.
+    read = []
+    reset = TRACER.reset
+
+    def read_then_reset():
+        read.append(TRACER.counters().get("runs_simulated", 0))
+        reset()
+
+    monkeypatch.setattr(TRACER, "reset", read_then_reset)
+    before = TRACER.counters().get("runs_simulated", 0)
+    try:
+        assert main(["bench", "--scale", "0.05", "--jobs", jobs, "--cold",
+                     "--output", str(tmp_path / "bench.json")]) == 0
+    finally:
+        diskcache.configure()
+    assert len(read) == 1
+    assert read[0] - before == 44
+
+
+def test_bench_programs_adds_a_row_per_program(tmp_path, capsys,
+                                               monkeypatch):
+    import shutil
+    from pathlib import Path
+
+    import repro.harness.diskcache as diskcache
+
+    programs = tmp_path / "programs"
+    programs.mkdir()
+    corpus = Path(__file__).resolve().parents[1] / "corpus"
+    shutil.copy(corpus / "sum_loop.spam", programs)
+    monkeypatch.setenv(diskcache.ENV_CACHE_DIR, str(tmp_path / "cache"))
+    diskcache.configure()
+    out_path = tmp_path / "bench.json"
+    try:
+        assert main(["bench", "--scale", "0.05", "--jobs", "2",
+                     "--programs", str(programs),
+                     "--output", str(out_path)]) == 0
+    finally:
+        diskcache.configure()
+    rows = json.loads(out_path.read_text())["programs"]
+    assert set(rows) == {"sum_loop"}
+    row = rows["sum_loop"]
+    assert row["abbrev"].startswith("PROG:sum_loop:")
+    assert row["speedup"] > 0
+    assert set(row["coverage"]) == {"host", "mapping", "fabric"}
+
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    capsys.readouterr()
+    assert main(["bench", "--programs", str(empty),
+                 "--output", str(tmp_path / "unused.json")]) == 2
+    assert "no .spam programs" in capsys.readouterr().err
+    assert not (tmp_path / "unused.json").exists()
 
 
 def test_serve_rejects_bad_knobs(capsys):
