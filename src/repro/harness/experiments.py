@@ -195,8 +195,8 @@ class PerformanceResult:
     scale: float
     #: speedups[abbrev] = {"mapping": x, "no_spec": x, "spec": x}
     speedups: dict[str, dict[str, float]] = field(default_factory=dict)
-    #: runs[abbrev][series] = the sweep's run result, for the series of
-    #: ``FIGURE8_SERIES`` (the input of :func:`figure8_accounting`).
+    #: runs[abbrev] = {"baseline": run, "mapping": run, "no_spec": run,
+    #: "spec": run}: the sweep's results, read by figure8_accounting.
     runs: dict[str, dict[str, Any]] = field(
         default_factory=dict, repr=False)
 
@@ -221,37 +221,39 @@ class PerformanceResult:
         )
 
 
-#: The runs of one Figure 8 kernel, in ``figure8_specs`` order.
-FIGURE8_SERIES = ("baseline", "mapping", "no_spec", "spec")
+def _figure8_kernel_specs(abbrev: str, scale: float) -> dict:
+    """One kernel's Figure 8 runs by series: baseline + three series."""
+    return {
+        "baseline": baseline_spec(abbrev, scale),
+        "mapping": dynaspam_spec(abbrev, scale, mode="mapping_only"),
+        "no_spec": dynaspam_spec(abbrev, scale, speculation=False),
+        "spec": dynaspam_spec(abbrev, scale),
+    }
 
 
 def figure8_specs(scale: float = 1.0) -> list:
     """Every run the Figure 8 sweep needs (baseline + three series)."""
-    specs = []
-    for abbrev in ALL_ABBREVS:
-        specs.append(baseline_spec(abbrev, scale))
-        specs.append(dynaspam_spec(abbrev, scale, mode="mapping_only"))
-        specs.append(dynaspam_spec(abbrev, scale, speculation=False))
-        specs.append(dynaspam_spec(abbrev, scale))
-    return specs
+    return [spec for abbrev in ALL_ABBREVS
+            for spec in _figure8_kernel_specs(abbrev, scale).values()]
 
 
 def figure8_performance(
     scale: float = 1.0, jobs: int | None = None
 ) -> PerformanceResult:
-    specs = figure8_specs(scale)
-    runs = execute_runs(specs, jobs)
+    specs = {abbrev: _figure8_kernel_specs(abbrev, scale)
+             for abbrev in ALL_ABBREVS}
+    runs = execute_runs(
+        (spec for kernel in specs.values() for spec in kernel.values()),
+        jobs)
     result = PerformanceResult(scale)
-    per_kernel = len(FIGURE8_SERIES)
-    for index, abbrev in enumerate(ALL_ABBREVS):
-        kernel_specs = specs[index * per_kernel:(index + 1) * per_kernel]
-        kernel = dict(zip(FIGURE8_SERIES,
-                          (runs[spec.key] for spec in kernel_specs)))
+    for abbrev, kernel_specs in specs.items():
+        kernel = {series: runs[spec.key]
+                  for series, spec in kernel_specs.items()}
         base = kernel["baseline"].cycles
         result.runs[abbrev] = kernel
         result.speedups[abbrev] = {
             series: base / kernel[series].cycles
-            for series in FIGURE8_SERIES[1:]
+            for series in ("mapping", "no_spec", "spec")
         }
     return result
 

@@ -27,6 +27,8 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Any, Callable, Iterable
 
 import repro.harness.diskcache as diskcache
+# Called through the module, so that a wrapper installed on
+# ``runner.execute_spec`` (hostbench's traced mode) times every simulation.
 import repro.harness.runner as runner
 from repro.harness.runner import RunKey, RunSpec
 from repro.obs import progress
@@ -161,7 +163,8 @@ def execute_runs(
     if jobs <= 1 or len(batches) <= 1:
         for batch in batches:
             for spec in batch:
-                result = results[spec.key] = runner.execute_spec(spec)
+                result = runner.execute_spec(spec)
+                results[spec.key] = result
                 progress.advance_active(
                     1, _instructions(result), detail=spec.abbrev
                 )

@@ -260,9 +260,8 @@ def simulation_report(
     This is the shared report builder behind ``repro run --json`` and
     the service's job results — both resolve through the disk run
     cache, so a served job and a CLI run of the same spec read the very
-    same cached simulation.  Passing ``sink`` records
-    the DynaSpAM run's lifecycle event stream without changing a single
-    reported number.
+    same cached simulation.  Passing ``sink`` records the DynaSpAM run's
+    lifecycle event stream without changing a single reported number.
 
     ``decisions=True`` folds the event stream through a
     ``repro.obs.decisions.DecisionSink`` and attaches a ``decisions``
