@@ -32,9 +32,8 @@ def add_cache_arguments(parser: argparse.ArgumentParser) -> None:
              "(default: cpu count, clamped to 8 under CI; "
              "REPRO_MAX_JOBS caps both)")
     parser.add_argument("--no-cache", action="store_true",
-                        help="disable the on-disk run cache, the only "
-                             "one: every run then simulates, even one an "
-                             "earlier experiment already made")
+                        help="disable the on-disk run cache, so every "
+                             "run simulates (no run is kept in process)")
     parser.add_argument("--profile", action="store_true",
                         help="print wall-clock seconds per span name and "
                              "the run and cache counters")
