@@ -63,8 +63,9 @@ speedup/timing report so the performance trajectory is tracked PR over PR
 ``serve`` starts the simulation-as-a-service HTTP server and ``submit``
 sends it a job; ``submit --wait`` prints the same JSON ``run --json``
 does, resolved through the server's queue and caches.
-``watch`` follows a submitted job's live progress (the
-``/v1/jobs/{id}/progress`` endpoint) until it is terminal.
+``watch`` polls a submitted job's document, printing each state change
+to stderr, and prints the final document (result included) once the
+job is terminal.
 
 Host-runtime telemetry (``repro.obs.runtime``) is wired here: setting
 ``REPRO_LOG=runs.jsonl`` streams structured span/heartbeat records for
@@ -432,8 +433,6 @@ def cmd_study(args) -> int:
         # study_programs sets the real total (programs x pipelines) once
         # it has globbed the corpus.
         tracker = obs_progress.ProgressTracker(0, label="study")
-        tracker.add_listener(obs_progress.stderr_listener())
-        tracker.add_listener(obs_progress.log_listener())
     try:
         study = study_programs(
             args.programs, pipelines, only=only, tracker=tracker
@@ -554,8 +553,6 @@ def cmd_bench(args) -> int:
         # execute_runs dedups by spec key, so the total counts unique runs.
         total = len({spec.key for spec in figure8_specs(args.scale)})
         tracker = obs_progress.ProgressTracker(total, label="bench")
-        tracker.add_listener(obs_progress.stderr_listener())
-        tracker.add_listener(obs_progress.log_listener())
         obs_progress.activate(tracker)
     mark = TRACER.mark()
     started = time.perf_counter()
@@ -823,8 +820,7 @@ def cmd_submit(args) -> int:
 
 
 def cmd_watch(args) -> int:
-    """Follow a submitted job's live progress until it is terminal."""
-    from repro.obs.progress import render_heartbeat
+    """Poll a submitted job until it is terminal; print its document."""
     from repro.service.client import (
         JobFailed,
         ServiceClient,
@@ -834,22 +830,17 @@ def cmd_watch(args) -> int:
 
     client = ServiceClient(args.host, args.port, timeout=args.timeout)
 
-    def on_progress(doc) -> None:
-        state = doc.get("state", "?")
-        beat = doc.get("heartbeat") or {}
-        if beat.get("label"):
-            line = render_heartbeat(beat)
-        else:
-            line = beat.get("phase") or "waiting"
-        # Progress lines go to stderr; stdout stays a single JSON doc.
-        print(f"{state:>8}  {line}", file=sys.stderr, flush=True)
+    def on_change(doc) -> None:
+        # State lines go to stderr; stdout stays a single JSON doc.
+        print(f"{doc['state']:>8}  {doc['request']['benchmark']}",
+              file=sys.stderr, flush=True)
 
     try:
-        final = client.watch(
+        final = client.wait(
             args.job_id,
             timeout=args.timeout,
             poll_interval=args.interval,
-            on_progress=on_progress,
+            on_change=on_change,
         )
     except UnknownJob as exc:
         return _fail(str(exc))
@@ -1098,7 +1089,7 @@ def main(argv=None) -> int:
 
     watch_parser = sub.add_parser(
         "watch",
-        help="stream live progress for a submitted job until terminal")
+        help="poll a submitted job until terminal; print its document")
     watch_parser.add_argument("job_id", metavar="JOB_ID")
     watch_parser.add_argument("--host", default="127.0.0.1")
     watch_parser.add_argument("--port", type=int, default=DEFAULT_PORT)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import time
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Any, Callable, Iterable
@@ -86,16 +87,19 @@ def run_worker_batch(
     Re-applies the parent's disk-cache config, re-arms the tracer (a
     fork inherits the parent's spans, totals and counters, which would
     otherwise come home twice), runs the batch, and returns ``(result,
-    telemetry)``.  ``telemetry`` is one dict — pid, spans, span totals,
-    counters, drop count and disk-cache stats — for :func:`absorb`:
-    without it a pooled report would show zero simulated runs and zero
-    cache writes, and the span timeline a hole where the pool worked.
+    telemetry)``.  ``telemetry`` is one dict — pid, the seconds the
+    worker spent on the call, spans, span totals, counters, drop count
+    and disk-cache stats — for :func:`absorb`: without it a pooled
+    report would show zero simulated runs and zero cache writes, and the
+    span log a hole where the pool worked.
     """
+    started = time.monotonic()
     diskcache.configure(enabled=cache_enabled, root=cache_root)
     begin_worker(telemetry)
     result = batch()
     return result, {
         "pid": os.getpid(),
+        "seconds": time.monotonic() - started,
         **TRACER.snapshot(),
         "disk": diskcache.shared_stats(),
     }
@@ -103,8 +107,8 @@ def run_worker_batch(
 
 def absorb(telemetry: dict) -> None:
     """Merge a worker's :func:`run_worker_batch` telemetry into this
-    process: spans under a ``worker-<pid>`` track, totals under
-    ``workers.``, counters flat, disk-cache stats summed."""
+    process: spans to the span listeners tagged ``worker-<pid>``, totals
+    under ``workers.``, counters flat, disk-cache stats summed."""
     TRACER.merge(telemetry, process=f"worker-{telemetry['pid']}")
     diskcache.merge_stats(telemetry["disk"])
 

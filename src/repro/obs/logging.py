@@ -24,7 +24,6 @@ kind                  fields
 ``warning``           slow-span watchdog: ``span``, ``thread``,
                       ``elapsed_seconds``, ``threshold_seconds``,
                       ``stack``
-``event``             free-form one-off marks (``name`` + payload)
 ====================  ==================================================
 """
 

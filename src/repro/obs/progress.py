@@ -1,12 +1,10 @@
 """Live progress heartbeats for long host-side runs.
 
 A :class:`ProgressTracker` counts work units (benchmark runs, study
-cells, service jobs) and derives rate and ETA from a monotonic clock.
-Every :meth:`advance` produces a *heartbeat* — a plain dict — and fans
-it out to listeners: the stderr renderer behind ``repro bench
---progress`` / ``repro study --progress``, the JSONL log, and the
-service's per-job progress documents behind ``GET
-/v1/jobs/{id}/progress``.
+cells) and derives rate and ETA from a monotonic clock.  Every
+:meth:`advance` produces a *heartbeat* — a plain dict — prints it as
+one stderr line (``repro bench --progress`` / ``repro study
+--progress``) and writes it to the JSONL log when one is open.
 
 The harness publishes through a module-level *active tracker* slot
 (:func:`activate` / :func:`advance_active`) so deep layers like
@@ -21,6 +19,8 @@ import sys
 import threading
 import time
 
+from repro.obs.logging import log_record
+
 
 class ProgressTracker:
     """Done/total accounting with instructions-per-second and ETA."""
@@ -32,24 +32,19 @@ class ProgressTracker:
         self.instructions = 0
         self.started = time.monotonic()
         self._lock = threading.Lock()
-        self._listeners: list = []
-
-    def add_listener(self, listener) -> None:
-        """``listener(heartbeat_dict)`` fires on every advance."""
-        self._listeners.append(listener)
 
     def advance(self, units: int = 1, instructions: int = 0,
                 detail: str | None = None) -> dict:
-        """Record finished work and emit a heartbeat to all listeners."""
+        """Record finished work; print and log the heartbeat."""
         with self._lock:
             self.done += units
             self.instructions += instructions
         beat = self.heartbeat(detail)
-        for listener in self._listeners:
-            try:
-                listener(beat)
-            except Exception:  # noqa: BLE001 — progress must never raise
-                pass
+        try:
+            print(render_heartbeat(beat), file=sys.stderr, flush=True)
+            log_record("heartbeat", **beat)
+        except Exception:  # noqa: BLE001 — progress must never raise
+            pass
         return beat
 
     def heartbeat(self, detail: str | None = None) -> dict:
@@ -108,34 +103,6 @@ def _duration(seconds: float) -> str:
     if seconds >= 60:
         return f"{int(seconds // 60)}m{int(seconds % 60):02d}s"
     return f"{seconds:.0f}s"
-
-
-def stderr_listener(stream=None, min_interval: float = 0.0):
-    """A listener that renders heartbeats to ``stream`` (stderr), rate
-    limited to one line per ``min_interval`` seconds (final line always
-    prints)."""
-    stream = stream or sys.stderr
-    last = [float("-inf")]
-
-    def listener(beat: dict) -> None:
-        now = time.monotonic()
-        final = beat.get("total") and beat.get("done", 0) >= beat["total"]
-        if not final and now - last[0] < min_interval:
-            return
-        last[0] = now
-        print(render_heartbeat(beat), file=stream, flush=True)
-
-    return listener
-
-
-def log_listener():
-    """A listener forwarding heartbeats to the runtime JSONL log."""
-    from repro.obs.logging import log_record
-
-    def listener(beat: dict) -> None:
-        log_record("heartbeat", **beat)
-
-    return listener
 
 
 #: The active tracker slot published to deep harness layers.

@@ -20,7 +20,7 @@ Design rules, mirroring the event bus (`repro.obs.events`):
   finished spans land in one lock-guarded buffer.  Subprocess workers
   run their own tracer and ship finished spans back through
   ``harness.parallel`` as plain dicts via :meth:`SpanTracer.snapshot`
-  / :meth:`SpanTracer.merge`.
+  / :meth:`SpanTracer.merge`, which replays them to the listeners.
 * **Exact totals, always-on counters.**  Each closing span also adds to
   a ``(count, seconds)`` total per name, kept apart from the bounded
   record buffer so totals stay exact after it fills.  These totals are
@@ -350,12 +350,12 @@ class SpanTracer:
     def merge(self, snapshot: dict | None, process: str) -> int:
         """Fold a worker tracer's :meth:`snapshot` into this tracer.
 
-        Worker records keep their own relative timeline but are tagged
-        with ``process`` so exports can give each worker its own track.
-        Listeners fire for each merged span (so the JSONL log and the
-        Prometheus histograms see worker spans too).  Worker totals land
-        under a ``workers.`` prefix: they are compute seconds summed
-        across the pool, never to be read as this process's wall clock.
+        Worker spans go to the listeners only (the JSONL log and the
+        Prometheus histograms), tagged with ``process`` and this
+        tracer's run id; they never enter this tracer's record buffer,
+        which holds this process's own spans.  Worker totals land under
+        a ``workers.`` prefix: they are compute seconds summed across
+        the pool, never to be read as this process's wall clock.
         Counters merge flat — a cache hit is a hit in any process.
         Returns the number of spans merged.
         """
@@ -368,20 +368,15 @@ class SpanTracer:
                 self._add_total(name, count, seconds)
             for name, value in snapshot.get("counters", {}).items():
                 self._counters[name] = self._counters.get(name, 0) + value
+            self.dropped += int(snapshot.get("dropped", 0))
         merged = 0
         for doc in snapshot.get("spans", ()):
             record = SpanRecord.from_dict(doc)
             record.process = process
             if self.run_id is not None:
                 record.attrs.setdefault("run_id", self.run_id)
-            with self._lock:
-                if len(self._records) < MAX_BUFFERED_SPANS:
-                    self._records.append(record)
-                else:
-                    self.dropped += 1
             self._notify(record)
             merged += 1
-        self.dropped += int(snapshot.get("dropped", 0))
         return merged
 
     def active_spans(self) -> list[dict]:

@@ -174,59 +174,18 @@ class ServiceClient:
     def job(self, job_id: str) -> dict:
         return self._request("GET", f"/v1/jobs/{job_id}")["job"]
 
-    def progress(self, job_id: str) -> dict:
-        """Lifecycle state + latest heartbeat (``repro watch`` polls this)."""
-        return self._request(
-            "GET", f"/v1/jobs/{job_id}/progress"
-        )["progress"]
-
-    def watch(
-        self,
-        job_id: str,
-        timeout: float = 600.0,
-        poll_interval: float = 0.2,
-        on_progress=None,
-    ) -> dict:
-        """Poll the progress endpoint until terminal, invoking
-        ``on_progress(progress_doc)`` on every state/heartbeat change.
-        Returns the final progress document (raises :class:`JobFailed`
-        on the failed state, like :meth:`wait`).
-
-        ``poll_interval`` seeds an exponential backoff with jitter
-        (capped at ~2s): early polls stay fast enough to catch short
-        jobs, while long jobs are not hammered at a fixed rate."""
-        deadline = time.monotonic() + timeout
-        intervals = poll_intervals(poll_interval)
-        last = None
-        while True:
-            doc = self.progress(job_id)
-            snapshot = (doc.get("state"), doc.get("heartbeat"))
-            if on_progress is not None and snapshot != last:
-                last = snapshot
-                try:
-                    on_progress(doc)
-                except Exception:  # noqa: BLE001 — render errors don't abort
-                    pass
-            if doc.get("terminal"):
-                if doc.get("state") == "failed":
-                    raise JobFailed(doc)
-                return doc
-            now = time.monotonic()
-            if now >= deadline:
-                raise TimeoutError(
-                    f"job {job_id} still {doc.get('state')} "
-                    f"after {timeout:g}s"
-                )
-            time.sleep(min(next(intervals), max(0.0, deadline - now)))
-
     def wait(
         self,
         job_id: str,
         timeout: float = 600.0,
         poll_interval: float = 0.05,
+        on_change=None,
     ) -> dict:
         """Poll until the job is terminal; returns the final document.
 
+        ``on_change(doc)``, when given, is called with the job document
+        once per newly seen ``state``; an exception it raises is
+        swallowed, so a rendering error never aborts the wait.
         Raises :class:`JobFailed` on the ``failed`` state and
         :class:`TimeoutError` when the deadline passes first.
         Polling backs off exponentially with jitter from
@@ -235,8 +194,15 @@ class ServiceClient:
         """
         deadline = time.monotonic() + timeout
         intervals = poll_intervals(poll_interval)
+        last = None
         while True:
             doc = self.job(job_id)
+            if on_change is not None and doc["state"] != last:
+                last = doc["state"]
+                try:
+                    on_change(doc)
+                except Exception:  # noqa: BLE001 — render errors don't abort
+                    pass
             if doc["state"] == "done":
                 return doc
             if doc["state"] == "failed":

@@ -197,7 +197,6 @@ class JobState:
     DONE = "done"
     FAILED = "failed"
 
-    TERMINAL = (DONE, FAILED)
     ALL = (QUEUED, RUNNING, DONE, FAILED)
 
 
@@ -228,9 +227,6 @@ class Job:
     error: str | None = None
     #: True when this job attached to another job's in-flight execution.
     coalesced: bool = False
-    #: Latest progress heartbeat (``GET /v1/jobs/{id}/progress``); the
-    #: executor thread replaces the whole dict, never mutates it.
-    progress: dict | None = None
 
     @property
     def queue_wait_seconds(self) -> float | None:
@@ -260,17 +256,3 @@ class Job:
         if include_result:
             doc["result"] = self.result
         return doc
-
-    def progress_doc(self) -> dict:
-        """The ``/v1/jobs/{id}/progress`` body: lifecycle plus the most
-        recent heartbeat, cheap enough to poll every few hundred ms."""
-        return {
-            "id": self.id,
-            "state": self.state,
-            "terminal": self.state in JobState.TERMINAL,
-            "coalesced": self.coalesced,
-            "queue_wait_seconds": self.queue_wait_seconds,
-            "run_seconds": self.run_seconds,
-            "heartbeat": self.progress,
-            "error": self.error,
-        }

@@ -24,7 +24,6 @@ from __future__ import annotations
 import asyncio
 import time
 
-from repro.obs.progress import ProgressTracker
 from repro.service.jobs import Job
 from repro.service.metrics import ServiceMetrics
 from repro.service.queue import JobQueue
@@ -142,7 +141,6 @@ class Scheduler:
         flight.jobs.append(job)
         if not leader:
             job.coalesced = True
-            job.progress = flight.jobs[0].progress
             self.metrics.bump("coalesced")
             return
         task = asyncio.get_running_loop().create_task(self._run_flight(flight))
@@ -151,25 +149,13 @@ class Scheduler:
 
     async def _run_flight(self, flight: Flight) -> None:
         leader = flight.jobs[0]
-        request = leader.request
-        tracker = ProgressTracker(1, label="job")
-        # Progress documents are replaced, never mutated, so readers on
-        # the server's loop see a consistent heartbeat without a lock.
-        dispatched = tracker.heartbeat(detail=request.benchmark)
-        dispatched["phase"] = "dispatched"
-        leader.progress = dispatched
         try:
-            status, value = await self.pool.run(request, leader.id)
+            status, value = await self.pool.run(leader.request, leader.id)
         except Exception as exc:  # pool broken / executor-level failure
             status, value = "error", f"{type(exc).__name__}: {exc}"
         # Land before completing so a post-completion duplicate starts a
         # fresh flight (and is then served by the caches).
         self.flights.land(flight.key)
-        instructions = 0
-        if status == "ok" and isinstance(value, dict):
-            instructions = int(value.get("dynamic_instructions", 0) or 0)
-        final = tracker.advance(1, instructions, detail=request.benchmark)
-        final["phase"] = "done" if status == "ok" else "failed"
         now = time.monotonic()
         for job in flight.jobs:
             if status == "ok":
@@ -185,5 +171,4 @@ class Scheduler:
             wait = job.queue_wait_seconds
             if wait is not None:
                 self.metrics.observe_queue_wait(wait)
-            job.progress = final
         self.wake()

@@ -12,10 +12,6 @@ Endpoints::
     POST /v1/jobs        -> 202 {"job": {...}} | 400 | 429 (+Retry-After) | 503
     GET  /v1/jobs        -> {"jobs": [...]} (retained jobs, no result bodies)
     GET  /v1/jobs/{id}   -> job document with result when done | 404
-    GET  /v1/jobs/{id}/progress
-                         -> lifecycle state + latest heartbeat (live
-                            done/total + instr/s while running); cheap
-                            enough for sub-second polling (``repro watch``)
 
 Graceful shutdown (``SIGTERM``/``SIGINT`` under ``repro serve``): the
 listener closes, the queue stops admitting (503), and the scheduler
@@ -216,11 +212,6 @@ class ServiceServer:
                 if method == "GET":
                     return self._list_jobs()
                 raise _HttpError(405, f"{method} not allowed on {path}")
-            if (path.startswith("/v1/jobs/") and path.count("/") == 4
-                    and path.endswith("/progress")):
-                if method != "GET":
-                    raise _HttpError(405, f"{method} not allowed on {path}")
-                return self._get_progress(path.split("/")[3])
             if path.startswith("/v1/jobs/") and path.count("/") == 3:
                 if method != "GET":
                     raise _HttpError(405, f"{method} not allowed on {path}")
@@ -272,10 +263,6 @@ class ServiceServer:
     def _get_job(self, job_id: str):
         job = self.queue.get(job_id)
         return self._ok({"job": job.to_doc()})
-
-    def _get_progress(self, job_id: str):
-        job = self.queue.get(job_id)
-        return self._ok({"progress": job.progress_doc()})
 
     def _list_jobs(self):
         return self._ok(

@@ -2,8 +2,8 @@
 
 The scheduler is policy (single-flight dedup, completion bookkeeping); a
 :class:`WorkerPool` is mechanism — it owns the executor that runs
-:func:`execute_request` and reports busy/total gauges plus a
-dispatch-duration histogram for ``/metrics``.  The contract is one
+:func:`execute_request` and reports busy/total gauges plus a histogram
+of each flight's execution time for ``/metrics``.  The contract is one
 request in, one outcome out: ``("ok", report)`` or ``("error",
 message)``; ``run`` raises only when the pool itself is broken.
 
@@ -84,15 +84,20 @@ def execute_request(request, job_id: str | None = None) -> tuple[str, object]:
 
 
 class WorkerPool:
-    """Common gauges + dispatch accounting around one executor."""
+    """Common gauges + dispatch accounting around one executor.
+
+    A flight's ``batch_seconds`` are timed where it executes, so time it
+    spends waiting in the executor queue never counts as busy; ``busy``
+    is the number of dispatched flights capped at the pool size, since
+    flights beyond it wait in that queue.
+    """
 
     kind = "base"
 
     def __init__(self, workers: int) -> None:
         self.workers = max(1, int(workers))
         self._lock = threading.Lock()
-        self._busy = 0
-        self._batches_total = 0
+        self._dispatched = 0
         self._batch_seconds = LatencyHistogram()
         self._executor = None
 
@@ -100,28 +105,24 @@ class WorkerPool:
     @contextlib.contextmanager
     def _track(self):
         with self._lock:
-            self._busy += 1
-        started = time.monotonic()
+            self._dispatched += 1
         try:
             yield
         finally:
-            elapsed = time.monotonic() - started
             with self._lock:
-                self._busy -= 1
-                self._batches_total += 1
-            self._batch_seconds.observe(elapsed)
+                self._dispatched -= 1
 
     def stats(self) -> dict:
-        """``/metrics`` gauges; a ``batches_total`` unit is one dispatch."""
+        """``/metrics`` gauges; a ``batches_total`` unit is one flight."""
         with self._lock:
-            busy = self._busy
-            batches = self._batches_total
+            busy = min(self._dispatched, self.workers)
+        batch_seconds = self._batch_seconds.summary()
         return {
             "kind": self.kind,
             "total": self.workers,
             "busy": busy,
-            "batches_total": batches,
-            "batch_seconds": self._batch_seconds.summary(),
+            "batches_total": batch_seconds["count"],
+            "batch_seconds": batch_seconds,
         }
 
     # ------------------------------------------------------------------
@@ -145,10 +146,19 @@ class InjectedWorkerPool(WorkerPool):
             max_workers=self.workers, thread_name_prefix="repro-sim"
         )
 
+    def _timed(self, request) -> tuple:
+        started = time.monotonic()
+        outcome = self._fn(request)
+        return outcome, time.monotonic() - started
+
     async def run(self, request, job_id: str | None = None):
         loop = asyncio.get_running_loop()
         with self._track():
-            return await loop.run_in_executor(self._executor, self._fn, request)
+            outcome, seconds = await loop.run_in_executor(
+                self._executor, self._timed, request
+            )
+        self._batch_seconds.observe(seconds)
+        return outcome
 
 
 class ProcessWorkerPool(WorkerPool):
@@ -203,4 +213,5 @@ class ProcessWorkerPool(WorkerPool):
                 self._executor = self._make_executor()
                 raise
         absorb(shipped)
+        self._batch_seconds.observe(shipped["seconds"])
         return outcome

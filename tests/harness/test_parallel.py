@@ -71,10 +71,15 @@ def test_jobs_one_runs_serially(no_disk):
 
 def test_worker_profiles_and_spans_merge_into_parent(no_disk, monkeypatch):
     """Regression: child-process span totals, counters and spans all
-    come home through the pool fan-out, tagged per worker process."""
+    come home through the pool fan-out, tagged per worker process.
+    Worker spans reach the span listeners; the parent's record buffer
+    keeps only its own."""
     monkeypatch.delenv("REPRO_MAX_JOBS", raising=False)
     TRACER.reset()
     TRACER.enable("run-pool")
+    records = []
+    listener = records.append
+    TRACER.add_listener(listener)
     tracker = progress.ProgressTracker(2, label="test")
     progress.activate(tracker)
     try:
@@ -83,12 +88,14 @@ def test_worker_profiles_and_spans_merge_into_parent(no_disk, monkeypatch):
         assert set(results) == {spec.key for spec in specs}
     finally:
         progress.deactivate()
+        TRACER.remove_listener(listener)
         TRACER.disable()
-        records = TRACER.records()
+        buffered = TRACER.records()
         totals = TRACER.mark()[0]
         counters = TRACER.counters()
         TRACER.reset()
         TRACER.run_id = None
+    assert buffered == [r for r in records if r.process == "main"]
 
     # One mechanism: each name's total is exactly its records' summed
     # durations — bare for this process, under workers.* for the pool.
@@ -142,6 +149,9 @@ def test_envelope_brings_worker_telemetry_home_once(tmp_path):
     diskcache.configure(enabled=True, root=root)
     TRACER.reset()
     TRACER.enable("run-envelope")
+    records = []
+    listener = records.append
+    TRACER.add_listener(listener)
     try:
         # Parent state the fork inherits.
         TRACER.bump("runs_simulated", 5)
@@ -155,10 +165,11 @@ def test_envelope_brings_worker_telemetry_home_once(tmp_path):
                 worker_telemetry(),
             ).result()
         absorb(shipped)
-        records = TRACER.records()
+        buffered = TRACER.records()
         totals, counters = TRACER.mark()
         disk = diskcache.shared_stats()
     finally:
+        TRACER.remove_listener(listener)
         TRACER.disable()
         TRACER.reset()
         TRACER.run_id = None
@@ -167,6 +178,8 @@ def test_envelope_brings_worker_telemetry_home_once(tmp_path):
     assert counters == {"runs_simulated": 7}
     assert sorted(r.name for r in records if r.process != "main") == [
         "cache.put", "pool.worker_batch"]
+    assert [r.name for r in buffered] == ["pool.execute_runs", "cache.put"]
+    assert shipped["seconds"] > 0
     assert {name: count for name, (count, _) in totals.items()} == {
         "pool.execute_runs": 1, "cache.put": 1,
         "workers.pool.worker_batch": 1, "workers.cache.put": 1}
@@ -190,17 +203,16 @@ def test_serial_sweep_probes_the_disk_once_per_spec(tmp_path):
             first[spec.key].stats.as_dict()
 
 
-def test_serial_runs_advance_progress(no_disk):
+def test_serial_runs_advance_progress(no_disk, capsys):
     tracker = progress.ProgressTracker(1, label="test")
-    beats = []
-    tracker.add_listener(beats.append)
     progress.activate(tracker)
     try:
         execute_runs([dynaspam_spec("KM", SCALE)], jobs=1)
     finally:
         progress.deactivate()
     assert tracker.done == 1
-    assert beats and beats[-1]["fraction"] == 1.0
+    lines = capsys.readouterr().err.splitlines()
+    assert lines and lines[-1].startswith("[1/1] test 100%")
 
 
 def test_default_jobs_positive():

@@ -1,8 +1,10 @@
 """Progress heartbeats: tracker math, rendering, and the active slot."""
 
-import io
+import json
+import sys
 
 from repro.obs import progress
+from repro.obs.logging import close_log, open_log
 
 
 def test_tracker_heartbeat_fields():
@@ -28,14 +30,33 @@ def test_zero_total_never_divides():
     assert beat["eta_seconds"] is None
 
 
-def test_listeners_fire_and_never_raise():
-    tracker = progress.ProgressTracker(2)
-    beats = []
-    tracker.add_listener(beats.append)
-    tracker.add_listener(lambda beat: 1 / 0)    # must be swallowed
-    tracker.advance(1)
-    tracker.advance(1)
-    assert [b["done"] for b in beats] == [1, 2]
+def test_advance_prints_and_logs_each_beat_and_never_raises(
+        tmp_path, capsys, monkeypatch):
+    log_path = tmp_path / "progress.jsonl"
+    open_log(str(log_path))
+    try:
+        tracker = progress.ProgressTracker(2, label="bench")
+        tracker.advance(1, detail="KM")
+        tracker.advance(1)
+    finally:
+        close_log()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("[1/2] bench  50%") and lines[0].endswith("KM")
+    assert lines[1].startswith("[2/2] bench 100%")
+    records = [json.loads(line) for line in log_path.read_text().splitlines()]
+    assert [(r["kind"], r["done"]) for r in records] == [
+        ("heartbeat", 1), ("heartbeat", 2)]
+
+    class BrokenStream:
+        def write(self, text):
+            raise OSError("stderr is closed")
+
+        def flush(self):
+            raise OSError("stderr is closed")
+
+    monkeypatch.setattr(sys, "stderr", BrokenStream())
+    assert tracker.advance(0)["done"] == 2
 
 
 def test_render_heartbeat_line():
@@ -45,20 +66,6 @@ def test_render_heartbeat_line():
         "detail": "KM",
     })
     assert line == "[12/44] bench  27% | 1.8M instr/s | ETA 9s | KM"
-
-
-def test_stderr_listener_rate_limits_but_prints_final():
-    stream = io.StringIO()
-    tracker = progress.ProgressTracker(3, label="bench")
-    tracker.add_listener(
-        progress.stderr_listener(stream=stream, min_interval=3600.0)
-    )
-    tracker.advance(1)      # first beat prints (nothing printed before)
-    tracker.advance(1)      # suppressed (within the interval)
-    tracker.advance(1)      # final beat always prints
-    lines = stream.getvalue().splitlines()
-    assert len(lines) == 2
-    assert lines[-1].startswith("[3/3]")
 
 
 def test_active_slot_roundtrip():

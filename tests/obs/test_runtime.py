@@ -127,11 +127,14 @@ def test_snapshot_merge_tags_process_and_fires_listeners(tracer):
     tracer.add_listener(seen.append)
     merged = tracer.merge(shipped, process="worker-1234")
     assert merged == 1
-    (record,) = tracer.records()
+    (record,) = seen
     assert isinstance(record, SpanRecord)
     assert record.process == "worker-1234"
     assert record.attrs["run_id"] == "run-shared"
-    assert seen == [record]
+    # Worker spans reach the listeners only, never this tracer's buffer.
+    assert tracer.records() == []
+    assert tracer.mark()[0] == {
+        "workers.sim.execute_spec": (1, record.duration)}
     assert tracer.merge(None, process="x") == 0
     assert tracer.merge({"spans": []}, process="x") == 0
 

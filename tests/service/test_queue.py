@@ -7,6 +7,7 @@ coalescing and failure paths are exercised deterministically.
 
 import asyncio
 import threading
+import time
 
 import pytest
 
@@ -339,6 +340,39 @@ def test_scheduler_drain_finishes_queued_work():
         await scheduler.drain()
         assert queue.open_count() == 0
         assert all(queue.get(job.id).state == JobState.DONE for job in jobs)
+
+    _drive(scenario())
+
+
+def test_scheduler_times_flights_where_they_execute():
+    """A flight waiting in the pool's executor queue is neither busy nor
+    timed: with one worker, two 0.2 s flights add up to ~0.4 s of batch
+    time, not the ~0.6 s a hand-off-to-result clock reads."""
+    async def scenario():
+        queue = JobQueue(depth=8)
+        metrics = ServiceMetrics()
+
+        def fake_execute(request):
+            time.sleep(0.2)
+            return "ok", {}
+
+        scheduler = Scheduler(queue, metrics, workers=1,
+                              execute_fn=fake_execute)
+        scheduler.start()
+        queue.submit(JobRequest("KM", scale=0.05))
+        queue.submit(JobRequest("KM", scale=0.10))
+        scheduler.wake()
+        await _wait_until(lambda: scheduler.in_flight() == 2)
+        busy = []
+        while queue.open_count():
+            busy.append(scheduler.worker_stats()["busy"])
+            await asyncio.sleep(0.01)
+        stats = scheduler.worker_stats()
+        await scheduler.drain()
+        assert busy and max(busy) == 1
+        assert stats["busy"] == 0
+        assert stats["batches_total"] == 2
+        assert 0.39 <= stats["batch_seconds"]["sum"] < 0.55
 
     _drive(scenario())
 

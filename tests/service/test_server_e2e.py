@@ -1,5 +1,6 @@
 """End-to-end tests: real sockets, real simulations, real signals."""
 
+import http.client
 import json
 import re
 import signal
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import repro.harness.diskcache as diskcache
+from repro.__main__ import main
 from repro.harness.runner import simulation_report
 from repro.obs.runtime import TRACER
 from repro.service import ServiceClient, ThreadedServer
@@ -120,50 +122,34 @@ def test_duplicate_burst_coalesces_and_backpressures(no_disk_cache):
     assert simulated == 2
 
 
-def test_progress_endpoint_tracks_job_lifecycle(no_disk_cache):
-    """The progress endpoint reflects queued -> running -> done, with
-    heartbeats while running and monotonic queue-wait/run durations."""
+def test_wait_reports_job_lifecycle(no_disk_cache):
+    """``wait(on_change=...)`` sees queued -> running -> done in order,
+    once per state, with monotonic queue-wait/run durations."""
     with ThreadedServer(workers=1, queue_depth=4) as server:
         client = ServiceClient(port=server.port)
         job = client.submit("KM", scale=0.05)
 
-        states, heartbeats = [], []
-
-        def on_progress(doc):
-            states.append(doc["state"])
-            if doc.get("heartbeat"):
-                heartbeats.append(doc["heartbeat"])
-
-        final = client.watch(job["id"], timeout=180,
-                             poll_interval=0.01, on_progress=on_progress)
+        states = []
+        final = client.wait(
+            job["id"], timeout=180, poll_interval=0.01,
+            on_change=lambda doc: states.append(doc["state"]),
+        )
         assert final["state"] == "done"
-        assert final["terminal"] is True
         assert final["id"] == job["id"]
         assert final["coalesced"] is False
         assert final["error"] is None
+        assert final["result"]["benchmark"] == "KM"
         # The lifecycle arrived in order (polling may skip states but
-        # must never see them regress).
+        # must never see them regress), one callback per state.
         order = {"queued": 0, "running": 1, "done": 2}
         ranks = [order[s] for s in states]
         assert ranks == sorted(ranks)
+        assert len(set(states)) == len(states)
         assert states[-1] == "done"
 
-        # The terminal heartbeat carries the job's progress and phase.
-        beat = final["heartbeat"]
-        assert beat["phase"] == "done"
-        assert beat["label"] == "job"
-        assert beat["done"] == beat["total"] == 1
-        assert beat["detail"] == "KM"
-        assert any(b.get("phase") in ("dispatched", "done")
-                   for b in heartbeats)
-
-        # Monotonic duration math: both waits are present, non-negative,
-        # and also live on the full job document.
+        # Monotonic duration math: both waits are present, non-negative.
         assert final["queue_wait_seconds"] >= 0.0
         assert final["run_seconds"] >= 0.0
-        doc = client.job(job["id"])
-        assert doc["queue_wait_seconds"] == final["queue_wait_seconds"]
-        assert doc["run_seconds"] == final["run_seconds"]
 
         # Span histograms reached /metrics (JSON and Prometheus text).
         metrics = client.metrics()
@@ -175,8 +161,53 @@ def test_progress_endpoint_tracks_job_lifecycle(no_disk_cache):
                 '{span="service.execute_request"}') in text
         assert "repro_queue_wait_window_seconds" in text
 
-        with pytest.raises(UnknownJob):
-            client.progress("job-does-not-exist")
+
+def test_progress_path_is_not_an_endpoint():
+    with ThreadedServer(workers=1, queue_depth=4) as server:
+        conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=30)
+        try:
+            conn.request("GET", "/v1/jobs/job-x/progress")
+            response = conn.getresponse()
+            body = json.loads(response.read())
+        finally:
+            conn.close()
+    assert response.status == 404
+    assert body["error"]["message"].startswith("no such endpoint")
+
+
+def test_watch_prints_state_lines_and_the_final_document(
+        tmp_disk_cache, capsys):
+    with ThreadedServer(workers=1, queue_depth=4) as server:
+        port = str(server.port)
+        job = ServiceClient(port=server.port).submit("KM", scale=0.05)
+        assert main(["watch", job["id"], "--port", port,
+                     "--interval", "0.01"]) == 0
+        out, err = capsys.readouterr()
+        assert main(["watch", "job-nope", "--port", port]) == 2
+    doc = json.loads(out)
+    assert doc["id"] == job["id"]
+    assert doc["state"] == "done"
+    assert doc["result"]["benchmark"] == "KM"
+    lines = [line.split() for line in err.splitlines()]
+    order = {"queued": 0, "running": 1, "done": 2}
+    assert all(benchmark == "KM" for _, benchmark in lines)
+    ranks = [order[state] for state, _ in lines]
+    assert ranks == sorted(ranks) and lines[-1][0] == "done"
+
+
+def test_server_keeps_no_worker_span_records(no_disk_cache):
+    """Worker spans feed the span listeners (``/metrics``, the JSONL
+    log) but never pile up in the server's own record buffer."""
+    with ThreadedServer(workers=1, queue_depth=4) as server:
+        client = ServiceClient(port=server.port)
+        jobs = [client.submit(name, scale=0.05) for name in ("KM", "BFS")]
+        for job in jobs:
+            client.wait(job["id"], timeout=180)
+        spans = client.metrics()["spans"]
+    assert spans["service.execute_request"]["count"] >= 2
+    assert not [record for record in TRACER.records()
+                if record.process.startswith("worker-")]
 
 
 def test_threaded_stop_drains_inflight_jobs(tmp_disk_cache):
