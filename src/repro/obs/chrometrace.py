@@ -22,8 +22,8 @@ When host-runtime telemetry is on (``repro run --trace-out`` enables
 it), a **second process** (pid 2, "host runtime (wall clock)") carries
 the wall-clock spans from :mod:`repro.obs.runtime`: one thread track
 per (process, thread) pair with ``ts``/``dur`` in microseconds relative
-to the earliest host span.  The simulated tracks are bit-identical whether or
-not host spans are attached.
+to the earliest host span.  The simulated tracks are bit-identical
+whether or not host spans are attached.
 """
 
 from __future__ import annotations
