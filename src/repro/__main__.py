@@ -58,8 +58,10 @@ documents) and attributes each per-benchmark cycle delta to bucket
 deltas; it refuses mismatched report schema versions unless ``--force``
 and warns when the code fingerprints differ.
 ``bench`` times the full Figure 8 sweep and writes a machine-readable
-speedup/timing report so the performance trajectory is tracked PR over PR
-(``--cold`` bypasses the caches so the timing measures real simulation).
+speedup/timing report of that sweep alone (``--cold`` bypasses the
+caches so the timing measures real simulation); a kernel's trace fates
+are ``why --json``'s and an ingested program's row is
+``run --program --json``'s.
 ``serve`` starts the simulation-as-a-service HTTP server and ``submit``
 sends it a job; ``submit --wait`` prints the same JSON ``run --json``
 does, resolved through the server's queue and caches.
@@ -529,14 +531,6 @@ def cmd_bench(args) -> int:
     from repro.harness.runner import report_provenance
     from repro.obs.runtime import TRACER
 
-    program_paths = None
-    if args.programs:
-        # Checked before the sweep, so a bad directory fails at once.
-        import pathlib
-
-        program_paths = sorted(pathlib.Path(args.programs).glob("*.spam"))
-        if not program_paths:
-            return _fail(f"no .spam programs under {args.programs}")
     apply_cache_arguments(args)
     if args.cold:
         # A cold benchmark measures simulation, not cache replay: no
@@ -571,42 +565,6 @@ def cmd_bench(args) -> int:
     # Derived from the sweep's own runs: no resolution, no simulation.
     accounting, fabric_utilization = figure8_accounting(result.runs)
     warnings = speedup_warnings(result)
-    decisions = None
-    if args.decisions:
-        # Decisions run strictly after the timing sweep and its counters
-        # are frozen: each benchmark gets one traced re-simulation folded
-        # into a DecisionSink (its baseline resolves through the disk
-        # cache, or simulates again when it is off), so the timed
-        # numbers (and "tracing": False) are untouched.
-        from repro.harness.runner import simulation_report
-        from repro.workloads import ALL_ABBREVS
-
-        decisions = {}
-        for abbrev in ALL_ABBREVS:
-            traced = simulation_report(abbrev, args.scale, decisions=True)
-            decisions[abbrev] = traced["decisions"]
-    programs = None
-    if program_paths is not None:
-        # Ingested-program rows run serially in-process: the corpus is
-        # small, and each run resolves through the same disk cache.
-        from repro.harness.runner import program_simulation_report
-        from repro.lang import LangError
-
-        programs = {}
-        try:
-            for path in program_paths:
-                prog_report = program_simulation_report(str(path))
-                programs[path.stem] = {
-                    "abbrev": prog_report["program"]["abbrev"],
-                    "dynamic_instructions":
-                        prog_report["dynamic_instructions"],
-                    "baseline_cycles": prog_report["baseline_cycles"],
-                    "dynaspam_cycles": prog_report["dynaspam_cycles"],
-                    "speedup": prog_report["speedup"],
-                    "coverage": prog_report["coverage"],
-                }
-        except (LangError, ValueError, OSError) as exc:
-            return _fail(str(exc))
     report = {
         **report_provenance(),
         "experiment": "fig8",
@@ -639,10 +597,6 @@ def cmd_bench(args) -> int:
         },
         "profile": profile,
     }
-    if programs is not None:
-        report["programs"] = programs
-    if decisions is not None:
-        report["decisions"] = decisions
     with open(args.output, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -991,18 +945,9 @@ def main(argv=None) -> int:
         "--cold", action="store_true",
         help="bypass the run/disk caches so timing measures simulation")
     bench_parser.add_argument(
-        "--programs", metavar="DIR", default=None,
-        help="also benchmark every .spam program under DIR "
-             "(adds a 'programs' block to the report)")
-    bench_parser.add_argument(
         "--dashboard", metavar="DIR", default=None,
         help="also render the report as a self-contained HTML dashboard "
              "(DIR/index.html)")
-    bench_parser.add_argument(
-        "--decisions", action="store_true",
-        help="after the timed sweep, fold per-benchmark decision records "
-             "into the report (one traced re-simulation per kernel; the "
-             "timed numbers stay untraced)")
     bench_parser.add_argument(
         "--progress", action="store_true",
         help="print a live heartbeat per finished run to stderr "

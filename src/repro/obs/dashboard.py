@@ -10,7 +10,8 @@ for uploading as a CI artifact.  Two charts:
   invocation-weighted occupancy;
 
 plus a host wall-clock panel (per-section seconds from the report's
-``profile`` block) and, when present, the trace-fate breakdown.
+``profile`` block).  It charts only what the bench report holds: a
+kernel's trace fates are ``repro why``'s to report.
 
 Everything is derived from the report's stats-based ``accounting`` and
 ``fabric_utilization`` blocks — no event stream is consumed, so the
@@ -44,19 +45,6 @@ BUCKET_COLORS: dict[str, tuple[str, str]] = {
     "squash_memory": ("#4a3aa7", "#9085e9"),
 }
 
-#: Categorical slot per terminal trace fate (light, dark), in the
-#: precedence order of ``repro.obs.decisions.TRACE_FATES`` — same
-#: append-only contract as BUCKET_COLORS.
-FATE_COLORS: dict[str, tuple[str, str]] = {
-    "offloaded": ("#2a78d6", "#3987e5"),
-    "ready_never_offloaded": ("#1baf7a", "#199e70"),
-    "mapped_never_ready": ("#eda100", "#c98500"),
-    "unmappable": ("#eb6834", "#d95926"),
-    "map_aborted": ("#e87ba4", "#d55181"),
-    "hot_never_mapped": ("#4a3aa7", "#9085e9"),
-    "never_hot": ("#898781", "#898781"),
-}
-
 #: Single-hue sequential ramp (blue 100 -> 700) for the occupancy heatmap.
 SEQUENTIAL_RAMP = (
     "#cde2fb", "#b7d3f6", "#9ec5f4", "#86b6ef", "#6da7ec", "#5598e7",
@@ -85,16 +73,10 @@ def _style() -> str:
     light_vars = "\n".join(
         f"      --bucket-{name}: {light};"
         for name, (light, _) in BUCKET_COLORS.items()
-    ) + "\n" + "\n".join(
-        f"      --fate-{name}: {light};"
-        for name, (light, _) in FATE_COLORS.items()
     )
     dark_vars = "\n".join(
         f"      --bucket-{name}: {dark};"
         for name, (_, dark) in BUCKET_COLORS.items()
-    ) + "\n" + "\n".join(
-        f"      --fate-{name}: {dark};"
-        for name, (_, dark) in FATE_COLORS.items()
     )
     light_ramp = "\n".join(
         f"      .q{i} {{ fill: {hex_}; }}"
@@ -366,89 +348,6 @@ def _utilization_table(utilization: dict) -> str:
     )
 
 
-def _fate_legend() -> str:
-    items = "".join(
-        f'<span><span class="swatch" '
-        f'style="background: var(--fate-{name})"></span>'
-        f"{html.escape(name)}</span>"
-        for name in FATE_COLORS
-    )
-    return f'<div class="legend">{items}</div>'
-
-
-def _fate_bars(decisions: dict) -> str:
-    """Stacked per-benchmark trace-fate bars (identity counts)."""
-    rows = [
-        (benchmark, block["trace_fates"])
-        for benchmark, block in decisions.items()
-        if block.get("trace_fates", {}).get("identities")
-    ]
-    if not rows:
-        return "<p class='sub'>no decision records in this report</p>"
-    max_identities = max(fates["identities"] for _, fates in rows) or 1
-    height = len(rows) * _ROW_H + 8
-    parts = [
-        f'<svg role="img" width="{_LEFT + _PLOT_W + _LABEL_W}" '
-        f'height="{height}" '
-        f'aria-label="Trace-fate breakdown per benchmark">'
-    ]
-    y = 4
-    for benchmark, fates in rows:
-        total = fates["identities"]
-        parts.append(
-            f'<text class="bench" x="0" y="{y + _BAR_H - 4}">'
-            f"{html.escape(benchmark)}</text>"
-        )
-        x = float(_LEFT)
-        segments = [(n, fates["counts"].get(n, 0)) for n in FATE_COLORS
-                    if fates["counts"].get(n, 0) > 0]
-        for index, (name, count) in enumerate(segments):
-            width = count / max_identities * _PLOT_W
-            draw_w = max(width - (_GAP if index < len(segments) - 1 else 0),
-                         0.5)
-            radius = 4 if index == len(segments) - 1 else 0
-            parts.append(
-                f'<rect x="{x:.1f}" y="{y}" width="{draw_w:.1f}" '
-                f'height="{_BAR_H}" rx="{radius}" '
-                f'fill="var(--fate-{name})">'
-                f"<title>{html.escape(benchmark)} — {html.escape(name)}: "
-                f"{count} traces ({count / total:.1%})</title></rect>"
-            )
-            x += width
-        parts.append(
-            f'<text class="value" '
-            f'x="{_LEFT + total / max_identities * _PLOT_W + 6:.1f}" '
-            f'y="{y + _BAR_H - 4}">{total}</text>'
-        )
-        y += _ROW_H
-    parts.append("</svg>")
-    return "".join(parts)
-
-
-def _fate_table(decisions: dict) -> str:
-    heads = "".join(f"<th>{html.escape(n)}</th>" for n in FATE_COLORS)
-    rows = []
-    for benchmark, block in decisions.items():
-        fates = block.get("trace_fates", {})
-        counts = fates.get("counts", {})
-        windows = block.get("windows", {})
-        cells = "".join(
-            f"<td>{counts.get(n, 0):,}</td>" for n in FATE_COLORS)
-        verdict = ("ok" if fates.get("conserved", False)
-                   else '<span class="fail">leak</span>')
-        rows.append(
-            f"<tr><td>{html.escape(benchmark)}</td>"
-            f"<td>{windows.get('total', 0):,}</td>"
-            f"<td>{fates.get('identities', 0):,}</td>"
-            f"{cells}<td>{verdict}</td></tr>"
-        )
-    return (
-        "<table><thead><tr><th>benchmark</th><th>windows</th>"
-        f"<th>identities</th>{heads}<th>conserved</th></tr></thead>"
-        f"<tbody>{''.join(rows)}</tbody></table>"
-    )
-
-
 def _wallclock_section(report: dict) -> str:
     """Host wall-clock summary from the report's existing ``profile`` /
     ``wall_clock_seconds`` / ``cache`` blocks (pure rendering — the
@@ -501,24 +400,6 @@ def _wallclock_section(report: dict) -> str:
   to the total.</p>
   <div class="card">
     {''.join(parts)}
-  </div>
-"""
-
-
-def _fates_section(decisions: dict | None) -> str:
-    if not decisions:
-        return ""
-    return f"""
-  <h2>Trace fates</h2>
-  <p class="sub">Terminal decision record per trace identity (from the
-  post-sweep decisions pass); bars are identity counts on a shared
-  scale. Every identity lands in exactly one fate.</p>
-  <div class="card">
-    {_fate_legend()}
-    {_fate_bars(decisions)}
-  </div>
-  <div class="card" style="margin-top: 16px">
-    {_fate_table(decisions)}
   </div>
 """
 
@@ -577,7 +458,7 @@ def render_dashboard(report: dict) -> str:
   </div>
 
 {_wallclock_section(report)}
-{_fates_section(report.get("decisions"))}
+
   <h2>Table view</h2>
   <div class="card">
     {_accounting_table(accounting)}

@@ -13,10 +13,11 @@ silently miscounting.
 
 :class:`DecisionSink` is a streaming fold (O(#identities) memory, no
 event retention) that plugs anywhere an ``EventSink`` does; it powers
-``repro why``, ``repro explain``, ``repro study``, the ``decisions``
-report block (``simulation_report(..., decisions=True)``), the dashboard
-fate panel, and the service's ``repro_trace_fate_total`` Prometheus
-family.
+``repro why``, ``repro explain``, ``repro study`` and the ``decisions``
+report block (``simulation_report(..., decisions=True)``, which
+``repro run --decisions`` and a service job submitted with
+``"decisions": true`` return).  Trace fates are reported per run, never
+summed across runs or jobs.
 
 :func:`attribute_lost_cycles` joins the fold against the cycle-accounting
 buckets (PR 4): each non-host bucket is paired with the decision records

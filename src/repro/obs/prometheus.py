@@ -15,7 +15,7 @@ Exposed families::
     repro_queue_capacity                  gauge
     repro_queue_draining                  gauge (0/1)
     repro_workers_total                   gauge (pool size)
-    repro_workers_busy                    gauge (workers executing)
+    repro_workers_busy                    gauge (open flights)
     repro_worker_batches_total            counter
     repro_worker_batch_seconds            histogram (+ _sum, _count)
     repro_job_latency_seconds             histogram (+ _sum, _count)
@@ -24,16 +24,13 @@ Exposed families::
     repro_span_duration_seconds{span=}    histogram (host wall-clock spans)
     repro_cache_hits_total{layer=...}     counter
     repro_runs_simulated_total            counter
-    repro_lifecycle_events_total{event=}  counter (simulated lifecycle)
-    repro_cycle_bucket_cycles_total{bucket=}  counter (cycle accounting)
-    repro_fabric_utilization{stat=...}    gauge (invocation-weighted)
-    repro_trace_fate_total{fate=,reason=} counter (terminal trace fates)
+
+Every family describes the service itself.  Simulated numbers (cycles,
+trace fates, fabric occupancy) stay in each job's report, where one
+run's counts are never summed with another's.
 """
 
 from __future__ import annotations
-
-from repro.obs.accounting import BUCKETS
-from repro.obs.decisions import TRACE_FATES
 
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -114,8 +111,8 @@ def render_prometheus(snapshot: dict) -> str:
              "Configured simulation workers in the pool.")
     w.sample("repro_workers_total", workers.get("total", 0))
     w.family("repro_workers_busy", "gauge",
-             "Workers executing a flight: flights handed to the pool, "
-             "capped at its size.")
+             "Workers executing a flight: the open flights, at most "
+             "one per worker.")
     w.sample("repro_workers_busy", workers.get("busy", 0))
     w.family("repro_worker_batches_total", "counter",
              "Flights the worker pool has completed (one per dispatch).")
@@ -191,49 +188,5 @@ def render_prometheus(snapshot: dict) -> str:
     w.family("repro_runs_simulated_total", "counter",
              "Runs resolved by fresh simulation (cache misses).")
     w.sample("repro_runs_simulated_total", cache.get("runs_simulated", 0))
-
-    lifecycle = snapshot.get("lifecycle", {})
-    w.family("repro_lifecycle_events_total", "counter",
-             "Simulated DynaSpAM lifecycle totals across completed jobs.")
-    for event in ("traces_mapped", "traces_offloaded",
-                  "fabric_invocations", "reconfigurations",
-                  "instructions_offloaded", "squashes_branch",
-                  "squashes_memory"):
-        w.sample("repro_lifecycle_events_total", lifecycle.get(event, 0),
-                 {"event": event})
-
-    buckets = snapshot.get("cycle_buckets", {})
-    w.family("repro_cycle_bucket_cycles_total", "counter",
-             "Simulated cycles by accounting bucket (accelerated runs) "
-             "across completed jobs; buckets partition each run's total.")
-    for bucket in BUCKETS:
-        w.sample("repro_cycle_bucket_cycles_total", buckets.get(bucket, 0),
-                 {"bucket": bucket})
-
-    fates = snapshot.get("trace_fates", {})
-    w.family("repro_trace_fate_total", "counter",
-             "Terminal trace fates across completed jobs that ran with "
-             "decision records; reason is set only for unmappable traces "
-             "(mapper failure enum).")
-    seen_fates = set()
-    for key in sorted(fates):
-        fate, _, reason = key.partition("|")
-        w.sample("repro_trace_fate_total", fates[key],
-                 {"fate": fate, "reason": reason})
-        seen_fates.add(fate)
-    for fate in TRACE_FATES:
-        if fate not in seen_fates:
-            w.sample("repro_trace_fate_total", 0, {"fate": fate, "reason": ""})
-
-    fabric = snapshot.get("fabric_utilization", {})
-    w.family("repro_fabric_utilization", "gauge",
-             "Invocation-weighted fabric occupancy across completed jobs.")
-    for stat in ("placed_pe_ratio", "stripe_fill"):
-        w.sample("repro_fabric_utilization", fabric.get(stat, 0.0),
-                 {"stat": stat})
-    w.family("repro_fabric_invocations_observed_total", "counter",
-             "Fabric invocations contributing to the utilization gauges.")
-    w.sample("repro_fabric_invocations_observed_total",
-             fabric.get("invocations_observed", 0))
 
     return w.render()

@@ -13,6 +13,7 @@ each keeps its own id, timestamps, and state machine
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import uuid
@@ -152,12 +153,14 @@ class JobRequest:
             dynaspam_spec(self.benchmark, self.scale, config=config),
         ]
 
-    @property
+    @functools.cached_property
     def flight_key(self) -> tuple:
         """Cache-layer identity: equal keys may share one execution.
 
         ``decisions`` is appended because a decisions run carries an extra
         report block — it must not coalesce with (or serve) a plain run.
+        Built once per request: the scheduler reads it on every pass over
+        the queue while the pool is full.
         """
         return tuple(spec.key for spec in self.specs()) + (
             ("decisions", self.decisions),

@@ -6,6 +6,10 @@ a sorted copy, which is exact for the ring's window.  Cache hit/miss
 numbers are read straight from the harness (the tracer's
 ``runs_simulated`` counter and the disk cache's per-namespace stats) so
 the service reports the same counters ``repro bench`` does.
+
+Every number here describes the service: jobs, queue, workers, host
+seconds and caches.  A job's simulated numbers (cycles, trace fates,
+fabric occupancy) stay in its own report.
 """
 
 from __future__ import annotations
@@ -111,12 +115,6 @@ class ServiceMetrics:
         self.started_mono = time.monotonic()
         self._lock = threading.Lock()
         self._counters: dict[str, int] = {}
-        # Invocation-weighted fabric-occupancy accumulators: ratios from
-        # individual jobs cannot be averaged unweighted, so we keep
-        # sum(ratio * invocations) and divide at snapshot time.
-        self._fabric_invocations = 0
-        self._fabric_placed_weight = 0.0
-        self._fabric_fill_weight = 0.0
         self.latency = LatencyRing(latency_capacity)
         self.latency_histogram = LatencyHistogram()
         self.queue_wait = LatencyRing(latency_capacity)
@@ -158,63 +156,6 @@ class ServiceMetrics:
 
         return listener
 
-    def observe_report(self, report) -> None:
-        """Fold one completed job's run report into lifecycle totals.
-
-        These are the simulated DynaSpAM numbers (mapped/offloaded traces,
-        invocations, squashes split by cause) aggregated across every job
-        the service has completed — the counters behind
-        ``repro_lifecycle_events_total``.
-        """
-        if not isinstance(report, dict):
-            return
-        stats = report.get("stats", {})
-        squashes = int(report.get("squashes", 0) or 0)
-        memory = int(stats.get("memory_violations", 0) or 0)
-        self.bump("lifecycle.traces_mapped",
-                  int(report.get("mapped_traces", 0) or 0))
-        self.bump("lifecycle.traces_offloaded",
-                  int(report.get("offloaded_traces", 0) or 0))
-        self.bump("lifecycle.fabric_invocations",
-                  int(report.get("fabric_invocations", 0) or 0))
-        self.bump("lifecycle.reconfigurations",
-                  int(report.get("reconfigurations", 0) or 0))
-        self.bump("lifecycle.instructions_offloaded",
-                  int(stats.get("offloaded_instructions", 0) or 0))
-        self.bump("lifecycle.squashes_memory", min(memory, squashes))
-        self.bump("lifecycle.squashes_branch",
-                  max(0, squashes - memory))
-        # Terminal trace-fate totals (jobs submitted with decision records
-        # enabled) — the counters behind ``repro_trace_fate_total``.  The
-        # reason label is only populated for unmappable traces, where the
-        # mapper's closed failure enum gives the breakdown.
-        decisions = report.get("decisions") or {}
-        fates = decisions.get("trace_fates") or {}
-        unmappable_reasons = fates.get("unmappable_reasons") or {}
-        for fate, count in (fates.get("counts") or {}).items():
-            if fate == "unmappable" and unmappable_reasons:
-                for reason, n in unmappable_reasons.items():
-                    self.bump(f"fate.{fate}|{reason}", int(n or 0))
-            else:
-                self.bump(f"fate.{fate}|", int(count or 0))
-        # Cycle-accounting bucket totals for the accelerated run — the
-        # counters behind ``repro_cycle_bucket_cycles_total``.
-        accounting = report.get("cycle_accounting") or {}
-        dyna = accounting.get("dynaspam") or {}
-        for name, cycles in (dyna.get("buckets") or {}).items():
-            self.bump(f"bucket.{name}", int(cycles or 0))
-        util = report.get("fabric_utilization") or {}
-        invocations = int(util.get("total_invocations", 0) or 0)
-        if invocations:
-            with self._lock:
-                self._fabric_invocations += invocations
-                self._fabric_placed_weight += (
-                    float(util.get("placed_pe_ratio", 0.0) or 0.0)
-                    * invocations)
-                self._fabric_fill_weight += (
-                    float(util.get("stripe_fill", 0.0) or 0.0)
-                    * invocations)
-
     def retry_after_hint(self, open_jobs: int, workers: int) -> int:
         """Seconds a rejected client should back off before retrying."""
         p50 = self.latency.summary()["p50"]
@@ -237,10 +178,6 @@ class ServiceMetrics:
     def snapshot(self, queue=None, scheduler=None) -> dict:
         with self._lock:
             counters = dict(self._counters)
-            fabric_invocations = self._fabric_invocations
-            placed_weight = self._fabric_placed_weight
-            fill_weight = self._fabric_fill_weight
-        with self._lock:
             span_histograms = dict(self._span_histograms)
         doc = {
             "uptime_seconds": time.monotonic() - self.started_mono,
@@ -257,30 +194,6 @@ class ServiceMetrics:
             "spans": {
                 name: histogram.summary()
                 for name, histogram in sorted(span_histograms.items())
-            },
-            "lifecycle": {
-                name[len("lifecycle."):]: value
-                for name, value in counters.items()
-                if name.startswith("lifecycle.")
-            },
-            "cycle_buckets": {
-                name[len("bucket."):]: value
-                for name, value in counters.items()
-                if name.startswith("bucket.")
-            },
-            "trace_fates": {
-                name[len("fate."):]: value
-                for name, value in counters.items()
-                if name.startswith("fate.")
-            },
-            "fabric_utilization": {
-                "invocations_observed": fabric_invocations,
-                "placed_pe_ratio": (
-                    placed_weight / fabric_invocations
-                    if fabric_invocations else 0.0),
-                "stripe_fill": (
-                    fill_weight / fabric_invocations
-                    if fabric_invocations else 0.0),
             },
             "cache": self.cache_stats(),
         }

@@ -78,12 +78,16 @@ class JobQueue:
     # ------------------------------------------------------------------
     # Scheduler side
     # ------------------------------------------------------------------
-    def next_job(self) -> Job | None:
-        """Pop the oldest queued job, transitioning it to running."""
+    def next_job(self, admit=None) -> Job | None:
+        """Pop the oldest queued job that ``admit(job)`` accepts (any job
+        without ``admit``), transitioning it to running."""
         with self._lock:
-            if not self._pending:
+            job = next((self._jobs[job_id] for job_id in self._pending
+                        if admit is None or admit(self._jobs[job_id])),
+                       None)
+            if job is None:
                 return None
-            job = self._jobs[self._pending.popleft()]
+            self._pending.remove(job.id)
             job.state = JobState.RUNNING
             job.started_at = time.time()
             job.started_mono = time.monotonic()
@@ -134,9 +138,10 @@ class JobQueue:
         return job
 
     def jobs(self) -> list[Job]:
-        """All retained jobs, oldest first."""
+        """All retained jobs in submission order (the dict's insertion
+        order; an epoch ``created_at`` can step backwards)."""
         with self._lock:
-            return sorted(self._jobs.values(), key=lambda j: j.created_at)
+            return list(self._jobs.values())
 
     def queued_count(self) -> int:
         with self._lock:

@@ -1,14 +1,18 @@
 """Dispatch scheduler: queue -> single-flight dedup -> worker pool.
 
 The dispatch loop pulls one queued job at a time.  A job whose
-``flight_key`` matches an open flight attaches to it (single-flight: the
-duplicate never simulates); any other job opens a new flight, which
-goes to the :class:`repro.service.workers.WorkerPool` as its own task.
-The pool's executor queues flights beyond its worker count, so the
-scheduler batches nothing; batching bought nothing either, since under
-the loadtest mixes and hostbench's service traffic each pull found
-exactly one queued job.  Each flight carries its own outcome, so one
-failed request never touches another.
+``flight_key`` matches an open flight attaches to it at once
+(single-flight: the duplicate never simulates).  Any other job opens a
+new flight, which goes to the :class:`repro.service.workers.WorkerPool`
+as its own task, but only while fewer flights are open than the pool
+has workers; until one lands, it stays queued.  So every open flight
+has a worker: a job is ``running`` only while a worker runs it, its
+``run_seconds`` are execution time, its wait for a free worker is in
+``queue_wait_seconds``, and ``busy`` is the number of open flights.
+The scheduler batches nothing; batching bought nothing either, since
+under the loadtest mixes and hostbench's service traffic each pull
+found exactly one queued job.  Each flight carries its own outcome, so
+one failed request never touches another.
 
 Repeat requests short-circuit in the worker: the shared on-disk run
 cache serves them without re-simulating (with it off, a repeat that
@@ -107,8 +111,9 @@ class Scheduler:
         return len(self.flights)
 
     def worker_stats(self) -> dict:
-        """Pool gauges for ``/metrics`` (kind, busy/total, dispatch times)."""
-        return self.pool.stats()
+        """Pool gauges for ``/metrics`` (kind, busy/total, flight times);
+        each open flight has a worker, so they are the busy count."""
+        return {**self.pool.stats(), "busy": len(self.flights)}
 
     async def drain(self) -> None:
         """Stop dispatching new work once the queue and flights are empty."""
@@ -121,7 +126,7 @@ class Scheduler:
     # ------------------------------------------------------------------
     async def _run(self) -> None:
         while True:
-            job = self.queue.next_job()
+            job = self.queue.next_job(self._admits)
             if job is not None:
                 self._dispatch(job)
                 continue
@@ -135,6 +140,12 @@ class Scheduler:
                 await asyncio.wait_for(self._wakeup.wait(), timeout=0.1)
             except asyncio.TimeoutError:
                 pass
+
+    def _admits(self, job: Job) -> bool:
+        """Whether ``job`` can start now: it joins an open flight, or a
+        worker is free for a new one."""
+        return (len(self.flights) < self.workers
+                or job.request.flight_key in self.flights)
 
     def _dispatch(self, job: Job) -> None:
         flight, leader = self.flights.lease(job.request.flight_key)
@@ -161,7 +172,6 @@ class Scheduler:
             if status == "ok":
                 self.queue.finish(job.id, value)
                 self.metrics.bump("completed")
-                self.metrics.observe_report(value)
             else:
                 self.queue.fail(job.id, str(value))
                 self.metrics.bump("failed")

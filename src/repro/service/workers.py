@@ -1,11 +1,12 @@
 """Worker pools: how one dispatched flight turns into simulated cycles.
 
-The scheduler is policy (single-flight dedup, completion bookkeeping); a
-:class:`WorkerPool` is mechanism — it owns the executor that runs
-:func:`execute_request` and reports busy/total gauges plus a histogram
-of each flight's execution time for ``/metrics``.  The contract is one
-request in, one outcome out: ``("ok", report)`` or ``("error",
-message)``; ``run`` raises only when the pool itself is broken.
+The scheduler is policy (single-flight dedup, completion bookkeeping,
+and at most one open flight per worker); a :class:`WorkerPool` is
+mechanism — it owns the executor that runs :func:`execute_request` and
+reports its size plus a histogram of each flight's execution time for
+``/metrics``.  The contract is one request in, one outcome out:
+``("ok", report)`` or ``("error", message)``; ``run`` raises only when
+the pool itself is broken.
 
 Two pools implement it:
 
@@ -28,11 +29,9 @@ the same env contract the harness pool honors.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import functools
 import multiprocessing
 import os
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -84,43 +83,28 @@ def execute_request(request, job_id: str | None = None) -> tuple[str, object]:
 
 
 class WorkerPool:
-    """Common gauges + dispatch accounting around one executor.
+    """Common gauges around one executor.
 
-    A flight's ``batch_seconds`` are timed where it executes, so time it
-    spends waiting in the executor queue never counts as busy; ``busy``
-    is the number of dispatched flights capped at the pool size, since
-    flights beyond it wait in that queue.
+    A flight's ``batch_seconds`` are timed where it executes.  The
+    scheduler never hands the pool more flights than it has workers, so
+    its executor never queues one; how many workers are busy is the
+    scheduler's count of open flights.
     """
 
     kind = "base"
 
     def __init__(self, workers: int) -> None:
         self.workers = max(1, int(workers))
-        self._lock = threading.Lock()
-        self._dispatched = 0
         self._batch_seconds = LatencyHistogram()
         self._executor = None
 
     # ------------------------------------------------------------------
-    @contextlib.contextmanager
-    def _track(self):
-        with self._lock:
-            self._dispatched += 1
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._dispatched -= 1
-
     def stats(self) -> dict:
         """``/metrics`` gauges; a ``batches_total`` unit is one flight."""
-        with self._lock:
-            busy = min(self._dispatched, self.workers)
         batch_seconds = self._batch_seconds.summary()
         return {
             "kind": self.kind,
             "total": self.workers,
-            "busy": busy,
             "batches_total": batch_seconds["count"],
             "batch_seconds": batch_seconds,
         }
@@ -153,10 +137,9 @@ class InjectedWorkerPool(WorkerPool):
 
     async def run(self, request, job_id: str | None = None):
         loop = asyncio.get_running_loop()
-        with self._track():
-            outcome, seconds = await loop.run_in_executor(
-                self._executor, self._timed, request
-            )
+        outcome, seconds = await loop.run_in_executor(
+            self._executor, self._timed, request
+        )
         self._batch_seconds.observe(seconds)
         return outcome
 
@@ -200,18 +183,17 @@ class ProcessWorkerPool(WorkerPool):
             worker_telemetry(),
         )
         loop = asyncio.get_running_loop()
-        with self._track():
-            try:
-                outcome, shipped = await loop.run_in_executor(
-                    self._executor, call
-                )
-            except BrokenProcessPool:
-                # A dead worker (OOM, segfault) poisons the whole
-                # executor; rebuild so the next dispatch gets a live
-                # pool, then let the scheduler fail this flight.
-                self._executor.shutdown(wait=False)
-                self._executor = self._make_executor()
-                raise
+        try:
+            outcome, shipped = await loop.run_in_executor(
+                self._executor, call
+            )
+        except BrokenProcessPool:
+            # A dead worker (OOM, segfault) poisons the whole executor;
+            # rebuild so the next dispatch gets a live pool, then let
+            # the scheduler fail this flight.
+            self._executor.shutdown(wait=False)
+            self._executor = self._make_executor()
+            raise
         absorb(shipped)
         self._batch_seconds.observe(shipped["seconds"])
         return outcome

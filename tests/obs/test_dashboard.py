@@ -120,36 +120,3 @@ def test_write_dashboard_creates_index(tmp_path, report):
     path = write_dashboard(report, tmp_path / "dash")
     assert path == tmp_path / "dash" / "index.html"
     assert path.read_text().startswith("<!DOCTYPE html>")
-
-
-def test_dashboard_renders_fate_panel_when_decisions_present(report):
-    from repro.obs.dashboard import FATE_COLORS
-    from repro.obs.decisions import TRACE_FATES
-
-    counts = dict.fromkeys(TRACE_FATES, 0)
-    counts.update({"offloaded": 1, "unmappable": 1, "never_hot": 1})
-    report["decisions"] = {
-        "KM": {
-            "windows": {"total": 5, "by_reason": {"branch_limit": 5}},
-            "trace_fates": {
-                "identities": 3,
-                "counts": counts,
-                "unmappable_reasons": {"out_of_stripes": 1},
-                "conserved": True,
-            },
-        },
-    }
-    doc = render_dashboard(report)
-    assert "Trace fates" in doc
-    for fate in TRACE_FATES:
-        assert f"--fate-{fate}" in doc
-    # Legend: bucket swatches + fate swatches.
-    assert doc.count('class="swatch"') == len(BUCKETS) + len(FATE_COLORS)
-    # Tooltip carries exact identity counts and shares.
-    assert "KM — offloaded: 1 traces (33.3%)" in doc
-    parser = _Balance()
-    parser.feed(doc)
-    assert parser.stack == [] and parser.errors == []
-    # Without decisions the section stays out entirely.
-    del report["decisions"]
-    assert "Trace fates" not in render_dashboard(report)

@@ -19,8 +19,6 @@ SNAPSHOT = {
     },
     "cache": {"runs_simulated": 4,
               "disk": {"runs": {"hits": 6, "misses": 4}}},
-    "lifecycle": {"traces_mapped": 9, "fabric_invocations": 400,
-                  "squashes_branch": 12, "squashes_memory": 3},
 }
 
 
@@ -37,10 +35,6 @@ def test_renders_counters_gauges_and_histogram():
     assert 'repro_cache_hits_total{layer="disk"} 6' in text
     assert 'layer="memory"' not in text
     assert "repro_runs_simulated_total 4" in text
-    assert ('repro_lifecycle_events_total{event="fabric_invocations"} 400'
-            in text)
-    assert ('repro_lifecycle_events_total{event="squashes_memory"} 3'
-            in text)
 
 
 def test_histogram_buckets_are_cumulative_and_end_at_inf():
@@ -58,7 +52,6 @@ def test_families_are_typed_and_helped():
         ("repro_jobs_total", "counter"),
         ("repro_queue_jobs", "gauge"),
         ("repro_job_latency_seconds", "histogram"),
-        ("repro_lifecycle_events_total", "counter"),
     ):
         assert f"# TYPE {family} {kind}" in text
         assert f"# HELP {family} " in text
@@ -82,97 +75,6 @@ def test_latency_histogram_observe_buckets():
     assert summary["buckets"] == [[0.1, 1], [1.0, 2], [None, 1]]
     assert summary["count"] == 4
     assert summary["sum"] == 0.05 + 0.5 + 0.7 + 5.0
-
-
-def test_observe_report_feeds_lifecycle_counters():
-    metrics = ServiceMetrics()
-    metrics.observe_report({
-        "mapped_traces": 4, "offloaded_traces": 2,
-        "fabric_invocations": 50, "reconfigurations": 3, "squashes": 10,
-        "stats": {"memory_violations": 4, "offloaded_instructions": 900},
-    })
-    snapshot = metrics.snapshot()
-    lifecycle = snapshot["lifecycle"]
-    assert lifecycle["traces_mapped"] == 4
-    assert lifecycle["fabric_invocations"] == 50
-    assert lifecycle["squashes_memory"] == 4
-    assert lifecycle["squashes_branch"] == 6
-    assert lifecycle["instructions_offloaded"] == 900
-    text = render_prometheus(snapshot)
-    assert 'repro_lifecycle_events_total{event="squashes_branch"} 6' in text
-    # Non-dict results (failed jobs) are ignored, not crashed on.
-    metrics.observe_report("boom")
-
-
-def test_observe_report_feeds_buckets_and_fabric_gauges():
-    metrics = ServiceMetrics()
-    metrics.observe_report({
-        "cycle_accounting": {
-            "dynaspam": {"buckets": {"host": 300, "offload": 600,
-                                     "squash_branch": 100}},
-        },
-        "fabric_utilization": {"total_invocations": 40,
-                               "placed_pe_ratio": 0.25,
-                               "stripe_fill": 0.5},
-    })
-    metrics.observe_report({
-        "cycle_accounting": {"dynaspam": {"buckets": {"host": 100}}},
-        "fabric_utilization": {"total_invocations": 10,
-                               "placed_pe_ratio": 0.75,
-                               "stripe_fill": 1.0},
-    })
-    snapshot = metrics.snapshot()
-    assert snapshot["cycle_buckets"] == {
-        "host": 400, "offload": 600, "squash_branch": 100}
-    fabric = snapshot["fabric_utilization"]
-    assert fabric["invocations_observed"] == 50
-    # Invocation-weighted means, not naive averages of ratios.
-    assert fabric["placed_pe_ratio"] == (0.25 * 40 + 0.75 * 10) / 50
-    assert fabric["stripe_fill"] == (0.5 * 40 + 1.0 * 10) / 50
-    text = render_prometheus(snapshot)
-    assert 'repro_cycle_bucket_cycles_total{bucket="offload"} 600' in text
-    assert 'repro_cycle_bucket_cycles_total{bucket="drain"} 0' in text
-    assert 'repro_fabric_utilization{stat="stripe_fill"} 0.6' in text
-    assert "repro_fabric_invocations_observed_total 50" in text
-
-
-def test_report_without_accounting_leaves_gauges_at_zero():
-    metrics = ServiceMetrics()
-    metrics.observe_report({"mapped_traces": 1, "stats": {}})
-    snapshot = metrics.snapshot()
-    assert snapshot["cycle_buckets"] == {}
-    assert snapshot["fabric_utilization"]["placed_pe_ratio"] == 0.0
-    text = render_prometheus(snapshot)
-    assert 'repro_fabric_utilization{stat="placed_pe_ratio"} 0.0' in text
-
-
-def test_observe_report_feeds_trace_fate_family():
-    metrics = ServiceMetrics()
-    metrics.observe_report({
-        "decisions": {
-            "trace_fates": {
-                "identities": 4,
-                "counts": {"offloaded": 2, "unmappable": 2},
-                "unmappable_reasons": {"out_of_stripes": 1, "deadlock": 1},
-                "conserved": True,
-            },
-        },
-    })
-    text = render_prometheus(metrics.snapshot())
-    assert 'repro_trace_fate_total{fate="offloaded",reason=""} 2' in text
-    assert ('repro_trace_fate_total{fate="unmappable",'
-            'reason="out_of_stripes"} 1') in text
-    assert ('repro_trace_fate_total{fate="unmappable",'
-            'reason="deadlock"} 1') in text
-    # Fates nobody observed still expose a zero sample.
-    assert 'repro_trace_fate_total{fate="never_hot",reason=""} 0' in text
-
-
-def test_trace_fate_family_zero_filled_without_decisions():
-    text = render_prometheus(ServiceMetrics().snapshot())
-    from repro.obs.decisions import TRACE_FATES
-    for fate in TRACE_FATES:
-        assert f'repro_trace_fate_total{{fate="{fate}",reason=""}} 0' in text
 
 
 def test_worker_pool_gauges_render():

@@ -122,21 +122,6 @@ def test_loadtest_report_feeds_slo_gate_and_history(tmp_path, cold_caches):
     )
     assert gate.returncode == 0, gate.stderr
 
-    history = tmp_path / "history.jsonl"
-    appended = subprocess.run(
-        [sys.executable, str(SCRIPTS / "append_bench_history.py"),
-         str(report_path), str(history)],
-        capture_output=True, text=True,
-    )
-    assert appended.returncode == 0, appended.stderr
-    record = json.loads(history.read_text())
-    assert record["experiment"] == "loadtest"
-    assert record["mix"] == "duplicate-heavy"
-    assert record["conserved"] is True
-    assert record["throughput_jobs_per_sec"] == (
-        report["throughput_jobs_per_sec"]
-    )
-
 
 def test_slo_gate_rejects_conservation_violation(tmp_path):
     report = {

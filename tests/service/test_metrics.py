@@ -48,6 +48,12 @@ def test_snapshot_shape_includes_queue_and_cache():
     metrics.observe_latency(0.5)
     queue = JobQueue(depth=7)
     snapshot = metrics.snapshot(queue=queue)
+    # The blocks hostbench, `repro loadtest` and the Prometheus renderer
+    # read; every one describes the service, none a simulated run.
+    assert set(snapshot) == {
+        "uptime_seconds", "jobs", "latency_seconds", "latency_histogram",
+        "queue_wait_seconds", "spans", "cache", "workers", "queue",
+    }
     assert snapshot["jobs"]["submitted"] == 3
     assert snapshot["jobs"]["completed"] == 2
     assert snapshot["queue"]["capacity"] == 7

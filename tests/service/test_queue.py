@@ -345,9 +345,9 @@ def test_scheduler_drain_finishes_queued_work():
 
 
 def test_scheduler_times_flights_where_they_execute():
-    """A flight waiting in the pool's executor queue is neither busy nor
-    timed: with one worker, two 0.2 s flights add up to ~0.4 s of batch
-    time, not the ~0.6 s a hand-off-to-result clock reads."""
+    """Only an executing flight is busy and timed: with one worker, two
+    0.2 s flights add up to ~0.4 s of batch time, and at most one is
+    busy at a time."""
     async def scenario():
         queue = JobQueue(depth=8)
         metrics = ServiceMetrics()
@@ -362,7 +362,7 @@ def test_scheduler_times_flights_where_they_execute():
         queue.submit(JobRequest("KM", scale=0.05))
         queue.submit(JobRequest("KM", scale=0.10))
         scheduler.wake()
-        await _wait_until(lambda: scheduler.in_flight() == 2)
+        await _wait_until(lambda: scheduler.in_flight() == 1)
         busy = []
         while queue.open_count():
             busy.append(scheduler.worker_stats()["busy"])
@@ -375,6 +375,51 @@ def test_scheduler_times_flights_where_they_execute():
         assert 0.39 <= stats["batch_seconds"]["sum"] < 0.55
 
     _drive(scenario())
+
+
+def test_scheduler_starts_a_job_only_when_a_worker_is_free():
+    """One worker, six distinct 50 ms jobs at once: each waits queued
+    for the worker, so its run_seconds is its execution alone and at
+    most one job is running at a time."""
+    async def scenario():
+        queue = JobQueue(depth=8)
+        metrics = ServiceMetrics()
+
+        def fake_execute(request):
+            time.sleep(0.05)
+            return "ok", {}
+
+        scheduler = Scheduler(queue, metrics, workers=1,
+                              execute_fn=fake_execute)
+        scheduler.start()
+        jobs = [queue.submit(JobRequest("KM", scale=0.05 * (i + 1)))
+                for i in range(6)]
+        scheduler.wake()
+        running = []
+        while queue.open_count():
+            running.append(queue.stats()["running"])
+            await asyncio.sleep(0.005)
+        await scheduler.drain()
+        assert max(running) == 1
+        docs = [queue.get(job.id) for job in jobs]
+        assert all(doc.state == JobState.DONE for doc in docs)
+        for doc in docs:
+            assert abs(doc.run_seconds - 0.05) < 0.025, doc.run_seconds
+        # The wait for the worker is queue wait: the last job waited
+        # for the five before it.
+        assert docs[-1].queue_wait_seconds >= 5 * 0.05
+
+    _drive(scenario())
+
+
+def test_jobs_lists_in_submission_order():
+    """``jobs()`` keeps submission order even when the epoch clock steps
+    backwards between two submits."""
+    queue = JobQueue(depth=4)
+    first = queue.submit(_request())
+    second = queue.submit(_request())
+    second.created_at = first.created_at - 60.0
+    assert [job.id for job in queue.jobs()] == [first.id, second.id]
 
 
 def test_job_doc_shape():

@@ -63,7 +63,6 @@ def test_injected_pool_runs_one_request():
     stats = pool.stats()
     assert stats["kind"] == "injected"
     assert stats["total"] == 2
-    assert stats["busy"] == 0
     assert stats["batches_total"] == 1
     assert stats["batch_seconds"]["count"] == 1
 
@@ -94,7 +93,6 @@ def test_process_pool_executes_merges_and_reports(tmp_path):
     assert disk.get("runs", {}).get("writes", 0) >= 2
     stats = pool.stats()
     assert stats["kind"] == "process"
-    assert stats["busy"] == 0
     assert stats["batches_total"] == 1
     assert stats["batch_seconds"]["count"] == 1
     assert stats["batch_seconds"]["sum"] > 0

@@ -260,42 +260,6 @@ def test_cold_bench_simulates_each_run_once(tmp_path, monkeypatch, jobs):
     assert read[0] - before == 44
 
 
-def test_bench_programs_adds_a_row_per_program(tmp_path, capsys,
-                                               monkeypatch):
-    import shutil
-    from pathlib import Path
-
-    import repro.harness.diskcache as diskcache
-
-    programs = tmp_path / "programs"
-    programs.mkdir()
-    corpus = Path(__file__).resolve().parents[1] / "corpus"
-    shutil.copy(corpus / "sum_loop.spam", programs)
-    monkeypatch.setenv(diskcache.ENV_CACHE_DIR, str(tmp_path / "cache"))
-    diskcache.configure()
-    out_path = tmp_path / "bench.json"
-    try:
-        assert main(["bench", "--scale", "0.05", "--jobs", "2",
-                     "--programs", str(programs),
-                     "--output", str(out_path)]) == 0
-    finally:
-        diskcache.configure()
-    rows = json.loads(out_path.read_text())["programs"]
-    assert set(rows) == {"sum_loop"}
-    row = rows["sum_loop"]
-    assert row["abbrev"].startswith("PROG:sum_loop:")
-    assert row["speedup"] > 0
-    assert set(row["coverage"]) == {"host", "mapping", "fabric"}
-
-    empty = tmp_path / "empty"
-    empty.mkdir()
-    capsys.readouterr()
-    assert main(["bench", "--programs", str(empty),
-                 "--output", str(tmp_path / "unused.json")]) == 2
-    assert "no .spam programs" in capsys.readouterr().err
-    assert not (tmp_path / "unused.json").exists()
-
-
 def test_serve_rejects_bad_knobs(capsys):
     assert main(["serve", "--workers", "0"]) == 2
     assert "invalid --workers" in capsys.readouterr().err
