@@ -82,12 +82,13 @@ class JobQueue:
         """Pop the oldest queued job that ``admit(job)`` accepts (any job
         without ``admit``), transitioning it to running."""
         with self._lock:
-            job = next((self._jobs[job_id] for job_id in self._pending
-                        if admit is None or admit(self._jobs[job_id])),
-                       None)
-            if job is None:
+            for job_id in self._pending:
+                job = self._jobs[job_id]
+                if admit is None or admit(job):
+                    break
+            else:
                 return None
-            self._pending.remove(job.id)
+            self._pending.remove(job_id)
             job.state = JobState.RUNNING
             job.started_at = time.time()
             job.started_mono = time.monotonic()
