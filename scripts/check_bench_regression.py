@@ -15,11 +15,6 @@ caught even when it is faster.
 real simulation: the bench must have run with ``--cold``, simulated at
 least one run, and served nothing from the disk cache.  Without it a
 fully-cached sweep (hit ratio 100%) can "pass" while measuring nothing.
-
-``--require-null-sink`` demands the timed sweep ran with event tracing
-disabled (the report's ``tracing`` field is false): a sweep traced into
-a live sink measures instrumentation overhead, not the simulator, and
-must never move the wall-clock baseline.
 """
 
 from __future__ import annotations
@@ -41,10 +36,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--require-cold", action="store_true",
                         help="fail unless the current report timed real "
                              "simulation (cold caches, runs simulated)")
-    parser.add_argument("--require-null-sink", action="store_true",
-                        help="fail if the current report was produced with "
-                             "event tracing enabled (tracing overhead must "
-                             "not pollute the timing)")
     args = parser.parse_args(argv)
 
     current = json.loads(args.current.read_text())
@@ -83,11 +74,6 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(
                 f"{disk_hits} disk-cache hits in a cold run: timing is "
                 "contaminated by cached results")
-
-    if args.require_null_sink and current.get("tracing", False):
-        failures.append(
-            "report was produced with event tracing enabled: the wall "
-            "clock includes sink overhead")
 
     for series, base_value in baseline["geomean"].items():
         cur_value = current["geomean"].get(series)

@@ -33,8 +33,9 @@ interpreter before registering it as a benchmark.
 machine and reports speedup, coverage, trace statistics, and the energy
 ledger — as a human-readable summary or a JSON document for scripting.
 ``run --program PROG.spam`` does the same for an ingested frontend
-program (its content-hash abbreviation keys the run caches, so editing
-the source can never replay a stale result).
+program, registered through the same differential check (its
+content-hash abbreviation keys the run caches, so editing the source
+can never replay a stale result).
 ``run --trace-out`` additionally records the lifecycle event stream and
 exports it as Chrome trace-event JSON (load it in https://ui.perfetto.dev
 or chrome://tracing); the simulated numbers are bit-identical either way.
@@ -106,26 +107,17 @@ def _validate_run_args(args) -> str | None:
     return benchmark
 
 
-def _parse_passes(spec: str | None) -> tuple[str, ...]:
-    """``--passes lvn,dce`` -> ``("lvn", "dce")``; raises ``ValueError``."""
-    if not spec:
-        return ()
-    from repro.lang import parse_pass_spec
-
-    return tuple(parse_pass_spec(spec))
-
-
 def cmd_list(args) -> int:
     from repro.workloads import ALL_ABBREVS, BENCHMARKS
 
     programs = None
     if args.programs:
-        from repro.lang import LangError
+        from repro.lang import LangError, parse_pass_spec
         from repro.workloads.suite import discover_programs
 
         try:
             programs = discover_programs(args.programs,
-                                         _parse_passes(args.passes))
+                                         parse_pass_spec(args.passes))
         except (LangError, ValueError, OSError) as exc:
             return _fail(str(exc))
 
@@ -144,57 +136,27 @@ def cmd_list(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    """Parse, check, optimize, lower, and differentially test one program."""
-    import pathlib
-
-    from repro.lang import (
-        LangError,
-        check_module,
-        execute_lowered,
-        format_module,
-        interpret,
-        load_file,
-        lower_module,
-        output_of,
-        run_passes,
-    )
-    from repro.obs.runtime import TRACER
-    from repro.workloads.suite import register_program
+    """Ingest one program through the differential check and summarize it."""
+    from repro.lang import LangError, format_module, parse_pass_spec
+    from repro.workloads.suite import INGESTED, register_program
 
     try:
-        passes = _parse_passes(args.passes)
-        with TRACER.span("ingest.parse", program=args.program):
-            module = load_file(args.program)
-            before = interpret(module)
-        if passes:
-            with TRACER.span("ingest.passes", pipeline=",".join(passes)):
-                module = run_passes(module, list(passes))
-                check_module(module, allow_reserved=True)
-        ref = interpret(module)
-        if ref.output != before.output:
-            return _fail(f"{args.program}: passes changed program output")
-        with TRACER.span("ingest.lower", program=args.program):
-            lowered = lower_module(
-                module, name=pathlib.Path(args.program).stem
-            )
-            result = execute_lowered(lowered)
-        got = output_of(result)
-        if got != ref.output:
-            return _fail(
-                f"{args.program}: lowered output {got} diverges from "
-                f"interpreter output {ref.output}")
+        passes = parse_pass_spec(args.passes)
         bench = register_program(args.program, passes)
     except (LangError, ValueError, OSError) as exc:
         return _fail(str(exc))
+    ingested = INGESTED[bench.abbrev]
     if args.emit_ir:
         # Keep stdout pure IR so it can be piped back into `repro ingest`.
-        print(format_module(module), end="")
+        print(format_module(ingested.module), end="")
         return 0
+    ref, before = ingested.reference, ingested.unoptimized
+    lowered, result = ingested.lowered, ingested.run
     summary = {
         "program": args.program,
         "passes": list(passes),
         "abbrev": bench.abbrev,
-        "functions": len(module.functions),
+        "functions": len(ingested.module.functions),
         "interpreter": {
             "output": ref.output,
             "dynamic_count": ref.dynamic_count,
@@ -242,12 +204,12 @@ def cmd_run(args) -> int:
             return _fail("--scale does not apply to --program runs "
                          "(ingested programs have one fixed problem size)")
         from repro.harness.runner import program_simulation_report
-        from repro.lang import LangError
+        from repro.lang import LangError, parse_pass_spec
 
         try:
             report = program_simulation_report(
                 args.program,
-                _parse_passes(args.passes),
+                parse_pass_spec(args.passes),
                 mode=args.mode,
                 speculation=not args.no_speculation,
                 trace_length=args.trace_length,
@@ -411,17 +373,16 @@ def cmd_study(args) -> int:
     """Corpus x pass-pipeline sweep with decision records per cell."""
     from repro.harness.study import (
         DEFAULT_PIPELINES,
-        parse_pipeline,
         render_study,
         study_programs,
     )
-    from repro.lang import LangError
+    from repro.lang import LangError, parse_pass_spec
 
     pipelines = DEFAULT_PIPELINES
     if args.passes:
         try:
-            pipelines = tuple(parse_pipeline(spec) for spec in args.passes)
-        except (LangError, ValueError) as exc:
+            pipelines = tuple(parse_pass_spec(spec) for spec in args.passes)
+        except ValueError as exc:
             return _fail(str(exc))
     only = None
     if args.only:
@@ -571,10 +532,6 @@ def cmd_bench(args) -> int:
         "scale": args.scale,
         "jobs": args.jobs,
         "cold": bool(args.cold),
-        # The benchmark path never attaches an event sink; regression
-        # gating asserts this stays false so timings are never polluted
-        # by tracing overhead (scripts/check_bench_regression.py).
-        "tracing": False,
         "disk_cache_enabled": diskcache.is_enabled(),
         "wall_clock_seconds": wall_clock,
         "geomean": {

@@ -348,38 +348,24 @@ def program_simulation_report(
     """``simulation_report`` for a frontend-ingested ``.spam`` program.
 
     Registers the program in the benchmark registry (its content-hash
-    abbreviation keys all caches), verifies the lowered program's
-    architectural output against the reference interpreter, and then
-    reports through the exact same pipeline as the Table 3 kernels.
-    Raises ``repro.lang.LangError`` on parse/check failures and
-    ``AssertionError`` if simulator and interpreter outputs ever diverge.
+    abbreviation keys all caches), which runs ``repro.lang.ingest``: the
+    program has passed the differential contract before it simulates,
+    and it reports through the exact same pipeline as the Table 3
+    kernels.  Raises ``repro.lang.LangError`` when the program fails
+    that contract.
     """
-    import pathlib
+    from repro.workloads.suite import INGESTED, register_program
 
-    from repro.lang import interpret, load_module, output_of, run_passes
-    from repro.workloads.suite import register_program
-
-    with TRACER.span("ingest.program", program=str(path)):
-        bench = register_program(path, passes)
-        module = load_module(
-            pathlib.Path(path).read_text(), filename=str(path)
-        )
-        if passes:
-            module = run_passes(module, list(passes))
-        ref = interpret(module)
-        trace = generate_trace(bench.abbrev)
-        output = output_of(trace)
-    assert output == ref.output, (
-        f"{path}: simulated output {output} != interpreter {ref.output}"
-    )
+    bench = register_program(path, passes)
+    ingested = INGESTED[bench.abbrev]
     report = simulation_report(bench.abbrev, **sim_knobs)
     report["program"] = {
         "path": str(path),
         "passes": list(passes),
         "abbrev": bench.abbrev,
-        "output": output,
+        "output": ingested.output,
         "output_matches_interpreter": True,
-        "interpreter_dynamic_count": ref.dynamic_count,
+        "interpreter_dynamic_count": ingested.reference.dynamic_count,
     }
     return report
 

@@ -33,16 +33,6 @@ def pipeline_label(passes: tuple[str, ...]) -> str:
     return "+".join(passes) if passes else "none"
 
 
-def parse_pipeline(spec: str) -> tuple[str, ...]:
-    """One ``--passes`` value -> a pipeline tuple (``none`` = baseline)."""
-    spec = spec.strip()
-    if not spec or spec.lower() == "none":
-        return ()
-    from repro.lang import parse_pass_spec
-
-    return tuple(parse_pass_spec(spec))
-
-
 def _row(report: dict) -> dict:
     """Flatten one decision-enabled program report into a study row."""
     decisions = report["decisions"]

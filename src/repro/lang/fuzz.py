@@ -5,13 +5,13 @@ counted loops, balanced branches, in-bounds memory traffic, clamped
 multiplies so values never approach float-conversion overflow) and
 checks, per program, that
 
-1. the interpreter's printed words equal the lowered ISA program's
-   architectural output region, and
+1. ``repro.lang.ingest`` accepts it as written, under each optimization
+   pass alone, and under the full pipeline: every pass keeps the
+   interpreter's printed words, and each lowered ISA program prints
+   them too, and
 2. the DynaSpAM simulation of the lowered trace ends on the same cycle
    count and every ``PipelineStats`` counter under both engine
-   tiers (fast path vs interpreted reference), and
-3. (optionally) every optimization pass pipeline preserves the
-   interpreter's output.
+   tiers (fast path vs interpreted reference).
 
 Runnable directly — CI's frontend-smoke job does::
 
@@ -24,11 +24,7 @@ import argparse
 import random
 import sys
 
-from repro.lang.check import check_module
-from repro.lang.interp import interpret
-from repro.lang.lower import execute_lowered, lower_module, output_of
-from repro.lang.parser import parse_module
-from repro.lang.passes import PASSES, run_passes
+from repro.lang import PASSES, LangError, ingest
 
 #: Multiplication results are clamped ``rem`` this prime so value
 #: magnitudes stay far below float-conversion overflow in ``div``.
@@ -286,60 +282,35 @@ def tier_cycles(lowered, trace) -> dict[str, dict]:
     return tiers
 
 
-def differential_check(source: str, filename: str = "<fuzz>",
-                       check_tiers: bool = True,
-                       check_passes: bool = True) -> dict:
+def differential_check(source: str, filename: str = "<fuzz>") -> dict:
     """Assert the full contract for one program; returns a summary."""
-    module = check_module(parse_module(source, filename))
-    expected = interpret(module)
-    lowered = lower_module(module, name=filename)
-    result = execute_lowered(lowered)
-    got = output_of(result)
-    if got != expected.output:
-        raise FuzzFailure(
-            f"{filename}: interpreter printed {expected.output} but the "
-            f"lowered program produced {got}", source)
-
-    summary = {
-        "output_words": len(expected.output),
-        "interp_dynamic": expected.dynamic_count,
-        "lowered_dynamic": result.dynamic_count,
-    }
-    if check_tiers:
-        tiers = tier_cycles(lowered, result.trace)
-        reference, fast = tiers["fastpath=0"], tiers["fastpath=1"]
-        if fast != reference:
-            differing = sorted(
-                name for name, value in reference["stats"].items()
-                if fast["stats"][name] != value)
-            raise FuzzFailure(
-                f"{filename}: engine tiers disagree: cycles "
-                f"{reference['cycles']} vs {fast['cycles']}, stats differ "
-                f"on {differing}", source)
-        summary["cycles"] = reference["cycles"]
-    if check_passes:
+    try:
+        plain = ingest(source, filename)
         for name in PASSES:
-            optimized = run_passes(module, [name])
-            check_module(optimized, allow_reserved=True)
-            opt_out = interpret(optimized).output
-            if opt_out != expected.output:
-                raise FuzzFailure(
-                    f"{filename}: pass {name!r} changed output "
-                    f"{expected.output} -> {opt_out}", source)
-        full = run_passes(module, list(PASSES))
-        check_module(full, allow_reserved=True)
-        lowered_opt = lower_module(full, name=filename)
-        opt_result = execute_lowered(lowered_opt)
-        if output_of(opt_result) != expected.output:
-            raise FuzzFailure(
-                f"{filename}: lowering the fully optimized module "
-                f"changed output", source)
-        summary["optimized_dynamic"] = opt_result.dynamic_count
-    return summary
+            ingest(source, filename, (name,))
+        full = ingest(source, filename, tuple(PASSES))
+    except LangError as exc:
+        raise FuzzFailure(str(exc), source) from None
+    tiers = tier_cycles(plain.lowered, plain.run.trace)
+    reference, fast = tiers["fastpath=0"], tiers["fastpath=1"]
+    if fast != reference:
+        differing = sorted(
+            name for name, value in reference["stats"].items()
+            if fast["stats"][name] != value)
+        raise FuzzFailure(
+            f"{filename}: engine tiers disagree: cycles "
+            f"{reference['cycles']} vs {fast['cycles']}, stats differ "
+            f"on {differing}", source)
+    return {
+        "output_words": len(plain.output),
+        "interp_dynamic": plain.reference.dynamic_count,
+        "lowered_dynamic": plain.run.dynamic_count,
+        "cycles": reference["cycles"],
+        "optimized_dynamic": full.run.dynamic_count,
+    }
 
 
-def run_fuzz(count: int, seed: int, check_tiers: bool = True,
-             check_passes: bool = True, verbose: bool = False) -> dict:
+def run_fuzz(count: int, seed: int, verbose: bool = False) -> dict:
     """Run the differential gate over ``count`` seeded programs."""
     totals = {"programs": count, "seed": seed, "output_words": 0,
               "interp_dynamic": 0, "lowered_dynamic": 0}
@@ -347,8 +318,7 @@ def run_fuzz(count: int, seed: int, check_tiers: bool = True,
         program_seed = seed + k
         source = generate_program(program_seed)
         summary = differential_check(
-            source, filename=f"<fuzz:{program_seed}>",
-            check_tiers=check_tiers, check_passes=check_passes)
+            source, filename=f"<fuzz:{program_seed}>")
         for key in ("output_words", "interp_dynamic", "lowered_dynamic"):
             totals[key] += summary[key]
         if verbose:
@@ -363,17 +333,10 @@ def main(argv=None) -> int:
                     "program under both engine tiers")
     parser.add_argument("--count", type=int, default=50)
     parser.add_argument("--seed", type=int, default=20260808)
-    parser.add_argument("--no-tiers", action="store_true",
-                        help="skip the fast-vs-reference engine comparison")
-    parser.add_argument("--no-passes", action="store_true",
-                        help="skip per-pass output preservation")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
     try:
-        totals = run_fuzz(args.count, args.seed,
-                          check_tiers=not args.no_tiers,
-                          check_passes=not args.no_passes,
-                          verbose=args.verbose)
+        totals = run_fuzz(args.count, args.seed, verbose=args.verbose)
     except FuzzFailure as exc:
         print(f"repro.lang.fuzz: FAIL: {exc}", file=sys.stderr)
         return 1

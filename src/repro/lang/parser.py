@@ -43,7 +43,8 @@ from repro.lang.ast import (
 
 
 class LangError(Exception):
-    """A frontend diagnostic: ``file:line:col: message``."""
+    """A frontend diagnostic: ``file:line:col: message``, or
+    ``file: message`` for a whole-program one with no position."""
 
     def __init__(self, message: str, filename: str = "<string>",
                  pos: Position | None = None) -> None:
@@ -53,6 +54,8 @@ class LangError(Exception):
         super().__init__(str(self))
 
     def __str__(self) -> str:
+        if not self.pos.line:
+            return f"{self.filename}: {self.message}"
         return f"{self.filename}:{self.pos.line}:{self.pos.col}: {self.message}"
 
 

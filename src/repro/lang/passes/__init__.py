@@ -20,9 +20,12 @@ PASSES = {
 }
 
 
-def parse_pass_spec(spec: str) -> list[str]:
-    """Split ``"lvn,dce"`` into pass names; ValueError on unknown ones."""
-    names = [name.strip() for name in spec.split(",") if name.strip()]
+def parse_pass_spec(spec: str | None) -> tuple[str, ...]:
+    """Split ``"lvn,dce"`` into pass names; ``none`` (or no spec) is no
+    passes.  ValueError on unknown names."""
+    if spec is None or spec.strip().lower() == "none":
+        return ()
+    names = tuple(name.strip() for name in spec.split(",") if name.strip())
     unknown = [name for name in names if name not in PASSES]
     if unknown:
         raise ValueError(

@@ -59,7 +59,6 @@ from repro.obs.runtime import (
     TRACER,
     SpanRecord,
     SpanTracer,
-    SpanWatchdog,
     init_runtime_telemetry,
     shutdown_runtime_telemetry,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "TRACER",
     "SpanRecord",
     "SpanTracer",
-    "SpanWatchdog",
     "init_runtime_telemetry",
     "shutdown_runtime_telemetry",
 ]

@@ -11,8 +11,8 @@ holds exactly on every run, which is what makes bucket deltas between two
 runs a complete attribution of their cycle delta (``repro diff``).
 
 Everything here is a pure function of a ``PipelineStats`` dict — the
-breakdown reads counters, never live events, so it stays legal under
-``--require-null-sink`` bench gating.
+breakdown reads counters, never live events, so a bench sweep gets it
+without attaching an event sink.
 """
 
 from __future__ import annotations

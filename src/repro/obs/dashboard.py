@@ -15,7 +15,7 @@ kernel's trace fates are ``repro why``'s to report.
 
 Everything is derived from the report's stats-based ``accounting`` and
 ``fabric_utilization`` blocks — no event stream is consumed, so the
-dashboard stays legal in ``--require-null-sink``-gated bench runs.
+bench sweep it charts never attaches an event sink.
 
 The palette follows the repo-wide dataviz conventions: a fixed
 categorical order validated for adjacent-pair colorblind separation in

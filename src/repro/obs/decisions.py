@@ -29,8 +29,7 @@ the sink keeps a few run-wide tallies: :func:`render_explain` and
 :func:`render_trace_detail` print ``repro explain`` from them.
 
 Decisions are strictly opt-in; a plain run never constructs any of this
-(the report stays byte-identical, the ``--require-null-sink`` bench gate
-stays meaningful).
+and its report stays byte-identical.
 """
 
 from __future__ import annotations

@@ -21,9 +21,6 @@ kind                  fields
 ``heartbeat``         progress fields (``label``, ``done``, ``total``,
                       ``fraction``, ``instructions_per_second``,
                       ``eta_seconds``…)
-``warning``           slow-span watchdog: ``span``, ``thread``,
-                      ``elapsed_seconds``, ``threshold_seconds``,
-                      ``stack``
 ====================  ==================================================
 """
 

@@ -10,13 +10,11 @@ Exposed families::
 
     repro_uptime_seconds                  gauge
     repro_jobs_total{outcome=...}         counter
-    repro_jobs_in_flight                  gauge (single-flight leases)
     repro_queue_jobs{state=...}           gauge
     repro_queue_capacity                  gauge
     repro_queue_draining                  gauge (0/1)
     repro_workers_total                   gauge (pool size)
     repro_workers_busy                    gauge (open flights)
-    repro_worker_batches_total            counter
     repro_worker_batch_seconds            histogram (+ _sum, _count)
     repro_job_latency_seconds             histogram (+ _sum, _count)
     repro_job_latency_window_seconds{q=}  gauge (ring percentiles)
@@ -91,10 +89,6 @@ def render_prometheus(snapshot: dict) -> str:
         w.sample("repro_jobs_total", jobs.get(outcome, 0),
                  {"outcome": outcome})
 
-    w.family("repro_jobs_in_flight", "gauge",
-             "Deduplicated executions currently running (flight leases).")
-    w.sample("repro_jobs_in_flight", snapshot.get("flights_in_flight", 0))
-
     queue = snapshot.get("queue", {})
     w.family("repro_queue_jobs", "gauge", "Jobs by queue state.")
     for state in ("queued", "running", "open", "retained"):
@@ -114,9 +108,6 @@ def render_prometheus(snapshot: dict) -> str:
              "Workers executing a flight: the open flights, at most "
              "one per worker.")
     w.sample("repro_workers_busy", workers.get("busy", 0))
-    w.family("repro_worker_batches_total", "counter",
-             "Flights the worker pool has completed (one per dispatch).")
-    w.sample("repro_worker_batches_total", workers.get("batches_total", 0))
     batch_hist = workers.get("batch_seconds") or {}
     w.family("repro_worker_batch_seconds", "histogram",
              "Wall-clock seconds each flight executed in a worker, "

@@ -31,25 +31,23 @@ Design rules, mirroring the event bus (`repro.obs.events`):
   plus any contextual bindings (``job_id``, ``run_key``, benchmark…)
   pushed by :meth:`SpanTracer.bind`.
 
-Span names form a small fixed taxonomy (``cli.*``, ``ingest.*``,
+Span names form a small fixed taxonomy (``cli.*``, ``ingest.program``,
 ``sim.*``, ``cache.*``, ``pool.*``, ``service.*``) so that Prometheus
 histograms keyed by span name stay low-cardinality; anything
-per-request (benchmark, job id) goes in attributes instead.
+per-request (benchmark, job id) goes in attributes instead.  The tracer
+keeps no registry of open spans: for a hung process the standard
+library's ``faulthandler.dump_traceback_later`` dumps every thread's
+stack.
 """
 
 from __future__ import annotations
 
-import functools
 import os
-import sys
 import threading
 import time
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-
-#: Environment knob for the slow-span watchdog threshold (seconds).
-ENV_SLOW_SPAN = "REPRO_SLOW_SPAN_SECONDS"
 
 #: Safety valve: a tracer stops buffering past this many finished spans
 #: (drops are counted, never silent in the snapshot).
@@ -101,9 +99,9 @@ class SpanRecord:
 
 
 class _OpenSpan:
-    """Book-keeping for a span that has not closed yet (watchdog food)."""
+    """Book-keeping for a span that has not closed yet."""
 
-    __slots__ = ("name", "started", "wall_start", "depth", "attrs", "warned")
+    __slots__ = ("name", "started", "wall_start", "depth", "attrs")
 
     def __init__(self, name, started, wall_start, depth, attrs):
         self.name = name
@@ -111,15 +109,14 @@ class _OpenSpan:
         self.wall_start = wall_start
         self.depth = depth
         self.attrs = attrs
-        self.warned = False
 
 
 class SpanTracer:
     """Wall-clock span recorder with per-thread nesting.
 
-    ``span()`` is a context manager; ``traced()`` wraps a function.  Both
-    are no-ops while ``enabled`` is False, which is the default — the
-    cost of an unenabled call site is one attribute check.
+    ``span()`` is a context manager and a no-op while ``enabled`` is
+    False, which is the default — the cost of an unenabled call site is
+    one attribute check.
     """
 
     def __init__(self, enabled: bool = False) -> None:
@@ -136,9 +133,6 @@ class SpanTracer:
         self._totals: dict[str, list] = {}
         self._counters: dict[str, int] = {}
         self._local = threading.local()
-        #: thread ident -> (thread name, open-span stack).  Registered
-        #: lazily per thread; read by the watchdog.
-        self._active: dict[int, tuple[str, list]] = {}
         self._listeners: list = []
 
     # ------------------------------------------------------------------
@@ -160,7 +154,6 @@ class SpanTracer:
             self._records.clear()
             self._totals.clear()
             self._counters.clear()
-            self._active.clear()
             self.dropped = 0
         self._local = threading.local()
 
@@ -211,9 +204,6 @@ class SpanTracer:
         stack = getattr(self._local, "spans", None)
         if stack is None:
             stack = self._local.spans = []
-            thread = threading.current_thread()
-            with self._lock:
-                self._active[thread.ident] = (thread.name, stack)
         return stack
 
     @contextmanager
@@ -238,19 +228,6 @@ class SpanTracer:
         finally:
             stack.pop()
             self._finish(open_span)
-
-    def traced(self, name: str, **attrs):
-        """Decorator form of :meth:`span`."""
-
-        def decorate(fn):
-            @functools.wraps(fn)
-            def wrapper(*args, **kwargs):
-                with self.span(name, **attrs):
-                    return fn(*args, **kwargs)
-
-            return wrapper
-
-        return decorate
 
     def _finish(self, open_span: _OpenSpan) -> None:
         duration = time.perf_counter() - open_span.started
@@ -379,121 +356,11 @@ class SpanTracer:
             merged += 1
         return merged
 
-    def active_spans(self) -> list[dict]:
-        """Open spans across all threads, oldest first (watchdog view)."""
-        with self._lock:
-            active = list(self._active.items())
-        now = time.perf_counter()
-        out = []
-        for _ident, (thread_name, stack) in active:
-            # Snapshot the list; the owning thread may push/pop meanwhile.
-            for span in list(stack):
-                out.append({
-                    "name": span.name,
-                    "thread": thread_name,
-                    "elapsed": now - span.started,
-                    "depth": span.depth,
-                    "span": span,
-                })
-        out.sort(key=lambda item: -item["elapsed"])
-        return out
-
-
-class SpanWatchdog:
-    """Daemon thread that flags spans open longer than a threshold.
-
-    Each offending span is warned about once, with the full open-span
-    stack of its thread, via ``on_warn(message, details)``.  The default
-    sink writes to stderr and the runtime JSONL log (when attached).
-    """
-
-    def __init__(
-        self,
-        tracer: SpanTracer,
-        threshold: float,
-        *,
-        poll_interval: float | None = None,
-        on_warn=None,
-    ) -> None:
-        if threshold <= 0:
-            raise ValueError("watchdog threshold must be > 0 seconds")
-        self.tracer = tracer
-        self.threshold = threshold
-        self.poll_interval = poll_interval or min(1.0, threshold / 2)
-        self.on_warn = on_warn or self._default_warn
-        self.warnings = 0
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._thread = threading.Thread(
-            target=self._run, name="repro-span-watchdog", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
-
-    def check_once(self) -> int:
-        """One poll pass (also used directly by tests): warn on every
-        open span past the threshold not yet warned about."""
-        fired = 0
-        active = self.tracer.active_spans()
-        stacks: dict[str, list[str]] = {}
-        for item in active:
-            stacks.setdefault(item["thread"], []).append(
-                (item["depth"], item["name"])
-            )
-        for item in active:
-            span = item["span"]
-            if item["elapsed"] < self.threshold or span.warned:
-                continue
-            span.warned = True
-            stack = [name for _d, name in sorted(stacks[item["thread"]])]
-            details = {
-                "span": item["name"],
-                "thread": item["thread"],
-                "elapsed_seconds": round(item["elapsed"], 3),
-                "threshold_seconds": self.threshold,
-                "stack": stack,
-            }
-            message = (
-                f"slow span: {item['name']} open "
-                f"{item['elapsed']:.1f}s (> {self.threshold:g}s) "
-                f"in {item['thread']}; stack: {' > '.join(stack)}"
-            )
-            self.warnings += 1
-            try:
-                self.on_warn(message, details)
-            except Exception:  # noqa: BLE001
-                pass
-            fired += 1
-        return fired
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.poll_interval):
-            self.check_once()
-
-    @staticmethod
-    def _default_warn(message: str, details: dict) -> None:
-        print(f"repro: warning: {message}", file=sys.stderr)
-        from repro.obs.logging import log_record
-
-        log_record("warning", **details)
-
 
 #: The process-wide tracer.  Disabled until :func:`init_runtime_telemetry`
 #: (or a test) enables it; subprocess workers enable their own copy when
 #: the parent says so (see ``harness.parallel``).
 TRACER = SpanTracer()
-
-#: The watchdog started by :func:`init_runtime_telemetry`, if any.
-_WATCHDOG: SpanWatchdog | None = None
 
 
 def worker_telemetry() -> dict:
@@ -518,18 +385,6 @@ def begin_worker(telemetry: dict | None) -> None:
         TRACER.enable(telemetry.get("run_id"))
 
 
-def slow_span_threshold() -> float | None:
-    """The configured watchdog threshold in seconds, or None."""
-    raw = os.environ.get(ENV_SLOW_SPAN, "").strip()
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
-
-
 def init_runtime_telemetry(
     command: str,
     *,
@@ -539,16 +394,14 @@ def init_runtime_telemetry(
 ) -> str | None:
     """CLI entry hook: enable the tracer when telemetry is requested.
 
-    Telemetry turns on when ``REPRO_LOG`` is set (structured JSONL log),
-    when the caller forces it (``--trace-out``/``--progress`` want spans
-    even without a log), or when a slow-span threshold is configured.
-    Returns the run id when enabled, else None — and in the None case
-    nothing was allocated, keeping the disabled path free.
+    Telemetry turns on when ``REPRO_LOG`` is set (structured JSONL log)
+    or when the caller forces it (``--trace-out``/``--progress`` want
+    spans even without a log).  Returns the run id when enabled, else
+    None — and in the None case nothing was allocated, keeping the
+    disabled path free.
     """
-    global _WATCHDOG
     log_path = log_path if log_path is not None else os.environ.get("REPRO_LOG")
-    threshold = slow_span_threshold()
-    if not (force or log_path or threshold is not None):
+    if not (force or log_path):
         return None
     run_id = TRACER.enable()
     if log_path:
@@ -558,18 +411,11 @@ def init_runtime_telemetry(
         attach_log(TRACER, log)
         log.write("start", run_id=run_id, command=command,
                   argv=list(argv or ()), pid=os.getpid())
-    if threshold is not None and _WATCHDOG is None:
-        _WATCHDOG = SpanWatchdog(TRACER, threshold)
-        _WATCHDOG.start()
     return run_id
 
 
 def shutdown_runtime_telemetry() -> None:
-    """Stop the watchdog and flush/close the JSONL log (CLI exit)."""
-    global _WATCHDOG
-    if _WATCHDOG is not None:
-        _WATCHDOG.stop()
-        _WATCHDOG = None
+    """Flush and close the JSONL log (CLI exit)."""
     from repro.obs.logging import close_log, detach_log
 
     detach_log(TRACER)

@@ -8,8 +8,10 @@ numbers are read straight from the harness (the tracer's
 the service reports the same counters ``repro bench`` does.
 
 Every number here describes the service: jobs, queue, workers, host
-seconds and caches.  A job's simulated numbers (cycles, trace fates,
-fabric occupancy) stay in its own report.
+seconds and caches, each in one place — the job totals in the ``jobs``
+block, the open flights as ``workers.busy``, the flights run as
+``workers.batch_seconds``' count.  A job's simulated numbers (cycles,
+trace fates, fabric occupancy) stay in its own report.
 """
 
 from __future__ import annotations
@@ -206,6 +208,4 @@ class ServiceMetrics:
         doc["workers"] = stats_fn() if stats_fn else idle_worker_stats()
         if queue is not None:
             doc["queue"] = queue.stats()
-        if scheduler is not None:
-            doc["flights_in_flight"] = scheduler.in_flight()
         return doc

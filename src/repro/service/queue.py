@@ -39,11 +39,7 @@ class JobQueue:
         self._running: set[str] = set()
         self._finished: deque[str] = deque()
         self._closed = False
-        # Monotonic totals (survive eviction; metrics reads these).
-        self.submitted_total = 0
-        self.rejected_total = 0
-        self.done_total = 0
-        self.failed_total = 0
+        #: Finished jobs dropped past ``retention`` (a monotonic total).
         self.evicted_total = 0
 
     # ------------------------------------------------------------------
@@ -56,14 +52,12 @@ class JobQueue:
                 raise Draining("server is draining; not accepting new jobs")
             open_jobs = len(self._pending) + len(self._running)
             if open_jobs >= self.depth:
-                self.rejected_total += 1
                 raise QueueFull(
                     f"queue full: {open_jobs} open jobs (depth {self.depth})"
                 )
             job = Job(request=request)
             self._jobs[job.id] = job
             self._pending.append(job.id)
-            self.submitted_total += 1
             return job
 
     def close(self) -> None:
@@ -117,10 +111,6 @@ class JobQueue:
             job.error = error
             job.finished_at = time.time()
             job.finished_mono = time.monotonic()
-            if state == JobState.DONE:
-                self.done_total += 1
-            else:
-                self.failed_total += 1
             self._finished.append(job_id)
             while len(self._finished) > self.retention:
                 evicted = self._finished.popleft()
@@ -160,10 +150,6 @@ class JobQueue:
                 "running": len(self._running),
                 "open": len(self._pending) + len(self._running),
                 "retained": len(self._jobs),
-                "submitted_total": self.submitted_total,
-                "rejected_total": self.rejected_total,
-                "done_total": self.done_total,
-                "failed_total": self.failed_total,
                 "evicted_total": self.evicted_total,
                 "draining": self._closed,
             }

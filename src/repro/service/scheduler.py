@@ -107,9 +107,6 @@ class Scheduler:
     def wake(self) -> None:
         self._wakeup.set()
 
-    def in_flight(self) -> int:
-        return len(self.flights)
-
     def worker_stats(self) -> dict:
         """Pool gauges for ``/metrics`` (kind, busy/total, flight times);
         each open flight has a worker, so they are the busy count."""

@@ -303,10 +303,10 @@ def run_server(
         await stop.wait()
         print("repro.service draining ...", flush=True)
         await server.stop()
-        stats = server.queue.stats()
         print(
-            f"repro.service drained (done={stats['done_total']} "
-            f"failed={stats['failed_total']}), exiting",
+            f"repro.service drained "
+            f"(done={server.metrics.counter('completed')} "
+            f"failed={server.metrics.counter('failed')}), exiting",
             flush=True,
         )
 

@@ -61,7 +61,6 @@ def idle_worker_stats(kind: str = "none") -> dict:
         "kind": kind,
         "total": 0,
         "busy": 0,
-        "batches_total": 0,
         "batch_seconds": LatencyHistogram().summary(),
     }
 
@@ -100,13 +99,12 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """``/metrics`` gauges; a ``batches_total`` unit is one flight."""
-        batch_seconds = self._batch_seconds.summary()
+        """``/metrics`` gauges; ``batch_seconds`` holds one sample per
+        flight."""
         return {
             "kind": self.kind,
             "total": self.workers,
-            "batches_total": batch_seconds["count"],
-            "batch_seconds": batch_seconds,
+            "batch_seconds": self._batch_seconds.summary(),
         }
 
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The bench regression gate script, including the null-sink guard."""
+"""The bench regression gate script."""
 
 import importlib.util
 import json
@@ -19,7 +19,6 @@ def _report(**overrides):
     doc = {
         "wall_clock_seconds": 10.0,
         "cold": True,
-        "tracing": False,
         "cache": {"runs_simulated": 5, "hit_ratio": 0.0, "disk": {}},
         "geomean": {"spec": 2.0, "no_spec": 1.5, "mapping": 0.9},
     }
@@ -36,8 +35,7 @@ def _write(tmp_path, name, doc):
 def test_gate_passes_within_budget(tmp_path, capsys):
     current = _write(tmp_path, "current.json", _report())
     baseline = _write(tmp_path, "baseline.json", _report())
-    assert gate.main([current, baseline, "--require-cold",
-                      "--require-null-sink"]) == 0
+    assert gate.main([current, baseline, "--require-cold"]) == 0
     assert "OK" in capsys.readouterr().out
 
 
@@ -47,23 +45,6 @@ def test_gate_fails_on_wall_clock_regression(tmp_path, capsys):
     baseline = _write(tmp_path, "baseline.json", _report())
     assert gate.main([current, baseline]) == 1
     assert "wall clock regressed" in capsys.readouterr().err
-
-
-def test_gate_fails_on_traced_timing(tmp_path, capsys):
-    current = _write(tmp_path, "current.json", _report(tracing=True))
-    baseline = _write(tmp_path, "baseline.json", _report())
-    assert gate.main([current, baseline, "--require-null-sink"]) == 1
-    assert "tracing enabled" in capsys.readouterr().err
-    # Without the flag the same report passes (back-compat).
-    assert gate.main([current, baseline]) == 0
-
-
-def test_gate_tolerates_pre_tracing_reports(tmp_path):
-    doc = _report()
-    del doc["tracing"]
-    current = _write(tmp_path, "current.json", doc)
-    baseline = _write(tmp_path, "baseline.json", _report())
-    assert gate.main([current, baseline, "--require-null-sink"]) == 0
 
 
 def test_gate_fails_on_geomean_drift(tmp_path, capsys):

@@ -63,8 +63,9 @@ def test_full_pipeline_preserves_output(path):
 
 
 def test_parse_pass_spec():
-    assert parse_pass_spec("lvn,dce") == ["lvn", "dce"]
-    assert parse_pass_spec(" licm ") == ["licm"]
+    assert parse_pass_spec("lvn,dce") == ("lvn", "dce")
+    assert parse_pass_spec(" licm ") == ("licm",)
+    assert parse_pass_spec("none") == parse_pass_spec(None) == ()
     with pytest.raises(ValueError) as err:
         parse_pass_spec("lvn,nope")
     assert "nope" in str(err.value)

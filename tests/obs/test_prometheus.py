@@ -7,7 +7,6 @@ SNAPSHOT = {
     "uptime_seconds": 12.5,
     "jobs": {"submitted": 7, "rejected": 1, "completed": 5,
              "failed": 1, "coalesced": 2},
-    "flights_in_flight": 3,
     "queue": {"capacity": 64, "queued": 2, "running": 3, "open": 5,
               "retained": 9, "draining": False},
     "latency_seconds": {"count": 5, "p50": 0.2, "p90": 0.9,
@@ -31,7 +30,6 @@ def test_renders_counters_gauges_and_histogram():
     assert 'repro_queue_jobs{state="queued"} 2' in text
     assert "repro_queue_capacity 64" in text
     assert "repro_queue_draining 0" in text
-    assert "repro_jobs_in_flight 3" in text
     assert 'repro_cache_hits_total{layer="disk"} 6' in text
     assert 'layer="memory"' not in text
     assert "repro_runs_simulated_total 4" in text
@@ -83,14 +81,13 @@ def test_worker_pool_gauges_render():
     histogram.observe(3.0)
     snapshot = dict(SNAPSHOT)
     snapshot["workers"] = {
-        "kind": "process", "total": 4, "busy": 2, "batches_total": 7,
+        "kind": "process", "total": 4, "busy": 2,
         "batch_seconds": histogram.summary(),
     }
     text = render_prometheus(snapshot)
     assert "# TYPE repro_workers_total gauge" in text
     assert "repro_workers_total 4" in text
     assert "repro_workers_busy 2" in text
-    assert "repro_worker_batches_total 7" in text
     assert "# TYPE repro_worker_batch_seconds histogram" in text
     assert "repro_worker_batch_seconds_count 2" in text
     assert 'repro_worker_batch_seconds_bucket{le="+Inf"} 2' in text
@@ -100,6 +97,5 @@ def test_worker_pool_gauges_zero_filled_when_idle():
     text = render_prometheus(ServiceMetrics().snapshot())
     assert "repro_workers_total 0" in text
     assert "repro_workers_busy 0" in text
-    assert "repro_worker_batches_total 0" in text
     assert "repro_worker_batch_seconds_count 0" in text
     assert 'repro_worker_batch_seconds_bucket{le="+Inf"} 0' in text

@@ -1,8 +1,7 @@
-"""Host-runtime span tracer: nesting, correlation, merging, watchdog."""
+"""Host-runtime span tracer: nesting, correlation, merging."""
 
 import json
 import threading
-import time
 
 import pytest
 
@@ -11,7 +10,6 @@ from repro.obs.runtime import (
     TRACER,
     SpanRecord,
     SpanTracer,
-    SpanWatchdog,
     begin_worker,
     init_runtime_telemetry,
     shutdown_runtime_telemetry,
@@ -206,33 +204,6 @@ def test_span_buffer_is_bounded(tracer):
     assert counters["parallel_runs_completed"] == 6
 
 
-def test_watchdog_warns_once_with_thread_stack(tracer):
-    tracer.enable()
-    warnings = []
-    dog = SpanWatchdog(
-        tracer, threshold=0.01,
-        on_warn=lambda message, details: warnings.append((message, details)),
-    )
-    with tracer.span("cli.bench"):
-        with tracer.span("sim.execute_spec", benchmark="LD"):
-            time.sleep(0.03)
-            assert dog.check_once() == 2       # both open spans are slow
-            assert dog.check_once() == 0       # but each warns only once
-    message, details = warnings[0]
-    assert "slow span" in message
-    assert details["threshold_seconds"] == 0.01
-    assert details["stack"] == ["cli.bench", "sim.execute_spec"]
-    assert {d["span"] for _, d in warnings} == \
-        {"cli.bench", "sim.execute_spec"}
-    # Closed spans never re-warn.
-    assert dog.check_once() == 0
-
-
-def test_watchdog_rejects_bad_threshold(tracer):
-    with pytest.raises(ValueError):
-        SpanWatchdog(tracer, threshold=0.0)
-
-
 def test_worker_handoff_reenables_with_parent_run_id(global_tracer):
     with global_tracer.span("pool.execute_runs"):
         pass
@@ -255,7 +226,6 @@ def test_worker_handoff_reenables_with_parent_run_id(global_tracer):
 
 def test_init_runtime_telemetry_is_off_without_any_knob(monkeypatch):
     monkeypatch.delenv("REPRO_LOG", raising=False)
-    monkeypatch.delenv("REPRO_SLOW_SPAN_SECONDS", raising=False)
     was_enabled = TRACER.enabled
     assert init_runtime_telemetry("run") is None
     assert TRACER.enabled == was_enabled

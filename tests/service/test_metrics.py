@@ -60,6 +60,15 @@ def test_snapshot_shape_includes_queue_and_cache():
     assert snapshot["latency_seconds"]["count"] == 1
     assert set(snapshot["cache"]) == {"runs_simulated", "disk"}
     assert snapshot["uptime_seconds"] >= 0
+    # Each number once: job totals live in the jobs block, and the open
+    # flights are the busy workers.
+    assert set(snapshot["queue"]) == {
+        "capacity", "queued", "running", "open", "retained",
+        "evicted_total", "draining",
+    }
+    assert set(snapshot["workers"]) == {
+        "kind", "total", "busy", "batch_seconds",
+    }
 
 
 def test_snapshot_workers_block_zero_filled_without_scheduler():
@@ -67,18 +76,13 @@ def test_snapshot_workers_block_zero_filled_without_scheduler():
     workers = snapshot["workers"]
     assert workers["total"] == 0
     assert workers["busy"] == 0
-    assert workers["batches_total"] == 0
     assert workers["batch_seconds"]["count"] == 0
 
 
 def test_snapshot_workers_block_comes_from_scheduler():
     class FakeScheduler:
-        def in_flight(self):
-            return 0
-
         def worker_stats(self):
             return {"kind": "process", "total": 3, "busy": 1,
-                    "batches_total": 5,
                     "batch_seconds": {"buckets": [], "sum": 1.0, "count": 5}}
 
     snapshot = ServiceMetrics().snapshot(scheduler=FakeScheduler())
@@ -89,8 +93,7 @@ def test_snapshot_workers_block_comes_from_scheduler():
 
 def test_snapshot_tolerates_scheduler_without_worker_stats():
     class BareScheduler:
-        def in_flight(self):
-            return 0
+        pass
 
     snapshot = ServiceMetrics().snapshot(scheduler=BareScheduler())
     assert snapshot["workers"]["total"] == 0

@@ -219,8 +219,8 @@ def test_threaded_stop_drains_inflight_jobs(tmp_disk_cache):
     stats = server.server.queue.stats()
     assert stats["draining"] is True
     assert stats["open"] == 0
-    assert stats["done_total"] == 1
-    assert stats["failed_total"] == 0
+    assert server.server.metrics.counter("completed") == 1
+    assert server.server.metrics.counter("failed") == 0
 
 
 def test_sigterm_drains_and_exits_zero(tmp_path):

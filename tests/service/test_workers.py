@@ -30,7 +30,6 @@ def test_idle_worker_stats_zero_filled():
     stats = idle_worker_stats()
     assert stats["total"] == 0
     assert stats["busy"] == 0
-    assert stats["batches_total"] == 0
     histogram = stats["batch_seconds"]
     assert histogram["count"] == 0
     assert histogram["sum"] == 0.0
@@ -63,7 +62,6 @@ def test_injected_pool_runs_one_request():
     stats = pool.stats()
     assert stats["kind"] == "injected"
     assert stats["total"] == 2
-    assert stats["batches_total"] == 1
     assert stats["batch_seconds"]["count"] == 1
 
 
@@ -93,6 +91,5 @@ def test_process_pool_executes_merges_and_reports(tmp_path):
     assert disk.get("runs", {}).get("writes", 0) >= 2
     stats = pool.stats()
     assert stats["kind"] == "process"
-    assert stats["batches_total"] == 1
     assert stats["batch_seconds"]["count"] == 1
     assert stats["batch_seconds"]["sum"] > 0

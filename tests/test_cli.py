@@ -1,6 +1,7 @@
 """Tests for the top-level command line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -411,19 +412,6 @@ def test_bench_report_has_provenance_accounting_and_dashboard(
     assert "dashboard ->" in capsys.readouterr().out
 
 
-def test_bench_report_records_tracing_disabled(tmp_path, capsys):
-    import repro.harness.diskcache as diskcache
-
-    out_path = tmp_path / "bench.json"
-    try:
-        assert main(["bench", "--scale", "0.05", "--no-cache",
-                     "--output", str(out_path)]) == 0
-    finally:
-        diskcache.configure()
-    report = json.loads(out_path.read_text())
-    assert report["tracing"] is False
-
-
 # ---------------------------------------------------------------------------
 # Frontend (repro.lang) subcommands
 # ---------------------------------------------------------------------------
@@ -573,3 +561,56 @@ def test_study_unknown_pass_is_usage_error(capsys):
     assert main(["study", "--programs", CORPUS_DIR,
                  "--passes", "nope"]) == 2
     assert "nope" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# One ingestion path: every entry point holds the differential contract
+# ---------------------------------------------------------------------------
+def _sum_loop_copy(tmp_path, tag):
+    """sum_loop under a fresh abbreviation (the registry outlives tests)."""
+    path = tmp_path / "sum_loop.spam"
+    source = Path(CORPUS_DIR) / "sum_loop.spam"
+    path.write_text(source.read_text() + f"# {tag}\n")
+    return path
+
+
+def _assert_one_error_line(capsys, path):
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith(f"repro: error: {path}: "), err
+
+
+def test_a_pass_that_changes_output_fails_every_entry_point(
+        tmp_path, monkeypatch, capsys):
+    from repro.lang import format_module, parse_module, passes
+
+    def bad_lvn(module):
+        # sum_loop prints [3120, 3120, 1]; with n = 39 it prints
+        # [2964, 2964, 1].
+        text = format_module(module).replace("const 40;", "const 39;", 1)
+        return parse_module(text, module.filename)
+
+    monkeypatch.setitem(passes.PASSES, "lvn", bad_lvn)
+    path = _sum_loop_copy(tmp_path, "a pass that changes the output")
+    for argv in (
+        ["ingest", str(path), "--passes", "lvn"],
+        ["run", "--program", str(path), "--passes", "lvn"],
+        ["list", "--programs", str(tmp_path), "--passes", "lvn"],
+        ["study", "--programs", str(tmp_path),
+         "--passes", "none", "--passes", "lvn"],
+    ):
+        assert main(argv) == 2, argv
+        _assert_one_error_line(capsys, path)
+
+
+def test_run_program_lowering_divergence_is_one_line_exit_2(
+        tmp_path, monkeypatch, capsys):
+    import repro.lang
+
+    read_back = repro.lang.output_of
+    monkeypatch.setattr(repro.lang, "output_of",
+                        lambda result: read_back(result)[:-1])
+    path = _sum_loop_copy(tmp_path, "a lowered output that reads back short")
+    assert main(["run", "--program", str(path)]) == 2
+    _assert_one_error_line(capsys, path)
