@@ -169,7 +169,6 @@ def cmd_ingest(args) -> int:
             "registers_used": len(lowered.var_regs),
             "spill_slots": len(lowered.spill_slots),
         },
-        "output_matches_interpreter": True,
     }
     if args.json:
         print(json.dumps(summary, indent=2))

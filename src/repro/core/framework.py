@@ -431,8 +431,7 @@ class DynaSpAM:
                 length = trace_length  # cap splits the block mid-run
                 break
             length += seg.count
-            taken = bpred.peek_with_history(seg.branch_pc, history)
-            history = bpred.shift_history(history, taken)
+            taken, history = bpred.peek(seg.branch_pc, history)
             outcomes.append(taken)
             if len(outcomes) >= cfg.max_branches:
                 break

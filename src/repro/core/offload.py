@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.fabric.compiled import offload_plan_of
+from repro.fabric.compiled import OffloadPlan, compile_offload_plan
 from repro.fabric.configuration import Configuration
 from repro.fabric.fabric import InvocationContext, SpatialFabric
 from repro.ooo.fastpath import FastOOOPipeline
@@ -40,6 +40,21 @@ class OffloadOutcome:
     squash_reason: str | None = None
 
 
+@dataclass(slots=True)
+class _PlanEntry:
+    """What the offload twin keeps per configuration.  Pins the
+    configuration, so its id stays unique while the entry lives."""
+
+    configuration: Configuration
+    plan: OffloadPlan
+    #: The pipeline count slot of its successful invocations.
+    count_slot: int
+    #: Intra-trace Store-Sets predictions and the Store-Sets generation
+    #: they were computed at (None: not yet).
+    generation: int | None = None
+    predicted_store_pos: dict[int, int] | None = None
+
+
 @dataclass
 class OffloadEngine:
     """Runs invocations against the host pipeline's shared state."""
@@ -54,9 +69,8 @@ class OffloadEngine:
         #: plan-driven twin batches counters in ``FastOOOPipeline``'s
         #: count slots.
         self._fastpath = isinstance(self.pipeline, FastOOOPipeline)
-        #: id(configuration) -> (configuration, the pipeline count slot
-        #: of its successful invocations), for the twin.
-        self._count_slots: dict[int, tuple[Configuration, int]] = {}
+        #: id(configuration) -> its :class:`_PlanEntry`, for the twin.
+        self._plans: dict[int, _PlanEntry] = {}
 
     def offload(
         self,
@@ -189,16 +203,25 @@ class OffloadEngine:
         segment,
         fabric_ready: int,
     ) -> OffloadOutcome:
-        """Plan-driven twin of :meth:`offload` (see repro.fabric.compiled).
+        """Plan-driven twin of :meth:`offload` (see repro.fabric.compiled):
+        one pass per invocation, calling no helper on the success path
+        but the fabric's ``walk`` and the D-cache.
 
         Per invocation it does only the work that varies between
         invocations of one configuration: addresses, live-in cycles,
         in-flight host stores, cache state and the schedule's timing.
         Everything else comes from the configuration's
-        :class:`OffloadPlan`.  ``SpatialFabric.walk`` times the
-        invocation from its inputs, reading live-in cycles straight from
-        the scoreboard, and returns plain values.  The scoreboard and the
-        store queue's address index are read and written directly.  The
+        :class:`OffloadPlan`, kept with its count slot and Store-Sets
+        predictions in one entry per configuration.
+        ``macro_dispatch``, ``macro_commit`` (bucket ``offload``), the
+        store queue's ``push`` and the predictor training of
+        ``predict_and_update`` are inlined; the training keeps no
+        prediction, so it is the same for every predictor kind, and the
+        plan carries each embedded branch's PC and outcome, which the
+        trace key pins.  ``SpatialFabric.walk`` times the invocation from
+        its inputs, reading live-in cycles straight from the scoreboard,
+        and returns its slot list; each live-out is written into the
+        scoreboard once, from its slot, after the violation check.  The
         D-cache counters are charged from the L1/L2 counter deltas across
         the invocation: nothing but this invocation's loads and store
         drains touches the data caches while it runs, and an L1 miss
@@ -207,41 +230,67 @@ class OffloadEngine:
         in amounts its configuration fixes are one count in the
         configuration's slot, which ``FastOOOPipeline.finish`` fans out.
         """
-        plan = offload_plan_of(configuration, segment)
         pipeline = self.pipeline
         stats = pipeline.stats
+        storesets = pipeline.storesets
+        speculative = self.speculation
+        entry = self._plans.get(id(configuration))
+        if entry is None:
+            plan = compile_offload_plan(configuration, segment)
+            entry = self._plans[id(configuration)] = _PlanEntry(
+                configuration, plan, pipeline.count_slot(plan.counters))
+        plan = entry.plan
 
-        seq, dispatch = pipeline.macro_dispatch()
+        # ---- macro_dispatch, inlined ---------------------------------
+        seq = pipeline.seq
+        pipeline.seq = seq + 1
+        cycle = pipeline.next_fetch_cycle
+        if pipeline.fetch_barrier > cycle:
+            cycle = pipeline.fetch_barrier
+        core = pipeline.config
+        slot_cycle, count = pipeline._fetch_slot
+        if cycle != slot_cycle:
+            pipeline._fetch_slot = (cycle, 1)
+        elif count < core.fetch_width:
+            pipeline._fetch_slot = (cycle, count + 1)
+        else:
+            cycle += 1
+            pipeline._fetch_slot = (cycle, 1)
+        pipeline.next_fetch_cycle = cycle
+        dispatch = cycle + core.frontend_depth
+        rob = pipeline.rob
+        rob_entries = rob.entries
+        if rob._count >= rob_entries:
+            free = rob._commit_ring[rob._head] + 1
+            if free > dispatch:
+                dispatch = free
+        stats.rob_writes += 1
         if self.bus is not None:
             self._emit_dispatch(seq, dispatch, configuration, segment)
 
         stats.renames += plan.renames
-        stats.regfile_reads += len(configuration.live_ins)
+        stats.regfile_reads += plan.regfile_reads
 
         # ---- memory context (see _memory_context) ---------------------
-        mem_addrs = [segment[i].addr for i in plan.mem_positions]
+        mem_addrs = []
+        for i in plan.mem_positions:
+            mem_addrs.append(segment[i].addr)
         sq = pipeline.sq
         by_addr = sq._by_addr
-        storesets = pipeline.storesets
-        speculative = self.speculation
         extra_wait: dict[int, int] = {}
         host_alias: dict[int, StoreRecord] = {}
         if speculative:
             # Intra-trace predictions change only when violation training
             # changes the learned sets.
-            cached = getattr(configuration, "_predicted_store_cache", None)
-            if (cached is not None and cached[0] is storesets
-                    and cached[1] == storesets.generation):
-                predicted_store_pos = cached[2]
-            else:
-                predicted_store_pos = _predicted_stores(
-                    storesets, configuration.placements
-                )
-                configuration._predicted_store_cache = (
-                    storesets, storesets.generation, predicted_store_pos
-                )
+            if entry.generation != storesets.generation:
+                entry.generation = storesets.generation
+                entry.predicted_store_pos = _predicted_stores(
+                    storesets, configuration.placements)
+            predicted_store_pos = entry.predicted_store_pos
         else:
             predicted_store_pos = {}
+        ssit = storesets._ssit
+        ssit_entries = storesets.ssit_entries
         for m, pc in plan.loads:
             addr = mem_addrs[m]
             alias = by_addr.get(addr)
@@ -251,16 +300,19 @@ class OffloadEngine:
                 continue
             if speculative:
                 host_alias[m] = alias
-                if not storesets.same_set(pc, alias.pc):
+                # Inlined StoreSetPredictor.same_set.
+                load_set = ssit.get((pc >> 2) % ssit_entries)
+                if (load_set is None or load_set
+                        != ssit.get((alias.pc >> 2) % ssit_entries)):
                     continue
-            extra_wait[m] = max(extra_wait.get(m, 0), alias.data_ready)
+            # Each memory op has its own mem_index, so nothing is waiting
+            # there yet (``_memory_context``'s max is with 0).
+            extra_wait[m] = alias.data_ready
         if not speculative:
             older = sq.youngest_older(seq)
             if older is not None:
-                for m, _pos, _pc in plan.store_positions:
-                    extra_wait[m] = max(
-                        extra_wait.get(m, 0), older.addr_ready
-                    )
+                for m, _pc in plan.stores:
+                    extra_wait[m] = older.addr_ready
 
         dcache = pipeline.dcache
         l1 = dcache.l1
@@ -273,10 +325,11 @@ class OffloadEngine:
             start_lower_bound = fabric_ready
         regs = pipeline.regs
         ready = regs._ready
-        (_start, complete, occupancy, liveout_ready, stores, loads,
+        access = dcache.access
+        (_start, complete, occupancy, slots, stores, loads,
          violations) = fabric.walk(
             configuration, start_lower_bound, ready, mem_addrs,
-            dcache.access, speculative, extra_wait, predicted_store_pos,
+            access, speculative, extra_wait, predicted_store_pos,
         )
 
         if violations or host_alias:
@@ -289,40 +342,107 @@ class OffloadEngine:
                 stats.l2_accesses += l2.hits + l2.misses - l2_accesses
                 return self._squash_memory(seq, configuration, violation)
 
-        # ---- success: commit the fat instruction ---------------------
-        commit = pipeline.macro_commit(complete)
+        # ---- success: macro_commit (bucket offload), inlined ----------
+        commit = complete + 1
+        previous = pipeline.prev_commit_cycle
+        if commit > previous:
+            stats.cycles_offload += commit - previous
+            count = 0
+        else:
+            commit = previous
+            count = pipeline._commit_count
+        if count >= core.commit_width:
+            # Commit-width contention is healthy throughput, not a stall.
+            commit += 1
+            count = 0
+            stats.cycles_host += 1
+        pipeline._commit_count = count + 1
+        pipeline.prev_commit_cycle = commit
+        if commit > pipeline.last_commit_cycle:
+            pipeline.last_commit_cycle = commit
+        head = rob._head
+        rob._commit_ring[head] = commit
+        head += 1
+        rob._head = 0 if head == rob_entries else head
+        if rob._count < rob_entries:
+            rob._count += 1
+        if commit > rob.last_commit_cycle:
+            rob.last_commit_cycle = commit
 
-        for reg, cycle in liveout_ready.items():
-            if reg != "r0":
-                ready[reg] = cycle
-        regs.renames += plan.liveout_renames
+        bus = fabric.config.global_bus_latency
+        for reg, slot in plan.liveout_writes:
+            ready[reg] = slots[slot] + bus
+        regs.renames += len(plan.liveout_writes)
 
         if stores:
-            push = sq.push
-            access = dcache.access
+            # Buffered stores drain at commit: StoreQueueModel.push and the
+            # D-cache write, per store.
+            window = sq._window
+            sq_entries = sq.entries
+            sq_ring = sq._commit_ring
+            sq_head = sq._head
+            sq_count = sq._count
             pcs = configuration.mem_op_pcs
             for _pos, m, addr, addr_known, finish in stores:
-                push(StoreRecord(seq, pcs[m], addr, addr_known, finish,
-                                 commit))
+                record = StoreRecord(seq, pcs[m], addr, addr_known, finish,
+                                     commit)
+                if len(window) == sq_entries:
+                    evicted = window[0]
+                    if by_addr.get(evicted.addr) is evicted:
+                        del by_addr[evicted.addr]
+                window.append(record)
+                by_addr[addr] = record
+                sq_ring[sq_head] = commit
+                sq_head += 1
+                if sq_head == sq_entries:
+                    sq_head = 0
+                if sq_count < sq_entries:
+                    sq_count += 1
                 access(addr)
+            sq._head = sq_head
+            sq._count = sq_count
         stats.dcache_accesses += l1.hits + l1.misses - l1_accesses
         stats.dcache_misses += l1.misses - l1_misses
         stats.l2_accesses += l2.hits + l2.misses - l2_accesses
 
-        predict = pipeline.bpred.predict_and_update
-        for i in plan.branch_positions:
-            dyn = segment[i]
-            predict(dyn.pc, bool(dyn.taken))
+        if plan.branches:
+            # BranchPredictor.predict_and_update's training, inlined: both
+            # component tables, the chooser, then the history (always
+            # masked, so it indexes gshare as is).
+            bpred = pipeline.bpred
+            bimodal = bpred.bimodal
+            gshare = bpred.gshare
+            chooser = bpred.chooser
+            mask = bpred.mask
+            history = bpred.history
+            for pc, taken in plan.branches:
+                b_index = (pc >> 2) & mask
+                g_index = b_index ^ history
+                b_counter = bimodal[b_index]
+                g_counter = gshare[g_index]
+                if taken:
+                    if b_counter < 3:
+                        bimodal[b_index] = b_counter + 1
+                    if g_counter < 3:
+                        gshare[g_index] = g_counter + 1
+                else:
+                    if b_counter > 0:
+                        bimodal[b_index] = b_counter - 1
+                    if g_counter > 0:
+                        gshare[g_index] = g_counter - 1
+                g_taken = g_counter >= 2
+                if (b_counter >= 2) != g_taken:
+                    counter = chooser[b_index]
+                    if g_taken == taken:
+                        if counter < 3:
+                            chooser[b_index] = counter + 1
+                    elif counter > 0:
+                        chooser[b_index] = counter - 1
+                history = ((history << 1) | taken) & mask
+            bpred.history = history
 
-        stats.fabric_active_pe_cycles += (
-            len(configuration.placements) * occupancy
-        )
-        counted = self._count_slots.get(id(configuration))
-        if counted is None:
-            # The entry pins the configuration, so its id stays unique.
-            counted = self._count_slots[id(configuration)] = (
-                configuration, pipeline.count_slot(plan.counters))
-        pipeline._static_counts[counted[1]] += 1
+        stats.fabric_active_pe_cycles += plan.fu_ops * occupancy
+        pipeline._static_counts[entry.count_slot] += 1
 
         outcome = OffloadOutcome(success=True, consumed=len(segment),
                                  complete=complete)

@@ -11,23 +11,30 @@ configurations — the same insight DynaSpAM itself applies to instruction
 schedules applies here: lower the reused structure once, then execute
 the lowered form.
 
-Two plans, both cached on the configuration object and keyed by
-identity:
+Two plans, keyed by configuration identity: the timing plan is cached
+on the configuration object, and the offload plan in the offload
+engine's entry for the configuration:
 
-* :class:`TimingPlan` — for the cycle engine: topological op steps with
-  pre-split producer/live-in gather lists, per-op latency and mem kind,
-  the structural II, constant datapath-transfer and FIFO-op totals, and
-  the live-out extraction list.  ``SpatialFabric.walk`` replays it and
-  returns plain values (start, completion, occupancy, the live-out
-  cycles, one tuple per store and per load, the violations) instead of
-  an ``InvocationResult``.
-* :class:`OffloadPlan` — for the offload bookkeeping: the rename counts,
-  the loads' ``(mem_index, pc)`` pairs and the stores'
-  ``(mem_index, pos, pc)``, the segment's memory and branch positions,
-  and the counters a successful invocation adds in amounts its
-  configuration fixes, which the offload twin charges as one count per
-  configuration.  It needs one offloaded occurrence to lower: the
-  positions and the instruction count come from the segment.
+* :class:`TimingPlan` — for the cycle engine: the configuration lowered
+  to *slots*.  Each distinct live-in register the placed ops read gets
+  one slot (``0 .. len(live_ins) - 1``), and each placed op, in position
+  order, gets the next one.  ``SpatialFabric.walk`` fills one list per
+  invocation in that order: a live-in slot holds the cycle its value
+  arrives over the global bus (never before the invocation starts), an
+  op slot the cycle the op finishes.  Every source is a ``(slot, add)``
+  pair (``add`` is the route's extra hops), so an op's ready cycle is a
+  max over list reads, and ALU steps are specialized by how many
+  sources they read.  The plan also holds the structural II, the
+  constant datapath-transfer and FIFO-op totals and the live-outs'
+  slots.
+* :class:`OffloadPlan` — for the offload bookkeeping: the rename
+  counts, the loads' ``(mem_index, pc)`` pairs, the segment's memory
+  positions, each embedded branch's PC and outcome, the live-outs the
+  scoreboard takes (slot by slot), and the counters a successful
+  invocation adds in amounts its configuration fixes, which the offload
+  twin charges as one count per configuration.  It needs one offloaded
+  occurrence to lower: the positions, the branches and the instruction
+  count come from the segment.
 
 Both plans compile on a configuration's first fast-tier invocation, so
 ``mapping_only`` runs, which never invoke, compile none.  Plan use is
@@ -46,10 +53,12 @@ from repro.fabric.configuration import Configuration
 from repro.fabric.pe import pe_busy
 from repro.isa.opcodes import latency_of
 
-# Timing-step kinds.
-T_ALU = 0
-T_LOAD = 1
-T_STORE = 2
+# Timing-step kinds: ALU ops by source count, then the memory ops.
+T_ALU1 = 0
+T_ALU2 = 1
+T_ALU = 2
+T_LOAD = 3
+T_STORE = 4
 
 
 @dataclass(frozen=True)
@@ -57,16 +66,25 @@ class TimingPlan:
     """Everything the fabric timing walk needs that never changes."""
 
     structural_ii: int
-    #: Per placed op, in topological (position) order:
-    #: ``(pos, kind, latency, mem_index, inst_srcs, live_srcs)``.  Only a
-    #: store's address resolves on its base operand alone, so stores carry
-    #: ``inst_srcs = ((producer_pos, arrival_add, is_base), ...)`` and
-    #: ``live_srcs = ((reg, is_base), ...)``; every other op carries
-    #: ``((producer_pos, arrival_add), ...)`` and ``(reg, ...)``.
+    #: The live-in registers the placed ops read, one slot each, in
+    #: first-read order.
+    live_ins: tuple
+    #: One ``(kind, a, b, c, d)`` per placed op, in position order; op
+    #: ``i`` fills slot ``len(live_ins) + i``.  ``srcs`` are ``(slot,
+    #: add)`` pairs:
+    #:
+    #: * ``T_ALU1``: ``(slot, add + latency, None, None)``;
+    #: * ``T_ALU2``: ``(slot_a, add_a + latency, slot_b, add_b +
+    #:   latency)``;
+    #: * ``T_ALU`` (no source or more than two): ``(srcs, latency, None,
+    #:   None)``;
+    #: * ``T_LOAD``: ``(srcs, mem_index, pos, None)``;
+    #: * ``T_STORE``: ``(base_srcs, value_srcs, mem_index, pos)``; only a
+    #:   store's address resolves on its base operand alone.
     steps: tuple
     datapath_transfers: int   # sum of hops over all producer routes
     fifo_ops: int             # live-in gathers + live-out drains
-    liveouts: tuple           # ((reg, producer_pos), ...)
+    liveouts: tuple           # ((reg, slot), ...)
 
 
 def compile_timing_plan(configuration: Configuration) -> TimingPlan:
@@ -75,32 +93,55 @@ def compile_timing_plan(configuration: Configuration) -> TimingPlan:
         (pe_busy(op.opclass, op.latency) for op in configuration.placements),
         default=1,
     )
+    live_in_slot: dict[str, int] = {}
+    for op in configuration.placements:
+        for src in op.sources:
+            if src.kind != "inst":
+                live_in_slot.setdefault(src.reg, len(live_in_slot))
+    op_slot = {
+        op.pos: len(live_in_slot) + index
+        for index, op in enumerate(configuration.placements)
+    }
     steps = []
     datapath_transfers = 0
     gather_fifo_ops = 0
     for op in configuration.placements:
-        inst_srcs = []
-        live_srcs = []
+        base_srcs = []
+        value_srcs = []
         roles = op.source_roles or ("src",) * len(op.sources)
         for src, role in zip(op.sources, roles):
             if src.kind == "inst":
-                add = src.hops - 1 if src.hops > 1 else 0
-                inst_srcs.append((src.producer_pos, add, role == "base"))
+                source = (op_slot[src.producer_pos],
+                          src.hops - 1 if src.hops > 1 else 0)
                 datapath_transfers += src.hops
             else:
-                live_srcs.append((src.reg, role == "base"))
+                source = (live_in_slot[src.reg], 0)
                 gather_fifo_ops += 1
+            if role == "base":
+                base_srcs.append(source)
+            else:
+                value_srcs.append(source)
+        srcs = tuple(base_srcs + value_srcs)
+        latency = latency_of(op.opcode)
         if op.is_store:
-            kind = T_STORE
+            step = (T_STORE, tuple(base_srcs), tuple(value_srcs),
+                    op.mem_index, op.pos)
+        elif op.is_load:
+            step = (T_LOAD, srcs, op.mem_index, op.pos, None)
+        elif len(srcs) == 1:
+            (slot, add), = srcs
+            step = (T_ALU1, slot, add + latency, None, None)
+        elif len(srcs) == 2:
+            (slot_a, add_a), (slot_b, add_b) = srcs
+            step = (T_ALU2, slot_a, add_a + latency, slot_b, add_b + latency)
         else:
-            kind = T_LOAD if op.is_load else T_ALU
-            inst_srcs = [(producer, add) for producer, add, _ in inst_srcs]
-            live_srcs = [reg for reg, _ in live_srcs]
-        steps.append((op.pos, kind, latency_of(op.opcode), op.mem_index,
-                      tuple(inst_srcs), tuple(live_srcs)))
-    liveouts = tuple(configuration.live_outs.items())
+            step = (T_ALU, srcs, latency, None, None)
+        steps.append(step)
+    liveouts = tuple(
+        (reg, op_slot[pos]) for reg, pos in configuration.live_outs.items())
     plan = TimingPlan(
         structural_ii=structural_ii,
+        live_ins=tuple(live_in_slot),
         steps=tuple(steps),
         datapath_transfers=datapath_transfers,
         fifo_ops=gather_fifo_ops + len(liveouts),
@@ -126,16 +167,21 @@ class OffloadPlan:
     #: Registers the rename stage renames per invocation (live-ins plus
     #: live-outs).
     renames: int
-    #: Live-out registers that rename a scoreboard entry (all but ``r0``).
-    liveout_renames: int
+    #: Live-in values the rename stage reads out to the input FIFOs.
+    regfile_reads: int
+    #: Placed ops (the PEs an invocation keeps active).
+    fu_ops: int
     #: ``(mem_index, pc)`` of every placed load, in position order.
     loads: tuple
-    #: ``(mem_index, pos, pc)`` of every placed store, in position order.
-    store_positions: tuple
+    #: ``(mem_index, pc)`` of every placed store, in position order.
+    stores: tuple
     #: Segment index of every memory op, in ``mem_index`` order.
     mem_positions: tuple
-    #: Segment index of every embedded branch, in trace order.
-    branch_positions: tuple
+    #: ``(pc, taken)`` of every embedded branch, in trace order.
+    branches: tuple
+    #: ``(reg, timing slot)`` of every live-out that renames a scoreboard
+    #: entry (all but ``r0``).
+    liveout_writes: tuple
     #: ``(PipelineStats field, count)`` for every nonzero counter a
     #: successful invocation adds in an amount its configuration fixes.
     counters: tuple
@@ -143,31 +189,32 @@ class OffloadPlan:
 
 def compile_offload_plan(configuration: Configuration,
                          segment) -> OffloadPlan:
-    """Lower the offload engine's per-configuration work and cache it.
+    """Lower the offload engine's per-configuration work.
 
     ``segment`` is any occurrence offloaded on ``configuration``: the
     trace key (anchor PC, embedded branch outcomes, length) pins the
     static instruction sequence, and offload only runs on key-matching
-    occurrences, so the memory and branch positions and the instruction
-    count hold for all of them.
+    occurrences, so the memory positions, each branch's PC and outcome
+    and the instruction count hold for all of them.
     """
     loads = []
-    store_positions = []
+    stores = []
     pool_counts: dict[str, int] = {}
     for op in configuration.placements:
         if op.is_store:
-            store_positions.append((op.mem_index, op.pos, op.pc))
+            stores.append((op.mem_index, op.pc))
         elif op.is_load:
             loads.append((op.mem_index, op.pc))
         pool_counts[op.pool] = pool_counts.get(op.pool, 0) + 1
-    branch_positions = tuple(
-        i for i, dyn in enumerate(segment) if dyn.is_branch)
+    branches = tuple(
+        (dyn.pc, bool(dyn.taken)) for dyn in segment if dyn.is_branch)
     timing = timing_plan_of(configuration)
     counters = {
         "regfile_writes": len(configuration.live_outs),
         "loads": len(loads),
-        "stores": len(store_positions),
-        "predictor_lookups": len(branch_positions),
+        "stores": len(stores),
+        "predictor_lookups": len(branches),
+        "commits": 1,
         "offloaded_instructions": len(segment),
         "instructions": len(segment),
         "fabric_invocations": 1,
@@ -179,23 +226,16 @@ def compile_offload_plan(configuration: Configuration,
         counters[f"fabric_{pool}_ops"] = count
     plan = OffloadPlan(
         renames=len(configuration.live_ins) + len(configuration.live_outs),
-        liveout_renames=sum(
-            1 for reg in configuration.live_outs if reg != "r0"),
+        regfile_reads=len(configuration.live_ins),
+        fu_ops=len(configuration.placements),
         loads=tuple(loads),
-        store_positions=tuple(store_positions),
+        stores=tuple(stores),
         mem_positions=tuple(
             i for i, dyn in enumerate(segment) if dyn.is_memory),
-        branch_positions=branch_positions,
+        branches=branches,
+        liveout_writes=tuple(
+            (reg, slot) for reg, slot in timing.liveouts if reg != "r0"),
         counters=tuple(
             (name, count) for name, count in counters.items() if count),
     )
-    configuration._offload_plan = plan
-    return plan
-
-
-def offload_plan_of(configuration: Configuration, segment) -> OffloadPlan:
-    """The configuration's offload plan, compiling on first use."""
-    plan = getattr(configuration, "_offload_plan", None)
-    if plan is None:
-        plan = compile_offload_plan(configuration, segment)
     return plan

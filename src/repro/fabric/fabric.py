@@ -13,7 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.fabric.compiled import T_ALU, T_STORE, timing_plan_of
+from repro.fabric.compiled import (
+    T_ALU1,
+    T_ALU2,
+    T_LOAD,
+    T_STORE,
+    compile_timing_plan,
+)
 from repro.fabric.config import FabricConfig
 from repro.fabric.configuration import Configuration, PlacedOp
 from repro.fabric.fifos import FifoModel
@@ -286,49 +292,67 @@ class SpatialFabric:
         predicted_store_pos: dict[int, int],
     ) -> tuple:
         """Plan-driven twin of :meth:`execute`, run by the fast tier's
-        offload (see repro.fabric.compiled).
+        offload: one pass over the configuration's slot-indexed
+        :class:`~repro.fabric.compiled.TimingPlan`.
 
         Takes the invocation's inputs as arguments: ``reg_ready`` is the
-        host scoreboard's register -> ready-cycle dict, read in place (a
-        register it lacks is ready at 0, as ``ready_cycle`` reads it;
-        ``Configuration.validate()`` makes every live-in source a
-        configured live-in, so this is exactly the reference's
-        per-invocation ``live_in_ready``), and ``mem_addrs`` is indexed by
-        ``mem_index``.  Returns plain values, in position order: ``(start,
-        complete, occupancy, liveout_ready, stores, loads, violations)``
-        with one ``(pos, mem_index, addr, addr_known, finish)`` per store
-        and one ``(mem_index, start)`` per load.
+        host scoreboard's register -> ready-cycle dict, read once per
+        live-in slot (a register it lacks is ready at 0, as
+        ``ready_cycle`` reads it; ``Configuration.validate()`` makes every
+        live-in source a configured live-in, so this is exactly the
+        reference's per-invocation ``live_in_ready``), and ``mem_addrs``
+        is indexed by ``mem_index``.  Returns plain values: ``(start,
+        complete, occupancy, slots, stores, loads, violations)``.
+        ``slots`` is the filled slot list, so a live-out's cycle on the
+        bus is ``slots[slot] + global_bus_latency`` for its ``(reg,
+        slot)`` in the plan's ``liveouts``; ``stores`` holds one ``(pos,
+        mem_index, addr, addr_known, finish)`` per store and ``loads`` one
+        ``(mem_index, start)`` per load, in position order.
 
-        Bit-identical by construction.  The per-op arrival computation is
-        an order-independent max over the same source set, and the
-        FIFO/datapath totals are per-configuration constants.  Memory ops
-        inline ``_time_store``/``_time_load`` without rescanning older
-        stores, relying on one invariant: a store's address cycle is at
-        least every older store's (``_time_store`` orders it behind them),
-        and without speculation so is its finish (plus one).  The youngest
-        store walked so far therefore carries the running maximum of both,
-        and the scans reduce to two running values.  The youngest
+        Bit-identical by construction.  An op's ready cycle is the
+        reference's max over the same sources and ``start``: a live-in
+        slot holds its bus arrival raised to ``start``, and a producer
+        slot is already past ``start``.  Every slot feeds some op that
+        finishes after it (latencies are positive), so the list's max is
+        the latest op finish.  The FIFO/datapath totals are
+        per-configuration constants.  Memory ops inline
+        ``_time_store``/``_time_load`` without rescanning older stores,
+        relying on one invariant: a store's address cycle is at least
+        every older store's (``_time_store`` orders it behind them), and
+        without speculation so is its finish (plus one).  The youngest
+        store walked so far therefore carries the running maximum of
+        both, and the scans reduce to two running values.  The youngest
         same-address older store and the Store-Sets-predicted store are
-        dict lookups.  ``tests/engine`` holds the two paths equal.
+        dict lookups.  The FIFO admission and ``_retire`` are inlined.
+        ``tests/engine`` holds the two paths equal.
         """
         if self.current_key != configuration.trace_key:
             raise ValueError("fabric is not configured for this trace")
-        plan = timing_plan_of(configuration)
+        plan = getattr(configuration, "_timing_plan", None)
+        if plan is None:
+            plan = compile_timing_plan(configuration)
         bus = self.config.global_bus_latency
+        fifo = self.fifo
+        depth = fifo.depth
+        ring = fifo._complete_ring
 
         start = start_lower_bound
-        admit = self.fifo.admit_ready_cycle()
-        if admit > start:
-            start = admit
-        if self.invocations_on_current:
-            pipelined = self.last_invocation_start + plan.structural_ii
+        if fifo._count >= depth:
+            admit = ring[fifo._head] + 1
+            if admit > start:
+                start = admit
+        last_start = self.last_invocation_start
+        invocations = self.invocations_on_current
+        if invocations:
+            pipelined = last_start + plan.structural_ii
             if pipelined > start:
                 start = pipelined
-            occupancy = start - self.last_invocation_start
-        else:
-            occupancy = None
 
-        finish: dict[int, int] = {}
+        slots: list[int] = []
+        fill = slots.append
+        for reg in plan.live_ins:
+            arrival = reg_ready.get(reg, 0) + bus
+            fill(arrival if arrival > start else start)
         stores: list[tuple] = []
         loads: list[tuple[int, int]] = []
         violations: list[tuple[int, int]] = []
@@ -341,60 +365,56 @@ class SpatialFabric:
         store_at_addr: dict[int, tuple] = {}   # youngest per address
         store_at_pos: dict[int, tuple] = {}
 
-        for pos, kind, latency, mem_index, inst_srcs, live_srcs in plan.steps:
-            ready = start
-            if kind != T_STORE:
-                for producer_pos, add in inst_srcs:
-                    arrival = finish[producer_pos] + add
+        for kind, a, b, c, d in plan.steps:
+            if kind == T_ALU2:
+                ready = slots[a] + b
+                other = slots[c] + d
+                fill(ready if ready > other else other)
+            elif kind == T_ALU1:
+                fill(slots[a] + b)
+            elif kind == T_LOAD:
+                # a: srcs, b: mem_index, c: pos.
+                ready = start
+                for slot, add in a:
+                    arrival = slots[slot] + add
                     if arrival > ready:
                         ready = arrival
-                for reg in live_srcs:
-                    arrival = reg_ready.get(reg, 0) + bus
-                    if arrival > ready:
-                        ready = arrival
-                if kind == T_ALU:
-                    finish[pos] = ready + latency
-                    continue
-                # Load.
-                extra = extra_mem_wait.get(mem_index, start)
+                extra = extra_mem_wait.get(b, start)
                 if extra > ready:
                     ready = extra
                 if not speculative:
                     if store_finish > ready:
                         ready = store_finish
                 elif predicted_store_pos:
-                    predicted = store_at_pos.get(
-                        predicted_store_pos.get(mem_index))
+                    predicted = store_at_pos.get(predicted_store_pos.get(b))
                     if predicted is not None and predicted[4] > ready:
                         ready = predicted[4]
-                addr = mem_addrs[mem_index]
+                addr = mem_addrs[b]
                 alias = store_at_addr.get(addr)
                 if alias is None:
                     done = ready + 1 + dcache_access(addr)
                 elif speculative and alias[3] > ready:
-                    violations.append((pos, alias[0]))
+                    violations.append((c, alias[0]))
                     done = alias[4] + 1
                 elif alias[4] > ready:
                     done = alias[4] + 1       # in-flight forward
                 else:
                     done = ready + 1          # buffered forward
-                loads.append((mem_index, ready))
-                finish[pos] = done
-            else:
+                loads.append((b, ready))
+                fill(done)
+            elif kind == T_STORE:
+                # a: base srcs, b: value srcs, c: mem_index, d: pos.
                 base_arrival = start
-                for producer_pos, add, is_base in inst_srcs:
-                    arrival = finish[producer_pos] + add
+                for slot, add in a:
+                    arrival = slots[slot] + add
+                    if arrival > base_arrival:
+                        base_arrival = arrival
+                ready = base_arrival
+                for slot, add in b:
+                    arrival = slots[slot] + add
                     if arrival > ready:
                         ready = arrival
-                    if is_base and arrival > base_arrival:
-                        base_arrival = arrival
-                for reg, is_base in live_srcs:
-                    arrival = reg_ready.get(reg, 0) + bus
-                    if arrival > ready:
-                        ready = arrival
-                    if is_base and arrival > base_arrival:
-                        base_arrival = arrival
-                addr_known = extra_mem_wait.get(mem_index, start)
+                addr_known = extra_mem_wait.get(c, start)
                 if base_arrival > addr_known:
                     addr_known = base_arrival
                 if store_addr_known > addr_known:
@@ -402,29 +422,38 @@ class SpatialFabric:
                 done = (addr_known if addr_known > ready else ready) + 1
                 if not speculative and store_finish + 1 > done:
                     done = store_finish + 1
-                addr = mem_addrs[mem_index]
-                store = (pos, mem_index, addr, addr_known, done)
+                addr = mem_addrs[c]
+                store = (d, c, addr, addr_known, done)
                 store_addr_known = addr_known
                 store_finish = done
                 store_at_addr[addr] = store
-                store_at_pos[pos] = store
+                store_at_pos[d] = store
                 stores.append(store)
-                finish[pos] = done
+                fill(done)
+            else:
+                # a: srcs (none, or more than two), b: latency.
+                ready = start
+                for slot, add in a:
+                    arrival = slots[slot] + add
+                    if arrival > ready:
+                        ready = arrival
+                fill(ready + b)
 
-        liveout_ready = {}
-        for reg, pos in plan.liveouts:
-            liveout_ready[reg] = finish[pos] + bus
+        complete = (max(slots) if slots else start) + bus
 
-        complete = start
-        if finish:
-            complete = max(finish.values())
-        complete += bus
-
-        self._retire(start, complete)
-        if occupancy is None:
-            occupancy = complete - start
-        return (start, complete, max(1, occupancy), liveout_ready, stores,
-                loads, violations)
+        # Inlined _retire: FIFO slot and pipelining state.
+        head = fifo._head
+        ring[head] = complete
+        head += 1
+        fifo._head = 0 if head == depth else head
+        if fifo._count < depth:
+            fifo._count += 1
+        self.last_invocation_start = start
+        self.invocations_on_current = invocations + 1
+        self.total_invocations += 1
+        occupancy = start - last_start if invocations else complete - start
+        return (start, complete, occupancy if occupancy > 1 else 1, slots,
+                stores, loads, violations)
 
     def _retire(self, start: int, complete: int) -> None:
         """Book one invocation: FIFO slot and pipelining state."""

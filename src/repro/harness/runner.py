@@ -364,7 +364,6 @@ def program_simulation_report(
         "passes": list(passes),
         "abbrev": bench.abbrev,
         "output": ingested.output,
-        "output_matches_interpreter": True,
         "interpreter_dynamic_count": ingested.reference.dynamic_count,
     }
     return report

@@ -127,9 +127,11 @@ class Program:
     def segment_from(self, pc: int) -> StaticSegment:
         """The (cached) straight-line segment summary starting at ``pc``.
 
-        DynaSpAM's predicted-trace walk and the trace-window builder use
-        these summaries to hop branch-to-branch instead of probing
-        ``by_pc`` instruction-by-instruction.
+        DynaSpAM's predicted-trace walk hops these summaries
+        branch-to-branch instead of probing ``by_pc``
+        instruction-by-instruction.  The trace-window builder feeds on
+        the dynamic stream and reads them only under smart trace
+        selection, through :meth:`distance_to_next_branch`.
         """
         seg = self._segments.get(pc)
         if seg is None:

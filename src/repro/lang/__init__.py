@@ -9,8 +9,10 @@ runs through the entire existing stack unchanged.
 :func:`ingest` is the one way in: it walks every stage and holds the
 differential contract (the passes keep the interpreter's output, and
 the lowered ISA program prints the same words).  ``repro ingest``,
-``repro run --program``, ``repro list --programs``, ``repro study`` and
-the fuzz gate all reach the frontend through it::
+``repro run --program``, ``repro list --programs`` and ``repro study``
+reach the frontend through it; the fuzz gate runs the same contract
+under several pass pipelines from one parse, through
+:func:`ingest_each`::
 
     from repro.lang import ingest
 
@@ -54,6 +56,7 @@ __all__ = [
     "execute_lowered",
     "format_module",
     "ingest",
+    "ingest_each",
     "interpret",
     "load_file",
     "load_module",
@@ -104,29 +107,46 @@ def ingest(source: str, filename: str = "<string>",
     lowered program, executed on the functional ISA executor, prints
     the same words.  Any failure raises :class:`LangError`.
     """
+    return ingest_each(source, filename, (passes,))[0]
+
+
+def ingest_each(source: str, filename: str,
+                pipelines) -> list[Ingested]:
+    """:func:`ingest` under each pass pipeline of ``pipelines``, in
+    order, from one parse: the source is parsed, checked and interpreted
+    once, and every pipeline starts from that checked module (a pass
+    returns a new module and leaves its input unchanged, and so does
+    lowering).  Raises :class:`LangError` at the first pipeline that
+    breaks the contract.
+    """
     from repro.obs.runtime import TRACER
 
     with TRACER.span("ingest.program", program=filename):
-        module = load_module(source, filename)
-        unoptimized = reference = interpret(module)
-        if passes:
-            module = check_module(run_passes(module, list(passes)),
-                                  allow_reserved=True)
-            reference = interpret(module)
-            if reference.output != unoptimized.output:
+        checked = load_module(source, filename)
+        unoptimized = interpret(checked)
+        results = []
+        for passes in pipelines:
+            module, reference = checked, unoptimized
+            if passes:
+                module = check_module(run_passes(checked, list(passes)),
+                                      allow_reserved=True)
+                reference = interpret(module)
+                if reference.output != unoptimized.output:
+                    raise LangError(
+                        f"passes {','.join(passes)} changed the output "
+                        f"{unoptimized.output} -> {reference.output}",
+                        filename)
+            lowered = lower_module(module, name=Path(filename).stem)
+            try:
+                run = execute_lowered(lowered)
+            except (ExecutionLimitExceeded, RuntimeError, ValueError) as exc:
+                raise LangError(f"lowered program failed: {exc}",
+                                filename) from None
+            printed = output_of(run)
+            if printed != reference.output:
                 raise LangError(
-                    f"passes {','.join(passes)} changed the output "
-                    f"{unoptimized.output} -> {reference.output}",
-                    filename)
-        lowered = lower_module(module, name=Path(filename).stem)
-        try:
-            run = execute_lowered(lowered)
-        except (ExecutionLimitExceeded, RuntimeError, ValueError) as exc:
-            raise LangError(f"lowered program failed: {exc}",
-                            filename) from None
-        printed = output_of(run)
-        if printed != reference.output:
-            raise LangError(
-                f"lowered program printed {printed}, the interpreter "
-                f"{reference.output}", filename)
-    return Ingested(module, unoptimized, reference, lowered, run)
+                    f"lowered program printed {printed}, the interpreter "
+                    f"{reference.output}", filename)
+            results.append(
+                Ingested(module, unoptimized, reference, lowered, run))
+    return results

@@ -5,10 +5,10 @@ counted loops, balanced branches, in-bounds memory traffic, clamped
 multiplies so values never approach float-conversion overflow) and
 checks, per program, that
 
-1. ``repro.lang.ingest`` accepts it as written, under each optimization
-   pass alone, and under the full pipeline: every pass keeps the
-   interpreter's printed words, and each lowered ISA program prints
-   them too, and
+1. ``repro.lang.ingest_each`` accepts it, from one parse, as written,
+   under each optimization pass alone, and under the full pipeline:
+   every pass keeps the interpreter's printed words, and each lowered
+   ISA program prints them too, and
 2. the DynaSpAM simulation of the lowered trace ends on the same cycle
    count and every ``PipelineStats`` counter under both engine
    tiers (fast path vs interpreted reference).
@@ -24,7 +24,7 @@ import argparse
 import random
 import sys
 
-from repro.lang import PASSES, LangError, ingest
+from repro.lang import PASSES, LangError, ingest_each
 
 #: Multiplication results are clamped ``rem`` this prime so value
 #: magnitudes stay far below float-conversion overflow in ``div``.
@@ -284,11 +284,9 @@ def tier_cycles(lowered, trace) -> dict[str, dict]:
 
 def differential_check(source: str, filename: str = "<fuzz>") -> dict:
     """Assert the full contract for one program; returns a summary."""
+    pipelines = [(), *((name,) for name in PASSES), tuple(PASSES)]
     try:
-        plain = ingest(source, filename)
-        for name in PASSES:
-            ingest(source, filename, (name,))
-        full = ingest(source, filename, tuple(PASSES))
+        plain, *_, full = ingest_each(source, filename, pipelines)
     except LangError as exc:
         raise FuzzFailure(str(exc), source) from None
     tiers = tier_cycles(plain.lowered, plain.run.trace)

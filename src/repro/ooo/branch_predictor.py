@@ -42,28 +42,24 @@ class BranchPredictor:
         gshare_index = pc_index ^ (history & self.mask)
         return pc_index, gshare_index
 
-    def _predict(self, pc: int, history: int) -> bool:
-        pc_index, gshare_index = self._indices(pc, history)
-        if self.kind == "bimodal":
-            return self.bimodal[pc_index] >= 2
-        if self.kind == "gshare":
-            return self.gshare[gshare_index] >= 2
-        if self.chooser[pc_index] >= 2:
-            return self.gshare[gshare_index] >= 2
-        return self.bimodal[pc_index] >= 2
-
-    def peek_with_history(self, pc: int, history: int) -> bool:
-        """Predict under an explicit speculative history (no update).
+    def peek(self, pc: int, history: int) -> tuple[bool, int]:
+        """Predict under an explicit speculative history (no update);
+        returns the prediction and the history it shifts into.
 
         The DynaSpAM fetch stage walks the static program several branches
         ahead when probing the configuration cache; each predicted outcome
         shifts the speculative history it uses for the next prediction.
+        The prediction is :meth:`predict_and_update`'s under the same
+        tables and history.
         """
-        return self._predict(pc, history)
-
-    def shift_history(self, history: int, taken: bool) -> int:
-        """Fold one speculative outcome into a history value."""
-        return ((history << 1) | int(taken)) & self.mask
+        mask = self.mask
+        pc_index = (pc >> 2) & mask
+        if self.kind == "bimodal" or (
+                self.kind == "tournament" and self.chooser[pc_index] < 2):
+            taken = self.bimodal[pc_index] >= 2
+        else:
+            taken = self.gshare[pc_index ^ (history & mask)] >= 2
+        return taken, ((history << 1) | taken) & mask
 
     def predict_and_update(self, pc: int, actual_taken: bool) -> bool:
         """Predict the branch at ``pc``, then train on the actual outcome.

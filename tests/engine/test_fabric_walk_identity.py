@@ -1,12 +1,14 @@
 """Tier identity of the fabric timing walk on generated configurations.
 
-``SpatialFabric.walk`` replaces the reference walk's rescans of older
-stores with running maxima and dict lookups, reads live-in cycles
-straight from the host scoreboard and returns plain values.  The kernel
-identity sweep rarely reaches the cases where that could go wrong: two
-stores to one address inside one invocation, intra-trace violations,
-Store-Sets predictions.  These tests generate configurations that reach
-them on purpose and demand that the walk returns what the reference
+``SpatialFabric.walk`` replays a slot-indexed plan: ALU steps
+specialized by source count, live-in cycles read once per invocation
+straight from the host scoreboard, and running maxima and dict lookups
+in place of the reference walk's rescans of older stores; it returns
+plain values.  The kernel identity sweep rarely reaches the cases where
+that could go wrong: two stores to one address inside one invocation,
+intra-trace violations, Store-Sets predictions, ALU ops with no source
+or three.  These tests generate configurations that reach them on
+purpose and demand that the walk returns what the reference
 ``SpatialFabric.execute`` does (start, completion, occupancy, live-outs,
 each store's address cycle and finish, each load's start, violations)
 and leaves the same fabric books, invocation after invocation.
@@ -14,6 +16,7 @@ and leaves the same fabric books, invocation after invocation.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.fabric.compiled import timing_plan_of
 from repro.fabric.configuration import Configuration, OperandSource, PlacedOp
 from repro.fabric.fabric import InvocationContext, SpatialFabric
 from repro.isa.opcodes import Opcode, OpClass
@@ -35,7 +38,8 @@ ALU_OPS = (
 
 @st.composite
 def configurations(draw):
-    """A forward dataflow DAG across stripes with 2-4 stores."""
+    """A forward dataflow DAG across stripes with 2-4 stores and ALU ops
+    of every step shape: no source (an ``li``), one, two and three."""
     n = draw(st.integers(4, 12))
     kinds = draw(st.lists(st.sampled_from(("alu", "load")),
                           min_size=n, max_size=n))
@@ -61,7 +65,7 @@ def configurations(draw):
         mem_index = None
         if kind == "alu":
             opcode, opclass, pool = draw(st.sampled_from(ALU_OPS))
-            sources = [source(pos) for _ in range(draw(st.integers(1, 2)))]
+            sources = [source(pos) for _ in range(draw(st.integers(0, 3)))]
             roles = ["src"] * len(sources)
         else:
             mem_index = len(mem_pcs)
@@ -186,19 +190,26 @@ def _reference(configuration, runs, speculative):
 
 def _walk(configuration, runs, speculative):
     """Every ``SpatialFabric.walk`` return of ``runs`` back to back on one
-    fabric, then the fabric's books."""
+    fabric, its slot list read as live-out cycles, then the fabric's
+    books."""
     fabric = SpatialFabric()
+    bus = fabric.config.global_bus_latency
     dcache = _dcache()
     cycle = 0
     results = []
     fabric.configure(configuration, 0)
     for run in runs:
         cycle += run["gap"]
-        results.append(fabric.walk(
+        (start, complete, occupancy, slots, stores, loads,
+         violations) = fabric.walk(
             configuration, cycle, run["scoreboard"], run["mem_addrs"],
             dcache.access, speculative, run["extra_mem_wait"],
             run["predicted_store_pos"],
-        ))
+        )
+        liveouts = timing_plan_of(configuration).liveouts
+        liveout_ready = {reg: slots[slot] + bus for reg, slot in liveouts}
+        results.append((start, complete, occupancy, liveout_ready, stores,
+                        loads, violations))
     return results, _books(fabric, dcache)
 
 

@@ -5,10 +5,15 @@ address index directly, caches Store-Sets predictions per configuration,
 skips the violation scan when nothing can violate, charges D-cache
 counters from counter deltas, and leaves the counters its configuration
 fixes to one count per configuration that the fast pipeline's
-``finish()`` fans out.  These tests put host stores in flight at
-addresses the trace's loads alias, train Store-Sets on some (load, store)
-pairs, run invocations back to back on twin pipelines, and demand equal
-outcomes, statistics after ``finish()`` and host state from both tiers.
+``finish()`` fans out.  It also inlines the fat entry's dispatch and
+commit, the store queue's push and the branch predictor's training.
+These tests put host stores in flight at addresses the trace's loads
+alias, train Store-Sets on some (load, store) pairs and the branch
+predictor (of each kind) on some branches, run invocations back to back
+on twin pipelines, and demand equal outcomes, statistics after
+``finish()`` and host state from both tiers: the scoreboard, the store
+queue, the caches, the predictor tables and history, and the fetch and
+commit cursors with the ROB ring.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -19,6 +24,7 @@ from repro.core.offload import OffloadEngine
 from repro.engine import use_fastpath
 from repro.isa.builder import ProgramBuilder
 from repro.isa.executor import FunctionalExecutor, Memory
+from repro.ooo.config import CoreConfig
 from repro.ooo.fastpath import make_pipeline
 from repro.ooo.lsq import StoreRecord
 
@@ -80,18 +86,31 @@ training = st.lists(
               st.sampled_from(STORE_PCS + HOST_STORE_PCS)),
     max_size=3,
 )
+BRANCH_PC = next(d.pc for d in SEGMENT if d.is_branch)
+#: Host branch outcomes the predictor trains on first: the segment's
+#: branch, a neighbour and an unrelated PC, so the chooser and both
+#: tables start away from their reset values and the history is nonzero.
+host_branches = st.lists(
+    st.tuples(st.sampled_from((BRANCH_PC, BRANCH_PC + 4, 0x40)),
+              st.booleans()),
+    max_size=12,
+)
+predictor_kinds = st.sampled_from(("tournament", "bimodal", "gshare"))
 
 
-def _offload_run(fast, speculation, stores, pairs, invocations):
+def _offload_run(fast, speculation, stores, pairs, invocations,
+                 kind="tournament", branches=()):
     """Offload ``SEGMENT`` ``invocations`` times on a fresh machine of one
     tier; returns everything the two tiers must agree on."""
     with use_fastpath(fast):
-        pipeline = make_pipeline()
+        pipeline = make_pipeline(CoreConfig(predictor_kind=kind))
         engine = OffloadEngine(pipeline=pipeline, speculation=speculation)
         pool = FabricPool(1)
     configuration = ResourceAwareMapper().map_trace(SEGMENT, KEY)
     assert configuration is not None
     pipeline.process(HOST_LI)
+    for pc, taken in branches:
+        pipeline.bpred.predict_and_update(pc, taken)
     for addr, pc, seq, addr_ready, data_wait in stores:
         # seq 0 is the dispatch's own: a too-young store the address
         # index alone must not report.
@@ -107,25 +126,36 @@ def _offload_run(fast, speculation, stores, pairs, invocations):
         fabric, ready = pool.acquire(configuration, cycle)
         outcomes.append(engine.offload(fabric, configuration, SEGMENT, ready))
     result = pipeline.finish()
+    bpred, rob, sq = pipeline.bpred, pipeline.rob, pipeline.sq
     return (
         outcomes,
         result.cycles,
         result.stats.as_dict(),
         pipeline.regs._ready,
         pipeline.regs.renames,
-        list(pipeline.sq._window),
+        list(sq._window),
+        (sq._commit_ring, sq._head, sq._count),
         pipeline.storesets._ssit,
         (pipeline.dcache.l1._sets, pipeline.l2._sets),
+        (bpred.bimodal, bpred.gshare, bpred.chooser, bpred.history),
+        (pipeline.seq, pipeline._fetch_slot, pipeline.next_fetch_cycle,
+         pipeline.fetch_barrier),
+        (pipeline.prev_commit_cycle, pipeline._commit_count,
+         pipeline.last_commit_cycle),
+        (rob._commit_ring, rob._head, rob._count, rob.last_commit_cycle),
     )
 
 
-@given(stores=host_stores, pairs=training, invocations=st.integers(1, 4))
+@given(stores=host_stores, pairs=training, invocations=st.integers(1, 4),
+       kind=predictor_kinds, branches=host_branches)
 @settings(max_examples=60, deadline=None, derandomize=True)
-def test_offload_twin_matches_reference(stores, pairs, invocations):
+def test_offload_twin_matches_reference(stores, pairs, invocations, kind,
+                                        branches):
     for speculation in (True, False):
         reference = _offload_run(False, speculation, stores, pairs,
-                                 invocations)
-        fast = _offload_run(True, speculation, stores, pairs, invocations)
+                                 invocations, kind, branches)
+        fast = _offload_run(True, speculation, stores, pairs, invocations,
+                            kind, branches)
         assert fast == reference, f"speculation={speculation}"
 
 

@@ -1,7 +1,11 @@
 """Differential fuzzing gate: seeded random programs must agree between
-the reference interpreter and the lowered ISA program, across all four
-engine-tier combinations, and under every optimization pass."""
+the reference interpreter and the lowered ISA program, across both
+engine tiers, and under every optimization pass."""
 
+import copy
+
+import repro.lang
+from repro.lang import PASSES, load_module, lower_module, run_passes
 from repro.lang.fuzz import differential_check, generate_program, run_fuzz
 
 
@@ -21,3 +25,30 @@ def test_differential_check_summary_shape():
     summary = differential_check(source, filename="<seed 123>")
     assert summary["interp_dynamic"] > 0
     assert summary["lowered_dynamic"] > 0
+
+
+def test_differential_check_parses_each_program_once(monkeypatch):
+    """Every pass pipeline starts from the one checked module."""
+    parsed = []
+    parse = repro.lang.parse_module
+
+    def counting_parse(*args, **kwargs):
+        parsed.append(args)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(repro.lang, "parse_module", counting_parse)
+    differential_check(generate_program(123), filename="<seed 123>")
+    assert len(parsed) == 1
+
+
+def test_passes_and_lowering_leave_their_input_unchanged():
+    """``ingest_each`` hands one checked module to every pipeline, so no
+    pass (alone or in the full pipeline) and no lowering may change the
+    module it is given."""
+    for seed in range(20260808, 20260808 + 30):
+        module = load_module(generate_program(seed), f"<fuzz:{seed}>")
+        before = copy.deepcopy(module)
+        for names in [[name] for name in PASSES] + [list(PASSES)]:
+            run_passes(module, names)
+        lower_module(module, name="fuzz")
+        assert module == before, f"seed {seed}"

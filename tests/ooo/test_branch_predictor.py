@@ -1,5 +1,10 @@
 """Unit tests for the gshare/BTB branch predictor."""
 
+import copy
+import random
+
+import pytest
+
 from repro.ooo.branch_predictor import BranchPredictor
 from repro.ooo.config import CoreConfig
 
@@ -54,18 +59,37 @@ def test_peek_does_not_perturb_state():
     state = (list(bp.bimodal), list(bp.gshare), list(bp.chooser), bp.history)
     history = bp.history
     for pc in (0x20, 0x24, 0x28):
-        history = bp.shift_history(
-            history, bp.peek_with_history(pc, history))
+        _, history = bp.peek(pc, history)
     assert (list(bp.bimodal), list(bp.gshare), list(bp.chooser), bp.history) == state
 
 
-def test_peek_matches_predict_for_same_state():
-    bp = BranchPredictor()
-    for _ in range(5):
-        bp.predict_and_update(0x30, True)
-    peeked = bp.peek_with_history(0x30, bp.history)
-    predicted = bp.predict_and_update(0x30, True)
-    assert peeked == predicted
+@pytest.mark.parametrize("kind", ["tournament", "bimodal", "gshare"])
+def test_peek_matches_predict_for_same_state(kind):
+    """``peek`` predicts what ``predict_and_update`` would under the same
+    tables and a nonzero history, and shifts the history as training on
+    that outcome does: the predicted-trace walk relies on both, on every
+    engine tier."""
+    bp = BranchPredictor(CoreConfig(predictor_kind=kind))
+    rng = random.Random(kind)
+    disagreements = set()
+    nonzero = 0
+    for _ in range(400):
+        pc = rng.choice((0x30, 0x34, 0x1030, 0x2c))
+        nonzero += bp.history != 0
+        peeked, history = bp.peek(pc, bp.history)
+        trained = copy.deepcopy(bp)
+        trained.predict_and_update(pc, peeked)
+        assert history == trained.history
+        pc_index = (pc >> 2) & bp.mask
+        disagreements.add(
+            (bp.bimodal[pc_index] >= 2)
+            != (bp.gshare[pc_index ^ bp.history] >= 2))
+        assert bp.predict_and_update(pc, rng.random() < 0.6) == peeked
+    # Nearly every peek ran under a nonzero history, and the component
+    # tables disagreed on some, so the kind (and the tournament's
+    # chooser) decided them.
+    assert nonzero > 390
+    assert disagreements == {False, True}
 
 
 def test_btb_miss_then_hit():
