@@ -114,10 +114,10 @@ def ingest_each(source: str, filename: str,
                 pipelines) -> list[Ingested]:
     """:func:`ingest` under each pass pipeline of ``pipelines``, in
     order, from one parse: the source is parsed, checked and interpreted
-    once, and every pipeline starts from that checked module (a pass
-    returns a new module and leaves its input unchanged, and so does
-    lowering).  Raises :class:`LangError` at the first pipeline that
-    breaks the contract.
+    once, and every pipeline starts from that checked module (the AST is
+    immutable: a pass returns a new module, and neither a pass nor
+    lowering changes its input).  Raises :class:`LangError` at the first
+    pipeline that breaks the contract.
     """
     from repro.obs.runtime import TRACER
 
