@@ -19,6 +19,10 @@ Two checks, one machine-dependent and one machine-invariant:
   relative to its own interpreted twin has regressed no matter how quick
   the runner is.
 
+It also prints each report's set-up, trace generation seconds and peak
+RSS, without gating them: perfbench generates its traces before the
+first timed cell, so work moved there shows only in these numbers.
+
 Schema mismatches fail loudly rather than comparing unlike reports.
 """
 
@@ -86,6 +90,12 @@ def main(argv: list[str] | None = None) -> int:
                 failures.append(
                     f"fast-vs-interpreted speedup fell to "
                     f"{cur_speedup:.2f}x (floor {speedup_floor:.2f}x)")
+
+    for name, report in (("current", current), ("baseline", baseline)):
+        if "trace_generation_seconds" in report:
+            print(f"set-up ({name}): traces generated in "
+                  f"{report['trace_generation_seconds']:.2f}s, peak RSS "
+                  f"{report['peak_rss_mb']:.1f} MB (not gated)")
 
     if failures:
         for failure in failures:

@@ -32,7 +32,6 @@ class TraceWindow:
     """A closed candidate trace: a run of committed instructions."""
 
     anchor_pc: int
-    start_seq: int
     instructions: list[DynamicInstruction] = field(default_factory=list)
     #: Conditional branches appended so far (tracked incrementally: the
     #: builder probes this on every committed instruction).
@@ -141,8 +140,7 @@ class TraceWindowBuilder:
                 self._window = None
                 return index, None
             if window is None:
-                window = self._window = TraceWindow(anchor_pc=dyn.pc,
-                                                    start_seq=dyn.seq)
+                window = self._window = TraceWindow(anchor_pc=dyn.pc)
             instructions = window.instructions
             instructions.append(dyn)
             if dyn.is_branch:

@@ -10,12 +10,22 @@ key object)``.  The code fingerprint digests every ``repro`` source file,
 so any code change — not just deliberate format bumps — invalidates the
 whole cache rather than ever serving stale simulation results.
 
+Each entry lives at ``<root>/<namespace>/<fingerprint[:16]>/<xx>/<digest>.pkl``
+(``xx`` the digest's first two hex digits).  Entries of other code are
+never read again, so a process's first put to a namespace removes every
+other directory in it: older fingerprints, and the flat
+``<namespace>/<xx>/`` layout that preceded fingerprint directories.  A
+concurrent sweep or writer may remove entries first, which is tolerated;
+reads never remove anything but a corrupt entry.
+
 Writes are atomic (temp file + ``os.replace``); loads tolerate corruption
 (any unpickle error counts as a miss and removes the bad file, so the
 caller falls back to re-simulation).
 
 Dynamic traces are not cached here: ``repro.workloads.generate_trace``
-regenerates one for about what loading it would cost.
+regenerates one faster than unpickling it would be, because the
+executor shares one record among all executions with the same outcome
+and address (docs/internals.md section 7).
 
 The cache root defaults to ``.repro_cache`` under the current directory
 and can be overridden with the ``REPRO_CACHE_DIR`` environment variable or
@@ -28,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -67,6 +78,12 @@ def code_fingerprint() -> str:
     return _fingerprint
 
 
+#: Fingerprint directories this process has swept: a namespace is swept
+#: on the first put of a process, not on every cache object (a service
+#: worker reconfigures its caches for every flight).
+_SWEPT: set[str] = set()
+
+
 class DiskCache:
     """One namespace of the content-addressed cache."""
 
@@ -83,6 +100,8 @@ class DiskCache:
         self.fingerprint = (
             fingerprint if fingerprint is not None else code_fingerprint()
         )
+        #: This code's directory; its siblings belong to other code.
+        self.directory = self.root / namespace / self.fingerprint[:16]
         self.hits = 0
         self.misses = 0
         self.errors = 0
@@ -99,7 +118,7 @@ class DiskCache:
             (self.namespace, self.version, self.fingerprint, key_obj)
         )
         digest = hashlib.sha256(canonical.encode()).hexdigest()
-        return self.root / self.namespace / digest[:2] / f"{digest}.pkl"
+        return self.directory / digest[:2] / f"{digest}.pkl"
 
     def get(self, key_obj):
         """Cached value for ``key_obj``, or ``None`` on miss/corruption."""
@@ -136,6 +155,7 @@ class DiskCache:
 
     def _put(self, key_obj, value) -> bool:
         path = self.path_for(key_obj)
+        self._sweep()
         tmp_name = None
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -156,6 +176,23 @@ class DiskCache:
             return False
         self.writes += 1
         return True
+
+    def _sweep(self) -> None:
+        """Remove this namespace's other directories, once per process.
+        What a concurrent sweep removes first, or what cannot be removed,
+        is skipped."""
+        key = os.path.abspath(self.directory)
+        if key in _SWEPT:
+            return
+        _SWEPT.add(key)
+        try:
+            entries = list(os.scandir(self.directory.parent))
+        except OSError:
+            return
+        for entry in entries:
+            if (entry.name != self.directory.name
+                    and entry.is_dir(follow_symlinks=False)):
+                shutil.rmtree(entry.path, ignore_errors=True)
 
     def stats(self) -> dict[str, int]:
         return {

@@ -14,6 +14,10 @@ Methodology:
 
 * Traces are generated *before* the timer starts — trace synthesis is
   workload generation, not simulation, and must not pollute throughput.
+  The report gives that set-up its own numbers instead:
+  ``trace_generation_seconds`` and the process's ``peak_rss_mb`` after
+  the last cell, so work moved from the timed cells into trace
+  generation shows there.  Both are printed, not gated.
 * Every measurement constructs the machine fresh and runs it directly,
   bypassing the run caches entirely (a cache hit would measure nothing).
 * Timing is serial, one cell at a time, on ``time.perf_counter``; with
@@ -32,6 +36,7 @@ interpreted speedup falls below the floor recorded at PR time.
 from __future__ import annotations
 
 import math
+import resource
 import time
 
 from repro.engine import use_fastpath
@@ -116,8 +121,9 @@ def perfbench_report(
     started = time.perf_counter()
 
     # Generate every trace up front, so trace generation never shows up
-    # inside a timed region.
+    # inside a timed region; its time is reported on its own.
     traces = {abbrev: generate_trace(abbrev, scale) for abbrev in kernels}
+    trace_generation_seconds = time.perf_counter() - started
 
     per_engine: dict[str, dict] = {}
     for engine in engines:
@@ -148,6 +154,10 @@ def perfbench_report(
         "kernels": kernels,
         "modes": list(modes),
         "engines": per_engine,
+        "trace_generation_seconds": trace_generation_seconds,
+        # ru_maxrss is in KiB on Linux.
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        / 1024.0,
         "wall_clock_seconds": time.perf_counter() - started,
     }
     if "fast" in per_engine and "interpreted" in per_engine:
@@ -212,6 +222,9 @@ def render_perfbench(report: dict) -> str:
     if "speedup" in report:
         lines.append(f"{'speedup':>12}: {report['speedup']:.2f}x "
                      f"(fast vs interpreted, geomean instr/s)")
+    lines.append(f"{'set-up':>12}: traces generated in "
+                 f"{report['trace_generation_seconds']:.2f}s | peak RSS "
+                 f"{report['peak_rss_mb']:.1f} MB")
     return "\n".join(lines)
 
 

@@ -10,6 +10,16 @@ needs; values stay inside the executor.
 its static instruction into a handler with the operation, the source
 register dicts, the immediate, the successor PCs and the destination write
 bound, so each later execution costs one dict probe and one call.
+
+Each handler also interns its records: one for an operation with no
+address or outcome, one per outcome for a branch, one per effective
+address for a load or store, made on first use and appended by reference
+after that.  A trace is therefore a list of references to far fewer
+objects (over the 11 kernels, 13% as many as dynamic instructions at
+scale 0.1 and 9% at 1.0), and a record's position in the list is its
+sequence number.  The intern tables live in one ``run``'s handlers and
+go with it.  Records are shared, so they are read-only.
+
 ``FunctionalExecutor._step`` stays the per-instruction reference semantics:
 ``repro.fabric.functional.CoSimulator`` steps with it, and the handlers
 reproduce it exactly, down to value types and errors
@@ -99,12 +109,12 @@ class FunctionalExecutor:
         memory = memory if memory is not None else Memory()
         regs = ArchRegisterFile()
         trace: list[DynamicInstruction] = []
-        handlers: dict[int, Callable[[int], int | None]] = {}
+        handlers: dict[int, Callable[[], int | None]] = {}
         handler_at = handlers.get
         by_pc = program.by_pc
         pc = program.entry_pc
 
-        for seq in range(self.max_instructions):
+        for _ in range(self.max_instructions):
             handler = handler_at(pc)
             if handler is None:
                 inst = by_pc.get(pc)
@@ -115,7 +125,7 @@ class FunctionalExecutor:
                 handler = handlers[pc] = _decode(
                     self, program, inst, pc, regs, memory, trace.append
                 )
-            pc = handler(seq)
+            pc = handler()
             if pc is None:
                 break
         else:
@@ -315,24 +325,27 @@ BRANCH_OPS = {
 def _decode(executor, program, inst, pc, regs, memory, emit):
     """The handler for ``inst`` at ``pc``.
 
-    ``handler(seq)`` executes the instruction, emits its
+    ``handler()`` executes the instruction, emits its
     ``DynamicInstruction`` and returns the next PC, or ``None`` after HALT.
     Register operands bind to the dict that holds them, and the destination
     write binds to its coercion: ``int`` or ``float`` by register class,
-    dropped for ``r0``.  An instruction no template expresses exactly (an
-    unknown register, a missing operand or target, an immediate that does
-    not coerce) runs through ``executor._step`` instead, so it behaves, and
-    fails, exactly as the reference does.
+    dropped for ``r0``.  The handler emits the records it holds: its one
+    record, its record for the branch outcome, or its record for the
+    effective address, made the first time that address occurs.  An
+    instruction no template expresses exactly (an unknown register, a
+    missing operand or target, an immediate that does not coerce) runs
+    through ``executor._step`` instead, so it behaves, and fails, exactly
+    as the reference does, and emits a new record per execution.
     """
     op = inst.opcode
     fall = pc + WORD_SIZE
     DI = DynamicInstruction
 
-    def reference(seq):
+    def reference():
         addr, taken, next_pc, halted = executor._step(
             program, inst, regs, memory, pc
         )
-        emit(DI(seq, inst, addr, taken, next_pc))
+        emit(DI(inst, addr, taken, next_pc))
         return None if halted else next_pc
 
     srcs, dest = inst.srcs, inst.dest
@@ -348,13 +361,17 @@ def _decode(executor, program, inst, pc, regs, memory, emit):
     check = memory._check
 
     if op is Opcode.HALT:
-        def halt(seq):
-            emit(DI(seq, inst, None, None, fall))
+        record = DI(inst, None, None, fall)
+
+        def halt():
+            emit(record)
         return halt
 
     if op is Opcode.NOP:
-        def nop(seq):
-            emit(DI(seq, inst, None, None, fall))
+        record = DI(inst, None, None, fall)
+
+        def nop():
+            emit(record)
             return fall
         return nop
 
@@ -363,8 +380,10 @@ def _decode(executor, program, inst, pc, regs, memory, emit):
         if target is None:
             return reference
 
-        def jump(seq):
-            emit(DI(seq, inst, None, None, target))
+        record = DI(inst, None, None, target)
+
+        def jump():
+            emit(record)
             return target
         return jump
 
@@ -372,12 +391,15 @@ def _decode(executor, program, inst, pc, regs, memory, emit):
         if len(srcs) < 2 or target is None:
             return reference
         compare = BRANCH_OPS[op]
+        taken_record = DI(inst, None, True, target)
+        fall_record = DI(inst, None, False, fall)
 
-        def branch(seq):
-            taken = compare(ra[a], rb[b])
-            next_pc = target if taken else fall
-            emit(DI(seq, inst, None, taken, next_pc))
-            return next_pc
+        def branch():
+            if compare(ra[a], rb[b]):
+                emit(taken_record)
+                return target
+            emit(fall_record)
+            return fall
         return branch
 
     if op is Opcode.SW or op is Opcode.FSW:
@@ -385,14 +407,19 @@ def _decode(executor, program, inst, pc, regs, memory, emit):
         if len(srcs) < 2 or offset is None:
             return reference
         words = memory._words
+        records = {}
+        record_at = records.get
 
-        def store(seq):
+        def store():
             addr = int(ra[a]) + offset
             value = rb[b]
             if addr < 0 or addr % WORD_SIZE:
                 check(addr)
             words[addr] = value
-            emit(DI(seq, inst, addr, None, fall))
+            record = record_at(addr)
+            if record is None:
+                record = records[addr] = DI(inst, addr, None, fall)
+            emit(record)
             return fall
         return store
 
@@ -410,10 +437,11 @@ def _decode(executor, program, inst, pc, regs, memory, emit):
         value = _coerced(coerce, inst.imm)
         if value is None:
             return reference
+        record = DI(inst, None, None, fall)
 
-        def load_immediate(seq):
+        def load_immediate():
             dst[dest] = value
-            emit(DI(seq, inst, None, None, fall))
+            emit(record)
             return fall
         return load_immediate
 
@@ -425,38 +453,44 @@ def _decode(executor, program, inst, pc, regs, memory, emit):
         if offset is None:
             return reference
         word_at = memory._words.get
+        records = {}
+        record_at = records.get
 
-        def load(seq):
+        def load():
             addr = int(ra[a]) + offset
             if addr < 0 or addr % WORD_SIZE:
                 check(addr)
             dst[dest] = coerce(word_at(addr, 0))
-            emit(DI(seq, inst, addr, None, fall))
+            record = record_at(addr)
+            if record is None:
+                record = records[addr] = DI(inst, addr, None, fall)
+            emit(record)
             return fall
         return load
 
+    record = DI(inst, None, None, fall)
     if op in UNARY_OPS:
         fn = UNARY_OPS[op]
 
-        def unary(seq):
+        def unary():
             dst[dest] = coerce(fn(ra[a]))
-            emit(DI(seq, inst, None, None, fall))
+            emit(record)
             return fall
         return unary
 
     if op in BINARY_OPS:
         fn = BINARY_OPS[op]
         if len(srcs) >= 2:
-            def binary(seq):
+            def binary():
                 dst[dest] = coerce(fn(ra[a], rb[b]))
-                emit(DI(seq, inst, None, None, fall))
+                emit(record)
                 return fall
             return binary
         imm = inst.imm
 
-        def binary_imm(seq):
+        def binary_imm():
             dst[dest] = coerce(fn(ra[a], imm))
-            emit(DI(seq, inst, None, None, fall))
+            emit(record)
             return fall
         return binary_imm
 

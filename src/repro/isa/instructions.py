@@ -1,9 +1,11 @@
 """Static and dynamic instruction records.
 
 ``Instruction`` is the static form that lives inside a ``Program``;
-``DynamicInstruction`` is one executed instance of it, produced by the
-functional executor, carrying the resolved branch outcome and effective
-memory address that the trace-driven cycle simulators need.
+``DynamicInstruction`` is what a trace holds at each position: the static
+instruction with the resolved branch outcome and effective memory address
+that the trace-driven cycle simulators need.  The functional executor
+shares one record among every execution with the same outcome and
+address, so records are read-only.
 """
 
 from __future__ import annotations
@@ -81,12 +83,18 @@ class Instruction:
 
 
 class DynamicInstruction:
-    """One executed instance of a static instruction.
+    """An executed instance of a static instruction.
+
+    A trace is a list of these, one per dynamic instruction in program
+    order; a record's position is its trace index.  The functional
+    executor interns them: one record per static instruction for an
+    operation without an address or outcome, one per outcome for a
+    branch, one per effective address for a load or store, each appended
+    wherever it executes again.  Records are therefore shared and
+    read-only: nothing may write to one.
 
     Attributes
     ----------
-    seq:
-        Position in the dynamic instruction stream (0-based).
     static:
         The static ``Instruction`` executed.
     addr:
@@ -97,18 +105,16 @@ class DynamicInstruction:
         PC of the next dynamic instruction (the branch target when taken).
     """
 
-    __slots__ = ("seq", "static", "addr", "taken", "next_pc",
+    __slots__ = ("static", "addr", "taken", "next_pc",
                  "pc", "opcode", "is_branch")
 
     def __init__(
         self,
-        seq: int,
         static: Instruction,
         addr: int | None = None,
         taken: bool | None = None,
         next_pc: int = -1,
     ) -> None:
-        self.seq = seq
         self.static = static
         self.addr = addr
         self.taken = taken
@@ -152,4 +158,4 @@ class DynamicInstruction:
             extra = f" @0x{self.addr:x}"
         if self.taken is not None:
             extra += f" taken={self.taken}"
-        return f"<#{self.seq} pc=0x{self.pc:x} {self.static}{extra}>"
+        return f"<pc=0x{self.pc:x} {self.static}{extra}>"

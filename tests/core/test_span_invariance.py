@@ -49,10 +49,13 @@ def _program(shape):
 
 
 def _window_view(window):
+    """A window's fields.  Records are shared, so the view does not say
+    where a window starts; equal views closing at the same index (both
+    builders stop at the span's last instruction) start there too."""
     if window is None:
         return None
-    return (window.anchor_pc, window.start_seq, window.instructions,
-            window.branches, window.close_reason, window.key)
+    return (window.anchor_pc, window.instructions, window.branches,
+            window.close_reason, window.key)
 
 
 def _builder_view(builder):

@@ -81,10 +81,10 @@ between = st.one_of(
 
 def _stream(draws) -> list[DynamicInstruction]:
     trace = []
-    for seq, (index, addr, taken) in enumerate(draws):
+    for index, addr, taken in draws:
         static = POOL[index]
         trace.append(DynamicInstruction(
-            seq, static,
+            static,
             addr=addr if static.is_memory else None,
             taken=taken if static.is_branch else None,
         ))

@@ -165,7 +165,7 @@ def cosim_benchmark(abbrev, mapper_cls=ResourceAwareMapper):
     mapper = mapper_cls()
     configs = {}
     occurrences = {}
-    for dyn in run.trace:
+    for index, dyn in enumerate(run.trace):
         window = builder.feed(dyn)
         if window is None:
             continue
@@ -173,7 +173,9 @@ def cosim_benchmark(abbrev, mapper_cls=ResourceAwareMapper):
         if key not in configs:
             configs[key] = mapper.map_trace(window.instructions, key)
         if configs[key] is not None:
-            occurrences[window.start_seq] = (window.instructions, configs[key])
+            # The window closed at ``index``; it starts that many back.
+            start = index + 1 - window.length
+            occurrences[start] = (window.instructions, configs[key])
 
     # Fresh memory image for the replay.
     program2, memory2 = get_benchmark(abbrev).build(SCALE)

@@ -64,6 +64,43 @@ def test_code_fingerprint_invalidates(tmp_path):
     assert after.get("key") is None
 
 
+def test_first_put_sweeps_other_code(tmp_path):
+    old = DiskCache(root=tmp_path, fingerprint="f0")
+    assert old.put("key", "old")
+    # The layout before fingerprint directories: <namespace>/<xx>/.
+    flat = tmp_path / "runs" / "ab"
+    flat.mkdir()
+    (flat / "ab12.pkl").write_bytes(pickle.dumps("flat"))
+    new = DiskCache(root=tmp_path, fingerprint="f1")
+    assert new.put("key", "new")
+    assert [p.name for p in (tmp_path / "runs").iterdir()] == ["f1"]
+    assert new.get("key") == "new"
+    # A reader of the swept code misses; it neither fails nor sweeps.
+    assert old.get("key") is None
+    assert (old.misses, old.errors) == (1, 0)
+    assert new.path_for("key").exists()
+
+
+def test_sweep_runs_once_per_process(tmp_path):
+    """A service worker reconfigures its caches for every flight; only the
+    process's first put to a namespace sweeps it."""
+    assert DiskCache(root=tmp_path, fingerprint="f1").put("first", 1)
+    # Older code in another process writes meanwhile.
+    stale = tmp_path / "runs" / "f0"
+    stale.mkdir()
+    # The next flight's cache object for the same code.
+    assert DiskCache(root=tmp_path, fingerprint="f1").put("second", 2)
+    assert stale.is_dir()
+
+
+def test_failed_put_returns_false(tmp_path):
+    blocked = tmp_path / "not_a_directory"
+    blocked.write_text("")
+    cache = DiskCache(root=blocked, fingerprint="f0")
+    assert cache.put("key", "value") is False
+    assert cache.errors == 1
+
+
 def test_config_hash_separates_entries(cache):
     key_a = ("run", "KM", 0.5, (("hot_threshold", 3),))
     key_b = ("run", "KM", 0.5, (("hot_threshold", 5),))
@@ -176,8 +213,8 @@ def trace_digests() -> dict[str, str]:
     for abbrev in ALL_ABBREVS:
         run = generate_trace(abbrev, SCALE)
         digest = hashlib.sha256()
-        for dyn in run.trace:
-            digest.update(repr((dyn.seq, dyn.pc, dyn.opcode.value, dyn.addr,
+        for index, dyn in enumerate(run.trace):
+            digest.update(repr((index, dyn.pc, dyn.opcode.value, dyn.addr,
                                 dyn.taken, dyn.next_pc)).encode())
         digest.update(repr(run.registers.snapshot()).encode())
         digest.update(repr(sorted(run.memory._words.items())).encode())

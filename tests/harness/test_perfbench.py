@@ -47,6 +47,10 @@ def test_report_shape_and_rates():
             if cell["mode"] == "accelerate":
                 assert cell["invocations"] > 0
     assert report["speedup"] > 0
+    # Trace generation runs before the first timed cell; its time and the
+    # process's peak memory are reported beside the throughput.
+    assert report["trace_generation_seconds"] > 0
+    assert report["peak_rss_mb"] > 0
     # The report must be JSON-serializable as produced.
     json.dumps(report, sort_keys=True)
 
@@ -76,6 +80,7 @@ def test_render_perfbench():
     assert "fast" in text
     assert "interpreted" in text
     assert "speedup" in text
+    assert "traces generated in" in text and "peak RSS" in text
 
 
 def test_compare_warns_when_the_code_differs():

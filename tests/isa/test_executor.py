@@ -130,17 +130,6 @@ def test_trace_records_branch_outcomes_and_next_pc():
     assert branches[1].next_pc == branches[1].pc + 4
 
 
-def test_trace_seq_is_contiguous():
-    def body(b):
-        b.li("r1", 3)
-        b.label("loop")
-        b.addi("r1", "r1", -1)
-        b.bne("r1", "r0", "loop")
-
-    trace = run(body).trace
-    assert [d.seq for d in trace] == list(range(len(trace)))
-
-
 def test_jump_redirects():
     def body(b):
         b.jmp("skip")

@@ -8,6 +8,10 @@ its value type, ``static`` by identity), identical final registers and
 memory words (with value types), and identical errors: the
 instruction-limit error at the same limit, the fell-off-program error, the
 misaligned-address error, and whatever an operation itself raises.
+Records carry no sequence number (a record's position is its trace
+index), so the field comparison covers every field there is.  On the
+kernels and the corpus the predecoded trace must also be interned: one
+record object per distinct ``(static, taken, addr)``.
 
 Generated programs mix straight-line runs, counted loops, forward branches
 and jumps with every instruction kind; an enumerated section then pins
@@ -57,7 +61,7 @@ def reference_run(program, memory, max_instructions=5_000_000):
         if inst is None:
             raise RuntimeError(f"{program.name}: fell off program at pc=0x{pc:x}")
         addr, taken, next_pc, halted = step(program, inst, regs, memory, pc)
-        trace.append(DynamicInstruction(len(trace), inst, addr, taken, next_pc))
+        trace.append(DynamicInstruction(inst, addr, taken, next_pc))
         if halted:
             return ExecutionResult(program, trace, regs, memory)
         pc = next_pc
@@ -109,6 +113,17 @@ def assert_same(program, image: Memory, max_instructions=5_000_000):
                 == {reg: typed(v) for reg, v in ref.registers.snapshot().items()})
     assert words(fast_memory) == words(ref_memory)
     return ref
+
+
+def assert_interned(trace):
+    """Every distinct ``(static, taken, addr)`` is one record object, so
+    the trace holds no record but those.  (The reference semantics may
+    allocate per execution; the kernels and corpus never reach it.)"""
+    records = {}
+    for dyn in trace:
+        key = (id(dyn.static), dyn.taken, dyn.addr)
+        assert records.setdefault(key, dyn) is dyn, dyn
+    assert len({id(dyn) for dyn in trace}) == len(records) < len(trace)
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +400,7 @@ def test_limit_inside_an_endless_loop_matches():
 def test_kernels_match_reference(abbrev):
     program, memory = get_benchmark(abbrev).build(0.05)
     assert isinstance(assert_same(program, memory, 20_000_000), ExecutionResult)
+    assert_interned(FunctionalExecutor(20_000_000).run(program, memory).trace)
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
@@ -392,6 +408,7 @@ def test_corpus_programs_match_reference(path):
     lowered = lower_module(load_module(path.read_text(), filename=str(path)),
                            name=path.stem)
     assert isinstance(assert_same(lowered.program, Memory()), ExecutionResult)
+    assert_interned(FunctionalExecutor().run(lowered.program, Memory()).trace)
 
 
 def test_corpus_is_present():
