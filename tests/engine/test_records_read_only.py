@@ -13,14 +13,12 @@ CI runs it under both engine tiers.
 import pytest
 
 from repro.core import DynaSpAM, DynaSpAMConfig
-from repro.core.mapper import ResourceAwareMapper
-from repro.core.tcache import TraceWindowBuilder
-from repro.fabric.functional import CoSimulator
 from repro.isa.executor import FunctionalExecutor
 from repro.isa.instructions import DynamicInstruction
 from repro.obs.decisions import DecisionSink
 from repro.ooo.fastpath import make_pipeline
 from repro.workloads import get_benchmark
+from tests.fabric.test_functional import cosimulate
 
 SCALE = 0.05
 
@@ -50,26 +48,6 @@ def _snapshot(trace):
     ]
 
 
-def _cosimulate(abbrev, program, trace):
-    """Map every hot window and co-simulate the whole trace against a
-    fresh memory image; returns the verified invocation count."""
-    builder = TraceWindowBuilder(max_length=32)
-    mapper = ResourceAwareMapper()
-    configs, occurrences = {}, {}
-    for index, dyn in enumerate(trace):
-        window = builder.feed(dyn)
-        if window is None:
-            continue
-        key = window.key
-        if key not in configs:
-            configs[key] = mapper.map_trace(window.instructions, key)
-        if configs[key] is not None:
-            occurrences[index + 1 - window.length] = (window.instructions,
-                                                      configs[key])
-    _, memory = get_benchmark(abbrev).build(SCALE)
-    return CoSimulator(program, memory).run(trace, occurrences)
-
-
 @pytest.mark.parametrize("abbrev", ["KM", "NW", "BFS"])
 def test_consumers_leave_every_record_unchanged(abbrev):
     program, memory = get_benchmark(abbrev).build(SCALE)
@@ -86,7 +64,8 @@ def test_consumers_leave_every_record_unchanged(abbrev):
     sink = DecisionSink()
     DynaSpAM(sink=sink).run(trace, program)
     assert sink.windows_total > 0 and sink.committed > 0
-    assert _cosimulate(abbrev, program, trace) > 0
+    verified, cosim = cosimulate(abbrev, SCALE, trace)
+    assert verified > 0 and cosim.mismatches == []
     assert invocations > 0
 
     assert _snapshot(trace) == before

@@ -155,17 +155,14 @@ def test_branch_results_recorded():
     assert result.branch_results == [True, True]
 
 
-def cosim_benchmark(abbrev, mapper_cls=ResourceAwareMapper):
-    """Map every distinct hot window and co-simulate the whole trace."""
-    program, memory = get_benchmark(abbrev).build(SCALE)
-    run = FunctionalExecutor(max_instructions=20_000_000).run(
-        program, memory
-    )
+def cosimulate(abbrev, scale, trace, mapper_cls=ResourceAwareMapper):
+    """Map every distinct hot window of ``abbrev``'s ``trace`` at ``scale``
+    and co-simulate the whole trace against a fresh memory image."""
     builder = TraceWindowBuilder(max_length=32)
     mapper = mapper_cls()
     configs = {}
     occurrences = {}
-    for index, dyn in enumerate(run.trace):
+    for index, dyn in enumerate(trace):
         window = builder.feed(dyn)
         if window is None:
             continue
@@ -177,11 +174,19 @@ def cosim_benchmark(abbrev, mapper_cls=ResourceAwareMapper):
             start = index + 1 - window.length
             occurrences[start] = (window.instructions, configs[key])
 
-    # Fresh memory image for the replay.
-    program2, memory2 = get_benchmark(abbrev).build(SCALE)
-    cosim = CoSimulator(program2, memory2)
-    verified = cosim.run(run.trace, occurrences)
+    program, memory = get_benchmark(abbrev).build(scale)
+    cosim = CoSimulator(program, memory)
+    verified = cosim.run(trace, occurrences)
     return verified, cosim
+
+
+def cosim_benchmark(abbrev, mapper_cls=ResourceAwareMapper):
+    """Map every distinct hot window and co-simulate the whole trace."""
+    program, memory = get_benchmark(abbrev).build(SCALE)
+    run = FunctionalExecutor(max_instructions=20_000_000).run(
+        program, memory
+    )
+    return cosimulate(abbrev, SCALE, run.trace, mapper_cls)
 
 
 @pytest.mark.parametrize("abbrev", sorted(ALL_ABBREVS))

@@ -123,7 +123,7 @@ def assert_interned(trace):
     for dyn in trace:
         key = (id(dyn.static), dyn.taken, dyn.addr)
         assert records.setdefault(key, dyn) is dyn, dyn
-    assert len({id(dyn) for dyn in trace}) == len(records) < len(trace)
+    assert len(records) < len(trace)  # not vacuous: records repeat
 
 
 # ---------------------------------------------------------------------------
