@@ -10,9 +10,9 @@ during the mapping phase:
    earlier stripes — exactly the instructions the reservation station would
    wake up, since a producer issues one scheduling step before its consumer
    can.
-3. For every (PE, ready instruction) pair, ``PriorityGen`` (Algorithm 2)
-   scores feasibility and routing cost; the host ``PriorityEncoder``
-   selects per PE, breaking ties oldest-first.
+3. For every PE and each ready instruction of its FU pool,
+   ``PriorityGen`` (Algorithm 2) scores feasibility and routing cost; the
+   host ``PriorityEncoder`` selects per PE, breaking ties oldest-first.
 4. ``UpdateTables`` (Algorithm 3) allocates routes and updates the
    ReuseSet/OverallUsage state; on frontier advance, still-live values are
    propagated forward as potential live-outs.
@@ -286,20 +286,23 @@ class ResourceAwareMapper:
 
     # ------------------------------------------------------------------
     def _fill_stripe(self, stripe, frontier, unplaced, placed, tables):
-        """One scheduling step: select instructions for the frontier PEs."""
-        ready = [
-            op
-            for op in unplaced.values()
+        """One scheduling step: select instructions for the frontier PEs.
+
+        One wakeup scan sorts the ready ops into a list per FU pool, in
+        trace order; each PE's select logic picks only among its own
+        pool's list (Algorithm 1), and the op it grants leaves that list.
+        """
+        ready: dict[str, list[_TraceOp]] = {}
+        for op in unplaced.values():
             if all(
                 token[0] != "pos" or token[1] in placed
                 for token in op.operand_tokens
-            )
-        ]
+            ):
+                ready.setdefault(op.pool, []).append(op)
         selected: list[_TraceOp] = []
         plans: dict[int, PlacementPlan] = {}
-        used_pes: set[int] = set()
         for pe in stripe:
-            candidates = [op for op in ready if op.pool == pe.pool]
+            candidates = ready.get(pe.pool)
             if not candidates:
                 continue
 
@@ -315,9 +318,8 @@ class ResourceAwareMapper:
                 continue
             plan = plans[choice.pos]
             self._place(choice, pe, frontier, plan, placed, tables)
-            used_pes.add(pe.index)
             del unplaced[choice.pos]
-            ready.remove(choice)
+            candidates.remove(choice)
             selected.append(choice)
             if self.bus is not None:
                 self.bus.emit(
@@ -390,15 +392,15 @@ class ResourceAwareMapper:
     def _live_tokens(self, placed, consumers, last_def):
         """Tokens worth propagating: values an unplaced op still needs and
         potential live-outs (final definitions of architectural
-        registers)."""
-        live: set[Token] = set()
-        final_defs = set(last_def.values())
-        for pos, placement in placed.items():
-            if placement.dest_reg is None:
-                continue
-            has_pending_consumer = any(
-                c not in placed for c in consumers.get(pos, ())
-            )
-            if has_pending_consumer or pos in final_defs:
-                live.add(pos_token(pos))
+        registers).  Only ops with a destination register are producers
+        or final definitions, so neither loop needs to check for one."""
+        live: set[Token] = {
+            pos_token(pos) for pos in last_def.values() if pos in placed
+        }
+        for pos, users in consumers.items():
+            if pos in placed:
+                for user in users:
+                    if user not in placed:
+                        live.add(pos_token(pos))
+                        break
         return live

@@ -9,14 +9,17 @@ resource-aware mapper must respect (paper Section 2.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.isa.opcodes import FU_PIPELINED, OpClass
 
 
-@dataclass(frozen=True)
-class PE:
-    """One processing element of the fabric grid."""
+class PE(NamedTuple):
+    """One processing element of the fabric grid.
+
+    A named tuple rather than a frozen dataclass: every mapper builds
+    its fabric's 192 PEs, and a tuple is about a third of the cost.
+    """
 
     stripe: int
     index: int            # position within the stripe

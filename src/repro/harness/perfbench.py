@@ -20,6 +20,9 @@ Methodology:
   generation shows there.  Both are printed, not gated.
 * Every measurement constructs the machine fresh and runs it directly,
   bypassing the run caches entirely (a cache hit would measure nothing).
+  The timer starts before construction: a short run pays for building
+  its machine, so work moved into a constructor must not read as a
+  throughput gain.
 * Timing is serial, one cell at a time, on ``time.perf_counter``; with
   ``repeat > 1`` the best (minimum-time) repetition is kept, which
   filters scheduler noise without averaging it in.
@@ -70,16 +73,13 @@ def _measure_cell(trace, mode: str, engine: str, repeat: int) -> dict:
     best = None
     for _ in range(max(1, repeat)):
         with use_fastpath(fast):
+            started = time.perf_counter()
             if mode == "baseline":
-                pipeline = make_pipeline()
-                started = time.perf_counter()
-                result = pipeline.run_trace(trace.trace)
-                elapsed = time.perf_counter() - started
+                result = make_pipeline().run_trace(trace.trace)
             else:
                 machine = DynaSpAM(ds_config=DynaSpAMConfig(mode=mode))
-                started = time.perf_counter()
                 result = machine.run(trace.trace, trace.program)
-                elapsed = time.perf_counter() - started
+            elapsed = time.perf_counter() - started
         if best is None or elapsed < best[0]:
             best = (elapsed, result)
     elapsed, result = best

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 import repro.harness.diskcache as diskcache
@@ -77,7 +78,9 @@ class RunSpec:
     """A run request.
 
     The live config objects travel with the spec (they pickle cleanly to
-    worker processes); ``key`` freezes them into the cache identity.
+    worker processes); ``key`` freezes them into the cache identity, once
+    per spec: a sweep reads each spec's key several times, and nothing
+    changes a spec or its configs after it is built.
     """
 
     kind: str              # "baseline" | "dynaspam"
@@ -87,7 +90,7 @@ class RunSpec:
     core_config: CoreConfig | None = None
     fabric_config: FabricConfig | None = None
 
-    @property
+    @cached_property
     def key(self) -> RunKey:
         core = freeze_config(self.core_config or CoreConfig())
         if self.kind == "baseline":
@@ -155,14 +158,14 @@ def _simulate(spec: RunSpec, sink=None):
         with TRACER.span("sim.baseline",
                          benchmark=spec.abbrev, scale=spec.scale):
             return make_pipeline(spec.core_config).run_trace(trace.trace)
-    machine = DynaSpAM(
-        core_config=spec.core_config,
-        fabric_config=spec.fabric_config,
-        ds_config=spec.ds_config,
-        sink=sink,
-    )
     with TRACER.span("sim.dynaspam",
                      benchmark=spec.abbrev, scale=spec.scale):
+        machine = DynaSpAM(
+            core_config=spec.core_config,
+            fabric_config=spec.fabric_config,
+            ds_config=spec.ds_config,
+            sink=sink,
+        )
         return machine.run(trace.trace, trace.program)
 
 

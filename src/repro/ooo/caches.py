@@ -27,8 +27,11 @@ class Cache:
         self.num_sets = max(1, num_blocks // assoc)
         self.block_bytes = block_bytes
         self.latency = latency
-        # Per-set list of tags in LRU order (index 0 = most recent).
-        self._sets: list[list[int]] = [[] for _ in range(self.num_sets)]
+        # Per-set list of tags in LRU order (index 0 = most recent),
+        # allocated by the set's first miss: a short run touches few of
+        # the sets, and building thousands of empty lists would be most
+        # of a machine's construction.  ``None`` = never touched.
+        self._sets: list[list[int] | None] = [None] * self.num_sets
         self.hits = 0
         self.misses = 0
 
@@ -40,15 +43,18 @@ class Cache:
         """Access the cache; returns True on hit.  Misses allocate."""
         set_index, tag = self._locate(addr)
         ways = self._sets[set_index]
-        if tag in ways:
+        if ways is None:
+            self._sets[set_index] = [tag]
+        elif tag in ways:
             self.hits += 1
             ways.remove(tag)
             ways.insert(0, tag)
             return True
+        else:
+            ways.insert(0, tag)
+            if len(ways) > self.assoc:
+                ways.pop()
         self.misses += 1
-        ways.insert(0, tag)
-        if len(ways) > self.assoc:
-            ways.pop()
         return False
 
     @property
@@ -71,24 +77,30 @@ class CacheHierarchy:
         ``l2.lookup(addr)``, with the L1 probe inlined: every host and
         fabric data access lands here, and an MRU hit returns before the
         set's LRU list is touched (moving the head to the head is a no-op).
+        A set's list is never empty once allocated, so ``ways`` is falsy
+        only for a set no access has touched yet.
         """
         l1 = self.l1
         block = addr // l1.block_bytes
         num_sets = l1.num_sets
-        ways = l1._sets[block % num_sets]
+        set_index = block % num_sets
+        ways = l1._sets[set_index]
         tag = block // num_sets
         if ways and ways[0] == tag:
             l1.hits += 1
             return l1.latency
-        if tag in ways:
+        if ways is None:
+            l1._sets[set_index] = [tag]
+        elif tag in ways:
             l1.hits += 1
             ways.remove(tag)
             ways.insert(0, tag)
             return l1.latency
+        else:
+            ways.insert(0, tag)
+            if len(ways) > l1.assoc:
+                ways.pop()
         l1.misses += 1
-        ways.insert(0, tag)
-        if len(ways) > l1.assoc:
-            ways.pop()
         if self.l2.lookup(addr):
             return l1.latency + self.l2.latency
         return l1.latency + self.l2.latency + self.memory_latency

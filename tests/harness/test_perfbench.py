@@ -55,6 +55,34 @@ def test_report_shape_and_rates():
     json.dumps(report, sort_keys=True)
 
 
+def test_cells_time_construction(monkeypatch):
+    """A cell's timer starts before the machine is built, so work moved
+    into a constructor cannot read as a throughput gain."""
+    import time
+
+    import repro.core
+    import repro.ooo.fastpath
+
+    build_seconds = 0.05
+    make_pipeline = repro.ooo.fastpath.make_pipeline
+
+    def slow_make_pipeline(*args, **kwargs):
+        time.sleep(build_seconds)
+        return make_pipeline(*args, **kwargs)
+
+    class SlowToBuild(repro.core.DynaSpAM):
+        def __init__(self, *args, **kwargs):
+            time.sleep(build_seconds)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(repro.ooo.fastpath, "make_pipeline",
+                        slow_make_pipeline)
+    monkeypatch.setattr(repro.core, "DynaSpAM", SlowToBuild)
+    report = perfbench_report(scale=0.02, kernels=["KM"], engines=("fast",))
+    for cell in report["engines"]["fast"]["cells"]:
+        assert cell["wall_seconds"] >= build_seconds, cell["mode"]
+
+
 def test_single_engine_report_has_no_speedup():
     report = perfbench_report(
         scale=0.02, kernels=["KM"], modes=("baseline",), engines=("fast",)

@@ -156,3 +156,45 @@ def test_serial_sweeps_keep_one_trace_and_generate_each_once(monkeypatch):
     finally:
         diskcache.configure()
         suite.clear_trace_cache()
+
+
+def test_run_key_is_frozen_once_per_spec():
+    """A sweep reads each spec's key several times (dedup, disk put,
+    result dict, lookup); the configs are frozen on the first read."""
+    spec = dynaspam_spec("KM", SCALE)
+    assert spec.key is spec.key
+    assert spec.key == dynaspam_spec("KM", SCALE).key
+
+
+def test_dynaspam_span_covers_construction(monkeypatch):
+    """``sim.dynaspam`` times building the machine as well as running
+    it, as ``sim.baseline`` does, so construction never lands in
+    ``sim.execute_spec``'s self time."""
+    import time
+
+    from repro.harness import runner
+
+    build_seconds = 0.05
+
+    class SlowToBuild(runner.DynaSpAM):
+        def __init__(self, *args, **kwargs):
+            time.sleep(build_seconds)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "DynaSpAM", SlowToBuild)
+    diskcache.configure(enabled=False)
+    TRACER.enable()
+    try:
+        since = TRACER.mark()
+        runner.execute_spec(dynaspam_spec("KM", 0.05))
+        sections = TRACER.profile(since)["sections_seconds"]
+    finally:
+        TRACER.disable()
+        TRACER.reset()
+        TRACER.run_id = None
+        diskcache.configure()
+    assert sections["sim.dynaspam"] >= build_seconds
+    self_seconds = (sections["sim.execute_spec"]
+                    - sections["sim.trace_generation"]
+                    - sections["sim.dynaspam"])
+    assert self_seconds < build_seconds

@@ -32,6 +32,31 @@ def test_lru_eviction_within_set():
     assert not c.lookup(b)
 
 
+def test_sets_are_allocated_on_first_touch():
+    """A fresh cache holds no per-set list; an access allocates its own
+    set's list and no other, through ``lookup`` and through the
+    hierarchy's inlined L1 probe alike."""
+    l1 = make_l1()                                 # 8 sets
+    l2 = Cache("L2", 4, 2, 64, latency=9)          # 32 sets
+    hierarchy = CacheHierarchy(l1, l2, memory_latency=50)
+    assert l1._sets == [None] * l1.num_sets
+    assert l2._sets == [None] * l2.num_sets
+
+    def touched(cache):
+        return [i for i, ways in enumerate(cache._sets) if ways is not None]
+
+    l1.lookup(0x0)                                 # L1 set 0
+    l1.lookup(0x40)                                # L1 set 1
+    l1.lookup(0x0)                                 # a hit allocates nothing
+    assert touched(l1) == [0, 1]
+    hierarchy.access(3 * 64)                       # L1 set 3, L2 set 3
+    hierarchy.access(8 * 64)                       # L1 set 0, L2 set 8
+    hierarchy.access(3 * 64)                       # MRU hit
+    assert touched(l1) == [0, 1, 3]
+    assert touched(l2) == [3, 8]
+    assert l1._sets[0] == [1, 0]                   # MRU first, both tags
+
+
 def test_miss_rate_accounting():
     c = make_l1()
     c.lookup(0x0)
