@@ -17,8 +17,8 @@ from repro.isa.opcodes import FU_PIPELINED, OpClass
 class PE(NamedTuple):
     """One processing element of the fabric grid.
 
-    A named tuple rather than a frozen dataclass: every mapper builds
-    its fabric's 192 PEs, and a tuple is about a third of the cost.
+    A named tuple, because every mapper builds its fabric's PEs (192 by
+    default) and a tuple builds in about a third of a dataclass's time.
     """
 
     stripe: int
