@@ -48,7 +48,7 @@ def main() -> None:
         return
 
     print(f"\nmapping of the hottest trace "
-          f"({config.length} ops, {config.stripes_used} stripes, "
+          f"({len(config.placements)} ops, {config.stripes_used} stripes, "
           f"{config.datapath_channels_used} datapath channels, "
           f"{len(config.live_ins)} live-ins, {len(config.live_outs)} "
           f"live-outs):\n")

@@ -128,7 +128,3 @@ class ConfigCache:
     @property
     def mapped_trace_count(self) -> int:
         return len(self.mapped_keys)
-
-    @property
-    def occupancy(self) -> int:
-        return len(self._store)

@@ -28,7 +28,6 @@ from repro.core.multifabric import FabricPool
 from repro.core.naive_mapper import NaiveMapper
 from repro.core.offload import OffloadEngine, TRACE_SQUASH_DETECT
 from repro.core.tcache import TCache, TraceWindowBuilder
-from repro.engine import fastpath_enabled
 from repro.fabric.config import FabricConfig
 from repro.isa.instructions import DynamicInstruction
 from repro.isa.opcodes import Opcode
@@ -177,10 +176,6 @@ class DynaSpAM:
         self.offloader = OffloadEngine(
             pipeline=self.pipeline, speculation=cfg.speculation, bus=self.bus
         )
-        #: Engine tier, captured once like ``make_pipeline`` does: the fast
-        #: path validates key-matched occurrences through the occurrence
-        #: probe; the interpreted reference walks every occurrence in full.
-        self._fastpath = fastpath_enabled()
 
         self._host_instructions = 0
         self._mapping_instructions = 0
@@ -256,7 +251,9 @@ class DynaSpAM:
     # ------------------------------------------------------------------
     def _attempt_offload(self, trace, i, entry, predicted) -> int | None:
         stats = self.pipeline.stats
-        segment = self._segment_fast(trace, i, entry.configuration)
+        # The fast tier takes a key-matched occurrence as a slice; the full
+        # walk runs on the reference tier and whenever that check fails.
+        segment = self.offloader.occurrence(trace, i, entry.configuration)
         if segment is None:
             segment = self._actual_segment(trace, i)
             actual_key = self._segment_key(segment)
@@ -284,8 +281,6 @@ class DynaSpAM:
                         ),
                     )
                 return None
-            if self._fastpath:
-                self._note_occurrence_probe(entry.configuration, segment)
         acquired = self.pool.acquire(
             entry.configuration,
             max(self.pipeline.next_fetch_cycle, self.pipeline.fetch_barrier),
@@ -325,48 +320,6 @@ class DynaSpAM:
                 return dyn.pc
             index += 1
         return None
-
-    @staticmethod
-    def _note_occurrence_probe(configuration, segment) -> None:
-        """Record a key-matched occurrence's branch layout so later
-        occurrences validate by spot-check instead of a full re-walk."""
-        if getattr(configuration, "_occurrence_probe", None) is not None:
-            return
-        configuration._occurrence_probe = (
-            len(segment),
-            tuple(
-                (offset, dyn.pc, bool(dyn.taken))
-                for offset, dyn in enumerate(segment)
-                if dyn.is_branch
-            ),
-        )
-
-    def _segment_fast(self, trace, i, configuration):
-        """Key-matched occurrence at ``i`` as a plain slice, or None.
-
-        Sound because the trace key pins the whole instruction sequence:
-        with the anchor PC equal (the predicted key's anchor *is*
-        ``trace[i].pc``) and every embedded branch showing the same PC and
-        outcome as a previously key-matched occurrence, the committed
-        stream between branches is straight-line static code — the
-        general walk would reproduce the identical segment and key.  Any
-        mismatch (including a truncated trace tail) falls back to the full
-        walk, which owns squash detection.  Fast path only: the
-        interpreted reference always takes the full walk.
-        """
-        if not self._fastpath:
-            return None
-        probe = getattr(configuration, "_occurrence_probe", None)
-        if probe is None:
-            return None
-        length, branches = probe
-        if i + length > len(trace):
-            return None
-        for offset, pc, taken in branches:
-            dyn = trace[i + offset]
-            if dyn.pc != pc or bool(dyn.taken) is not taken:
-                return None
-        return trace[i:i + length]
 
     # ------------------------------------------------------------------
     def _mapping_phase(self, trace, i, predicted) -> int | None:

@@ -110,14 +110,10 @@ class FabricPool:
         num_stripes = cfg.num_stripes
         placed = [0] * num_stripes
         touched = [0] * num_stripes
-        placed_pe_invocations = 0
-        filled_stripe_invocations = 0
         for fabric in self.fabrics:
             for stripe in range(num_stripes):
                 placed[stripe] += fabric.stripe_placed_invocations[stripe]
                 touched[stripe] += fabric.stripe_invocations[stripe]
-            placed_pe_invocations += fabric.placed_pe_invocations
-            filled_stripe_invocations += fabric.filled_stripe_invocations
         total_pes = sum(cfg.pes_in_stripe(s) for s in range(num_stripes))
         per_stripe = [
             {
@@ -145,11 +141,11 @@ class FabricPool:
             "total_invocations": invocations,
             "reconfigurations": self.reconfigurations,
             "placed_pe_ratio": (
-                placed_pe_invocations / (total_pes * invocations)
+                sum(placed) / (total_pes * invocations)
                 if invocations else 0.0
             ),
             "stripe_fill": (
-                filled_stripe_invocations / (num_stripes * invocations)
+                sum(touched) / (num_stripes * invocations)
                 if invocations else 0.0
             ),
             "per_stripe": per_stripe,

@@ -42,8 +42,9 @@ class OffloadOutcome:
 
 @dataclass(slots=True)
 class _PlanEntry:
-    """What the offload twin keeps per configuration.  Pins the
-    configuration, so its id stays unique while the entry lives."""
+    """What the fast tier keeps per configuration: the one owner of its
+    plans.  Pins the configuration, so its id stays unique while the
+    entry lives."""
 
     configuration: Configuration
     plan: OffloadPlan
@@ -69,8 +70,43 @@ class OffloadEngine:
         #: plan-driven twin batches counters in ``FastOOOPipeline``'s
         #: count slots.
         self._fastpath = isinstance(self.pipeline, FastOOOPipeline)
-        #: id(configuration) -> its :class:`_PlanEntry`, for the twin.
+        #: id(configuration) -> its :class:`_PlanEntry`, for the fast
+        #: tier's occurrence check and offload twin.
         self._plans: dict[int, _PlanEntry] = {}
+
+    def _entry(self, configuration: Configuration) -> _PlanEntry:
+        """Compile ``configuration``'s plans into a new entry."""
+        plan = compile_offload_plan(configuration)
+        entry = self._plans[id(configuration)] = _PlanEntry(
+            configuration, plan, self.pipeline.count_slot(plan.counters))
+        return entry
+
+    def occurrence(self, trace, i: int, configuration: Configuration):
+        """The occurrence of ``configuration`` at ``trace[i]`` as a plain
+        slice, or None: always on the reference tier, and on the fast
+        tier when an embedded branch shows another PC or outcome than
+        the plan's, or when the trace ends first.
+
+        ``trace[i]`` is the predicted key's anchor, and the trace key
+        pins the whole instruction sequence: with the anchor PC equal and
+        every embedded branch showing the key's PC and outcome at its
+        position, the committed stream between branches is straight-line
+        static code, so the full walk would cut the same slice and
+        rebuild the same key.  A None sends the caller to that walk,
+        which owns squash detection.
+        """
+        if not self._fastpath:
+            return None
+        plan = (self._plans.get(id(configuration))
+                or self._entry(configuration)).plan
+        end = i + plan.length
+        if end > len(trace):
+            return None
+        for pos, pc, taken in plan.branches:
+            dyn = trace[i + pos]
+            if dyn.pc != pc or bool(dyn.taken) is not taken:
+                return None
+        return trace[i:end]
 
     def offload(
         self,
@@ -212,7 +248,8 @@ class OffloadEngine:
         in-flight host stores, cache state and the schedule's timing.
         Everything else comes from the configuration's
         :class:`OffloadPlan`, kept with its count slot and Store-Sets
-        predictions in one entry per configuration.
+        predictions in one entry per configuration, which
+        :meth:`occurrence` opens on a run's first attempt.
         ``macro_dispatch``, ``macro_commit`` (bucket ``offload``), the
         store queue's ``push`` and the predictor training of
         ``predict_and_update`` are inlined; the training keeps no
@@ -234,11 +271,8 @@ class OffloadEngine:
         stats = pipeline.stats
         storesets = pipeline.storesets
         speculative = self.speculation
-        entry = self._plans.get(id(configuration))
-        if entry is None:
-            plan = compile_offload_plan(configuration, segment)
-            entry = self._plans[id(configuration)] = _PlanEntry(
-                configuration, plan, pipeline.count_slot(plan.counters))
+        entry = (self._plans.get(id(configuration))
+                 or self._entry(configuration))
         plan = entry.plan
 
         # ---- macro_dispatch, inlined ---------------------------------
@@ -328,7 +362,7 @@ class OffloadEngine:
         access = dcache.access
         (_start, complete, occupancy, slots, stores, loads,
          violations) = fabric.walk(
-            configuration, start_lower_bound, ready, mem_addrs,
+            configuration, plan.timing, start_lower_bound, ready, mem_addrs,
             access, speculative, extra_wait, predicted_store_pos,
         )
 
@@ -415,7 +449,7 @@ class OffloadEngine:
             chooser = bpred.chooser
             mask = bpred.mask
             history = bpred.history
-            for pc, taken in plan.branches:
+            for _pos, pc, taken in plan.branches:
                 b_index = (pc >> 2) & mask
                 g_index = b_index ^ history
                 b_counter = bimodal[b_index]

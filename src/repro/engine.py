@@ -6,14 +6,16 @@ The repository carries two engine tiers for its innermost loops:
   ``SpatialFabric.execute`` and ``OffloadEngine.offload`` — written for
   readability and used as the reference model; DynaSpAM re-walks every
   trace occurrence in full;
-* the *fast path* — ``repro.ooo.fastpath.FastOOOPipeline``, the offload
-  twin ``OffloadEngine._offload_plan`` and the fabric timing walk
-  ``SpatialFabric.walk`` it calls directly, both over the plans of
-  ``repro.fabric.compiled``, and DynaSpAM's occurrence probe (a
+* the *fast path* — ``repro.ooo.fastpath.FastOOOPipeline`` and, in the
+  offload engine, the occurrence check ``OffloadEngine.occurrence`` (a
   key-matched occurrence is validated by spot-checking its embedded
-  branches instead of re-walking it) — bit-identical by construction and
-  enforced so by the identity tests in ``tests/engine`` and the CI
-  ``fastpath-identity`` job.
+  branches instead of re-walking it) and the offload twin
+  ``OffloadEngine._offload_plan`` with the fabric timing walk
+  ``SpatialFabric.walk`` it calls directly, all over the plans of
+  ``repro.fabric.compiled``, which the engine compiles once per
+  configuration from the configuration alone — bit-identical by
+  construction and enforced so by the identity tests in ``tests/engine``
+  and the CI ``fastpath-identity`` job.
 
 The value oracle ``repro.fabric.functional.FunctionalFabric`` runs in no
 simulation, so it has one (interpreted) evaluator on either tier.
@@ -54,10 +56,11 @@ def fastpath_enabled() -> bool:
 def set_fastpath(enabled: bool) -> bool:
     """Select the engine for subsequently constructed simulators.
 
-    Returns the previous setting.  Three components capture the engine
-    once, at construction: ``make_pipeline`` and ``DynaSpAM`` read the
-    flag, and ``OffloadEngine`` takes its pipeline's tier.  Flipping the
-    flag never changes a simulation already in flight.
+    Returns the previous setting.  The engine is captured at two points,
+    once, at construction: ``make_pipeline`` reads the flag, and
+    ``OffloadEngine`` takes its pipeline's tier.  ``DynaSpAM`` holds no
+    tier of its own.  Flipping the flag never changes a simulation
+    already in flight.
     """
     global _FASTPATH
     previous = _FASTPATH

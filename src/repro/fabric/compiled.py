@@ -11,9 +11,9 @@ configurations — the same insight DynaSpAM itself applies to instruction
 schedules applies here: lower the reused structure once, then execute
 the lowered form.
 
-Two plans, keyed by configuration identity: the timing plan is cached
-on the configuration object, and the offload plan in the offload
-engine's entry for the configuration:
+Both plans are built from the configuration alone, and the offload
+engine's one entry per configuration owns them (the offload plan holds
+the timing plan); nothing is cached on the ``Configuration``:
 
 * :class:`TimingPlan` — for the cycle engine: the configuration lowered
   to *slots*.  Each distinct live-in register the placed ops read gets
@@ -27,22 +27,24 @@ engine's entry for the configuration:
   sources they read.  The plan also holds the structural II, the
   constant datapath-transfer and FIFO-op totals and the live-outs'
   slots.
-* :class:`OffloadPlan` — for the offload bookkeeping: the rename
-  counts, the loads' ``(mem_index, pc)`` pairs, the segment's memory
-  positions, each embedded branch's PC and outcome, the live-outs the
+* :class:`OffloadPlan` — for the occurrence check and the offload
+  bookkeeping: the occurrence length, the rename counts, the loads'
+  ``(mem_index, pc)`` pairs, the memory ops' trace positions, each
+  embedded branch's position, PC and outcome, the live-outs the
   scoreboard takes (slot by slot), and the counters a successful
   invocation adds in amounts its configuration fixes, which the offload
-  twin charges as one count per configuration.  It needs one offloaded
-  occurrence to lower: the positions, the branches and the instruction
-  count come from the segment.
+  twin charges as one count per configuration.  The trace key and the
+  placements hold all of it: the mapper places every instruction but
+  jumps and nops, at its trace position, and maps only occurrences whose
+  key is the configuration's.
 
-Both plans compile on a configuration's first fast-tier invocation, so
-``mapping_only`` runs, which never invoke, compile none.  Plan use is
-the fast engine tier (:mod:`repro.engine`); on the reference tier the
-interpreted ``SpatialFabric.execute`` and ``OffloadEngine.offload``
-remain the spec, and ``tests/engine`` holds the two bit-identical.  The
-value oracle (``repro.fabric.functional``) runs in no simulation and has
-no plan.
+The plans compile on a configuration's first fast-tier offload attempt,
+so ``mapping_only`` runs, which never attempt one, compile none.  Plan
+use is the fast engine tier (:mod:`repro.engine`); on the reference tier
+the interpreted ``SpatialFabric.execute`` and ``OffloadEngine.offload``
+remain the spec, DynaSpAM walks every occurrence in full, and
+``tests/engine`` holds the two bit-identical.  The value oracle
+(``repro.fabric.functional``) runs in no simulation and has no plan.
 """
 
 from __future__ import annotations
@@ -87,8 +89,8 @@ class TimingPlan:
     liveouts: tuple           # ((reg, slot), ...)
 
 
-def compile_timing_plan(configuration: Configuration) -> TimingPlan:
-    """Lower a configuration for the cycle engine and cache it."""
+def compile_timing(configuration: Configuration) -> TimingPlan:
+    """Lower a configuration for the cycle engine."""
     structural_ii = max(
         (pe_busy(op.opclass, op.latency) for op in configuration.placements),
         default=1,
@@ -139,7 +141,7 @@ def compile_timing_plan(configuration: Configuration) -> TimingPlan:
         steps.append(step)
     liveouts = tuple(
         (reg, op_slot[pos]) for reg, pos in configuration.live_outs.items())
-    plan = TimingPlan(
+    return TimingPlan(
         structural_ii=structural_ii,
         live_ins=tuple(live_in_slot),
         steps=tuple(steps),
@@ -147,23 +149,18 @@ def compile_timing_plan(configuration: Configuration) -> TimingPlan:
         fifo_ops=gather_fifo_ops + len(liveouts),
         liveouts=liveouts,
     )
-    configuration._timing_plan = plan
-    return plan
-
-
-def timing_plan_of(configuration: Configuration) -> TimingPlan:
-    """Return the configuration's timing plan, compiling on first use."""
-    plan = getattr(configuration, "_timing_plan", None)
-    if plan is None:
-        plan = compile_timing_plan(configuration)
-    return plan
 
 
 @dataclass(frozen=True)
 class OffloadPlan:
-    """Everything ``OffloadEngine``'s plan-driven twin needs per
-    invocation that never changes."""
+    """Everything the fast tier's occurrence check and offload twin need
+    for one configuration that never changes."""
 
+    #: The configuration's timing plan, which ``SpatialFabric.walk``
+    #: replays.
+    timing: TimingPlan
+    #: Instructions in an occurrence: the trace key's length.
+    length: int
     #: Registers the rename stage renames per invocation (live-ins plus
     #: live-outs).
     renames: int
@@ -175,9 +172,9 @@ class OffloadPlan:
     loads: tuple
     #: ``(mem_index, pc)`` of every placed store, in position order.
     stores: tuple
-    #: Segment index of every memory op, in ``mem_index`` order.
+    #: Trace position of every memory op, in ``mem_index`` order.
     mem_positions: tuple
-    #: ``(pc, taken)`` of every embedded branch, in trace order.
+    #: ``(pos, pc, taken)`` of every embedded branch, in trace order.
     branches: tuple
     #: ``(reg, timing slot)`` of every live-out that renames a scoreboard
     #: entry (all but ``r0``).
@@ -187,36 +184,45 @@ class OffloadPlan:
     counters: tuple
 
 
-def compile_offload_plan(configuration: Configuration,
-                         segment) -> OffloadPlan:
-    """Lower the offload engine's per-configuration work.
+def compile_offload_plan(configuration: Configuration) -> OffloadPlan:
+    """Lower the fast tier's per-configuration work.
 
-    ``segment`` is any occurrence offloaded on ``configuration``: the
-    trace key (anchor PC, embedded branch outcomes, length) pins the
-    static instruction sequence, and offload only runs on key-matching
-    occurrences, so the memory positions, each branch's PC and outcome
-    and the instruction count hold for all of them.
+    Exact from the configuration alone: the mapper places every trace
+    instruction but jumps and nops, each at its trace position, and maps
+    only occurrences whose actual key is ``configuration.trace_key``
+    (anchor PC, embedded branch outcomes, length).  So the placed
+    branches, in position order, are the embedded branches, one per
+    outcome in the key; the placed memory ops sit at the occurrence's
+    memory positions; and the key's length is its instruction count.
     """
     loads = []
     stores = []
+    mem_positions = []
+    branch_ops = []
     pool_counts: dict[str, int] = {}
     for op in configuration.placements:
         if op.is_store:
             stores.append((op.mem_index, op.pc))
+            mem_positions.append(op.pos)
         elif op.is_load:
             loads.append((op.mem_index, op.pc))
+            mem_positions.append(op.pos)
+        elif op.is_branch:
+            branch_ops.append(op)
         pool_counts[op.pool] = pool_counts.get(op.pool, 0) + 1
+    _anchor, outcomes, length = configuration.trace_key
     branches = tuple(
-        (dyn.pc, bool(dyn.taken)) for dyn in segment if dyn.is_branch)
-    timing = timing_plan_of(configuration)
+        (op.pos, op.pc, taken)
+        for op, taken in zip(branch_ops, outcomes, strict=True))
+    timing = compile_timing(configuration)
     counters = {
         "regfile_writes": len(configuration.live_outs),
         "loads": len(loads),
         "stores": len(stores),
         "predictor_lookups": len(branches),
         "commits": 1,
-        "offloaded_instructions": len(segment),
-        "instructions": len(segment),
+        "offloaded_instructions": length,
+        "instructions": length,
         "fabric_invocations": 1,
         "fabric_fu_ops": len(configuration.placements),
         "fabric_datapath_transfers": timing.datapath_transfers,
@@ -224,18 +230,18 @@ def compile_offload_plan(configuration: Configuration,
     }
     for pool, count in pool_counts.items():
         counters[f"fabric_{pool}_ops"] = count
-    plan = OffloadPlan(
+    return OffloadPlan(
+        timing=timing,
+        length=length,
         renames=len(configuration.live_ins) + len(configuration.live_outs),
         regfile_reads=len(configuration.live_ins),
         fu_ops=len(configuration.placements),
         loads=tuple(loads),
         stores=tuple(stores),
-        mem_positions=tuple(
-            i for i, dyn in enumerate(segment) if dyn.is_memory),
+        mem_positions=tuple(mem_positions),
         branches=branches,
         liveout_writes=tuple(
             (reg, slot) for reg, slot in timing.liveouts if reg != "r0"),
         counters=tuple(
             (name, count) for name, count in counters.items() if count),
     )
-    return plan

@@ -61,13 +61,6 @@ class FabricConfig:
         """Pass-register (routing channel) capacity of one stripe."""
         return self.pass_regs_per_fu * self.pes_in_stripe(stripe)
 
-    @property
-    def pes_per_stripe(self) -> int:
-        """PE count of a (homogeneous) stripe; max across heterogeneous."""
-        if self.per_stripe_pools is not None:
-            return max(sum(pools.values()) for pools in self.per_stripe_pools)
-        return sum(self.stripe_pools.values())
-
     def reconfig_latency(self, stripes_used: int) -> int:
         """Cycles to load a configuration touching ``stripes_used`` stripes."""
         return self.reconfig_cycles_per_stripe * max(1, stripes_used)

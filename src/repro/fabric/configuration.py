@@ -68,11 +68,15 @@ class PlacedOp:
         return self.opclass is OpClass.BRANCH
 
 
-@dataclass
+@dataclass(slots=True)
 class Configuration:
-    """A complete mapping of one hot trace onto the fabric."""
+    """A complete mapping of one hot trace onto the fabric.
 
-    trace_key: tuple            # (start_pc, branch outcome tuple)
+    Slotted, so no module can hang state on it: what an engine derives
+    from a configuration lives in that engine.
+    """
+
+    trace_key: tuple            # (start_pc, branch outcome tuple, length)
     placements: list[PlacedOp]
     live_ins: tuple[str, ...]
     live_outs: dict[str, int]   # arch register -> producing position
@@ -91,10 +95,6 @@ class Configuration:
 
     def op_at(self, pos: int) -> PlacedOp:
         return self._by_pos[pos]
-
-    @property
-    def length(self) -> int:
-        return len(self.placements)
 
     def validate(self) -> None:
         """Check structural invariants of the mapping.

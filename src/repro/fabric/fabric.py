@@ -13,13 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.fabric.compiled import (
-    T_ALU1,
-    T_ALU2,
-    T_LOAD,
-    T_STORE,
-    compile_timing_plan,
-)
+from repro.fabric.compiled import T_ALU1, T_ALU2, T_LOAD, T_STORE, TimingPlan
 from repro.fabric.config import FabricConfig
 from repro.fabric.configuration import Configuration, PlacedOp
 from repro.fabric.fifos import FifoModel
@@ -122,10 +116,6 @@ class SpatialFabric:
             [0] * self.config.num_stripes)
         #: stripe -> invocations with at least one op on that stripe.
         self.stripe_invocations: list[int] = [0] * self.config.num_stripes
-        #: sum over invocations of PEs the invocation's config occupied.
-        self.placed_pe_invocations: int = 0
-        #: sum over invocations of stripes the invocation's config touched.
-        self.filled_stripe_invocations: int = 0
 
     # ------------------------------------------------------------------
     # Configuration management
@@ -174,9 +164,6 @@ class SpatialFabric:
         for stripe, placed in self._stripe_increments:
             self.stripe_placed_invocations[stripe] += placed * invocations
             self.stripe_invocations[stripe] += invocations
-            self.placed_pe_invocations += placed * invocations
-        self.filled_stripe_invocations += (
-            len(self._stripe_increments) * invocations)
 
     # ------------------------------------------------------------------
     # Execution
@@ -283,6 +270,7 @@ class SpatialFabric:
     def walk(
         self,
         configuration: Configuration,
+        plan: TimingPlan,
         start_lower_bound: int,
         reg_ready: dict[str, int],
         mem_addrs: list[int],
@@ -292,8 +280,8 @@ class SpatialFabric:
         predicted_store_pos: dict[int, int],
     ) -> tuple:
         """Plan-driven twin of :meth:`execute`, run by the fast tier's
-        offload: one pass over the configuration's slot-indexed
-        :class:`~repro.fabric.compiled.TimingPlan`.
+        offload: one pass over ``plan``, the configuration's slot-indexed
+        :class:`~repro.fabric.compiled.TimingPlan`, which the caller owns.
 
         Takes the invocation's inputs as arguments: ``reg_ready`` is the
         host scoreboard's register -> ready-cycle dict, read once per
@@ -328,9 +316,6 @@ class SpatialFabric:
         """
         if self.current_key != configuration.trace_key:
             raise ValueError("fabric is not configured for this trace")
-        plan = getattr(configuration, "_timing_plan", None)
-        if plan is None:
-            plan = compile_timing_plan(configuration)
         bus = self.config.global_bus_latency
         fifo = self.fifo
         depth = fifo.depth

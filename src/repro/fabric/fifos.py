@@ -30,7 +30,3 @@ class FifoModel:
         self._head = (self._head + 1) % self.depth
         if self._count < self.depth:
             self._count += 1
-
-    @property
-    def occupancy(self) -> int:
-        return self._count

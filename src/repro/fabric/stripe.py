@@ -22,12 +22,6 @@ class Stripe:
                 pe_index += 1
         self.pass_registers = config.channels_in_stripe(index)
 
-    def pes_of_pool(self, pool: str) -> list[PE]:
-        return [pe for pe in self.pes if pe.pool == pool]
-
-    def __len__(self) -> int:
-        return len(self.pes)
-
     def __iter__(self):
         return iter(self.pes)
 

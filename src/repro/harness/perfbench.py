@@ -5,10 +5,10 @@ sweep take end to end"; this module answers a different question: **how
 fast does the simulator itself execute**, in dynamic instructions per
 second and fabric invocations per second, per kernel and mode, for each
 engine.  The "fast" engine is the production stack — the compiled fast
-path of ``repro.ooo.fastpath`` / ``repro.fabric.compiled`` and
-DynaSpAM's occurrence probe — while "interpreted" forces the reference
-model, so the reported speedup is the whole optimization stack against
-the reference.
+path of ``repro.ooo.fastpath`` / ``repro.fabric.compiled`` and the
+offload engine's occurrence check — while "interpreted" forces the
+reference model, so the reported speedup is the whole optimization stack
+against the reference.
 
 Methodology:
 

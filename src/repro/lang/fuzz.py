@@ -262,7 +262,7 @@ def tier_cycles(lowered, trace) -> dict[str, dict]:
     """DynaSpAM cycles and full stats for the same trace under both tiers.
 
     Keyed ``fastpath=0`` / ``fastpath=1``; each value holds ``cycles`` and
-    ``stats`` (``stats.as_dict()``), so the fast path's occurrence probe
+    ``stats`` (``stats.as_dict()``), so the fast path's occurrence check
     and compiled evaluators answer to the reference walk on every
     counter, not only on the cycle total.  Simulates directly (engine
     choice is deliberately not part of the run-cache identity, so going

@@ -21,7 +21,7 @@ class BranchPredictor:
 
     def __init__(self, config: CoreConfig | None = None) -> None:
         config = config or CoreConfig()
-        self.kind = getattr(config, "predictor_kind", "tournament")
+        self.kind = config.predictor_kind
         if self.kind not in ("tournament", "bimodal", "gshare"):
             raise ValueError(f"unknown predictor kind {self.kind!r}")
         self.index_bits = config.predictor_bits

@@ -41,7 +41,3 @@ class ReorderBufferModel:
     def drain_cycle(self) -> int:
         """Cycle at which everything currently in flight has committed."""
         return self.last_commit_cycle
-
-    @property
-    def occupancy(self) -> int:
-        return self._count

@@ -79,7 +79,7 @@ def test_priority_scores_match_paper_cycle0():
         fcfg.num_stripes,
         [fcfg.channels_in_stripe(s) for s in range(fcfg.num_stripes)],
     )
-    pe = stripe0.pes_of_pool("int_alu")[0]
+    pe = next(pe for pe in stripe0.pes if pe.pool == "int_alu")
     # Cycle 0 ready set: 0, 1, 3, 7 (single live-in, priority 0) and 8
     # (two live-ins, priority 3).
     scores = {

@@ -112,7 +112,7 @@ def test_mapping_covers_all_nontransparent_instructions():
         1 for d in segment
         if d.opclass.value not in ("jump", "nop")
     )
-    assert config.length == expected
+    assert len(config.placements) == expected
 
 
 def test_dataflow_moves_strictly_forward():

@@ -48,7 +48,7 @@ def test_fabric_config_from_mix():
     tuner = FabricTuner(pe_budget=10)
     mix = tuner.propose([profile_of("KM")])
     config = tuner.fabric_config(mix)
-    assert config.pes_per_stripe == 10
+    assert config.pes_in_stripe(0) == 10
     assert config.num_stripes == FabricConfig().num_stripes
 
 

@@ -16,7 +16,7 @@ and leaves the same fabric books, invocation after invocation.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.fabric.compiled import timing_plan_of
+from repro.fabric.compiled import compile_timing
 from repro.fabric.configuration import Configuration, OperandSource, PlacedOp
 from repro.fabric.fabric import InvocationContext, SpatialFabric
 from repro.isa.opcodes import Opcode, OpClass
@@ -142,8 +142,8 @@ def _books(fabric, dcache) -> tuple:
         fabric.last_invocation_start,
         fabric.stripe_placed_invocations,
         fabric.stripe_invocations,
-        fabric.filled_stripe_invocations,
-        fabric.placed_pe_invocations,
+        sum(fabric.stripe_invocations),
+        sum(fabric.stripe_placed_invocations),
         fabric.fifo._complete_ring,
         dcache.l1._sets,
         dcache.l1.hits,
@@ -195,6 +195,7 @@ def _walk(configuration, runs, speculative):
     fabric = SpatialFabric()
     bus = fabric.config.global_bus_latency
     dcache = _dcache()
+    plan = compile_timing(configuration)
     cycle = 0
     results = []
     fabric.configure(configuration, 0)
@@ -202,12 +203,12 @@ def _walk(configuration, runs, speculative):
         cycle += run["gap"]
         (start, complete, occupancy, slots, stores, loads,
          violations) = fabric.walk(
-            configuration, cycle, run["scoreboard"], run["mem_addrs"],
-            dcache.access, speculative, run["extra_mem_wait"],
-            run["predicted_store_pos"],
+            configuration, plan, cycle, run["scoreboard"],
+            run["mem_addrs"], dcache.access, speculative,
+            run["extra_mem_wait"], run["predicted_store_pos"],
         )
-        liveouts = timing_plan_of(configuration).liveouts
-        liveout_ready = {reg: slots[slot] + bus for reg, slot in liveouts}
+        liveout_ready = {reg: slots[slot] + bus
+                         for reg, slot in plan.liveouts}
         results.append((start, complete, occupancy, liveout_ready, stores,
                         loads, violations))
     return results, _books(fabric, dcache)

@@ -1,13 +1,14 @@
 """Bit-identity of the compiled fast path against the interpreted model.
 
 The compiled fast path (``repro.ooo.fastpath`` + ``repro.fabric.compiled``
-+ DynaSpAM's occurrence probe) is an *implementation* choice, never a
-modeling choice: every cycle count, statistic, report byte, and traced
++ the offload engine's occurrence check) is an *implementation* choice,
+never a modeling choice: every cycle count, statistic, report byte, and traced
 event sequence must be exactly what the interpreted reference model
 produces.  These tests sweep the full kernel suite across execution
-modes under both engine settings and demand byte equality, not
-closeness, of the serialized results — with nothing removed from stats
-and nothing filtered from event streams.
+modes, and across the DynaSpAM knobs that change how traces are cut,
+mapped and placed, under both engine settings and demand byte equality,
+not closeness, of the serialized results — with nothing removed from
+stats and nothing filtered from event streams.
 
 Tier against tier cannot catch a regression in the framework code both
 tiers share, so the same runs are also checked against committed
@@ -22,16 +23,18 @@ import hashlib
 import json
 from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
 import repro.core.offload as offload_module
 import repro.fabric.fabric as fabric_module
 from repro.core import DynaSpAM, DynaSpAMConfig
+from repro.core.mapper import ResourceAwareMapper
 from repro.core.offload import OffloadEngine
 from repro.engine import fastpath_enabled, set_fastpath, use_fastpath
 from repro.fabric.fabric import SpatialFabric
+from repro.isa.builder import ProgramBuilder
+from repro.isa.executor import FunctionalExecutor
 from repro.ooo.fastpath import FastOOOPipeline, make_pipeline
 from repro.ooo.pipeline import OOOPipeline
 from repro.workloads import ALL_ABBREVS, generate_trace
@@ -99,6 +102,34 @@ def test_engine_bit_identity(abbrev):
         )
 
 
+#: DynaSpAM knob sets the sweep above leaves at their defaults, each
+#: changing how traces are cut, mapped or placed on fabrics.
+KNOBS = (
+    {"mapper": "naive"},
+    {"smart_trace_selection": True},
+    {"smart_trace_selection": True, "speculation": False},
+    {"num_fabrics": 4},
+    {"trace_length": 16},
+    {"trace_length": 40},
+)
+KNOB_SCALE = 0.1
+
+
+@pytest.mark.parametrize("abbrev", ALL_ABBREVS)
+def test_knob_tier_identity(abbrev):
+    tr = generate_trace(abbrev, KNOB_SCALE)
+    for knobs in KNOBS:
+        cells = []
+        for fast in (False, True):
+            with use_fastpath(fast):
+                machine = DynaSpAM(ds_config=DynaSpAMConfig(**knobs))
+                result = machine.run(tr.trace, tr.program)
+            cells.append(json.dumps(
+                {"cycles": result.cycles, "stats": result.stats.as_dict()},
+                sort_keys=True))
+        assert cells[0] == cells[1], f"{abbrev} {knobs}: engines diverge"
+
+
 def test_simulation_report_bit_identity(tmp_path, monkeypatch):
     """The full ``repro run --json`` report is byte-identical across the
     two engine settings.
@@ -148,32 +179,34 @@ def test_traced_event_streams_identical():
 
 
 def test_flipped_branch_occurrence_rejected_by_fast_segment():
-    """The occurrence probe must reject an occurrence whose embedded
-    branch flipped — that occurrence has a different trace key and must
-    take the general walk (which detects the squash).  The interpreted
-    reference never takes the probe."""
-    configuration = SimpleNamespace(
-        _occurrence_probe=(3, ((1, 0x44, True),))
-    )
-    matching = [
-        SimpleNamespace(pc=0x40, taken=None),
-        SimpleNamespace(pc=0x44, taken=True),
-        SimpleNamespace(pc=0x48, taken=None),
-    ]
-    flipped = [
-        SimpleNamespace(pc=0x40, taken=None),
-        SimpleNamespace(pc=0x44, taken=False),
-        SimpleNamespace(pc=0x48, taken=None),
-    ]
-    truncated = matching[:2]
+    """The fast tier's occurrence check takes a key-matched occurrence as
+    a slice of the trace, and rejects one whose embedded branch flipped
+    or that the trace cuts short: those have another key or none, and
+    must take the full walk, which detects the squash.  The reference
+    tier always walks."""
+    b = ProgramBuilder("probe")
+    b.li("r1", 3)
+    b.label("loop")
+    b.addi("r1", "r1", -1)
+    b.add("r2", "r2", "r1")
+    b.bne("r1", "r0", "loop")
+    b.halt()
+    # li, then three iterations: the third one's bne falls through.
+    trace = FunctionalExecutor().run(b.build()).trace
+    segment = trace[1:4]
+    configuration = ResourceAwareMapper().map_trace(
+        segment, (segment[0].pc, (True,), 3))
+    assert configuration is not None
     with use_fastpath(True):
-        machine = DynaSpAM(ds_config=DynaSpAMConfig(mode="accelerate"))
-    assert machine._segment_fast(matching, 0, configuration) == matching
-    assert machine._segment_fast(flipped, 0, configuration) is None
-    assert machine._segment_fast(truncated, 0, configuration) is None
+        engine = OffloadEngine(pipeline=make_pipeline())
+    assert engine.occurrence(trace, 1, configuration) == segment
+    assert engine.occurrence(trace, 4, configuration) == trace[4:7]
+    assert (trace[9].pc, trace[9].taken) == (segment[2].pc, False)
+    assert engine.occurrence(trace, 7, configuration) is None
+    assert engine.occurrence(trace[:6], 4, configuration) is None
     with use_fastpath(False):
-        reference = DynaSpAM(ds_config=DynaSpAMConfig(mode="accelerate"))
-    assert reference._segment_fast(matching, 0, configuration) is None
+        reference = OffloadEngine(pipeline=make_pipeline())
+    assert reference.occurrence(trace, 1, configuration) is None
 
 
 def _spy(monkeypatch, owner, name, calls):

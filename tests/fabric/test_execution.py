@@ -275,18 +275,18 @@ def test_lifetime_recorded_on_reconfiguration():
         fabric.execute(cfg_a, ctx())
     fabric.configure(cfg_b, 100)
     # Closing A's lifetime charges its five invocations to the books.
-    assert fabric.placed_pe_invocations == 5
+    assert sum(fabric.stripe_placed_invocations) == 5
     fabric.execute(cfg_b, ctx(start=100))
     assert fabric.lifetime_invocations == [5]
     assert fabric.flush_lifetime() == [5, 1]
     books = (fabric.stripe_placed_invocations[0],
-             fabric.stripe_invocations[0], fabric.filled_stripe_invocations,
-             fabric.placed_pe_invocations)
+             fabric.stripe_invocations[0], sum(fabric.stripe_invocations),
+             sum(fabric.stripe_placed_invocations))
     assert books == (6, 6, 6, 6)
     assert not any(fabric.stripe_placed_invocations[1:])
     # A second flush charges nothing more.
     assert fabric.flush_lifetime() == [5, 1]
-    assert fabric.placed_pe_invocations == 6
+    assert sum(fabric.stripe_placed_invocations) == 6
 
 
 def test_power_gating_tracks_active_pes():
@@ -298,7 +298,7 @@ def test_power_gating_tracks_active_pes():
     fabric.configure(cfg, 0)
     fabric.execute(cfg, ctx())
     fabric.flush_lifetime()
-    assert fabric.placed_pe_invocations == 2
-    assert fabric.filled_stripe_invocations == 2   # one op per stripe
-    total = fabric.config.num_stripes * fabric.config.pes_per_stripe
-    assert fabric.placed_pe_invocations < total
+    assert sum(fabric.stripe_placed_invocations) == 2
+    assert sum(fabric.stripe_invocations) == 2   # one op per stripe
+    total = fabric.config.num_stripes * fabric.config.pes_in_stripe(0)
+    assert sum(fabric.stripe_placed_invocations) < total

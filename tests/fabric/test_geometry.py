@@ -28,7 +28,7 @@ def test_cca_like_shape():
 def test_heterogeneous_stripes_built_correctly():
     cfg = cca_like()
     stripes = build_stripes(cfg)
-    assert len(stripes[0]) > len(stripes[-1])
+    assert len(stripes[0].pes) > len(stripes[-1].pes)
     assert stripes[0].pass_registers == 0
 
 

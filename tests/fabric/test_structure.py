@@ -13,7 +13,7 @@ from repro.ooo.fus import POOL_OF
 def test_default_geometry_matches_table4():
     cfg = FabricConfig()
     assert cfg.num_stripes == 16
-    assert cfg.pes_per_stripe == 12        # 4+1+4+1+2
+    assert cfg.pes_in_stripe(0) == 12      # 4+1+4+1+2
     assert cfg.pass_regs_per_fu == 3
     assert cfg.channels_in_stripe(0) == 36
     assert cfg.fifo_depth == 8
@@ -36,12 +36,13 @@ def test_stripe0_pes_have_two_input_ports():
 
 def test_stripe_pool_composition():
     stripe = Stripe(0, FabricConfig())
-    assert len(stripe.pes_of_pool("int_alu")) == 4
-    assert len(stripe.pes_of_pool("int_muldiv")) == 1
-    assert len(stripe.pes_of_pool("fp_alu")) == 4
-    assert len(stripe.pes_of_pool("fp_muldiv")) == 1
-    assert len(stripe.pes_of_pool("ldst")) == 2
-    assert len(stripe) == 12
+    pools = [pe.pool for pe in stripe.pes]
+    assert pools.count("int_alu") == 4
+    assert pools.count("int_muldiv") == 1
+    assert pools.count("fp_alu") == 4
+    assert pools.count("fp_muldiv") == 1
+    assert pools.count("ldst") == 2
+    assert len(stripe.pes) == 12
 
 
 def test_pe_functionality_constraint():
@@ -72,7 +73,7 @@ def test_fifo_admission_and_capacity():
     assert fifo.admit_ready_cycle() == 0
     fifo.push(10)
     fifo.push(20)
-    assert fifo.occupancy == 2
+    assert fifo._count == 2
     assert fifo.admit_ready_cycle() == 11   # oldest entry drains at 10
     fifo.push(30)
     assert fifo.admit_ready_cycle() == 21
