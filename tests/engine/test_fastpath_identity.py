@@ -67,20 +67,20 @@ def _golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
 
 
-def _run_cell(abbrev: str, mode: str, speculation: bool, fast: bool) -> str:
-    """One simulation with the engine forced, serialized canonically.
+def _run_cell(abbrev: str, fast: bool, scale: float = SCALE,
+              **knobs) -> str:
+    """One simulation with the engine forced, serialized canonically;
+    ``knobs`` are ``DynaSpAMConfig`` fields.
 
     Machines are constructed directly — not through the harness run
     caches — so both engine settings genuinely simulate.
     """
-    tr = generate_trace(abbrev, SCALE)
+    tr = generate_trace(abbrev, scale)
     with use_fastpath(fast):
-        if mode == "baseline":
+        if knobs.get("mode") == "baseline":
             result = make_pipeline().run_trace(tr.trace)
         else:
-            machine = DynaSpAM(
-                ds_config=DynaSpAMConfig(mode=mode, speculation=speculation)
-            )
+            machine = DynaSpAM(ds_config=DynaSpAMConfig(**knobs))
             result = machine.run(tr.trace, tr.program)
     return json.dumps(
         {"cycles": result.cycles, "stats": result.stats.as_dict()},
@@ -92,8 +92,9 @@ def _run_cell(abbrev: str, mode: str, speculation: bool, fast: bool) -> str:
 def test_engine_bit_identity(abbrev):
     golden = _golden()["runs"][abbrev]
     for mode, speculation in VARIANTS:
-        interpreted = _run_cell(abbrev, mode, speculation, fast=False)
-        fast = _run_cell(abbrev, mode, speculation, fast=True)
+        knobs = {"mode": mode, "speculation": speculation}
+        interpreted = _run_cell(abbrev, False, **knobs)
+        fast = _run_cell(abbrev, True, **knobs)
         assert fast == interpreted, (
             f"{abbrev} {mode} spec={speculation}: engines diverge"
         )
@@ -117,17 +118,10 @@ KNOB_SCALE = 0.1
 
 @pytest.mark.parametrize("abbrev", ALL_ABBREVS)
 def test_knob_tier_identity(abbrev):
-    tr = generate_trace(abbrev, KNOB_SCALE)
     for knobs in KNOBS:
-        cells = []
-        for fast in (False, True):
-            with use_fastpath(fast):
-                machine = DynaSpAM(ds_config=DynaSpAMConfig(**knobs))
-                result = machine.run(tr.trace, tr.program)
-            cells.append(json.dumps(
-                {"cycles": result.cycles, "stats": result.stats.as_dict()},
-                sort_keys=True))
-        assert cells[0] == cells[1], f"{abbrev} {knobs}: engines diverge"
+        assert (_run_cell(abbrev, False, KNOB_SCALE, **knobs)
+                == _run_cell(abbrev, True, KNOB_SCALE, **knobs)), (
+            f"{abbrev} {knobs}: engines diverge")
 
 
 def test_simulation_report_bit_identity(tmp_path, monkeypatch):
@@ -300,7 +294,8 @@ def _make_golden() -> dict:
     for abbrev in ALL_ABBREVS:
         runs[abbrev] = {}
         for mode, speculation in VARIANTS:
-            cells = {_run_cell(abbrev, mode, speculation, fast)
+            cells = {_run_cell(abbrev, fast, mode=mode,
+                               speculation=speculation)
                      for fast in (False, True)}
             assert len(cells) == 1, f"{abbrev} {mode}: engines diverge"
             runs[abbrev][_variant_name(mode, speculation)] = _digest(
